@@ -92,8 +92,8 @@ def check_calibrated_numeric(
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     alpha = cost.alpha
     radius = 1.0 / (2.0 * grid_size)
-    etas = [e for e in np.linspace(0.0, 1.0, grid_size) if abs(e - alpha) > radius]
-    values = [(float(e), h_alpha(loss, cost, float(e))) for e in etas]
+    grid = np.linspace(0.0, 1.0, grid_size)
+    values = _gaps(loss, cost, grid[np.abs(grid - alpha) > radius])
 
     bad = [(e, v) for e, v in values if v <= tolerance]
     if not bad:
@@ -108,12 +108,10 @@ def check_calibrated_numeric(
         )
 
     step = 1.0 / (grid_size - 1)
-    refined: list[tuple[float, float]] = []
-    for e, _ in bad:
-        for ee in np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21):
-            ee = float(ee)
-            if abs(ee - alpha) > radius / 10.0:
-                refined.append((ee, h_alpha(loss, cost, ee)))
+    near = np.concatenate(
+        [np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21) for e, _ in bad]
+    )
+    refined = _gaps(loss, cost, near[np.abs(near - alpha) > radius / 10.0])
     witnesses = tuple(sorted((ev for ev in refined if ev[1] <= tolerance), key=lambda ev: ev[1]))
     if not witnesses:
         # The coarse near-zero values did not survive refinement.
@@ -134,6 +132,11 @@ def check_calibrated_numeric(
         tolerance=tolerance,
         grid_size=grid_size,
     )
+
+
+def _gaps(loss: Loss, cost: CostParam, etas: np.ndarray) -> list[tuple[float, float]]:
+    """(eta, H(eta)) pairs from one batched gap evaluation."""
+    return list(zip(etas.tolist(), h_alpha(loss, cost, etas).tolist()))
 
 
 def _check_continuity(loss: Loss) -> None:

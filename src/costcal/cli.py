@@ -22,7 +22,7 @@ from .calibration import (
     mu_curve,
 )
 from .curves import biconjugate, nu_curve, regret_bound
-from .errors import CostcalError, PreconditionError, VacuousBoundError
+from .errors import CostcalError, DomainError, PreconditionError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import (
     CostParam,
@@ -45,6 +45,8 @@ def _fmt(x: float) -> str:
 
 
 def _build_loss(args) -> tuple[Loss, CostParam]:
+    if not 0.0 < args.gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {args.gamma}")
     beta = args.beta if args.beta is not None else 1.0 / args.gamma
     weighted = getattr(args, "weighted", False)
     spec = UnevenMarginSpec(
@@ -74,14 +76,15 @@ def _curve_rows(loss: Loss, cost: CostParam, quantities: list[str], grid: int):
     rows: list[tuple[str, float, float, str]] = []
     if any(q in quantities for q in ("H", "C_star", "C_minus")):
         etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
-        for eta in etas:
-            eta = float(eta)
-            if "H" in quantities:
-                rows.append(("H", eta, h_alpha(loss, cost, eta), "both"))
-            if "C_star" in quantities:
-                rows.append(("C_star", eta, optimal_conditional_risk(loss, eta), "both"))
-            if "C_minus" in quantities:
-                rows.append(("C_minus", eta, constrained_optimal_risk(loss, cost, eta), "both"))
+        columns = []
+        if "H" in quantities:
+            columns.append(("H", h_alpha(loss, cost, etas)))
+        if "C_star" in quantities:
+            columns.append(("C_star", optimal_conditional_risk(loss, etas)))
+        if "C_minus" in quantities:
+            columns.append(("C_minus", constrained_optimal_risk(loss, cost, etas)))
+        for q, values in columns:
+            rows.extend((q, x, v, "both") for x, v in zip(etas.tolist(), values.tolist()))
     if any(q in quantities for q in ("nu", "mu", "psi")):
         nu = nu_curve(loss, cost, grid)
         if "nu" in quantities:
@@ -119,11 +122,11 @@ def cmd_alpha_gamma(args) -> int:
     gammas[np.abs(gammas - 1.0) < 1e-9] = 1.0
     if args.gamma_min <= 1.0 <= args.gamma_max:
         gammas = np.union1d(gammas, [1.0])
+    # Every row is computed before the file opens, so bad input leaves no file.
+    rows = [f"{_fmt(g)},{_fmt(math.log(g))},{_fmt(alpha_of_gamma(g))}\n" for g in gammas.tolist()]
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,ln_gamma,alpha\n")
-        for g in gammas:
-            g = float(g)
-            fh.write(f"{_fmt(g)},{_fmt(math.log(g))},{_fmt(alpha_of_gamma(g))}\n")
+        fh.writelines(rows)
     return EXIT_OK
 
 

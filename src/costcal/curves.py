@@ -64,18 +64,6 @@ class ConvexEnvelope:
         return self.hull_knots[-1][0]
 
 
-def _nu_value(h, alpha: float, eps: float) -> float:
-    lo = max(alpha - eps, 0.0)
-    hi = min(alpha + eps, 1.0)
-    if alpha <= 0.5:
-        if eps <= alpha:
-            return min(h(hi), h(lo))
-        return h(hi)
-    if eps <= 1.0 - alpha:
-        return min(h(hi), h(lo))
-    return h(lo)
-
-
 def nu_curve(
     loss: Loss,
     cost: CostParam,
@@ -92,27 +80,26 @@ def nu_curve(
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-
-    def h(eta: float) -> float:
-        return h_alpha(loss, cost, eta)
-
     eps_values = np.union1d(
         np.linspace(0.0, big, grid_size),
         np.array([0.0, small, big] + [min(max(float(e), 0.0), big) for e in extra_knots]),
     )
+    # Gaps at both alpha - eps and alpha + eps (clipped to [0, 1]), in one call.
+    lo = np.maximum(alpha - eps_values, 0.0)
+    hi = np.minimum(alpha + eps_values, 1.0)
+    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
+    # Past min(a, 1-a) only the side with room remains.
+    far = h_hi if alpha <= 0.5 else h_lo
+    values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
+
     knots: list[Knot] = []
-    for eps in eps_values:
-        eps = float(eps)
+    for eps, value, right in zip(eps_values.tolist(), values.tolist(), far.tolist()):
         if eps == small:
-            left = _nu_value(h, alpha, eps)
-            if small < big:
-                right = h(min(alpha + eps, 1.0)) if alpha <= 0.5 else h(max(alpha - eps, 0.0))
-            else:
-                right = left
-            knots.append(Knot(eps, left, "left"))
-            knots.append(Knot(eps, right, "right"))
+            knots.append(Knot(eps, value, "left"))
+            knots.append(Knot(eps, right if small < big else value, "right"))
         else:
-            knots.append(Knot(eps, _nu_value(h, alpha, eps), "both"))
+            knots.append(Knot(eps, value, "both"))
     return SampledCurve(domain_max=big, knots=tuple(knots))
 
 
@@ -164,7 +151,7 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     On an initial flat-at-zero segment the right endpoint is returned,
     which keeps the regret bound conservative.
     """
-    if y < 0.0:
+    if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y}")
     xs = np.array([k[0] for k in env.hull_knots])
     ys = np.array([k[1] for k in env.hull_knots])
@@ -197,8 +184,10 @@ def regret_bound(
     Raises VacuousBoundError when the loss is not calibrated at this
     cost parameter (the transfer function is then not invertible).
     """
-    if surrogate_regret < 0.0:
-        raise DomainError("surrogate_regret must be nonnegative")
+    if not 0.0 <= surrogate_regret < math.inf:
+        raise DomainError(
+            f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
+        )
     if not _is_calibrated(loss, cost):
         raise VacuousBoundError(
             f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"

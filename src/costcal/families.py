@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -49,8 +49,10 @@ class UnevenMarginSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if not (self.beta > 0.0 and self.gamma > 0.0):
-            raise DomainError("beta and gamma must be positive")
+        if not (0.0 < self.beta < math.inf and 0.0 < self.gamma < math.inf):
+            raise DomainError(
+                f"beta and gamma must be positive and finite, got {self.beta}, {self.gamma}"
+            )
         if self.alpha_weight is not None and not 0.0 < self.alpha_weight < 1.0:
             raise DomainError("alpha_weight must lie in (0, 1)")
 
@@ -138,7 +140,9 @@ def sigmoid_t_minus(eta: float) -> float:
     if not 0.0 < eta < 0.5:
         raise DomainError(f"eta must lie in (0, 1/2), got {eta}")
     w = ((1.0 - eta) + math.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))) / (2.0 * eta)
-    z = (w - math.sqrt(w * w - 4.0)) / 2.0
+    # The smaller root of z^2 - w z + 1, written without cancellation:
+    # (w - sqrt(w^2 - 4)) / 2 loses every digit once w^2 swamps the 4.
+    z = 2.0 / (w + math.sqrt(w * w - 4.0))
     return math.log(z)
 
 
@@ -215,8 +219,9 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     return _closed_unweighted(spec.family, spec.gamma, eta)
 
 
-def closed_c_star(loss: Loss, eta: float) -> float | None:
-    """Closed optimal conditional risk for a tagged loss, or None.
+def closed_c_star(loss: Loss) -> Callable[[float], float] | None:
+    """The closed optimal conditional risk eta -> C*(eta) of a tagged loss,
+    or None when the loss has none.
 
     Outer (1 - a, a) weighting reduces to the unweighted form through
     the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
@@ -224,14 +229,21 @@ def closed_c_star(loss: Loss, eta: float) -> float | None:
     spec = loss.family
     if spec is None or not _supports_closed(spec):
         return None
+    family, gamma = spec.family, spec.gamma
     if spec.alpha_weight is None:
-        return _closed_unweighted(spec.family, spec.gamma, eta).c_star
-    theta, w = theta_alpha(CostParam(spec.alpha_weight), eta)
-    return w * _closed_unweighted(spec.family, spec.gamma, theta).c_star
+        return lambda eta: _closed_unweighted(family, gamma, eta).c_star
+    weight = CostParam(spec.alpha_weight)
+
+    def weighted(eta: float) -> float:
+        theta, w = theta_alpha(weight, eta)
+        return w * _closed_unweighted(family, gamma, theta).c_star
+
+    return weighted
 
 
-def closed_sigmoid_c_minus(loss: Loss, cost: CostParam, eta: float) -> float | None:
-    """Closed constrained optimum for the calibrated sigmoid, or None."""
+def closed_sigmoid_c_minus(loss: Loss, cost: CostParam) -> Callable[[float], float] | None:
+    """The closed constrained optimum eta -> C^-(eta) of the calibrated
+    sigmoid, or None for any other loss or cost."""
     spec = loss.family
     if (
         spec is None
@@ -241,7 +253,7 @@ def closed_sigmoid_c_minus(loss: Loss, cost: CostParam, eta: float) -> float | N
         or abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12
     ):
         return None
-    return sigmoid_c_minus(cost, eta)
+    return lambda eta: sigmoid_c_minus(cost, eta)
 
 
 def sigmoid_c_minus(cost: CostParam, eta: float) -> float:
@@ -265,6 +277,9 @@ def sigmoid_c_minus(cost: CostParam, eta: float) -> float:
 
 def _alpha_gamma_lhs(eta: float, gamma: float) -> float:
     base = (eta * gamma - 1.0 + eta) / (1.0 - eta) * gamma / (gamma - 1.0)
+    if base == math.inf:
+        # Only for gamma beyond ~1e154; inf ** (gamma - 1) would not raise.
+        raise OverflowError("base of the tangency equation overflows")
     return eta * (gamma * gamma * base ** (gamma - 1.0) + 1.0) - 1.0
 
 
@@ -277,8 +292,8 @@ def alpha_of_gamma(gamma: float, tol: float = 1e-12) -> float:
     gamma = 1 gives 1/2 and gamma < 1 follows from the reciprocal symmetry
     alpha(1/gamma) = 1 - alpha(gamma).
     """
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma}")
+    if not 0.0 < gamma < math.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     if gamma == 1.0:
@@ -289,7 +304,14 @@ def alpha_of_gamma(gamma: float, tol: float = 1e-12) -> float:
     hi = 1.0 - 1e-12
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if _alpha_gamma_lhs(mid, gamma) < 0.0:
+        try:
+            below = _alpha_gamma_lhs(mid, gamma) < 0.0
+        except OverflowError:
+            raise DomainError(
+                f"the tangency equation overflows at gamma={gamma}; "
+                "alpha_of_gamma supports gamma within about [1/143, 143]"
+            ) from None
+        if below:
             lo = mid
         else:
             hi = mid

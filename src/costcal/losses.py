@@ -7,7 +7,9 @@ calibration gap between them, and the reweighting transform that links
 the cost-sensitive and cost-insensitive pictures.
 
 Scores are plain floats; ``math.inf`` and ``-math.inf`` are admitted and
-are resolved through the partial losses' declared limits.
+are resolved through the partial losses' declared limits.  The optimal
+risks and the gap also take an ndarray of posteriors and return an array
+of the same shape (see ``optimal_conditional_risk``).
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, NamedTuple
+
+import numpy as np
 
 from .errors import DomainError, UnsupportedLimitError
 
@@ -52,6 +56,8 @@ def sign(x: float) -> float:
 class PartialLoss:
     """One label's loss as a function of the score.
 
+    ``fn`` must accept an ndarray of finite scores and return the losses
+    elementwise (numpy ufuncs do); the oracle evaluates it on whole grids.
     ``limit_neg_inf`` / ``limit_pos_inf`` declare the (extended real)
     limits of ``fn`` at -inf / +inf; ``None`` means undeclared, and
     evaluating at an infinite score then raises ``UnsupportedLimitError``.
@@ -119,9 +125,28 @@ class ThetaWeight(NamedTuple):
     w: float
 
 
-def _check_eta(eta: float) -> None:
-    if not 0.0 <= eta <= 1.0:
+def _check_eta(eta) -> None:
+    if isinstance(eta, np.ndarray):
+        if not np.all((eta >= 0.0) & (eta <= 1.0)):
+            raise DomainError("eta must lie in [0, 1]")
+    elif not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
+
+
+def _each(closed: Callable[[float], float], eta):
+    """A scalar closed form at eta, or at each posterior of an ndarray."""
+    if not isinstance(eta, np.ndarray):
+        return closed(eta)
+    return np.array([closed(e) for e in eta.ravel().tolist()], dtype=float).reshape(eta.shape)
+
+
+def _split(eta: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
+    """``inside`` on the posteriors where mask holds, ``outside`` elsewhere."""
+    out = np.empty(eta.shape)
+    for part, fn in ((mask, inside), (~mask, outside)):
+        if part.any():
+            out[part] = fn(eta[part])
+    return out
 
 
 def conditional_risk(loss: Loss, eta: float, t: float) -> float:
@@ -139,25 +164,27 @@ def conditional_risk(loss: Loss, eta: float, t: float) -> float:
     return total
 
 
-def optimal_conditional_risk(loss: Loss, eta: float) -> float:
+def optimal_conditional_risk(loss: Loss, eta):
     """Infimum of the conditional risk over all scores, limits included.
 
     Family-tagged losses in a supported configuration dispatch to their
-    closed form; everything else runs the brute-force search.
+    closed form; everything else runs the brute-force search.  ``eta`` is
+    a float or an ndarray of posteriors; an array runs the closed form at
+    each posterior, or one batched search for all of them.
     """
     _check_eta(eta)
     from .families import closed_c_star
 
-    value = closed_c_star(loss, eta)
-    if value is not None:
-        return value
+    closed = closed_c_star(loss)
+    if closed is not None:
+        return _each(closed, eta)
     from .oracle import brute_force_min
 
     return brute_force_min(loss, eta, "none").value
 
 
-def _analytic_constrained_value(loss: Loss, cost: CostParam, eta: float) -> float | None:
-    """Closed constrained optimum for convex calibrated losses, else None.
+def _convex_calibrated(loss: Loss, cost: CostParam) -> bool:
+    """Whether the constrained optimum is the conditional risk at 0.
 
     When both partials are convex and the derivative conditions for
     alpha-calibration hold at 0, the sign-constrained infimum is attained
@@ -165,50 +192,73 @@ def _analytic_constrained_value(loss: Loss, cost: CostParam, eta: float) -> floa
     """
     pos, neg = loss.pos, loss.neg
     if not (pos.is_convex and neg.is_convex):
-        return None
+        return False
     d1, d2 = pos.deriv_at_zero, neg.deriv_at_zero
     if d1 is None or d2 is None:
-        return None
+        return False
     scale = max(abs(d1), abs(d2))
     if scale == 0.0:
-        return None
+        return False
     combo = cost.alpha * d1 + (1.0 - cost.alpha) * d2
-    if d1 < 0.0 and d2 > 0.0 and abs(combo) <= 1e-12 * scale:
-        return eta * pos.value_at_zero + (1.0 - eta) * neg.value_at_zero
-    return None
+    return d1 < 0.0 and d2 > 0.0 and abs(combo) <= 1e-12 * scale
 
 
-def constrained_optimal_risk(loss: Loss, cost: CostParam, eta: float) -> float:
+def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
     """Infimum of the conditional risk over scores t with t*(eta-alpha) <= 0.
 
     At eta == alpha the constraint is vacuous.  For convex calibrated
     losses the value is the conditional risk at 0 (tests cross-check this
     shortcut against the constrained search); otherwise the constrained
     brute-force search runs, including the admissible infinite limit.
+    An ndarray ``eta`` is served as in ``optimal_conditional_risk``; its
+    search runs once per side of alpha.
     """
     _check_eta(eta)
+    if isinstance(eta, np.ndarray):
+        return _split(
+            eta,
+            eta == cost.alpha,
+            lambda e: optimal_conditional_risk(loss, e),
+            lambda e: _off_threshold_risk(loss, cost, e),
+        )
     if eta == cost.alpha:
         return optimal_conditional_risk(loss, eta)
+    return _off_threshold_risk(loss, cost, eta)
 
-    value = _analytic_constrained_value(loss, cost, eta)
-    if value is not None:
-        return value
+
+def _off_threshold_risk(loss: Loss, cost: CostParam, eta):
+    """``constrained_optimal_risk`` at posteriors other than alpha."""
+    if _convex_calibrated(loss, cost):
+        return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
 
     from .families import closed_sigmoid_c_minus
 
-    value = closed_sigmoid_c_minus(loss, cost, eta)
-    if value is not None:
-        return value
+    closed = closed_sigmoid_c_minus(loss, cost)
+    if closed is not None:
+        return _each(closed, eta)
 
     from .oracle import brute_force_min
 
+    if isinstance(eta, np.ndarray):
+        return _split(
+            eta,
+            eta > cost.alpha,
+            lambda e: brute_force_min(loss, e, "nonpositive_scores").value,
+            lambda e: brute_force_min(loss, e, "nonnegative_scores").value,
+        )
     constraint = "nonpositive_scores" if eta > cost.alpha else "nonnegative_scores"
     return brute_force_min(loss, eta, constraint).value
 
 
-def h_alpha(loss: Loss, cost: CostParam, eta: float) -> float:
-    """Calibration gap: constrained minus unconstrained optimal risk."""
+def h_alpha(loss: Loss, cost: CostParam, eta):
+    """Calibration gap: constrained minus unconstrained optimal risk.
+
+    Negative gaps (rounding in the searches) are clamped to 0.  Takes a
+    float or an ndarray of posteriors.
+    """
     gap = constrained_optimal_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta)
+    if isinstance(eta, np.ndarray):
+        return np.where(0.0 > gap, 0.0, gap)
     return max(gap, 0.0)
 
 

@@ -40,7 +40,13 @@ _GRID = np.concatenate([-_HALF_GRID[::-1], [0.0], _HALF_GRID])
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-_CONSTRAINTS = ("none", "nonpositive_scores", "nonnegative_scores")
+#: Per constraint: the admissible grid scores, and the admissible infinite
+#: scores in the order they compete.
+_SEARCH = {
+    "none": (_GRID, (-math.inf, math.inf)),
+    "nonpositive_scores": (_GRID[_GRID <= 0.0], (-math.inf,)),
+    "nonnegative_scores": (_GRID[_GRID >= 0.0], (math.inf,)),
+}
 
 
 @dataclass(frozen=True)
@@ -87,14 +93,17 @@ class SearchResult(NamedTuple):
     value: float
 
 
-def _eval_partial_grid(partial: PartialLoss, ts: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(partial.fn(ts), dtype=float)
-        if vals.shape == ts.shape:
-            return vals
-    except Exception:
-        pass
-    return np.array([float(partial.fn(t)) for t in ts])
+def _mix(w: np.ndarray, pos, neg) -> np.ndarray:
+    """w * pos + (1 - w) * neg, broadcast, where a partial of weight 0
+    contributes 0 even where it is infinite (as in ``conditional_risk``)."""
+    with np.errstate(invalid="ignore"):
+        risks = w * pos
+        risks += (1.0 - w) * neg
+    zero, one = w == 0.0, w == 1.0
+    if zero.any() or one.any():
+        np.copyto(risks, neg, where=zero)
+        np.copyto(risks, pos, where=one)
+    return risks
 
 
 def _golden_section(f, a: float, b: float, tol: float = 1e-10):
@@ -121,28 +130,67 @@ def _golden_section(f, a: float, b: float, tol: float = 1e-10):
     return x, min(yc, yd)
 
 
-def brute_force_min(loss: Loss, eta: float, constraint: str = "none") -> SearchResult:
+def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
+    """``_golden_section`` on every row at once; ``f(rows, t)`` evaluates the
+    rows' objectives at one score each.  Each row follows the scalar
+    iteration exactly and stops at its own ``tol``."""
+    a, b = a.copy(), b.copy()
+    h = b - a
+    short = h <= tol
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    every = np.arange(len(a))
+    yc, yd = f(every, c), f(every, d)
+    rows = every[~short]
+    while rows.size:
+        left = yc[rows] < yd[rows]
+        lo, hi = np.where(left, a[rows], c[rows]), np.where(left, d[rows], b[rows])
+        hr = hi - lo
+        mid = np.where(left, c[rows], d[rows])
+        new_c = np.where(left, hi - _INV_PHI * hr, mid)
+        new_d = np.where(left, mid, lo + _INV_PHI * hr)
+        kept = np.where(left, yc[rows], yd[rows])
+        y_new = f(rows, np.where(left, new_c, new_d))
+        a[rows], b[rows], c[rows], d[rows] = lo, hi, new_c, new_d
+        yc[rows] = np.where(left, y_new, kept)
+        yd[rows] = np.where(left, kept, y_new)
+        rows = rows[hr > tol]
+    x = np.where(yc < yd, c, d)
+    value = np.where(yd < yc, yd, yc)
+    if short.any():
+        x[short] = 0.5 * (a[short] + b[short])
+        value[short] = f(every[short], x[short])
+    return x, value
+
+
+def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     """Two-stage minimization of the conditional risk over scores.
 
     A coarse pass over the log-spaced grid (restricted by the sign
     constraint) brackets the best point; golden-section refinement then
     polishes it.  Declared limits at the admissible infinities compete
     with the refined finite minimum.
+
+    ``eta`` is a float, or an ndarray of posteriors searched together
+    (``arg`` and ``value`` are then arrays of its shape).  Each posterior
+    of an array gets the same result as the float search, up to rounding.
     """
-    if constraint not in _CONSTRAINTS:
+    if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
+    ts, limits = _SEARCH[constraint]
+    if isinstance(eta, np.ndarray):
+        return _brute_force_rows(loss, eta, ts, limits)
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
 
-    ts = _GRID
-    if constraint == "nonpositive_scores":
-        ts = ts[ts <= 0.0]
-    elif constraint == "nonnegative_scores":
-        ts = ts[ts >= 0.0]
-
-    pos_vals = _eval_partial_grid(loss.pos, ts)
-    neg_vals = _eval_partial_grid(loss.neg, ts)
-    risks = eta * pos_vals + (1.0 - eta) * neg_vals
+    pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
+    # A partial of weight 0 contributes 0, even where it is infinite.
+    if eta == 0.0:
+        risks = neg_vals
+    elif eta == 1.0:
+        risks = pos_vals
+    else:
+        risks = eta * pos_vals + (1.0 - eta) * neg_vals
     i = int(np.argmin(risks))
 
     lo = ts[max(i - 1, 0)]
@@ -151,11 +199,6 @@ def brute_force_min(loss: Loss, eta: float, constraint: str = "none") -> SearchR
     if risks[i] < best_v:
         best_t, best_v = float(ts[i]), float(risks[i])
 
-    limits = []
-    if constraint in ("none", "nonpositive_scores"):
-        limits.append(-math.inf)
-    if constraint in ("none", "nonnegative_scores"):
-        limits.append(math.inf)
     for t in limits:
         try:
             v = conditional_risk(loss, eta, t)
@@ -166,6 +209,52 @@ def brute_force_min(loss: Loss, eta: float, constraint: str = "none") -> SearchR
         if v <= best_v:
             best_t, best_v = t, v
     return SearchResult(arg=best_t, value=best_v)
+
+
+#: Posterior rows per block of the grid pass.  A block's risk matrix is
+#: 32 x 801 doubles (205 kB); 32 rows ran faster than 16, 64 or 128.
+_BLOCK_ROWS = 32
+
+
+def _brute_force_rows(loss: Loss, eta: np.ndarray, ts: np.ndarray, limits) -> SearchResult:
+    """The float search of ``brute_force_min``, on every posterior at once."""
+    shape = eta.shape
+    eta = eta.astype(float).ravel()
+    if not np.all((eta >= 0.0) & (eta <= 1.0)):
+        raise DomainError("eta must lie in [0, 1]")
+    pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
+    n = len(eta)
+    idx = np.empty(n, dtype=np.intp)
+    grid_v = np.empty(n)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        risks = _mix(eta[block, None], pos_vals, neg_vals)
+        idx[block] = np.argmin(risks, axis=1)
+        grid_v[block] = risks[np.arange(len(risks)), idx[block]]
+
+    def risk_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
+
+    lo = ts[np.maximum(idx - 1, 0)]
+    hi = ts[np.minimum(idx + 1, len(ts) - 1)]
+    best_t, best_v = _golden_section_rows(risk_at, lo, hi)
+    on_grid = grid_v < best_v
+    best_t[on_grid], best_v[on_grid] = ts[idx[on_grid]], grid_v[on_grid]
+
+    for t in limits:
+        lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
+        lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
+        # A missing limit rules the candidate out only where its partial
+        # has nonzero weight, as in conditional_risk.
+        ok = np.ones(n, dtype=bool)
+        if lim_pos is None:
+            ok &= eta == 0.0
+        if lim_neg is None:
+            ok &= eta == 1.0
+        v = _mix(eta, lim_pos or 0.0, lim_neg or 0.0)
+        wins = ok & (v <= best_v)
+        best_t[wins], best_v[wins] = t, v[wins]
+    return SearchResult(arg=best_t.reshape(shape), value=best_v.reshape(shape))
 
 
 def finite_diff_check(partial: PartialLoss, t: float, h: float = 1e-6) -> float:

@@ -157,6 +157,16 @@ class TestAlphaGamma:
         )
         assert code == 2
 
+    def test_overflowing_gamma_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["alpha-gamma", "--gamma-min", "1", "--gamma-max", "1e300",
+             "--points", "5", "--output", str(out)]
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestVerify:
     def test_identities_suite(self, capsys):
@@ -199,6 +209,19 @@ class TestBound:
 
 
 class TestUsageErrors:
+    def test_zero_gamma(self, capsys):
+        code = main(["check", "--family", "hinge", "--gamma", "0", "--alpha", "0.3"])
+        assert code == 2
+        assert "gamma" in capsys.readouterr().err
+
+    def test_nan_surrogate_regret(self, capsys):
+        code = main(
+            ["bound", "--family", "squared", "--beta", "1", "--gamma", "1",
+             "--alpha", "0.5", "--surrogate-regret", "nan"]
+        )
+        assert code == 2
+        assert "surrogate_regret" in capsys.readouterr().err
+
     def test_unknown_family(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["check", "--family", "logistic", "--gamma", "1", "--alpha", "0.5"])

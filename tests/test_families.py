@@ -42,7 +42,10 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             UnevenMarginSpec("logistic", beta=1.0, gamma=1.0)
 
-    @pytest.mark.parametrize("beta,gamma", [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0)])
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(0.0, 1.0), (1.0, 0.0), (-1.0, 2.0), (math.inf, 1.0), (1.0, math.nan)],
+    )
     def test_rejects_nonpositive_scales(self, beta, gamma):
         with pytest.raises(DomainError):
             UnevenMarginSpec("hinge", beta=beta, gamma=gamma)
@@ -210,6 +213,18 @@ class TestSigmoidTMinus:
         with pytest.raises(DomainError):
             sigmoid_t_minus(eta)
 
+    @pytest.mark.parametrize("eta", [3e-9, 1e-8])
+    def test_stationary_at_tiny_posteriors(self, eta):
+        # The root z = e^t is about eta here; the textbook root formula
+        # cancels to nothing.  Evaluate the quartic exactly at the float z.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            z = mpmath.exp(mpmath.mpf(sigmoid_t_minus(eta)))
+            e = mpmath.mpf(eta)
+            scale = e * (1 + z**2) ** 2
+            residual = scale - (1 - e) * z * (1 + z) ** 2
+            assert abs(residual / scale) <= 1e-12
+
 
 class TestAlphaOfGamma:
     def test_gamma_two_closed_constant(self):
@@ -235,6 +250,11 @@ class TestAlphaOfGamma:
             alpha_of_gamma(0.0)
         with pytest.raises(DomainError):
             alpha_of_gamma(2.0, tol=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 150.0, 1e300, 1e-300])
+    def test_rejects_gammas_the_bisection_cannot_handle(self, gamma):
+        with pytest.raises(DomainError):
+            alpha_of_gamma(gamma)
 
 
 class TestSigmoidCMinus:

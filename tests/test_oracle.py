@@ -1,8 +1,12 @@
 """Brute-force search, finite differences, empirical regrets, and fuzzing."""
 
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
@@ -10,15 +14,37 @@ from costcal import (
     DecisionAssignment,
     DomainError,
     FiniteDistribution,
+    Loss,
+    PartialLoss,
     brute_force_min,
+    check_calibrated_numeric,
     closed_forms,
     empirical_regrets,
     finite_diff_check,
     fuzz_bound,
+    h_alpha,
 )
 from costcal.families import UnevenMarginSpec
 
-from conftest import uneven
+from conftest import uneven, untagged
+
+CONSTRAINTS = ("none", "nonpositive_scores", "nonnegative_scores")
+#: Untagged family members, so every optimum comes from the search.
+SEARCHED = {
+    "hinge": untagged(uneven("hinge", gamma=2.0)),
+    "squared-weighted": untagged(uneven("squared", gamma=0.5, alpha_weight=0.3)),
+    "exponential": untagged(uneven("exponential", gamma=3.0, beta=1.0)),
+    "sigmoid": untagged(uneven("sigmoid", gamma=2.0)),
+    "sigmoid-gamma3": untagged(uneven("sigmoid", gamma=3.0)),
+}
+
+
+def assert_batch_matches_scalar(loss, etas, constraint):
+    batch = brute_force_min(loss, np.array(etas, dtype=float), constraint)
+    assert batch.value.shape == (len(etas),)
+    for eta, value in zip(etas, batch.value.tolist()):
+        expected = brute_force_min(loss, float(eta), constraint).value
+        assert value == expected or abs(value - expected) <= 1e-12, (eta, value, expected)
 
 
 class TestBruteForceMin:
@@ -59,6 +85,131 @@ class TestBruteForceMin:
         loss = uneven("hinge", gamma=1.0)
         with pytest.raises(DomainError):
             brute_force_min(loss, -0.1, "none")
+
+
+class TestBatchedSearch:
+    """An ndarray of posteriors against the float search, one by one."""
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("name", sorted(SEARCHED))
+    def test_families_at_the_edges_and_on_a_grid(self, name, constraint):
+        alpha = 0.3
+        etas = [0.0, 1.0, alpha] + np.linspace(0.0, 1.0, 41).tolist()
+        assert_batch_matches_scalar(SEARCHED[name], etas, constraint)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.sampled_from(sorted(SEARCHED)),
+        st.sampled_from(CONSTRAINTS),
+    )
+    def test_drawn_posteriors(self, etas, name, constraint):
+        assert_batch_matches_scalar(SEARCHED[name], etas, constraint)
+
+    def test_undeclared_limit_counts_only_under_weight(self):
+        # L1 declares no limit at +inf, so that candidate is out wherever L1
+        # has weight; at eta = 0 the limit 0 of L-1 alone wins there.
+        decreasing = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
+        loss = Loss(
+            pos=PartialLoss(**decreasing, limit_neg_inf=math.inf),
+            neg=PartialLoss(**decreasing, limit_neg_inf=math.inf, limit_pos_inf=0.0),
+        )
+        for constraint in CONSTRAINTS:
+            assert_batch_matches_scalar(loss, [0.0, 1.0], constraint)
+        batch = brute_force_min(loss, np.array([0.0, 1.0]), "none")
+        assert batch.arg[0] == math.inf and batch.value[0] == 0.0
+        assert batch.arg[1] == pytest.approx(50.0) and batch.value[1] > 0.0
+
+    def test_infinite_partial_under_zero_weight_contributes_nothing(self):
+        # L1 is +inf on every negative score; at eta = 0 it has weight 0,
+        # so the optimum is L-1's minimum at t = -1 (0 * inf = 0).
+        loss = Loss(
+            pos=PartialLoss(
+                fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
+                value_at_zero=1.0,
+                is_convex=True,
+                limit_neg_inf=math.inf,
+                limit_pos_inf=0.0,
+            ),
+            neg=PartialLoss(
+                fn=lambda t: (1.0 + t) ** 2,
+                value_at_zero=1.0,
+                is_convex=True,
+                limit_neg_inf=math.inf,
+                limit_pos_inf=math.inf,
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_batch_matches_scalar(loss, [0.0, 0.5, 1.0], "none")
+            batch = brute_force_min(loss, np.array([0.0]), "none")
+        assert batch.arg[0] == pytest.approx(-1.0, abs=1e-6)
+        assert batch.value[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_array_shape_is_kept_and_domain_checked(self):
+        loss = SEARCHED["hinge"]
+        grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        result = brute_force_min(loss, grid)
+        assert result.arg.shape == result.value.shape == (2, 3)
+        with pytest.raises(DomainError):
+            brute_force_min(loss, np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            brute_force_min(loss, np.array([np.nan]))
+
+
+def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
+    """check_calibrated_numeric as a loop of float gap evaluations."""
+    alpha = cost.alpha
+    radius = 1.0 / (2.0 * grid_size)
+    etas = [e for e in np.linspace(0.0, 1.0, grid_size) if abs(e - alpha) > radius]
+    values = [(float(e), h_alpha(loss, cost, float(e))) for e in etas]
+    bad = [(e, v) for e, v in values if v <= tolerance]
+    step = 1.0 / (grid_size - 1)
+    refined = [
+        (float(ee), h_alpha(loss, cost, float(ee)))
+        for e, _ in bad
+        for ee in np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21)
+        if abs(ee - alpha) > radius / 10.0
+    ]
+    witnesses = sorted((ev for ev in refined if ev[1] <= tolerance), key=lambda ev: ev[1])
+    if witnesses:
+        return "not_calibrated", tuple(witnesses[:5])
+    return "calibrated", (min(values, key=lambda ev: ev[1]),)
+
+
+class TestBatchedVerdict:
+    @pytest.mark.parametrize(
+        "family,gamma,alpha,weighted",
+        [
+            ("hinge", 0.25, 0.1, True),
+            ("hinge", 4.0, 0.7, False),
+            ("squared", 0.5, 0.5, False),
+            ("squared", 2.0, 0.3, True),
+            ("exponential", 1.0, 0.9, False),
+            ("exponential", 4.0, 0.2, True),
+        ],
+    )
+    @pytest.mark.parametrize("tag", ["tagged", "untagged"])
+    def test_convex_acceptance_configurations(self, family, gamma, alpha, weighted, tag):
+        loss = uneven(family, gamma=gamma, alpha_weight=alpha if weighted else None)
+        if tag == "untagged":
+            loss = untagged(loss)
+        self.assert_same_report(loss, CostParam(alpha), 201)
+
+    @pytest.mark.parametrize("offset", [-0.02, 0.0, 0.02])
+    def test_sigmoid_around_its_calibrating_alpha(self, offset):
+        cost = CostParam(ALPHA_SIGMOID_GAMMA2 + offset)
+        self.assert_same_report(uneven("sigmoid", gamma=2.0), cost, 1001)
+
+    @staticmethod
+    def assert_same_report(loss, cost, grid_size):
+        report = check_calibrated_numeric(loss, cost, grid_size, 1e-9)
+        verdict, witnesses = scalar_numeric_verdict(loss, cost, grid_size, 1e-9)
+        assert report.verdict == verdict
+        assert len(report.witnesses) == len(witnesses)
+        for (eta, value), (ref_eta, ref_value) in zip(report.witnesses, witnesses):
+            assert eta == ref_eta
+            assert abs(value - ref_value) <= 1e-12
 
 
 class TestFiniteDiffCheck:
