@@ -15,12 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, nu_curve
+from .curves import SampledCurve, _knots, nu_curve
 from .errors import DomainError, PreconditionError
 from .losses import CostParam, Loss, h_alpha
 
 __all__ = [
     "CalibrationReport",
+    "check_calibrated",
     "check_calibrated_analytic",
     "check_calibrated_numeric",
     "calibration_fn",
@@ -73,6 +74,14 @@ def check_calibrated_analytic(loss: Loss, cost: CostParam) -> CalibrationReport:
         tolerance=_ANALYTIC_REL_TOL,
         derivative_checks=(d1, d2, combo),
     )
+
+
+def check_calibrated(loss: Loss, cost: CostParam) -> CalibrationReport:
+    """The analytic verdict where its preconditions hold, else the numeric one."""
+    try:
+        return check_calibrated_analytic(loss, cost)
+    except PreconditionError:
+        return check_calibrated_numeric(loss, cost)
 
 
 def check_calibrated_numeric(
@@ -184,10 +193,7 @@ def mu_curve(nu: SampledCurve) -> SampledCurve:
     """
     if not nu.knots:
         raise DomainError("empty curve")
-    out: list = []
-    running = math.inf
-    for knot in reversed(nu.knots):
-        running = min(running, knot.value)
-        out.append(knot._replace(value=running))
-    out.reverse()
-    return SampledCurve(domain_max=nu.domain_max, knots=tuple(out))
+    eps, values, sides = zip(*nu.knots)
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+    knots = _knots(zip(eps, suffix_min.tolist(), sides))
+    return SampledCurve(domain_max=nu.domain_max, knots=tuple(knots))

@@ -16,13 +16,9 @@ import sys
 
 import numpy as np
 
-from .calibration import (
-    check_calibrated_analytic,
-    check_calibrated_numeric,
-    mu_curve,
-)
+from .calibration import check_calibrated, mu_curve
 from .curves import biconjugate, nu_curve, regret_bound
-from .errors import CostcalError, DomainError, PreconditionError, VacuousBoundError
+from .errors import CostcalError, DomainError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import (
     CostParam,
@@ -58,16 +54,9 @@ def _build_loss(args) -> tuple[Loss, CostParam]:
     return make_uneven_loss(spec), CostParam(args.alpha)
 
 
-def _calibration_report(loss: Loss, cost: CostParam):
-    try:
-        return check_calibrated_analytic(loss, cost)
-    except PreconditionError:
-        return check_calibrated_numeric(loss, cost)
-
-
 def cmd_check(args) -> int:
     loss, cost = _build_loss(args)
-    report = _calibration_report(loss, cost)
+    report = check_calibrated(loss, cost)
     print(json.dumps(dataclasses.asdict(report), indent=2))
     return EXIT_OK if report.verdict == "calibrated" else EXIT_NEGATIVE
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -39,6 +40,12 @@ class Knot(NamedTuple):
     eps: float
     value: float
     side: str  # "left", "right", or "both"
+
+
+def _knots(rows: Iterable[tuple[float, float, str]]) -> list[Knot]:
+    """Knots from (eps, value, side) rows.  tuple.__new__ skips Knot's
+    Python-level constructor, about 40% of mu_curve on 2001 knots."""
+    return list(map(tuple.__new__, repeat(Knot), rows))
 
 
 @dataclass(frozen=True)
@@ -93,13 +100,11 @@ def nu_curve(
     far = h_hi if alpha <= 0.5 else h_lo
     values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
 
-    knots: list[Knot] = []
-    for eps, value, right in zip(eps_values.tolist(), values.tolist(), far.tolist()):
-        if eps == small:
-            knots.append(Knot(eps, value, "left"))
-            knots.append(Knot(eps, right if small < big else value, "right"))
-        else:
-            knots.append(Knot(eps, value, "both"))
+    eps_list = eps_values.tolist()
+    knots = _knots(zip(eps_list, values.tolist(), repeat("both")))
+    i = eps_list.index(small)
+    right = float(far[i]) if small < big else knots[i].value
+    knots[i : i + 1] = [knots[i]._replace(side="left"), Knot(small, right, "right")]
     return SampledCurve(domain_max=big, knots=tuple(knots))
 
 
@@ -111,24 +116,25 @@ def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, f
     raise DomainError("curve has no left/right knot pair")
 
 
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     """Lower convex hull of the sampled knots (monotone-chain sweep).
 
     With a (0, 0) knot and nonnegative values the hull is automatically
     convex, nondecreasing, and 0 at 0.
     """
-    points = [(k.eps, k.value) for k in curve.knots]
+    points = sorted((k.eps, k.value) for k in curve.knots)
     if len(points) < 2:
         raise DomainError("need at least 2 knots")
-    points.sort()
     hull: list[tuple[float, float]] = []
     for p in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= 0.0:
-            hull.pop()
+        px, py = p
+        # Pop while hull[-2] -> hull[-1] -> p does not turn left (cross <= 0).
+        while len(hull) >= 2:
+            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                hull.pop()
+            else:
+                break
         hull.append(p)
     # A trailing point directly above the previous x must not extend the hull.
     while len(hull) >= 2 and hull[-1][0] == hull[-2][0]:
@@ -162,17 +168,6 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     return float(xs[i] + (y - ys[i]) / slope)
 
 
-def _is_calibrated(loss: Loss, cost: CostParam) -> bool:
-    from .calibration import check_calibrated_analytic, check_calibrated_numeric
-    from .errors import PreconditionError
-
-    try:
-        report = check_calibrated_analytic(loss, cost)
-    except PreconditionError:
-        report = check_calibrated_numeric(loss, cost)
-    return report.verdict == "calibrated"
-
-
 def regret_bound(
     loss: Loss,
     cost: CostParam,
@@ -188,7 +183,9 @@ def regret_bound(
         raise DomainError(
             f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
         )
-    if not _is_calibrated(loss, cost):
+    from .calibration import check_calibrated
+
+    if check_calibrated(loss, cost).verdict != "calibrated":
         raise VacuousBoundError(
             f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"
         )

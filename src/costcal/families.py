@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DomainError, UnsupportedFamilyError
-from .losses import CostParam, Loss, PartialLoss, theta_alpha
+from .losses import CostParam, Loss, PartialLoss, _check_eta, theta_alpha
 
 __all__ = [
     "FAMILIES",
@@ -122,35 +122,37 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     return Loss(pos=pos, neg=neg, family=spec)
 
 
-def _sigmoid_conditional(eta: float, t: float) -> float:
-    """C_L(eta, t) for the gamma = 2 sigmoid family (beta = 1/2)."""
-    if t == math.inf:
-        return (1.0 - eta) / 2.0
-    if t == -math.inf:
-        return eta
+def _sigmoid_local_min(eta):
+    """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
+    minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
+    t = sigmoid_t_minus(eta)
     return eta * expit(-t) + 0.5 * (1.0 - eta) * expit(2.0 * t)
 
 
-def sigmoid_t_minus(eta: float) -> float:
+def sigmoid_t_minus(eta):
     """The negative local minimizer of the gamma = 2 sigmoid conditional risk.
 
-    Exists for eta in (0, 1/2).  Solves the stationarity quartic in
-    z = e^t via the substitution w = z + 1/z.
+    Exists for eta in (0, 1/2); ``eta`` is a float or an ndarray.  Solves
+    the stationarity quartic in z = e^t via the substitution w = z + 1/z.
     """
-    if not 0.0 < eta < 0.5:
+    if isinstance(eta, np.ndarray):
+        xp, inside = np, np.all((0.0 < eta) & (eta < 0.5))
+    else:
+        xp, inside = math, 0.0 < eta < 0.5
+    if not inside:
         raise DomainError(f"eta must lie in (0, 1/2), got {eta}")
-    w = ((1.0 - eta) + math.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))) / (2.0 * eta)
+    w = ((1.0 - eta) + xp.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))) / (2.0 * eta)
     # The smaller root of z^2 - w z + 1, written without cancellation:
     # (w - sqrt(w^2 - 4)) / 2 loses every digit once w^2 swamps the 4.
-    z = 2.0 / (w + math.sqrt(w * w - 4.0))
-    return math.log(z)
+    z = 2.0 / (w + xp.sqrt(w * w - 4.0))
+    return xp.log(z)
 
 
 def _sigmoid_c_star(eta: float) -> float:
     if eta == 0.0:
         return 0.0
     if eta < ALPHA_SIGMOID_GAMMA2:
-        return _sigmoid_conditional(eta, sigmoid_t_minus(eta))
+        return _sigmoid_local_min(eta)
     return (1.0 - eta) / 2.0
 
 
@@ -197,6 +199,29 @@ def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
     return ClosedForms(t_star, _sigmoid_c_star(eta), _sigmoid_h_cc(eta))
 
 
+def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
+    """``_closed_unweighted(...).c_star`` on an ndarray of posteriors, with
+    the same arithmetic; each branch sees only the posteriors it serves."""
+    if family == "hinge":
+        return (1.0 + gamma) / gamma * np.minimum(eta, 1.0 - eta)
+    if family == "squared":
+        return (1.0 + gamma) ** 2 / gamma * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
+    if family == "exponential":
+        out = np.zeros(eta.shape)
+        inner = (eta > 0.0) & (eta < 1.0)
+        e = eta[inner]
+        ratio = e / (1.0 - e)
+        out[inner] = e * ratio ** (-1.0 / (1.0 + gamma)) + (1.0 - e) / gamma * ratio ** (
+            gamma / (1.0 + gamma)
+        )
+        return out
+    # sigmoid, gamma == 2
+    out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, 0.0)
+    inner = (eta > 0.0) & (eta < ALPHA_SIGMOID_GAMMA2)
+    out[inner] = _sigmoid_local_min(eta[inner])
+    return out
+
+
 def _supports_closed(spec: UnevenMarginSpec) -> bool:
     if spec.family == "sigmoid":
         return spec.gamma == 2.0 and math.isclose(spec.beta, 0.5, rel_tol=1e-12)
@@ -219,9 +244,10 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     return _closed_unweighted(spec.family, spec.gamma, eta)
 
 
-def closed_c_star(loss: Loss) -> Callable[[float], float] | None:
+def closed_c_star(loss: Loss) -> Callable | None:
     """The closed optimal conditional risk eta -> C*(eta) of a tagged loss,
-    or None when the loss has none.
+    or None when the loss has none.  The function takes a float or an
+    ndarray of posteriors; an ndarray is evaluated in numpy.
 
     Outer (1 - a, a) weighting reduces to the unweighted form through
     the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
@@ -230,18 +256,24 @@ def closed_c_star(loss: Loss) -> Callable[[float], float] | None:
     if spec is None or not _supports_closed(spec):
         return None
     family, gamma = spec.family, spec.gamma
+
+    def c_star(eta):
+        if isinstance(eta, np.ndarray):
+            return _c_star_rows(family, gamma, eta)
+        return _closed_unweighted(family, gamma, eta).c_star
+
     if spec.alpha_weight is None:
-        return lambda eta: _closed_unweighted(family, gamma, eta).c_star
+        return c_star
     weight = CostParam(spec.alpha_weight)
 
-    def weighted(eta: float) -> float:
+    def weighted(eta):
         theta, w = theta_alpha(weight, eta)
-        return w * _closed_unweighted(family, gamma, theta).c_star
+        return w * c_star(theta)
 
     return weighted
 
 
-def closed_sigmoid_c_minus(loss: Loss, cost: CostParam) -> Callable[[float], float] | None:
+def closed_sigmoid_c_minus(loss: Loss, cost: CostParam) -> Callable | None:
     """The closed constrained optimum eta -> C^-(eta) of the calibrated
     sigmoid, or None for any other loss or cost."""
     spec = loss.family
@@ -256,23 +288,27 @@ def closed_sigmoid_c_minus(loss: Loss, cost: CostParam) -> Callable[[float], flo
     return lambda eta: sigmoid_c_minus(cost, eta)
 
 
-def sigmoid_c_minus(cost: CostParam, eta: float) -> float:
+def sigmoid_c_minus(cost: CostParam, eta):
     """Constrained optimal risk of the gamma = 2 sigmoid at its calibrating alpha.
 
     Piecewise: (1 + eta)/4 for eta <= 1/3 or eta >= 1/2; (1 - eta)/2 for
     1/3 < eta < alpha; the local-minimum value in between.  Adjacent
-    branches agree at the breakpoints.
+    branches agree at the breakpoints.  ``eta`` is a float or an ndarray.
     """
     if abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12:
         raise DomainError("sigmoid_c_minus is specific to the calibrating alpha")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    _check_eta(eta)
     a = ALPHA_SIGMOID_GAMMA2
+    if isinstance(eta, np.ndarray):
+        out = np.where((1.0 / 3.0 < eta) & (eta < 0.5), (1.0 - eta) / 2.0, (1.0 + eta) / 4.0)
+        local = (eta >= a) & (eta < 0.5)
+        out[local] = _sigmoid_local_min(eta[local])
+        return out
     if eta <= 1.0 / 3.0 or eta >= 0.5:
         return (1.0 + eta) / 4.0
     if eta < a:
         return (1.0 - eta) / 2.0
-    return _sigmoid_conditional(eta, sigmoid_t_minus(eta))
+    return _sigmoid_local_min(eta)
 
 
 def _alpha_gamma_lhs(eta: float, gamma: float) -> float:
@@ -283,21 +319,30 @@ def _alpha_gamma_lhs(eta: float, gamma: float) -> float:
     return eta * (gamma * gamma * base ** (gamma - 1.0) + 1.0) - 1.0
 
 
+#: d alpha / d ln(gamma) at gamma = 1: (x - 1)/4, where x = W(1/e) solves
+#: x + ln(x) = -1, the tangency equation's first-order term at gamma = 1.
+_ALPHA_SLOPE_AT_1 = -0.18038386430973155
+#: Within this distance of gamma = 1, alpha_of_gamma is linear in ln(gamma).
+_LINEAR_NEAR_1 = 1e-6
+
+
 def alpha_of_gamma(gamma: float, tol: float = 1e-12) -> float:
     """The unique alpha at which the uneven sigmoid with margin ratio gamma
     is calibrated.
 
     For gamma > 1 this is the root, in (1/(1+gamma), 1), of a strictly
     increasing tangency equation, found by bisection to bracket width tol.
-    gamma = 1 gives 1/2 and gamma < 1 follows from the reciprocal symmetry
-    alpha(1/gamma) = 1 - alpha(gamma).
+    gamma < 1 follows from the reciprocal symmetry alpha(1/gamma) =
+    1 - alpha(gamma).  So alpha - 1/2 is odd in ln(gamma).  Within 1e-6 of
+    gamma = 1, where the root lies closer to 1/2 than the bisection
+    resolves, alpha is its linear term in ln(gamma), exact to O(ln(gamma)^3).
     """
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    if gamma == 1.0:
-        return 0.5
+    if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
+        return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)
     if gamma < 1.0:
         return 1.0 - alpha_of_gamma(1.0 / gamma, tol)
     lo = 1.0 / (1.0 + gamma) + 1e-12

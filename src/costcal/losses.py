@@ -133,13 +133,6 @@ def _check_eta(eta) -> None:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
 
 
-def _each(closed: Callable[[float], float], eta):
-    """A scalar closed form at eta, or at each posterior of an ndarray."""
-    if not isinstance(eta, np.ndarray):
-        return closed(eta)
-    return np.array([closed(e) for e in eta.ravel().tolist()], dtype=float).reshape(eta.shape)
-
-
 def _split(eta: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
     """``inside`` on the posteriors where mask holds, ``outside`` elsewhere."""
     out = np.empty(eta.shape)
@@ -169,15 +162,15 @@ def optimal_conditional_risk(loss: Loss, eta):
 
     Family-tagged losses in a supported configuration dispatch to their
     closed form; everything else runs the brute-force search.  ``eta`` is
-    a float or an ndarray of posteriors; an array runs the closed form at
-    each posterior, or one batched search for all of them.
+    a float or an ndarray of posteriors; an array runs the closed form in
+    numpy, or one batched search for all of them.
     """
     _check_eta(eta)
     from .families import closed_c_star
 
     closed = closed_c_star(loss)
     if closed is not None:
-        return _each(closed, eta)
+        return closed(eta)
     from .oracle import brute_force_min
 
     return brute_force_min(loss, eta, "none").value
@@ -235,7 +228,7 @@ def _off_threshold_risk(loss: Loss, cost: CostParam, eta):
 
     closed = closed_sigmoid_c_minus(loss, cost)
     if closed is not None:
-        return _each(closed, eta)
+        return closed(eta)
 
     from .oracle import brute_force_min
 

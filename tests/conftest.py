@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from costcal import Loss, PartialLoss, UnevenMarginSpec, make_uneven_loss
+from hypothesis import strategies as st
+
+from costcal import Knot, Loss, PartialLoss, SampledCurve, UnevenMarginSpec, make_uneven_loss
 
 
 def uneven(
@@ -49,3 +51,19 @@ def cost_sensitive_loss(alpha: float) -> Loss:
         limit_pos_inf=alpha,
     )
     return Loss(pos=pos, neg=neg)
+
+
+@st.composite
+def knot_curves(draw) -> SampledCurve:
+    """Knot lists shaped like ``nu_curve``'s: sorted eps starting at 0, eps
+    repeated (drawn from a coarse grid as well as freely), and a
+    left/right pair at b_min whose values may jump either way."""
+    big = draw(st.floats(0.5, 1.0))
+    small = draw(st.floats(0.0, 1.0)) * big
+    grid = st.integers(0, 8).map(lambda i: big * i / 8)
+    eps = draw(st.lists(st.one_of(grid, st.floats(0.0, big)), min_size=1, max_size=40))
+    values = st.one_of(st.just(0.0), st.floats(0.0, 5.0))
+    knots = [Knot(e, draw(values), "both") for e in [0.0] + eps]
+    knots += [Knot(small, draw(values), "left"), Knot(small, draw(values), "right")]
+    knots.sort(key=lambda k: (k.eps, k.side != "left"))
+    return SampledCurve(domain_max=big, knots=tuple(knots))

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
@@ -17,6 +18,7 @@ from costcal import (
     alpha_transform,
     biconjugate,
     calibration_fn,
+    check_calibrated,
     check_calibrated_analytic,
     check_calibrated_numeric,
     envelope_eval,
@@ -25,7 +27,7 @@ from costcal import (
     uniform_calibration_fn,
 )
 
-from conftest import cost_sensitive_loss, uneven
+from conftest import cost_sensitive_loss, knot_curves, uneven
 
 
 class TestAnalyticCheck:
@@ -200,7 +202,41 @@ class TestUniformCalibrationFn:
             uniform_calibration_fn(self.LOSS, self.COST, -0.1)
 
 
+class TestCheckCalibrated:
+    def test_convex_partials_get_the_analytic_verdict(self):
+        loss, cost = uneven("hinge", gamma=2.0, alpha_weight=0.3), CostParam(0.3)
+        assert check_calibrated(loss, cost) == check_calibrated_analytic(loss, cost)
+
+    def test_nonconvex_partials_get_the_numeric_verdict(self):
+        loss, cost = uneven("sigmoid", gamma=2.0), CostParam(ALPHA_SIGMOID_GAMMA2)
+        report = check_calibrated(loss, cost)
+        assert report == check_calibrated_numeric(loss, cost)
+        assert report.method == "numeric_grid"
+
+
+def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
+    """Suffix infimum by a running minimum from the right."""
+    out, running = [], math.inf
+    for knot in reversed(curve.knots):
+        running = min(running, knot.value)
+        out.append(knot._replace(value=running))
+    return tuple(reversed(out))
+
+
 class TestMuCurve:
+    @given(knot_curves())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_running_min_reference(self, curve):
+        mu = mu_curve(curve)
+        assert mu.knots == reference_mu(curve)
+        assert all(type(k) is Knot for k in mu.knots)
+        assert mu.domain_max == curve.domain_max
+
+    def test_equals_reference_on_family_curve(self):
+        loss = uneven("sigmoid", gamma=2.0)
+        nu = nu_curve(loss, CostParam(ALPHA_SIGMOID_GAMMA2), 201)
+        assert mu_curve(nu).knots == reference_mu(nu)
+
     def test_nondecreasing_input_is_fixed(self):
         curve = SampledCurve(
             domain_max=0.6,

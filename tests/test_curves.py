@@ -24,7 +24,7 @@ from costcal import (
     regret_bound,
 )
 
-from conftest import uneven
+from conftest import knot_curves, uneven
 
 
 def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
@@ -167,6 +167,35 @@ class TestBiconjugate:
         assert all(s2 >= s1 - 1e-12 for s1, s2 in zip(slopes, slopes[1:]))
         assert all(y2 >= y1 for y1, y2 in zip(ys, ys[1:]))
         assert xs == sorted(xs)
+
+
+def reference_hull(curve: SampledCurve) -> tuple[tuple[float, float], ...]:
+    """Lower hull by the textbook monotone chain with a cross-product helper."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    hull: list[tuple[float, float]] = []
+    for p in sorted((k.eps, k.value) for k in curve.knots):
+        while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0.0:
+            hull.pop()
+        hull.append(p)
+    while len(hull) >= 2 and hull[-1][0] == hull[-2][0]:
+        hull.pop()
+    return tuple(hull)
+
+
+class TestBiconjugateReference:
+    @given(knot_curves())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_reference_chain(self, curve):
+        assert biconjugate(curve).hull_knots == reference_hull(curve)
+
+    def test_equals_reference_on_family_curves(self):
+        for family in ("hinge", "squared", "exponential"):
+            loss = uneven(family, gamma=2.0, alpha_weight=0.3)
+            curve = nu_curve(loss, CostParam(0.3), 201, extra_knots=(0.05, 0.4))
+            assert biconjugate(curve).hull_knots == reference_hull(curve)
 
 
 class TestEnvelopeEval:

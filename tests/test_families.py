@@ -1,6 +1,7 @@
 """The four margin-loss families, their closed forms, and sigmoid machinery."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,10 @@ from costcal import (
     alpha_of_gamma,
     closed_forms,
     conditional_risk,
+    constrained_optimal_risk,
+    h_alpha,
     make_uneven_loss,
+    optimal_conditional_risk,
     sigmoid_c_minus,
     sigmoid_t_minus,
 )
@@ -255,6 +259,91 @@ class TestAlphaOfGamma:
     def test_rejects_gammas_the_bisection_cannot_handle(self, gamma):
         with pytest.raises(DomainError):
             alpha_of_gamma(gamma)
+
+    def test_near_one_sign_monotone_and_symmetric(self):
+        offsets = [1e-15, 1e-13, 1e-12, 1e-11, 1e-9]
+        gammas = sorted([1.0 - d for d in offsets] + [1.0] + [1.0 + d for d in offsets])
+        alphas = [alpha_of_gamma(g) for g in gammas]
+        for g, a in zip(gammas, alphas):
+            assert np.sign(a - 0.5) == -np.sign(g - 1.0)
+            assert abs(alpha_of_gamma(1.0 / g) - (1.0 - a)) <= 1e-15
+        assert all(b < a for a, b in zip(alphas, alphas[1:]))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_linear_term_meets_bisection_at_band_edge(self, side):
+        # Just inside |gamma - 1| <= 1e-6 vs a tight bisection just outside.
+        inside = 1.0 + side * 0.9999999e-6
+        outside = inside + side * 2e-13
+        step = alpha_of_gamma(inside) - alpha_of_gamma(outside, tol=1e-15)
+        assert 0.0 < side * step <= 1e-13
+
+
+#: Posteriors at the edges and branch points of the closed forms.
+EDGE_POSTERIORS = [0.0, 1.0, 1e-12, 3e-9, 1.0 - 1e-12, 1.0 / 3.0, 0.5, ALPHA_SIGMOID_GAMMA2]
+ARRAY_ETAS = np.concatenate([EDGE_POSTERIORS, np.linspace(0.0, 1.0, 101)])
+CLOSED_CONFIGS = [
+    (family, gamma) for family in ("hinge", "squared", "exponential") for gamma in (0.25, 1.0, 4.0)
+] + [("sigmoid", 2.0)]
+
+
+def no_warnings(fn, *args):
+    """fn(*args), failing on any numpy warning from a masked-out branch."""
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
+        return fn(*args)
+
+
+class TestArrayClosedForms:
+    """An ndarray of posteriors runs the closed forms in numpy; the float
+    path is the reference."""
+
+    @pytest.mark.parametrize("family,gamma", CLOSED_CONFIGS)
+    @pytest.mark.parametrize("alpha_weight", [None, 0.3])
+    def test_c_star_matches_float_path(self, family, gamma, alpha_weight):
+        loss = uneven(family, gamma, alpha_weight=alpha_weight)
+        values = no_warnings(optimal_conditional_risk, loss, ARRAY_ETAS)
+        expected = [optimal_conditional_risk(loss, e) for e in ARRAY_ETAS.tolist()]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("family,gamma", CLOSED_CONFIGS)
+    def test_gap_matches_float_path(self, family, gamma):
+        alpha = ALPHA_SIGMOID_GAMMA2 if family == "sigmoid" else 0.3
+        loss = uneven(family, gamma, alpha_weight=None if family == "sigmoid" else alpha)
+        cost = CostParam(alpha)
+        values = no_warnings(h_alpha, loss, cost, ARRAY_ETAS)
+        expected = [h_alpha(loss, cost, e) for e in ARRAY_ETAS.tolist()]
+        np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    def test_sigmoid_c_minus_matches_float_path(self):
+        # eta == ALPHA_SIGMOID_GAMMA2 exactly takes the local-minimum branch.
+        loss = uneven("sigmoid", gamma=2.0)
+        cost = CostParam(ALPHA_SIGMOID_GAMMA2)
+        for fn in (
+            lambda e: constrained_optimal_risk(loss, cost, e),
+            lambda e: sigmoid_c_minus(cost, e),
+        ):
+            values = no_warnings(fn, ARRAY_ETAS)
+            expected = [fn(e) for e in ARRAY_ETAS.tolist()]
+            np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    def test_sigmoid_t_minus_matches_float_path(self):
+        etas = np.array([1e-12, 3e-9, 0.1, 1.0 / 3.0, ALPHA_SIGMOID_GAMMA2, 0.4999999])
+        values = no_warnings(sigmoid_t_minus, etas)
+        np.testing.assert_allclose(
+            values, [sigmoid_t_minus(e) for e in etas.tolist()], rtol=1e-15, atol=0.0
+        )
+
+    def test_sigmoid_t_minus_rejects_array_outside_domain(self):
+        with pytest.raises(DomainError):
+            sigmoid_t_minus(np.array([0.2, 0.5]))
+
+    @pytest.mark.parametrize("family,gamma", CLOSED_CONFIGS)
+    def test_shape_is_kept(self, family, gamma):
+        loss = uneven(family, gamma)
+        grid = ARRAY_ETAS[:108].reshape(12, 9)
+        values = optimal_conditional_risk(loss, grid)
+        assert values.shape == grid.shape
+        np.testing.assert_array_equal(values.ravel(), optimal_conditional_risk(loss, grid.ravel()))
 
 
 class TestSigmoidCMinus:
