@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, _knots, nu_curve
+from .curves import DEFAULT_GRID, SampledCurve, _knots, nu_curve
 from .errors import DomainError, PreconditionError
-from .losses import CostParam, Loss, h_alpha
+from .losses import DERIVATIVE_TOL, CostParam, Loss, derivative_test, h_alpha
 
 __all__ = [
     "CalibrationReport",
@@ -31,7 +31,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 DEFAULT_TOLERANCE = 1e-9
-_ANALYTIC_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -47,31 +46,26 @@ class CalibrationReport:
 
 
 def check_calibrated_analytic(loss: Loss, cost: CostParam) -> CalibrationReport:
-    """Derivative-condition verdict for convex partial losses.
+    """Derivative-condition verdict for convex partial losses
+    (``losses.derivative_test``).
 
     Calibrated iff L1'(0) < 0, L-1'(0) > 0, and the alpha-weighted
     combination of the two vanishes (relative tolerance against the
     derivative scale).
     """
-    pos, neg = loss.pos, loss.neg
-    if not (pos.is_convex and neg.is_convex):
+    test = derivative_test(loss, cost)
+    if test is None:
         raise PreconditionError(
-            "analytic check needs convex partials; use check_calibrated_numeric"
+            "analytic check needs convex partials with derivatives at 0; "
+            "use check_calibrated_numeric"
         )
-    d1, d2 = pos.deriv_at_zero, neg.deriv_at_zero
-    if d1 is None or d2 is None:
-        raise PreconditionError(
-            "analytic check needs derivatives at 0; use check_calibrated_numeric"
-        )
-    combo = cost.alpha * d1 + (1.0 - cost.alpha) * d2
-    scale = max(abs(d1), abs(d2), 1e-300)
-    ok = d1 < 0.0 and d2 > 0.0 and abs(combo) <= _ANALYTIC_REL_TOL * scale
+    d1, d2, combo, ok = test
     return CalibrationReport(
         verdict="calibrated" if ok else "not_calibrated",
         method="analytic_convex",
         alpha=cost.alpha,
         witnesses=(),
-        tolerance=_ANALYTIC_REL_TOL,
+        tolerance=DERIVATIVE_TOL,
         derivative_checks=(d1, d2, combo),
     )
 
@@ -104,40 +98,23 @@ def check_calibrated_numeric(
     grid = np.linspace(0.0, 1.0, grid_size)
     values = _gaps(loss, cost, grid[np.abs(grid - alpha) > radius])
 
+    witnesses = ()
     bad = [(e, v) for e, v in values if v <= tolerance]
-    if not bad:
-        best = min(values, key=lambda ev: ev[1])
-        return CalibrationReport(
-            verdict="calibrated",
-            method="numeric_grid",
-            alpha=alpha,
-            witnesses=(best,),
-            tolerance=tolerance,
-            grid_size=grid_size,
+    if bad:
+        # One refinement pass; coarse near-zero values may not survive it.
+        step = 1.0 / (grid_size - 1)
+        near = np.concatenate(
+            [np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21) for e, _ in bad]
         )
-
-    step = 1.0 / (grid_size - 1)
-    near = np.concatenate(
-        [np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21) for e, _ in bad]
-    )
-    refined = _gaps(loss, cost, near[np.abs(near - alpha) > radius / 10.0])
-    witnesses = tuple(sorted((ev for ev in refined if ev[1] <= tolerance), key=lambda ev: ev[1]))
-    if not witnesses:
-        # The coarse near-zero values did not survive refinement.
-        best = min(values, key=lambda ev: ev[1])
-        return CalibrationReport(
-            verdict="calibrated",
-            method="numeric_grid",
-            alpha=alpha,
-            witnesses=(best,),
-            tolerance=tolerance,
-            grid_size=grid_size,
+        refined = _gaps(loss, cost, near[np.abs(near - alpha) > radius / 10.0])
+        witnesses = tuple(
+            sorted((ev for ev in refined if ev[1] <= tolerance), key=lambda ev: ev[1])
         )
     return CalibrationReport(
-        verdict="not_calibrated",
+        verdict="not_calibrated" if witnesses else "calibrated",
         method="numeric_grid",
         alpha=alpha,
-        witnesses=witnesses[:5],
+        witnesses=witnesses[:5] if witnesses else (min(values, key=lambda ev: ev[1]),),
         tolerance=tolerance,
         grid_size=grid_size,
     )
@@ -179,8 +156,6 @@ def uniform_calibration_fn(
         raise DomainError(f"eps must be positive, got {eps}")
     if eps > cost.b_max:
         return math.inf
-    from .curves import DEFAULT_GRID
-
     nu = nu_curve(loss, cost, grid_size or DEFAULT_GRID, extra_knots=(eps,))
     mu = mu_curve(nu)
     return min(k.value for k in mu.knots if k.eps == eps)

@@ -19,15 +19,17 @@ import numpy as np
 from .calibration import check_calibrated, mu_curve
 from .curves import biconjugate, nu_curve, regret_bound
 from .errors import CostcalError, DomainError, VacuousBoundError
-from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
+from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, closed_forms, make_uneven_loss
 from .losses import (
     CostParam,
     Loss,
     constrained_optimal_risk,
     h_alpha,
+    h_cc,
     optimal_conditional_risk,
+    theta_alpha,
 )
-from .oracle import fuzz_bound
+from .oracle import brute_force_min, fuzz_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -94,6 +96,8 @@ def cmd_curve(args) -> int:
             raise CostcalError(f"unknown quantity {q!r}; choose from {','.join(QUANTITIES)}")
     if not quantities:
         raise CostcalError("at least one quantity is required")
+    if args.grid < 3:
+        raise DomainError(f"grid_size must be >= 3, got {args.grid}")
     rows = _curve_rows(loss, cost, quantities, args.grid)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("x,quantity,value,side\n")
@@ -120,9 +124,6 @@ def cmd_alpha_gamma(args) -> int:
 
 
 def _verify_closed_forms() -> dict:
-    from .families import ALPHA_SIGMOID_GAMMA2, closed_forms
-    from .oracle import brute_force_min
-
     passed = failed = 0
     for family in FAMILIES:
         gamma = 2.0
@@ -140,8 +141,6 @@ def _verify_closed_forms() -> dict:
 
 
 def _verify_identities() -> dict:
-    from .losses import h_cc, theta_alpha
-
     passed = failed = 0
     for family in ("hinge", "squared", "exponential"):
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):

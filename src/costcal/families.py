@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -55,6 +55,41 @@ class UnevenMarginSpec:
             )
         if self.alpha_weight is not None and not 0.0 < self.alpha_weight < 1.0:
             raise DomainError("alpha_weight must lie in (0, 1)")
+
+    @property
+    def has_closed_forms(self) -> bool:
+        """Whether closed forms serve this spec: beta = 1/gamma for the
+        convex families, beta = 1/2 and gamma = 2 for the sigmoid."""
+        if self.family == "sigmoid":
+            return self.gamma == 2.0 and math.isclose(self.beta, 0.5, rel_tol=1e-12)
+        return math.isclose(self.beta * self.gamma, 1.0, rel_tol=1e-12)
+
+    def c_star(self, eta):
+        """The closed optimal conditional risk C*(eta), or None when no
+        closed form serves this spec.  ``eta`` is a float or an ndarray;
+        an ndarray is evaluated in numpy.
+
+        Outer (1 - a, a) weighting reduces to the unweighted form through
+        the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
+        """
+        if not self.has_closed_forms:
+            return None
+        if self.alpha_weight is None:
+            return _c_star(self.family, self.gamma, eta)
+        theta, w = theta_alpha(CostParam(self.alpha_weight), eta)
+        return w * _c_star(self.family, self.gamma, theta)
+
+    def c_minus(self, cost: CostParam, eta):
+        """The closed constrained optimum C^-(eta) of the calibrated sigmoid
+        at its calibrating alpha, or None for any other spec or cost."""
+        if (
+            self.family != "sigmoid"
+            or self.alpha_weight is not None
+            or not self.has_closed_forms
+            or abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12
+        ):
+            return None
+        return sigmoid_c_minus(cost, eta)
 
 
 class ClosedForms(NamedTuple):
@@ -199,6 +234,13 @@ def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
     return ClosedForms(t_star, _sigmoid_c_star(eta), _sigmoid_h_cc(eta))
 
 
+def _c_star(family: str, gamma: float, eta):
+    """The unweighted closed C*(eta), for a float or an ndarray."""
+    if isinstance(eta, np.ndarray):
+        return _c_star_rows(family, gamma, eta)
+    return _closed_unweighted(family, gamma, eta).c_star
+
+
 def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
     """``_closed_unweighted(...).c_star`` on an ndarray of posteriors, with
     the same arithmetic; each branch sees only the posteriors it serves."""
@@ -222,12 +264,6 @@ def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
     return out
 
 
-def _supports_closed(spec: UnevenMarginSpec) -> bool:
-    if spec.family == "sigmoid":
-        return spec.gamma == 2.0 and math.isclose(spec.beta, 0.5, rel_tol=1e-12)
-    return math.isclose(spec.beta * spec.gamma, 1.0, rel_tol=1e-12)
-
-
 def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     """Closed-form minimizer, optimal risk, and calibration gap.
 
@@ -236,56 +272,12 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     """
     if not 0.0 <= eta <= 1.0:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    if spec.alpha_weight is not None or not _supports_closed(spec):
+    if spec.alpha_weight is not None or not spec.has_closed_forms:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
     return _closed_unweighted(spec.family, spec.gamma, eta)
-
-
-def closed_c_star(loss: Loss) -> Callable | None:
-    """The closed optimal conditional risk eta -> C*(eta) of a tagged loss,
-    or None when the loss has none.  The function takes a float or an
-    ndarray of posteriors; an ndarray is evaluated in numpy.
-
-    Outer (1 - a, a) weighting reduces to the unweighted form through
-    the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
-    """
-    spec = loss.family
-    if spec is None or not _supports_closed(spec):
-        return None
-    family, gamma = spec.family, spec.gamma
-
-    def c_star(eta):
-        if isinstance(eta, np.ndarray):
-            return _c_star_rows(family, gamma, eta)
-        return _closed_unweighted(family, gamma, eta).c_star
-
-    if spec.alpha_weight is None:
-        return c_star
-    weight = CostParam(spec.alpha_weight)
-
-    def weighted(eta):
-        theta, w = theta_alpha(weight, eta)
-        return w * c_star(theta)
-
-    return weighted
-
-
-def closed_sigmoid_c_minus(loss: Loss, cost: CostParam) -> Callable | None:
-    """The closed constrained optimum eta -> C^-(eta) of the calibrated
-    sigmoid, or None for any other loss or cost."""
-    spec = loss.family
-    if (
-        spec is None
-        or spec.family != "sigmoid"
-        or spec.alpha_weight is not None
-        or not _supports_closed(spec)
-        or abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12
-    ):
-        return None
-    return lambda eta: sigmoid_c_minus(cost, eta)
 
 
 def sigmoid_c_minus(cost: CostParam, eta):
@@ -326,38 +318,38 @@ _ALPHA_SLOPE_AT_1 = -0.18038386430973155
 _LINEAR_NEAR_1 = 1e-6
 
 
-def alpha_of_gamma(gamma: float, tol: float = 1e-12) -> float:
+def alpha_of_gamma(gamma: float) -> float:
     """The unique alpha at which the uneven sigmoid with margin ratio gamma
     is calibrated.
 
     For gamma > 1 this is the root, in (1/(1+gamma), 1), of a strictly
-    increasing tangency equation, found by bisection to bracket width tol.
-    gamma < 1 follows from the reciprocal symmetry alpha(1/gamma) =
-    1 - alpha(gamma).  So alpha - 1/2 is odd in ln(gamma).  Within 1e-6 of
-    gamma = 1, where the root lies closer to 1/2 than the bisection
-    resolves, alpha is its linear term in ln(gamma), exact to O(ln(gamma)^3).
+    increasing tangency equation, found by bisection until no float lies
+    strictly inside the bracket; the upper end is returned, so adjacent
+    gammas never give alphas out of order.  gamma < 1 follows from the
+    reciprocal symmetry alpha(1/gamma) = 1 - alpha(gamma).  So alpha - 1/2
+    is odd in ln(gamma).  Within 1e-6 of gamma = 1, where the tangency
+    equation divides two vanishing terms and loses its digits, alpha is its
+    linear term in ln(gamma), exact to O(ln(gamma)^3).
     """
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)
     if gamma < 1.0:
-        return 1.0 - alpha_of_gamma(1.0 / gamma, tol)
+        return 1.0 - alpha_of_gamma(1.0 / gamma)
     lo = 1.0 / (1.0 + gamma) + 1e-12
     hi = 1.0 - 1e-12
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        try:
-            below = _alpha_gamma_lhs(mid, gamma) < 0.0
-        except OverflowError:
-            raise DomainError(
-                f"the tangency equation overflows at gamma={gamma}; "
-                "alpha_of_gamma supports gamma within about [1/143, 143]"
-            ) from None
-        if below:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    try:
+        while lo < mid < hi:
+            if _alpha_gamma_lhs(mid, gamma) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+            mid = 0.5 * (lo + hi)
+    except OverflowError:
+        raise DomainError(
+            f"the tangency equation overflows at gamma={gamma}; "
+            "alpha_of_gamma supports gamma within about [1/143, 143]"
+        ) from None
+    return hi

@@ -45,6 +45,8 @@ __all__ = [
 NUMERIC_TOL = 1e-6
 #: Tolerance for analytic identities evaluated in floating point.
 ANALYTIC_TOL = 1e-10
+#: Relative tolerance of the derivative test's alpha-weighted combination.
+DERIVATIVE_TOL = 1e-12
 
 
 def sign(x: float) -> float:
@@ -166,34 +168,31 @@ def optimal_conditional_risk(loss: Loss, eta):
     numpy, or one batched search for all of them.
     """
     _check_eta(eta)
-    from .families import closed_c_star
-
-    closed = closed_c_star(loss)
+    closed = None if loss.family is None else loss.family.c_star(eta)
     if closed is not None:
-        return closed(eta)
+        return closed
     from .oracle import brute_force_min
 
     return brute_force_min(loss, eta, "none").value
 
 
-def _convex_calibrated(loss: Loss, cost: CostParam) -> bool:
-    """Whether the constrained optimum is the conditional risk at 0.
+def derivative_test(loss: Loss, cost: CostParam) -> tuple[float, float, float, bool] | None:
+    """The derivative test for alpha-calibration of convex partial losses.
 
-    When both partials are convex and the derivative conditions for
-    alpha-calibration hold at 0, the sign-constrained infimum is attained
-    at the score 0.
+    Returns (L1'(0), L-1'(0), combo, calibrated) with combo =
+    alpha*L1'(0) + (1-alpha)*L-1'(0): calibrated iff L1'(0) < 0,
+    L-1'(0) > 0 and |combo| <= DERIVATIVE_TOL * max(|L1'(0)|, |L-1'(0)|,
+    1e-300).  A calibrated convex loss attains its sign-constrained
+    infimum at the score 0.  None when a partial is not convex or lacks
+    its derivative at 0.
     """
     pos, neg = loss.pos, loss.neg
-    if not (pos.is_convex and neg.is_convex):
-        return False
     d1, d2 = pos.deriv_at_zero, neg.deriv_at_zero
-    if d1 is None or d2 is None:
-        return False
-    scale = max(abs(d1), abs(d2))
-    if scale == 0.0:
-        return False
+    if not (pos.is_convex and neg.is_convex) or d1 is None or d2 is None:
+        return None
     combo = cost.alpha * d1 + (1.0 - cost.alpha) * d2
-    return d1 < 0.0 and d2 > 0.0 and abs(combo) <= 1e-12 * scale
+    scale = max(abs(d1), abs(d2), 1e-300)
+    return d1, d2, combo, d1 < 0.0 and d2 > 0.0 and abs(combo) <= DERIVATIVE_TOL * scale
 
 
 def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
@@ -221,15 +220,12 @@ def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
 
 def _off_threshold_risk(loss: Loss, cost: CostParam, eta):
     """``constrained_optimal_risk`` at posteriors other than alpha."""
-    if _convex_calibrated(loss, cost):
+    test = derivative_test(loss, cost)
+    if test is not None and test[3]:
         return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
-
-    from .families import closed_sigmoid_c_minus
-
-    closed = closed_sigmoid_c_minus(loss, cost)
+    closed = None if loss.family is None else loss.family.c_minus(cost, eta)
     if closed is not None:
-        return closed(eta)
-
+        return closed
     from .oracle import brute_force_min
 
     if isinstance(eta, np.ndarray):

@@ -13,11 +13,14 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .curves import biconjugate, envelope_eval, nu_curve
 from .errors import DomainError, UnsupportedLimitError
+from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
 from .losses import (
     CostParam,
     Loss,
     PartialLoss,
+    _check_eta,
     conditional_risk,
     cost_regret,
     optimal_conditional_risk,
@@ -178,10 +181,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
     ts, limits = _SEARCH[constraint]
+    _check_eta(eta)
     if isinstance(eta, np.ndarray):
         return _brute_force_rows(loss, eta, ts, limits)
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
 
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
     # A partial of weight 0 contributes 0, even where it is infinite.
@@ -220,8 +222,6 @@ def _brute_force_rows(loss: Loss, eta: np.ndarray, ts: np.ndarray, limits) -> Se
     """The float search of ``brute_force_min``, on every posterior at once."""
     shape = eta.shape
     eta = eta.astype(float).ravel()
-    if not np.all((eta >= 0.0) & (eta <= 1.0)):
-        raise DomainError("eta must lie in [0, 1]")
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
     n = len(eta)
     idx = np.empty(n, dtype=np.intp)
@@ -280,8 +280,6 @@ def empirical_regrets(
 
 
 def _random_trial_inputs(rng: np.random.Generator, family: str):
-    from .families import ALPHA_SIGMOID_GAMMA2, UnevenMarginSpec
-
     if family == "sigmoid":
         gamma = 2.0
         alpha = ALPHA_SIGMOID_GAMMA2
@@ -316,10 +314,7 @@ def fuzz_bound(
     psi(cost_regret) <= surrogate_regret + 1e-8.  The trial's derived
     seed is recorded; trials are independent streams, ordered by index.
     """
-    from .curves import biconjugate, envelope_eval, nu_curve
-    from .families import make_uneven_loss
-
-    if family not in ("hinge", "squared", "exponential", "sigmoid"):
+    if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
     if n_trials <= 0:
         raise DomainError("n_trials must be positive")

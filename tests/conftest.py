@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from hypothesis import strategies as st
 
 from costcal import Knot, Loss, PartialLoss, SampledCurve, UnevenMarginSpec, make_uneven_loss
@@ -26,6 +28,22 @@ def uneven(
 def untagged(loss: Loss) -> Loss:
     """Same partials without the family tag, forcing the numeric paths."""
     return Loss(pos=loss.pos, neg=loss.neg, family=None)
+
+
+def counted(loss: Loss) -> tuple[Loss, list]:
+    """The same loss (family tag kept) whose partials append the scores of
+    each call to the returned list."""
+    calls: list = []
+
+    def wrap(fn):
+        def fn_counted(t):
+            calls.append(t)
+            return fn(t)
+
+        return fn_counted
+
+    pos, neg = replace(loss.pos, fn=wrap(loss.pos.fn)), replace(loss.neg, fn=wrap(loss.neg.fn))
+    return replace(loss, pos=pos, neg=neg), calls
 
 
 def cost_sensitive_loss(alpha: float) -> Loss:

@@ -116,6 +116,14 @@ class TestCurve:
         code = main(self.curve_args(tmp_path / "missing" / "x.csv", "H"))
         assert code == 2
 
+    @pytest.mark.parametrize("quantity", ["H", "C_star", "C_minus", "nu"])
+    @pytest.mark.parametrize("grid", ["-1", "0", "2"])
+    def test_grid_below_three_is_usage_error(self, capsys, tmp_path, quantity, grid):
+        out = tmp_path / "x.csv"
+        assert main(self.curve_args(out, quantity, grid=grid)) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestAlphaGamma:
     def table(self, tmp_path, *extra):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from costcal import (
     optimal_conditional_risk,
     sigmoid_c_minus,
     sigmoid_t_minus,
+    theta_alpha,
 )
 from costcal.oracle import brute_force_min, finite_diff_check
 
-from conftest import uneven
+from conftest import counted, uneven
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
 
@@ -252,8 +254,6 @@ class TestAlphaOfGamma:
     def test_domain(self):
         with pytest.raises(DomainError):
             alpha_of_gamma(0.0)
-        with pytest.raises(DomainError):
-            alpha_of_gamma(2.0, tol=0.0)
 
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, 150.0, 1e300, 1e-300])
     def test_rejects_gammas_the_bisection_cannot_handle(self, gamma):
@@ -274,8 +274,14 @@ class TestAlphaOfGamma:
         # Just inside |gamma - 1| <= 1e-6 vs a tight bisection just outside.
         inside = 1.0 + side * 0.9999999e-6
         outside = inside + side * 2e-13
-        step = alpha_of_gamma(inside) - alpha_of_gamma(outside, tol=1e-15)
+        step = alpha_of_gamma(inside) - alpha_of_gamma(outside)
         assert 0.0 < side * step <= 1e-13
+
+    @pytest.mark.parametrize("start", [1.5, 1.0 + 2e-6, 3.0, 0.3])
+    def test_never_rises_between_adjacent_gammas(self, start):
+        # 199 steps of 1e-12: alpha decreases in gamma, so no step may raise it.
+        alphas = [alpha_of_gamma(start + k * 1e-12) for k in range(200)]
+        assert all(b <= a for a, b in zip(alphas, alphas[1:]))
 
 
 #: Posteriors at the edges and branch points of the closed forms.
@@ -381,3 +387,66 @@ class TestSigmoidCMinus:
     def test_rejects_eta_outside_unit_interval(self):
         with pytest.raises(DomainError):
             sigmoid_c_minus(self.COST, 1.2)
+
+
+SUPPORTED_SPECS = [
+    UnevenMarginSpec(family, 1.0 / gamma, gamma, weight)
+    for family in ("hinge", "squared", "exponential")
+    for gamma in (0.25, 1.0, 4.0)
+    for weight in (None, 0.3)
+] + [UnevenMarginSpec("sigmoid", 0.5, 2.0), UnevenMarginSpec("sigmoid", 0.5, 2.0, 0.3)]
+UNSUPPORTED_SPECS = [
+    UnevenMarginSpec("hinge", 1.0, 2.0),
+    UnevenMarginSpec("exponential", 1.0, 4.0, 0.3),
+    UnevenMarginSpec("sigmoid", 1.0 / 3.0, 3.0),
+]
+ROUTING_ETAS = [0.0, 0.2, 0.5, ALPHA_SIGMOID_GAMMA2, 0.9, 1.0]
+
+
+def reference_c_star(spec: UnevenMarginSpec, eta: float) -> float:
+    """``closed_forms``' C*, weighted members through theta and w."""
+    if spec.alpha_weight is None:
+        return closed_forms(spec, eta).c_star
+    theta, w = theta_alpha(CostParam(spec.alpha_weight), eta)
+    return w * closed_forms(replace(spec, alpha_weight=None), theta).c_star
+
+
+class TestSpecRouting:
+    """The spec alone decides between its closed forms and the oracle."""
+
+    @pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=repr)
+    def test_supported_specs_evaluate_no_partial(self, spec):
+        assert spec.has_closed_forms
+        loss, calls = counted(make_uneven_loss(spec))
+        expected = [reference_c_star(spec, eta) for eta in ROUTING_ETAS]
+        floats = [optimal_conditional_risk(loss, eta) for eta in ROUTING_ETAS]
+        rows = optimal_conditional_risk(loss, np.array(ROUTING_ETAS))
+        assert calls == []
+        np.testing.assert_allclose(floats, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rows, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("spec", UNSUPPORTED_SPECS, ids=repr)
+    def test_unsupported_specs_run_the_oracle(self, spec):
+        assert not spec.has_closed_forms
+        assert spec.c_star(0.3) is None
+        for eta in (0.3, np.array([0.3, 0.7])):
+            loss, calls = counted(make_uneven_loss(spec))
+            optimal_conditional_risk(loss, eta)
+            assert calls
+
+    def test_sigmoid_c_minus_closed_only_at_its_alpha(self):
+        spec = UnevenMarginSpec("sigmoid", 0.5, 2.0)
+        loss, calls = counted(make_uneven_loss(spec))
+        cost = CostParam(ALPHA_SIGMOID_GAMMA2)
+        etas = [0.2, 0.45, 0.8]
+        for eta in etas + [np.array(etas)]:
+            np.testing.assert_array_equal(
+                constrained_optimal_risk(loss, cost, eta), sigmoid_c_minus(cost, eta)
+            )
+        assert calls == []
+        other = CostParam(0.3)
+        assert spec.c_minus(other, 0.2) is None
+        for eta in (0.2, np.array(etas)):
+            calls.clear()
+            constrained_optimal_risk(loss, other, eta)
+            assert calls

@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from costcal import (
     CostParam,
     DomainError,
+    Loss,
     PartialLoss,
     UnsupportedLimitError,
     alpha_transform,
+    check_calibrated_analytic,
     conditional_risk,
     constrained_optimal_risk,
     cost_regret,
@@ -22,7 +26,7 @@ from costcal import (
 from costcal.losses import sign
 from costcal.oracle import brute_force_min
 
-from conftest import uneven, untagged
+from conftest import counted, uneven, untagged
 
 ETA_GRID = np.linspace(0.0, 1.0, 21)
 
@@ -138,6 +142,54 @@ class TestConstrainedOptimalRisk:
         loss = uneven("sigmoid", gamma=2.0)
         cost = CostParam(ALPHA_SIGMOID_GAMMA2)
         assert constrained_optimal_risk(loss, cost, 0.2) == pytest.approx(0.3, abs=1e-12)
+
+
+
+def quadratic_partial(d: float) -> PartialLoss:
+    """1 + d*t + t^2: convex, with derivative d at 0."""
+    return PartialLoss(
+        fn=lambda t: 1.0 + d * t + t * t, value_at_zero=1.0, is_convex=True, deriv_at_zero=d
+    )
+
+
+#: Derivatives at 0 of either sign: zero, subnormal or tiny, and moderate.
+DERIVATIVES = st.builds(
+    lambda m, s: s * m,
+    st.one_of(st.just(0.0), st.floats(1e-320, 1e-300), st.floats(1e-3, 10.0)),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+class TestDerivativeTest:
+    """One derivative test serves the analytic verdict and the C^- shortcut."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d1=DERIVATIVES,
+        d2=DERIVATIVES,
+        alpha=st.floats(0.01, 0.99),
+        tangent=st.booleans(),
+        eta=st.floats(0.0, 1.0),
+    )
+    @example(d1=-1e-305, d2=1.0000001e-305, alpha=0.5, tangent=False, eta=0.3)
+    def test_shortcut_iff_analytic_verdict_calibrated(self, d1, d2, alpha, tangent, eta):
+        if tangent and d1 != d2 and 0.0 < d2 / (d2 - d1) < 1.0:
+            alpha = d2 / (d2 - d1)  # where the weighted combination vanishes
+        assume(eta != alpha)
+        loss, calls = counted(Loss(quadratic_partial(d1), quadratic_partial(d2)))
+        cost = CostParam(alpha)
+        calibrated = check_calibrated_analytic(loss, cost).verdict == "calibrated"
+        for posteriors in (eta, np.array([eta])):
+            calls.clear()
+            constrained_optimal_risk(loss, cost, posteriors)
+            assert (not calls) == calibrated
+
+    def test_subnormal_tangent_takes_the_shortcut(self):
+        loss, calls = counted(Loss(quadratic_partial(-1e-305), quadratic_partial(1.0000001e-305)))
+        cost = CostParam(0.5)
+        assert check_calibrated_analytic(loss, cost).verdict == "calibrated"
+        assert constrained_optimal_risk(loss, cost, 0.3) == 1.0
+        assert calls == []
 
 
 class TestHAlpha:
