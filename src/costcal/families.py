@@ -11,11 +11,11 @@ beta = 1/gamma (convex families) and gamma = 2 (sigmoid).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError, UnsupportedFamilyError
 from .losses import CostParam, Loss, PartialLoss, _check_eta, theta_alpha
@@ -111,8 +111,22 @@ def _phi_exponential(t):
     return np.exp(-t)
 
 
+#: The largest score whose exponential is finite.
+_LOG_MAX = math.log(sys.float_info.max)
+
+
 def _phi_sigmoid(t):
-    return expit(-t)
+    """The logistic 1 / (1 + e^t), for a float or an ndarray, warning on
+    nothing.  A float goes through libm's ``exp`` (faster than numpy for one
+    score, which the float golden section needs); past its overflow the
+    value is 0.  An ndarray clips scores at ``_LOG_MAX``, so ``np.exp``
+    never overflows and a clipped score gives about 5.6e-309."""
+    if isinstance(t, np.ndarray):
+        return 1.0 / (1.0 + np.exp(np.minimum(t, _LOG_MAX)))
+    try:
+        return 1.0 / (1.0 + math.exp(t))
+    except OverflowError:
+        return 0.0
 
 
 _PHI = {
@@ -161,7 +175,7 @@ def _sigmoid_local_min(eta):
     """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
     minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
     t = sigmoid_t_minus(eta)
-    return eta * expit(-t) + 0.5 * (1.0 - eta) * expit(2.0 * t)
+    return eta * _phi_sigmoid(t) + 0.5 * (1.0 - eta) * _phi_sigmoid(-2.0 * t)
 
 
 def sigmoid_t_minus(eta):
@@ -203,6 +217,12 @@ def _sigmoid_h_cc(eta: float) -> float:
     return max(c_minus - _sigmoid_c_star(eta), 0.0)
 
 
+def _squared_scale(gamma: float) -> float:
+    """(1 + gamma)^2 / gamma, finite for every finite gamma: squaring first
+    overflows for gamma above about 1.3e154."""
+    return (1.0 + gamma) / gamma * (1.0 + gamma)
+
+
 def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
     if family == "hinge":
         t_star = -1.0 / gamma if eta <= 0.5 else 1.0
@@ -211,7 +231,7 @@ def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
         return ClosedForms(t_star, c_star, h)
     if family == "squared":
         t_star = (2.0 * eta - 1.0) / (eta + gamma * (1.0 - eta))
-        c_star = (1.0 + gamma) ** 2 / gamma * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
+        c_star = _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
         return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
     if family == "exponential":
         if eta == 0.0:
@@ -247,7 +267,7 @@ def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
     if family == "hinge":
         return (1.0 + gamma) / gamma * np.minimum(eta, 1.0 - eta)
     if family == "squared":
-        return (1.0 + gamma) ** 2 / gamma * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
+        return _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
     if family == "exponential":
         out = np.zeros(eta.shape)
         inner = (eta > 0.0) & (eta < 1.0)

@@ -96,12 +96,16 @@ class SearchResult(NamedTuple):
     value: float
 
 
-def _mix(w: np.ndarray, pos, neg) -> np.ndarray:
+def _mix(w: np.ndarray, pos, neg, out=None) -> np.ndarray:
     """w * pos + (1 - w) * neg, broadcast, where a partial of weight 0
-    contributes 0 even where it is infinite (as in ``conditional_risk``)."""
+    contributes 0 even where it is infinite (as in ``conditional_risk``).
+
+    ``out`` is an optional pair of arrays of the result's shape: the result
+    is written to the first, the second holds the (1 - w) * neg term."""
+    risks, term = (None, None) if out is None else out
     with np.errstate(invalid="ignore"):
-        risks = w * pos
-        risks += (1.0 - w) * neg
+        risks = np.multiply(w, pos, out=risks)
+        risks += np.multiply(1.0 - w, neg, out=term)
     zero, one = w == 0.0, w == 1.0
     if zero.any() or one.any():
         np.copyto(risks, neg, where=zero)
@@ -214,7 +218,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
 
 
 #: Posterior rows per block of the grid pass.  A block's risk matrix is
-#: 32 x 801 doubles (205 kB); 32 rows ran faster than 16, 64 or 128.
+#: 32 x 801 doubles (205 kB); 32 rows ran faster than 16, 64 or 128.  The
+#: two block matrices are allocated once per search: allocated per block,
+#: glibc may hand them back to the OS and fault them in again each time.
 _BLOCK_ROWS = 32
 
 
@@ -226,9 +232,11 @@ def _brute_force_rows(loss: Loss, eta: np.ndarray, ts: np.ndarray, limits) -> Se
     n = len(eta)
     idx = np.empty(n, dtype=np.intp)
     grid_v = np.empty(n)
+    buffers = np.empty((2, min(n, _BLOCK_ROWS), len(ts)))
     for start in range(0, n, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
-        risks = _mix(eta[block, None], pos_vals, neg_vals)
+        w = eta[block, None]
+        risks = _mix(w, pos_vals, neg_vals, out=buffers[:, : len(w)])
         idx[block] = np.argmin(risks, axis=1)
         grid_v[block] = risks[np.arange(len(risks)), idx[block]]
 
@@ -318,6 +326,8 @@ def fuzz_bound(
         raise DomainError(f"unknown family {family!r}")
     if n_trials <= 0:
         raise DomainError("n_trials must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
 
     records = []
     for i in range(n_trials):

@@ -1,13 +1,18 @@
 """End-to-end CLI behavior: exit codes, CSV/JSON output, determinism."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from costcal import Knot, SampledCurve, biconjugate
-from costcal.cli import main
+from costcal import ALPHA_SIGMOID_GAMMA2, Knot, SampledCurve, biconjugate
+from costcal.cli import QUANTITIES, main
 
 
 def run(capsys, *argv):
@@ -239,3 +244,98 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+
+    def test_negative_seed(self, capsys):
+        code = main(["verify", "--suite", "bounds", "--seed", "-1"])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+
+
+#: Flag values at the edges of the float domain.
+EDGE = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e-320, 1e-300, 1e300)
+CONVEX = ("hinge", "squared", "exponential")
+
+
+def flag(name, ordinary):
+    """``--name=value`` with an edge value or an ordinary one; the ``=`` form
+    lets argparse take ``-inf`` as a value."""
+    return st.one_of(st.sampled_from(EDGE), ordinary).map(lambda v: f"--{name}={v!r}")
+
+
+GAMMA = flag("gamma", st.floats(0.25, 4.0))
+ALPHA = flag("alpha", st.floats(0.05, 0.95))
+BETA = flag("beta", st.floats(0.25, 4.0))
+
+
+@st.composite
+def loss_flags(draw, families):
+    """A family with gamma and alpha, and at random beta and --weighted."""
+    argv = [f"--family={draw(st.sampled_from(families))}", draw(GAMMA), draw(ALPHA)]
+    if draw(st.booleans()):
+        argv.append(draw(BETA))
+    if draw(st.booleans()):
+        argv.append("--weighted")
+    return argv
+
+
+#: The gamma = 2 sigmoid at its calibrating alpha, or at an alpha outside
+#: (0, 1); any other alpha runs a numeric verdict that takes seconds.
+SIGMOID_FLAGS = st.sampled_from(
+    [ALPHA_SIGMOID_GAMMA2] + [a for a in EDGE if not 0.0 < a < 1.0]
+).map(lambda a: ["--family=sigmoid", "--gamma=2", f"--alpha={a!r}"])
+REGRET = flag("surrogate-regret", st.floats(0.0, 1.0))
+
+
+@st.composite
+def commands(draw, out=os.devnull):
+    kind = draw(st.sampled_from(("check", "bound", "alpha-gamma", "curve", "verify")))
+    if kind in ("check", "bound"):
+        argv = [kind] + draw(st.one_of(loss_flags(CONVEX), SIGMOID_FLAGS))
+        return argv + [draw(REGRET)] if kind == "bound" else argv
+    if kind == "alpha-gamma":
+        return [
+            kind,
+            draw(flag("gamma-min", st.floats(0.25, 4.0))),
+            draw(flag("gamma-max", st.floats(0.25, 4.0))),
+            f"--points={draw(st.integers(-1, 5))}",
+            f"--output={out}",
+        ]
+    if kind == "curve":
+        quantities = draw(st.lists(st.sampled_from(QUANTITIES), min_size=1, unique=True))
+        return [
+            kind,
+            *draw(loss_flags(CONVEX + ("sigmoid",))),
+            f"--quantities={','.join(quantities)}",
+            f"--grid={draw(st.integers(3, 9))}",
+            f"--output={out}",
+        ]
+    return [kind, "--suite=bounds", f"--seed={draw(st.integers(max_value=-1))}"]
+
+
+def run_cli(argv):
+    """(exit code, stderr) of one in-process CLI call.  An exception other
+    than argparse's SystemExit propagates and fails the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+class TestExitCodeProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(commands())
+    # The squared closed form once squared 1 + gamma and overflowed.
+    @example(
+        ["bound", "--family=squared", "--gamma=1e300", "--alpha=0.5", "--surrogate-regret=0.01"]
+    )
+    @example(
+        ["curve", "--family=squared", "--gamma=1e200", "--alpha=0.5", "--quantities=C_star",
+         "--grid=3", f"--output={os.devnull}"]
+    )
+    def test_every_command_exits_0_2_or_3(self, argv):
+        code, err = run_cli(argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err

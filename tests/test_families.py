@@ -1,12 +1,18 @@
 """The four margin-loss families, their closed forms, and sigmoid machinery."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import costcal
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     CostParam,
@@ -24,6 +30,7 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
+from costcal.families import _phi_sigmoid
 from costcal.oracle import brute_force_min, finite_diff_check
 
 from conftest import counted, uneven
@@ -177,6 +184,22 @@ class TestClosedForms:
     def test_rejects_eta_outside_unit_interval(self):
         with pytest.raises(DomainError):
             closed_forms(UnevenMarginSpec("hinge", beta=0.5, gamma=2.0), 1.5)
+
+    @pytest.mark.parametrize("gamma", [1e200, 1e300])
+    def test_squared_c_star_at_huge_gamma(self, gamma):
+        # (1 + gamma) ** 2 overflows past gamma ~ 1.3e154; the closed form
+        # must not square it.
+        mpmath = pytest.importorskip("mpmath")
+        spec = UnevenMarginSpec("squared", beta=1.0 / gamma, gamma=gamma)
+        etas = [1e-12, 0.1, 0.5, 0.9, 1.0 - 1e-12]
+        rows = spec.c_star(np.array(etas))
+        with mpmath.workdps(50):
+            g = mpmath.mpf(gamma)
+            for eta, row in zip(etas, rows.tolist()):
+                e = mpmath.mpf(eta)
+                ref = (1 + g) ** 2 / g * e * (1 - e) / (e + g * (1 - e))
+                for value in (closed_forms(spec, eta).c_star, row):
+                    assert abs(value - ref) <= 1e-12 * ref, (eta, value)
 
 
 class TestSigmoidTMinus:
@@ -450,3 +473,66 @@ class TestSpecRouting:
             calls.clear()
             constrained_optimal_risk(loss, other, eta)
             assert calls
+
+
+class TestLogistic:
+    """The sigmoid family's phi(t) = 1 / (1 + e^t), computed without scipy."""
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(costcal.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        code = (
+            "import sys, costcal, costcal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(max_value=709.0))
+    def test_float_path_is_libm(self, t):
+        assert _phi_sigmoid(t) == 1.0 / (1.0 + math.exp(t))
+        assert _phi_sigmoid(np.float64(t)) == 1.0 / (1.0 + math.exp(t))
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.floats(min_value=710.0))
+    def test_float_path_is_zero_past_exp_overflow(self, t):
+        assert _phi_sigmoid(t) == 0.0
+
+    def test_array_path_within_4_ulp_of_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(5)
+        ts = np.concatenate(
+            [
+                np.linspace(-745.0, 709.0, 1501),
+                rng.uniform(-745.0, 709.0, 500),
+                rng.normal(0.0, 4.0, 500),
+            ]
+        )
+        values = _phi_sigmoid(ts)
+        with mpmath.workdps(50):
+            for t, value in zip(ts.tolist(), values.tolist()):
+                ref = 1 / (1 + mpmath.exp(mpmath.mpf(t)))
+                assert abs(value - ref) <= 4 * np.spacing(float(ref)), t
+
+    def test_array_path_beyond_exp_range(self):
+        high = _phi_sigmoid(np.array([709.8, 710.0, 1e5, 1e300, np.inf]))
+        assert np.all((high >= 0.0) & (high < 6e-309))
+        np.testing.assert_array_equal(_phi_sigmoid(np.array([-746.0, -1e300, -np.inf])), 1.0)
+
+    @pytest.mark.parametrize("t", [1e300, -1e300])
+    def test_no_warning_at_huge_scores(self, t):
+        with warnings.catch_warnings(), np.errstate(all="raise", under="ignore"):
+            warnings.simplefilter("error")
+            scalar = _phi_sigmoid(t)
+            row = _phi_sigmoid(np.array([t]))[0]
+        if t > 0:
+            assert scalar == 0.0 and 0.0 <= row < 6e-309
+        else:
+            assert scalar == row == 1.0

@@ -90,12 +90,15 @@ class TestBruteForceMin:
 class TestBatchedSearch:
     """An ndarray of posteriors against the float search, one by one."""
 
+    # The grid pass works in 32-row blocks: n = 1, 32, 33 and 44 give a
+    # lone row, one full block, and a full block before a ragged one.
+    @pytest.mark.parametrize("n", [1, 32, 33, 44])
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
     @pytest.mark.parametrize("name", sorted(SEARCHED))
-    def test_families_at_the_edges_and_on_a_grid(self, name, constraint):
+    def test_families_at_the_edges_and_on_a_grid(self, name, constraint, n):
         alpha = 0.3
         etas = [0.0, 1.0, alpha] + np.linspace(0.0, 1.0, 41).tolist()
-        assert_batch_matches_scalar(SEARCHED[name], etas, constraint)
+        assert_batch_matches_scalar(SEARCHED[name], etas[:n], constraint)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -325,3 +328,7 @@ class TestFuzzBound:
     def test_needs_positive_trials(self):
         with pytest.raises(DomainError):
             fuzz_bound(1, "hinge", 0)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            fuzz_bound(-1, "hinge", 1)
