@@ -145,6 +145,9 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
         w_pos, w_neg = 1.0, beta
     else:
         w_pos, w_neg = 1.0 - spec.alpha_weight, spec.alpha_weight * beta
+        if w_neg == 0.0:
+            # 0 * phi would be 0, or NaN where phi overflows, not the loss.
+            raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {beta}")
 
     def pos_fn(t, phi=phi, c=w_pos):
         return c * phi(t)
@@ -273,13 +276,18 @@ def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
         inner = (eta > 0.0) & (eta < 1.0)
         e = eta[inner]
         ratio = e / (1.0 - e)
-        out[inner] = e * ratio ** (-1.0 / (1.0 + gamma)) + (1.0 - e) / gamma * ratio ** (
-            gamma / (1.0 + gamma)
-        )
+        with np.errstate(over="ignore"):
+            low = e * ratio ** (-1.0 / (1.0 + gamma))
+        # The power overflows for a subnormal ratio and gamma below about 0.05,
+        # where the term is e^(gamma / (1 + gamma)) * (1 - e)^(1 / (1 + gamma)).
+        far = low == np.inf
+        low[far] = e[far] ** (gamma / (1.0 + gamma)) * (1.0 - e[far]) ** (1.0 / (1.0 + gamma))
+        out[inner] = low + (1.0 - e) / gamma * ratio ** (gamma / (1.0 + gamma))
         return out
-    # sigmoid, gamma == 2
-    out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, 0.0)
-    inner = (eta > 0.0) & (eta < ALPHA_SIGMOID_GAMMA2)
+    # sigmoid, gamma == 2.  Below eta = 1e-150, C* rounds to eta (the next term
+    # is -eta^2 / 2) and sigmoid_t_minus would overflow, so eta is kept there.
+    out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
+    inner = (eta >= 1e-150) & (eta < ALPHA_SIGMOID_GAMMA2)
     out[inner] = _sigmoid_local_min(eta[inner])
     return out
 
@@ -305,22 +313,17 @@ def sigmoid_c_minus(cost: CostParam, eta):
 
     Piecewise: (1 + eta)/4 for eta <= 1/3 or eta >= 1/2; (1 - eta)/2 for
     1/3 < eta < alpha; the local-minimum value in between.  Adjacent
-    branches agree at the breakpoints.  ``eta`` is a float or an ndarray.
+    branches agree at the breakpoints.  ``eta`` is a float or an ndarray;
+    a float is computed as a 0-d array and returned as a float.
     """
     if abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12:
         raise DomainError("sigmoid_c_minus is specific to the calibrating alpha")
     _check_eta(eta)
-    a = ALPHA_SIGMOID_GAMMA2
-    if isinstance(eta, np.ndarray):
-        out = np.where((1.0 / 3.0 < eta) & (eta < 0.5), (1.0 - eta) / 2.0, (1.0 + eta) / 4.0)
-        local = (eta >= a) & (eta < 0.5)
-        out[local] = _sigmoid_local_min(eta[local])
-        return out
-    if eta <= 1.0 / 3.0 or eta >= 0.5:
-        return (1.0 + eta) / 4.0
-    if eta < a:
-        return (1.0 - eta) / 2.0
-    return _sigmoid_local_min(eta)
+    e = np.asarray(eta, dtype=float)
+    out = np.where((1.0 / 3.0 < e) & (e < 0.5), (1.0 - e) / 2.0, (1.0 + e) / 4.0)
+    local = (e >= ALPHA_SIGMOID_GAMMA2) & (e < 0.5)
+    out[local] = _sigmoid_local_min(e[local])
+    return out if isinstance(eta, np.ndarray) else float(out)
 
 
 def _alpha_gamma_lhs(eta: float, gamma: float) -> float:

@@ -41,10 +41,6 @@ __all__ = [
     "theta_alpha",
 ]
 
-#: Absolute tolerance for closed-form vs numeric agreement (grid resolution).
-NUMERIC_TOL = 1e-6
-#: Tolerance for analytic identities evaluated in floating point.
-ANALYTIC_TOL = 1e-10
 #: Relative tolerance of the derivative test's alpha-weighted combination.
 DERIVATIVE_TOL = 1e-12
 
@@ -242,16 +238,22 @@ def _off_threshold_risk(loss: Loss, cost: CostParam, eta):
 def h_alpha(loss: Loss, cost: CostParam, eta):
     """Calibration gap: constrained minus unconstrained optimal risk.
 
-    Negative gaps (rounding in the searches) are clamped to 0.  Takes a
-    float or an ndarray of posteriors.
+    At eta == alpha the constraint is vacuous, so the gap is 0 there by
+    definition and nothing is evaluated for it.  Negative gaps (rounding
+    in the searches) are clamped to 0.  Takes a float or an ndarray of
+    posteriors.
     """
-    gap = constrained_optimal_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta)
-    if isinstance(eta, np.ndarray):
-        return np.where(0.0 > gap, 0.0, gap)
+    _check_eta(eta)
+    array = isinstance(eta, np.ndarray)
+    if not array and eta == cost.alpha:
+        return 0.0
+    gap = _off_threshold_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta)
+    if array:
+        return np.where((0.0 > gap) | (eta == cost.alpha), 0.0, gap)
     return max(gap, 0.0)
 
 
-def h_cc(loss: Loss, eta: float) -> float:
+def h_cc(loss: Loss, eta):
     """Cost-insensitive calibration gap; identical to the alpha = 1/2 gap."""
     return h_alpha(loss, CostParam(0.5), eta)
 

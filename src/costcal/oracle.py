@@ -116,9 +116,6 @@ def _mix(w: np.ndarray, pos, neg, out=None) -> np.ndarray:
 def _golden_section(f, a: float, b: float, tol: float = 1e-10):
     """Minimize a unimodal f on [a, b]; returns (arg, value)."""
     h = b - a
-    if h <= tol:
-        x = 0.5 * (a + b)
-        return x, f(x)
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     yc, yd = f(c), f(d)
@@ -143,12 +140,10 @@ def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
     iteration exactly and stops at its own ``tol``."""
     a, b = a.copy(), b.copy()
     h = b - a
-    short = h <= tol
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
-    every = np.arange(len(a))
-    yc, yd = f(every, c), f(every, d)
-    rows = every[~short]
+    rows = np.arange(len(a))
+    yc, yd = f(rows, c), f(rows, d)
     while rows.size:
         left = yc[rows] < yd[rows]
         lo, hi = np.where(left, a[rows], c[rows]), np.where(left, d[rows], b[rows])
@@ -162,14 +157,12 @@ def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
         yc[rows] = np.where(left, y_new, kept)
         yd[rows] = np.where(left, kept, y_new)
         rows = rows[hr > tol]
-    x = np.where(yc < yd, c, d)
-    value = np.where(yd < yc, yd, yc)
-    if short.any():
-        x[short] = 0.5 * (a[short] + b[short])
-        value[short] = f(every[short], x[short])
-    return x, value
+    return np.where(yc < yd, c, d), np.where(yd < yc, yd, yc)
 
 
+# A partial past the float range is +inf, its correctly rounded value, which
+# the search handles; numpy's overflow warning adds nothing.
+@np.errstate(over="ignore")
 def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     """Two-stage minimization of the conditional risk over scores.
 
@@ -252,15 +245,12 @@ def _brute_force_rows(loss: Loss, eta: np.ndarray, ts: np.ndarray, limits) -> Se
     for t in limits:
         lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
         lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
-        # A missing limit rules the candidate out only where its partial
-        # has nonzero weight, as in conditional_risk.
-        ok = np.ones(n, dtype=bool)
-        if lim_pos is None:
-            ok &= eta == 0.0
-        if lim_neg is None:
-            ok &= eta == 1.0
-        v = _mix(eta, lim_pos or 0.0, lim_neg or 0.0)
-        wins = ok & (v <= best_v)
+        # A missing limit is NaN, which rules the candidate out only where
+        # its partial has nonzero weight, as in conditional_risk.
+        v = _mix(
+            eta, np.nan if lim_pos is None else lim_pos, np.nan if lim_neg is None else lim_neg
+        )
+        wins = v <= best_v
         best_t[wins], best_v[wins] = t, v[wins]
     return SearchResult(arg=best_t.reshape(shape), value=best_v.reshape(shape))
 

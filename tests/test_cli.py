@@ -180,6 +180,16 @@ class TestAlphaGamma:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_infinite_gamma_max_is_usage_error_without_warnings(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["alpha-gamma", "--gamma-min", "1", "--gamma-max", "inf",
+             "--points", "3", "--output", str(out)]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_identities_suite(self, capsys):
@@ -187,12 +197,18 @@ class TestVerify:
         assert code == 0
         summary = json.loads(out)
         assert summary["all_passed"]
-        assert summary["checks"][0]["failed"] == 0
+        assert summary["checks"] == [
+            {"name": "alpha_transform_identity", "passed": 315, "failed": 0}
+        ]
 
     def test_closed_forms_suite(self, capsys):
         code, out = run(capsys, "verify", "--suite", "closed_forms")
         assert code == 0
-        assert json.loads(out)["all_passed"]
+        summary = json.loads(out)
+        assert summary["all_passed"]
+        assert summary["checks"] == [
+            {"name": "closed_forms_vs_oracle", "passed": 84, "failed": 0}
+        ]
 
 
 class TestBound:
@@ -334,6 +350,35 @@ class TestExitCodeProperty:
     @example(
         ["curve", "--family=squared", "--gamma=1e200", "--alpha=0.5", "--quantities=C_star",
          "--grid=3", f"--output={os.devnull}"]
+    )
+    # The oracle path once printed numpy overflow warnings at gamma = 1e300,
+    # and alpha-gamma once warned on an infinite --gamma-max before exiting 2.
+    @example(
+        ["curve", "--family=squared", "--gamma=1e300", "--beta=1", "--alpha=0.5",
+         "--quantities=C_star", "--grid=3", f"--output={os.devnull}"]
+    )
+    @example(
+        ["curve", "--family=exponential", "--gamma=1e300", "--beta=2", "--alpha=0.5",
+         "--quantities=C_star", "--grid=3", f"--output={os.devnull}"]
+    )
+    @example(
+        ["alpha-gamma", "--gamma-min=1", "--gamma-max=inf", "--points=3",
+         f"--output={os.devnull}"]
+    )
+    # The exponential and sigmoid closed forms once overflowed at tiny posteriors.
+    @example(
+        ["curve", "--family=exponential", "--gamma=1e-300", "--alpha=1e-320",
+         "--quantities=H,C_star", "--grid=3", f"--output={os.devnull}"]
+    )
+    @example(
+        ["curve", "--family=sigmoid", "--gamma=2", "--alpha=1e-300",
+         "--quantities=H,C_star", "--grid=3", f"--output={os.devnull}"]
+    )
+    # A weighted loss whose negative weight alpha * beta underflows to 0
+    # once evaluated 0 * inf on the grid and wrote NaN with exit code 0.
+    @example(
+        ["curve", "--family=squared", "--gamma=1e+300", "--alpha=1e-320", "--weighted",
+         "--quantities=H", "--grid=3", f"--output={os.devnull}"]
     )
     def test_every_command_exits_0_2_or_3(self, argv):
         code, err = run_cli(argv)

@@ -88,6 +88,13 @@ class TestMakeUnevenLoss:
             assert loss.pos(t) == pytest.approx(0.5 * math.exp(-t), abs=1e-15)
             assert loss.neg(t) == pytest.approx(0.5 * math.exp(t), abs=1e-15)
 
+    def test_underflowing_negative_weight_is_rejected(self):
+        # 1e-320 * 1e-300 is 0.0: the negative partial would be 0, or NaN
+        # where phi overflows, instead of the weighted loss.
+        with pytest.raises(DomainError):
+            uneven("squared", gamma=1e300, alpha_weight=1e-320)
+        assert uneven("squared", gamma=1e300, alpha_weight=1e-5).neg.value_at_zero > 0.0
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     @pytest.mark.parametrize("gamma", [0.5, 2.0])
     def test_metadata_consistency(self, family, gamma):
@@ -355,6 +362,24 @@ class TestArrayClosedForms:
             expected = [fn(e) for e in ARRAY_ETAS.tolist()]
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("gamma,eta", [(1e-300, 1e-320), (0.01, 1e-320), (0.04, 5e-324)])
+    def test_exponential_past_the_float_range(self, gamma, eta):
+        # ratio ** (-1 / (1 + gamma)) overflows at these subnormal posteriors.
+        spec = UnevenMarginSpec("exponential", 1.0 / gamma, gamma)
+        mpmath = pytest.importorskip("mpmath")
+        value = no_warnings(spec.c_star, np.array([eta, 0.5]))[0]
+        with mpmath.workdps(50):
+            e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
+            ratio = e / (1 - e)
+            expected = e * ratio ** (-1 / (1 + g)) + (1 - e) / g * ratio ** (g / (1 + g))
+        assert value == pytest.approx(float(expected), rel=1e-12)
+
+    def test_sigmoid_c_star_at_tiny_posteriors(self):
+        # Below eta = 1e-150, C* rounds to eta; sigmoid_t_minus would overflow.
+        spec = UnevenMarginSpec("sigmoid", 0.5, 2.0)
+        etas = np.array([5e-324, 1e-320, 1e-300, 1e-200, 1e-150, 1e-100])
+        np.testing.assert_array_equal(no_warnings(spec.c_star, etas), etas)
+
     def test_sigmoid_t_minus_matches_float_path(self):
         etas = np.array([1e-12, 3e-9, 0.1, 1.0 / 3.0, ALPHA_SIGMOID_GAMMA2, 0.4999999])
         values = no_warnings(sigmoid_t_minus, etas)
@@ -394,6 +419,14 @@ class TestSigmoidCMinus:
             below = sigmoid_c_minus(self.COST, b - 1e-10)
             above = sigmoid_c_minus(self.COST, b + 1e-10)
             assert below == pytest.approx(above, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "eta", [0.2, 1.0 / 3.0, 0.35, ALPHA_SIGMOID_GAMMA2, 0.45, 0.5, 0.7]
+    )
+    def test_float_is_element_of_array_call(self, eta):
+        value = sigmoid_c_minus(self.COST, eta)
+        assert type(value) is float
+        assert value == sigmoid_c_minus(self.COST, np.array([eta]))[0]
 
     def test_tangency_at_calibrating_alpha(self):
         # At eta = alpha the local-minimum value meets the limit value.

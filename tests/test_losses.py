@@ -206,6 +206,21 @@ class TestHAlpha:
             loss = uneven(family, gamma=2.0, alpha_weight=0.3)
             assert h_alpha(loss, CostParam(0.3), 0.3) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
+    @pytest.mark.parametrize("kind", ["untagged", "tagged", "weighted"])
+    def test_exactly_zero_at_alpha_with_nothing_evaluated(self, family, kind):
+        # The constraint is vacuous at eta == alpha, so the gap is 0 by
+        # definition: a float call runs no search and no closed form there.
+        alpha = 0.3
+        loss = uneven(family, gamma=2.0, alpha_weight=alpha if kind == "weighted" else None)
+        loss, calls = counted(untagged(loss) if kind == "untagged" else loss)
+        cost = CostParam(alpha)
+        value = h_alpha(loss, cost, alpha)
+        assert value == 0.0 and isinstance(value, float)
+        assert calls == []
+        values = h_alpha(loss, cost, np.array([0.1, alpha, 0.9]))
+        assert values[1] == 0.0
+
     def test_nonnegative_on_grid(self):
         loss = uneven("squared", gamma=2.0, alpha_weight=0.4)
         cost = CostParam(0.4)

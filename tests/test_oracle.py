@@ -23,7 +23,9 @@ from costcal import (
     finite_diff_check,
     fuzz_bound,
     h_alpha,
+    nu_curve,
 )
+from costcal import oracle
 from costcal.families import UnevenMarginSpec
 
 from conftest import uneven, untagged
@@ -148,6 +150,21 @@ class TestBatchedSearch:
             batch = brute_force_min(loss, np.array([0.0]), "none")
         assert batch.arg[0] == pytest.approx(-1.0, abs=1e-6)
         assert batch.value[0] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("name", ["hinge", "exponential", "sigmoid-gamma3"])
+    def test_nu_curve_hands_the_batched_search_no_lone_row(self, monkeypatch, name):
+        # h_alpha is 0 at alpha by definition, so no posterior is searched
+        # alone there (a lone row costs the batched search about 10x the float one).
+        rows_seen = []
+        batched = oracle._golden_section_rows
+
+        def spy(f, a, b, tol=1e-10):
+            rows_seen.append(len(a))
+            return batched(f, a, b, tol)
+
+        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
+        nu_curve(SEARCHED[name], CostParam(0.3), 51)
+        assert rows_seen and min(rows_seen) > 1
 
     def test_array_shape_is_kept_and_domain_checked(self):
         loss = SEARCHED["hinge"]
