@@ -100,7 +100,12 @@ class ClosedForms(NamedTuple):
 
 # Per-family margin function phi, with value/derivative at 0 and limits.
 def _phi_hinge(t):
-    return np.maximum(0.0, 1.0 - t)
+    """max(0, 1 - t), for a float or an ndarray.  A float skips the ufunc's
+    per-call dispatch, which the float golden section would pay at every
+    step; the builtin ``max`` keeps NaN and gives ``np.maximum``'s bits."""
+    if isinstance(t, np.ndarray):
+        return np.maximum(0.0, 1.0 - t)
+    return max(1.0 - t, 0.0)
 
 
 def _phi_squared(t):
@@ -174,6 +179,13 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     return Loss(pos=pos, neg=neg, family=spec)
 
 
+#: Below this posterior the sigmoid's w = num / (2 eta) exceeds 1e150 and
+#: w * w may overflow.  There the root z of z^2 - w z + 1 is 1 / w to a
+#: relative 1 / w^2, so log z = log(2 eta) - log(num); and C*(eta) rounds
+#: to eta (the next term is -eta^2 / 2).
+_SIGMOID_TINY = 1e-150
+
+
 def _sigmoid_local_min(eta):
     """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
     minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
@@ -193,16 +205,28 @@ def sigmoid_t_minus(eta):
         xp, inside = math, 0.0 < eta < 0.5
     if not inside:
         raise DomainError(f"eta must lie in (0, 1/2), got {eta}")
-    w = ((1.0 - eta) + xp.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))) / (2.0 * eta)
-    # The smaller root of z^2 - w z + 1, written without cancellation:
-    # (w - sqrt(w^2 - 4)) / 2 loses every digit once w^2 swamps the 4.
-    z = 2.0 / (w + xp.sqrt(w * w - 4.0))
-    return xp.log(z)
+    num = (1.0 - eta) + xp.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))
+    if xp is math:
+        if eta < _SIGMOID_TINY:
+            return math.log(2.0 * eta) - math.log(num)
+        return _sigmoid_log_root(math, eta, num)
+    out = np.log(2.0 * eta) - np.log(num)
+    wide = eta >= _SIGMOID_TINY
+    out[wide] = _sigmoid_log_root(np, eta[wide], num[wide])
+    return out
+
+
+def _sigmoid_log_root(xp, eta, num):
+    """log z for the smaller root z of z^2 - w z + 1, w = num / (2 eta),
+    written without cancellation: (w - sqrt(w^2 - 4)) / 2 loses every
+    digit once w^2 swamps the 4."""
+    w = num / (2.0 * eta)
+    return xp.log(2.0 / (w + xp.sqrt(w * w - 4.0)))
 
 
 def _sigmoid_c_star(eta: float) -> float:
-    if eta == 0.0:
-        return 0.0
+    if eta < _SIGMOID_TINY:
+        return eta
     if eta < ALPHA_SIGMOID_GAMMA2:
         return _sigmoid_local_min(eta)
     return (1.0 - eta) / 2.0
@@ -243,9 +267,12 @@ def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
             return ClosedForms(math.inf, 0.0, 1.0)
         ratio = eta / (1.0 - eta)
         t_star = math.log(ratio) / (1.0 + gamma)
-        c_star = eta * ratio ** (-1.0 / (1.0 + gamma)) + (1.0 - eta) / gamma * ratio ** (
-            gamma / (1.0 + gamma)
-        )
+        try:
+            low = eta * ratio ** (-1.0 / (1.0 + gamma))
+        except OverflowError:
+            # As in _c_star_rows: a subnormal ratio with gamma below about 0.05.
+            low = eta ** (gamma / (1.0 + gamma)) * (1.0 - eta) ** (1.0 / (1.0 + gamma))
+        c_star = low + (1.0 - eta) / gamma * ratio ** (gamma / (1.0 + gamma))
         return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
     # sigmoid, gamma == 2
     if eta == 0.0:
@@ -284,10 +311,9 @@ def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
         low[far] = e[far] ** (gamma / (1.0 + gamma)) * (1.0 - e[far]) ** (1.0 / (1.0 + gamma))
         out[inner] = low + (1.0 - e) / gamma * ratio ** (gamma / (1.0 + gamma))
         return out
-    # sigmoid, gamma == 2.  Below eta = 1e-150, C* rounds to eta (the next term
-    # is -eta^2 / 2) and sigmoid_t_minus would overflow, so eta is kept there.
+    # sigmoid, gamma == 2; below _SIGMOID_TINY, C* rounds to eta.
     out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
-    inner = (eta >= 1e-150) & (eta < ALPHA_SIGMOID_GAMMA2)
+    inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
     out[inner] = _sigmoid_local_min(eta[inner])
     return out
 

@@ -194,7 +194,7 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
 
     lo = ts[max(i - 1, 0)]
     hi = ts[min(i + 1, len(ts) - 1)]
-    best_t, best_v = _golden_section(lambda t: conditional_risk(loss, eta, t), lo, hi)
+    best_t, best_v = _golden_section(_finite_risk(loss, eta), lo, hi)
     if risks[i] < best_v:
         best_t, best_v = float(ts[i]), float(risks[i])
 
@@ -208,6 +208,20 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
         if v <= best_v:
             best_t, best_v = t, v
     return SearchResult(arg=best_t, value=best_v)
+
+
+def _finite_risk(loss: Loss, eta: float):
+    """``conditional_risk(loss, eta, t)`` for a finite score t, with the same
+    arithmetic; ``eta`` is already checked and no limit is needed, so it
+    calls the partials' ``fn`` directly.  A partial of weight 0 is not
+    evaluated (0 * inf = 0)."""
+    pos, neg = loss.pos.fn, loss.neg.fn
+    if eta == 0.0:
+        return lambda t: float(neg(t))
+    if eta == 1.0:
+        return lambda t: float(pos(t))
+    w = 1.0 - eta
+    return lambda t: eta * float(pos(t)) + w * float(neg(t))
 
 
 #: Posterior rows per block of the grid pass.  A block's risk matrix is

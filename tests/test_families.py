@@ -30,12 +30,13 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
-from costcal.families import _phi_sigmoid
+from costcal.families import _phi_hinge, _phi_sigmoid
 from costcal.oracle import brute_force_min, finite_diff_check
 
 from conftest import counted, uneven
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
+SIGMOID_GAMMA2 = UnevenMarginSpec("sigmoid", 0.5, 2.0)
 
 
 def quartic_residual(eta: float, t: float) -> float:
@@ -249,17 +250,20 @@ class TestSigmoidTMinus:
         with pytest.raises(DomainError):
             sigmoid_t_minus(eta)
 
-    @pytest.mark.parametrize("eta", [3e-9, 1e-8])
+    @pytest.mark.parametrize("eta", [3e-9, 1e-8, 1e-300, 1e-320])
     def test_stationary_at_tiny_posteriors(self, eta):
         # The root z = e^t is about eta here; the textbook root formula
-        # cancels to nothing.  Evaluate the quartic exactly at the float z.
+        # cancels to nothing, and below 1e-150 w * w would overflow.
+        # Evaluate the quartic exactly at the float z, float and array path.
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            z = mpmath.exp(mpmath.mpf(sigmoid_t_minus(eta)))
-            e = mpmath.mpf(eta)
-            scale = e * (1 + z**2) ** 2
-            residual = scale - (1 - e) * z * (1 + z) ** 2
-            assert abs(residual / scale) <= 1e-12
+        row = no_warnings(sigmoid_t_minus, np.array([eta]))[0]
+        for t in (sigmoid_t_minus(eta), closed_forms(SIGMOID_GAMMA2, eta).t_star, row):
+            with mpmath.workdps(50):
+                z = mpmath.exp(mpmath.mpf(t))
+                e = mpmath.mpf(eta)
+                scale = e * (1 + z**2) ** 2
+                residual = scale - (1 - e) * z * (1 + z) ** 2
+                assert abs(residual / scale) <= 1e-12
 
 
 class TestAlphaOfGamma:
@@ -362,23 +366,43 @@ class TestArrayClosedForms:
             expected = [fn(e) for e in ARRAY_ETAS.tolist()]
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("gamma,eta", [(1e-300, 1e-320), (0.01, 1e-320), (0.04, 5e-324)])
+    @pytest.mark.parametrize(
+        "gamma,eta",
+        [(1e-300, 1e-320), (0.01, 1e-320), (0.04, 5e-324), (1e-300, 1e-300), (0.01, 1e-300)]
+        + [(1.0, 1e-300), (1.0, 1e-320), (4.0, 1e-300), (4.0, 1e-320)],
+    )
     def test_exponential_past_the_float_range(self, gamma, eta):
-        # ratio ** (-1 / (1 + gamma)) overflows at these subnormal posteriors.
+        # ratio ** (-1 / (1 + gamma)) overflows at subnormal posteriors and
+        # small gamma; the float path must take the same way round as the array.
         spec = UnevenMarginSpec("exponential", 1.0 / gamma, gamma)
         mpmath = pytest.importorskip("mpmath")
-        value = no_warnings(spec.c_star, np.array([eta, 0.5]))[0]
+        row = no_warnings(spec.c_star, np.array([eta, 0.5]))[0]
         with mpmath.workdps(50):
             e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
             ratio = e / (1 - e)
             expected = e * ratio ** (-1 / (1 + g)) + (1 - e) / g * ratio ** (g / (1 + g))
-        assert value == pytest.approx(float(expected), rel=1e-12)
+        for value in (row, spec.c_star(eta), closed_forms(spec, eta).c_star):
+            assert value == pytest.approx(float(expected), rel=1e-12)
 
     def test_sigmoid_c_star_at_tiny_posteriors(self):
-        # Below eta = 1e-150, C* rounds to eta; sigmoid_t_minus would overflow.
-        spec = UnevenMarginSpec("sigmoid", 0.5, 2.0)
+        # Below eta = 1e-150, C* rounds to eta (the next term is -eta^2 / 2),
+        # on the float path as on the array path.
+        loss, cost = make_uneven_loss(SIGMOID_GAMMA2), CostParam(ALPHA_SIGMOID_GAMMA2)
         etas = np.array([5e-324, 1e-320, 1e-300, 1e-200, 1e-150, 1e-100])
-        np.testing.assert_array_equal(no_warnings(spec.c_star, etas), etas)
+        np.testing.assert_array_equal(no_warnings(SIGMOID_GAMMA2.c_star, etas), etas)
+        gaps = no_warnings(h_alpha, loss, cost, etas)
+        for eta, gap in zip(etas.tolist(), gaps.tolist()):
+            assert SIGMOID_GAMMA2.c_star(eta) == closed_forms(SIGMOID_GAMMA2, eta).c_star == eta
+            assert h_alpha(loss, cost, eta) == gap
+
+    @pytest.mark.parametrize("eta", [1e-300, 1e-320])
+    def test_sigmoid_c_star_at_tiny_posteriors_by_mpmath(self, eta):
+        # The risk at the local minimizer, in 50 digits, rounds to eta.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            z = mpmath.exp(mpmath.mpf(sigmoid_t_minus(eta)))
+            e = mpmath.mpf(eta)
+            assert float(e / (1 + z) + (1 - e) / 2 * z**2 / (1 + z**2)) == eta
 
     def test_sigmoid_t_minus_matches_float_path(self):
         etas = np.array([1e-12, 3e-9, 0.1, 1.0 / 3.0, ALPHA_SIGMOID_GAMMA2, 0.4999999])
@@ -569,3 +593,18 @@ class TestLogistic:
             assert scalar == 0.0 and 0.0 <= row < 6e-309
         else:
             assert scalar == row == 1.0
+
+
+class TestHinge:
+    """The hinge family's phi(t) = max(0, 1 - t): the float path skips the ufunc."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False))
+    def test_float_path_is_the_array_path(self, t):
+        row = _phi_hinge(np.array([t]))[0]
+        for scalar in (_phi_hinge(t), _phi_hinge(np.float64(t))):
+            assert float(scalar).hex() == float(row).hex()
+
+    def test_float_path_keeps_nan(self):
+        assert math.isnan(_phi_hinge(math.nan))
+        assert math.isnan(_phi_hinge(np.float64("nan")))

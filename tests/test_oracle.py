@@ -16,9 +16,11 @@ from costcal import (
     FiniteDistribution,
     Loss,
     PartialLoss,
+    UnsupportedLimitError,
     brute_force_min,
     check_calibrated_numeric,
     closed_forms,
+    conditional_risk,
     empirical_regrets,
     finite_diff_check,
     fuzz_bound,
@@ -28,7 +30,7 @@ from costcal import (
 from costcal import oracle
 from costcal.families import UnevenMarginSpec
 
-from conftest import uneven, untagged
+from conftest import counted, uneven, untagged
 
 CONSTRAINTS = ("none", "nonpositive_scores", "nonnegative_scores")
 #: Untagged family members, so every optimum comes from the search.
@@ -39,6 +41,30 @@ SEARCHED = {
     "sigmoid": untagged(uneven("sigmoid", gamma=2.0)),
     "sigmoid-gamma3": untagged(uneven("sigmoid", gamma=3.0)),
 }
+
+_DECREASING = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
+#: L1 declares no limit at +inf.
+UNDECLARED_LIMIT = Loss(
+    pos=PartialLoss(**_DECREASING, limit_neg_inf=math.inf),
+    neg=PartialLoss(**_DECREASING, limit_neg_inf=math.inf, limit_pos_inf=0.0),
+)
+#: L1 is +inf on every negative score.
+INFINITE_ON_NEGATIVES = Loss(
+    pos=PartialLoss(
+        fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
+        value_at_zero=1.0,
+        is_convex=True,
+        limit_neg_inf=math.inf,
+        limit_pos_inf=0.0,
+    ),
+    neg=PartialLoss(
+        fn=lambda t: (1.0 + t) ** 2,
+        value_at_zero=1.0,
+        is_convex=True,
+        limit_neg_inf=math.inf,
+        limit_pos_inf=math.inf,
+    ),
+)
 
 
 def assert_batch_matches_scalar(loss, etas, constraint):
@@ -89,6 +115,79 @@ class TestBruteForceMin:
             brute_force_min(loss, -0.1, "none")
 
 
+@np.errstate(over="ignore")
+def loop_search(loss, eta, constraint):
+    """The float search with its golden section on ``conditional_risk``
+    itself, a step at a time: the reference for ``brute_force_min``."""
+    ts, limits = oracle._SEARCH[constraint]
+    pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
+    if eta == 0.0:
+        risks = neg_vals
+    elif eta == 1.0:
+        risks = pos_vals
+    else:
+        risks = eta * pos_vals + (1.0 - eta) * neg_vals
+    i = int(np.argmin(risks))
+    lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    best_t, best_v = oracle._golden_section(lambda t: conditional_risk(loss, eta, t), lo, hi)
+    if risks[i] < best_v:
+        best_t, best_v = float(ts[i]), float(risks[i])
+    for t in limits:
+        try:
+            v = conditional_risk(loss, eta, t)
+        except UnsupportedLimitError:
+            continue
+        if v <= best_v:
+            best_t, best_v = t, v
+    return best_t, best_v
+
+
+def bits(*values):
+    return tuple(float(v).hex() for v in values)
+
+
+def reference_losses(family):
+    """The family untagged: calibrated (beta = 1/gamma), weighted, and beta = 2."""
+    return [
+        untagged(uneven(family, gamma, beta, alpha_weight))
+        for gamma in (0.25, 1.0, 4.0, 1e300)
+        for beta, alpha_weight in ((None, None), (None, 0.3), (2.0, None))
+    ]
+
+
+REFERENCE_ETAS = [0.0, 1.0, 1e-12, 1.0 - 1e-12, 0.3, ALPHA_SIGMOID_GAMMA2]
+REFERENCE_ETAS += np.linspace(0.0, 1.0, 21).tolist()
+
+
+class TestFloatSearchReference:
+    """The float search calls the partials itself in its golden section;
+    results and partial evaluations are bit-equal to ``loop_search``."""
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
+    def test_families(self, family, constraint):
+        for loss in reference_losses(family):
+            for eta in REFERENCE_ETAS:
+                result = brute_force_min(loss, eta, constraint)
+                assert bits(*result) == bits(*loop_search(loss, eta, constraint)), eta
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("loss", [UNDECLARED_LIMIT, INFINITE_ON_NEGATIVES])
+    def test_hand_built_losses(self, loss, constraint):
+        for eta in REFERENCE_ETAS:
+            result = brute_force_min(loss, eta, constraint)
+            assert bits(*result) == bits(*loop_search(loss, eta, constraint)), eta
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    def test_same_partial_evaluations(self, eta):
+        loss, scores = counted(SEARCHED["sigmoid-gamma3"])
+        brute_force_min(loss, eta)
+        searched = [bits(*np.ravel(t)) for t in scores]
+        scores.clear()
+        loop_search(loss, eta, "none")
+        assert searched == [bits(*np.ravel(t)) for t in scores]
+
+
 class TestBatchedSearch:
     """An ndarray of posteriors against the float search, one by one."""
 
@@ -114,11 +213,7 @@ class TestBatchedSearch:
     def test_undeclared_limit_counts_only_under_weight(self):
         # L1 declares no limit at +inf, so that candidate is out wherever L1
         # has weight; at eta = 0 the limit 0 of L-1 alone wins there.
-        decreasing = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
-        loss = Loss(
-            pos=PartialLoss(**decreasing, limit_neg_inf=math.inf),
-            neg=PartialLoss(**decreasing, limit_neg_inf=math.inf, limit_pos_inf=0.0),
-        )
+        loss = UNDECLARED_LIMIT
         for constraint in CONSTRAINTS:
             assert_batch_matches_scalar(loss, [0.0, 1.0], constraint)
         batch = brute_force_min(loss, np.array([0.0, 1.0]), "none")
@@ -128,22 +223,7 @@ class TestBatchedSearch:
     def test_infinite_partial_under_zero_weight_contributes_nothing(self):
         # L1 is +inf on every negative score; at eta = 0 it has weight 0,
         # so the optimum is L-1's minimum at t = -1 (0 * inf = 0).
-        loss = Loss(
-            pos=PartialLoss(
-                fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
-                value_at_zero=1.0,
-                is_convex=True,
-                limit_neg_inf=math.inf,
-                limit_pos_inf=0.0,
-            ),
-            neg=PartialLoss(
-                fn=lambda t: (1.0 + t) ** 2,
-                value_at_zero=1.0,
-                is_convex=True,
-                limit_neg_inf=math.inf,
-                limit_pos_inf=math.inf,
-            ),
-        )
+        loss = INFINITE_ON_NEGATIVES
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_batch_matches_scalar(loss, [0.0, 0.5, 1.0], "none")
