@@ -1,11 +1,12 @@
-"""Calibration verdicts and calibration functions.
+"""Calibration verdicts, calibration functions, and regret bounds.
 
 A loss is calibrated at cost asymmetry alpha when the calibration gap is
 strictly positive away from the threshold posterior.  For convex partial
 losses this reduces to three derivative conditions at the origin;
 otherwise a grid scan of the gap gives a numeric (non-proof) verdict.
 The calibration functions translate a target cost-regret precision into
-the surrogate precision that guarantees it.
+the surrogate precision that guarantees it; the regret bound, gated by
+the verdict, inverts the envelope of the gap curve.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_GRID, SampledCurve, _knots, nu_curve
-from .errors import DomainError, PreconditionError
-from .losses import DERIVATIVE_TOL, CostParam, Loss, derivative_test, h_alpha
+from .curves import DEFAULT_GRID, biconjugate, envelope_invert, nu_curve
+from .errors import DomainError, PreconditionError, VacuousBoundError
+from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test, h_alpha
 
 __all__ = [
     "CalibrationReport",
@@ -26,7 +27,7 @@ __all__ = [
     "check_calibrated_numeric",
     "calibration_fn",
     "uniform_calibration_fn",
-    "mu_curve",
+    "regret_bound",
 ]
 
 DEFAULT_GRID_SIZE = 1001
@@ -96,33 +97,34 @@ def check_calibrated_numeric(
     alpha = cost.alpha
     radius = 1.0 / (2.0 * grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
-    values = _gaps(loss, cost, grid[np.abs(grid - alpha) > radius])
+    etas = grid[np.abs(grid - alpha) > radius]
+    gaps = h_alpha(loss, cost, etas)
 
     witnesses = ()
-    bad = [(e, v) for e, v in values if v <= tolerance]
-    if bad:
+    bad = etas[gaps <= tolerance]
+    if bad.size:
         # One refinement pass; coarse near-zero values may not survive it.
         step = 1.0 / (grid_size - 1)
-        near = np.concatenate(
-            [np.linspace(max(e - step, 0.0), min(e + step, 1.0), 21) for e, _ in bad]
-        )
-        refined = _gaps(loss, cost, near[np.abs(near - alpha) > radius / 10.0])
-        witnesses = tuple(
-            sorted((ev for ev in refined if ev[1] <= tolerance), key=lambda ev: ev[1])
-        )
+        near = np.linspace(np.maximum(bad - step, 0.0), np.minimum(bad + step, 1.0), 21, axis=1)
+        near = near[np.abs(near - alpha) > radius / 10.0]
+        refined = h_alpha(loss, cost, near)
+        low = refined <= tolerance
+        near, refined = near[low], refined[low]
+        order = np.argsort(refined, kind="stable")
+        witnesses = tuple(zip(near[order].tolist(), refined[order].tolist()))
+    verdict = "not_calibrated" if witnesses else "calibrated"
+    if not witnesses:
+        # min()'s pick: the first least gap, where a NaN in first place stays.
+        i = 0 if np.isnan(gaps[0]) else int(np.nanargmin(gaps))
+        witnesses = ((etas[i].item(), gaps[i].item()),)
     return CalibrationReport(
-        verdict="not_calibrated" if witnesses else "calibrated",
+        verdict=verdict,
         method="numeric_grid",
         alpha=alpha,
-        witnesses=witnesses[:5] if witnesses else (min(values, key=lambda ev: ev[1]),),
+        witnesses=witnesses[:5],
         tolerance=tolerance,
         grid_size=grid_size,
     )
-
-
-def _gaps(loss: Loss, cost: CostParam, etas: np.ndarray) -> list[tuple[float, float]]:
-    """(eta, H(eta)) pairs from one batched gap evaluation."""
-    return list(zip(etas.tolist(), h_alpha(loss, cost, etas).tolist()))
 
 
 def _check_continuity(loss: Loss) -> None:
@@ -136,39 +138,44 @@ def calibration_fn(loss: Loss, cost: CostParam, eps: float, eta: float) -> float
     _check_continuity(loss)
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    _check_eta(eta)
     if eps > abs(eta - cost.alpha):
         return math.inf
     return h_alpha(loss, cost, eta)
 
 
 def uniform_calibration_fn(
-    loss: Loss, cost: CostParam, eps: float, grid_size: int | None = None
+    loss: Loss, cost: CostParam, eps: float, grid_size: int = DEFAULT_GRID
 ) -> float:
     """Uniform (posterior-independent) calibration function.
 
-    Infinite above B = max(alpha, 1 - alpha); below, the suffix infimum
-    of nu over [eps, B], sampled with eps as an exact knot.
+    Infinite above B = max(alpha, 1 - alpha); below, mu(eps): the
+    infimum of nu over [eps, B], sampled with eps as an exact knot.
     """
     _check_continuity(loss)
     if eps <= 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     if eps > cost.b_max:
         return math.inf
-    nu = nu_curve(loss, cost, grid_size or DEFAULT_GRID, extra_knots=(eps,))
-    mu = mu_curve(nu)
-    return min(k.value for k in mu.knots if k.eps == eps)
+    nu = nu_curve(loss, cost, grid_size, extra_knots=(eps,))
+    return min(k.value for k in nu.knots if k.eps >= eps)
 
 
-def mu_curve(nu: SampledCurve) -> SampledCurve:
-    """Suffix-infimum transform: mu(eps) = inf of nu over [eps, B].
+def regret_bound(
+    loss: Loss, cost: CostParam, surrogate_regret: float, grid_size: int = DEFAULT_GRID
+) -> float:
+    """Upper bound on the cost-sensitive regret given a surrogate regret.
 
-    Nondecreasing by construction; knot locations and sides are kept.
+    Raises VacuousBoundError when the loss is not calibrated at this
+    cost parameter (the transfer function is then not invertible).
     """
-    if not nu.knots:
-        raise DomainError("empty curve")
-    eps, values, sides = zip(*nu.knots)
-    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
-    knots = _knots(zip(eps, suffix_min.tolist(), sides))
-    return SampledCurve(domain_max=nu.domain_max, knots=tuple(knots))
+    if not 0.0 <= surrogate_regret < math.inf:
+        raise DomainError(
+            f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
+        )
+    if check_calibrated(loss, cost).verdict != "calibrated":
+        raise VacuousBoundError(
+            f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"
+        )
+    env = biconjugate(nu_curve(loss, cost, grid_size))
+    return envelope_invert(env, surrogate_regret)

@@ -16,8 +16,8 @@ import sys
 
 import numpy as np
 
-from .calibration import check_calibrated, mu_curve
-from .curves import biconjugate, nu_curve, regret_bound
+from .calibration import check_calibrated, regret_bound
+from .curves import biconjugate, mu_curve, nu_curve
 from .errors import CostcalError, DomainError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import (

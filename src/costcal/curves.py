@@ -1,23 +1,22 @@
-"""Sampled gap curves, their lower convex envelopes, and regret bounds.
+"""Sampled gap curves and their lower convex envelopes.
 
 The curve nu(eps) records the smallest calibration gap among posteriors
-at distance eps from the cost threshold.  Its lower convex envelope (the
-Fenchel-Legendre biconjugate, computed here as a lower convex hull of
-sampled knots) is the transfer function psi of the surrogate regret
-bound; inverting psi converts a surrogate regret into a cost-regret
-bound.
+at distance eps from the cost threshold; mu is its suffix infimum.  The
+lower convex envelope of nu (the Fenchel-Legendre biconjugate, computed
+here as a lower convex hull of sampled knots) is the transfer function
+psi of the surrogate regret bound; inverting psi converts a surrogate
+regret into a cost-regret bound (``calibration.regret_bound``).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, VacuousBoundError
+from .errors import DomainError
 from .losses import CostParam, Loss, h_alpha
 
 __all__ = [
@@ -25,11 +24,11 @@ __all__ = [
     "SampledCurve",
     "ConvexEnvelope",
     "nu_curve",
+    "mu_curve",
     "jump_at_bmin",
     "biconjugate",
     "envelope_eval",
     "envelope_invert",
-    "regret_bound",
     "psi_costinsensitive",
 ]
 
@@ -108,6 +107,19 @@ def nu_curve(
     return SampledCurve(domain_max=big, knots=tuple(knots))
 
 
+def mu_curve(nu: SampledCurve) -> SampledCurve:
+    """Suffix-infimum transform: mu(eps) = inf of nu over [eps, B].
+
+    Nondecreasing by construction; knot locations and sides are kept.
+    """
+    if not nu.knots:
+        raise DomainError("empty curve")
+    eps, values, sides = zip(*nu.knots)
+    suffix_min = np.minimum.accumulate(values[::-1])[::-1]
+    knots = _knots(zip(eps, suffix_min.tolist(), sides))
+    return SampledCurve(domain_max=nu.domain_max, knots=tuple(knots))
+
+
 def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, float]:
     """Detect a jump at the curve's left/right-valued knot."""
     for first, second in zip(curve.knots, curve.knots[1:]):
@@ -166,31 +178,6 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     i = int(np.searchsorted(ys, y, side="right")) - 1
     slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
     return float(xs[i] + (y - ys[i]) / slope)
-
-
-def regret_bound(
-    loss: Loss,
-    cost: CostParam,
-    surrogate_regret: float,
-    grid_size: int = DEFAULT_GRID,
-) -> float:
-    """Upper bound on the cost-sensitive regret given a surrogate regret.
-
-    Raises VacuousBoundError when the loss is not calibrated at this
-    cost parameter (the transfer function is then not invertible).
-    """
-    if not 0.0 <= surrogate_regret < math.inf:
-        raise DomainError(
-            f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
-        )
-    from .calibration import check_calibrated
-
-    if check_calibrated(loss, cost).verdict != "calibrated":
-        raise VacuousBoundError(
-            f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"
-        )
-    env = biconjugate(nu_curve(loss, cost, grid_size))
-    return envelope_invert(env, surrogate_regret)
 
 
 def psi_costinsensitive(loss: Loss, eps: float, grid_size: int = DEFAULT_GRID) -> float:

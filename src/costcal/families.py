@@ -251,6 +251,8 @@ def _squared_scale(gamma: float) -> float:
 
 
 def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
+    # A numpy scalar would bring numpy's overflow rules onto this float path.
+    gamma, eta = float(gamma), float(eta)
     if family == "hinge":
         t_star = -1.0 / gamma if eta <= 0.5 else 1.0
         c_star = (1.0 + gamma) / gamma * min(eta, 1.0 - eta)
@@ -382,6 +384,7 @@ def alpha_of_gamma(gamma: float) -> float:
     """
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    gamma = float(gamma)  # a numpy scalar would overflow past 143 instead of raising
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)
     if gamma < 1.0:

@@ -42,6 +42,8 @@ _HALF_GRID = np.logspace(-6.0, math.log10(50.0), 400)
 _GRID = np.concatenate([-_HALF_GRID[::-1], [0.0], _HALF_GRID])
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: The golden section stops once its bracket is no wider than this.
+_GOLDEN_TOL = 1e-10
 
 #: Per constraint: the admissible grid scores, and the admissible infinite
 #: scores in the order they compete.
@@ -113,13 +115,13 @@ def _mix(w: np.ndarray, pos, neg, out=None) -> np.ndarray:
     return risks
 
 
-def _golden_section(f, a: float, b: float, tol: float = 1e-10):
+def _golden_section(f, a: float, b: float):
     """Minimize a unimodal f on [a, b]; returns (arg, value)."""
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
     yc, yd = f(c), f(d)
-    while h > tol:
+    while h > _GOLDEN_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
@@ -134,10 +136,10 @@ def _golden_section(f, a: float, b: float, tol: float = 1e-10):
     return x, min(yc, yd)
 
 
-def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
+def _golden_section_rows(f, a: np.ndarray, b: np.ndarray):
     """``_golden_section`` on every row at once; ``f(rows, t)`` evaluates the
     rows' objectives at one score each.  Each row follows the scalar
-    iteration exactly and stops at its own ``tol``."""
+    iteration exactly and stops once its own bracket is within ``_GOLDEN_TOL``."""
     a, b = a.copy(), b.copy()
     h = b - a
     c = b - _INV_PHI * h
@@ -156,7 +158,7 @@ def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, tol: float = 1e-10):
         a[rows], b[rows], c[rows], d[rows] = lo, hi, new_c, new_d
         yc[rows] = np.where(left, y_new, kept)
         yd[rows] = np.where(left, kept, y_new)
-        rows = rows[hr > tol]
+        rows = rows[hr > _GOLDEN_TOL]
     return np.where(yc < yd, c, d), np.where(yd < yc, yd, yc)
 
 

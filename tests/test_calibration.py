@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from costcal import calibration
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     CostParam,
@@ -174,6 +175,11 @@ class TestCalibrationFn:
         with pytest.raises(DomainError):
             calibration_fn(self.LOSS, self.COST, 0.0, 0.5)
 
+    @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
+    def test_rejects_eta_outside_unit_interval(self, eta):
+        with pytest.raises(DomainError, match=r"eta must lie in \[0, 1\]"):
+            calibration_fn(self.LOSS, self.COST, 0.1, eta)
+
     def test_discontinuous_partials_refused(self):
         loss = cost_sensitive_loss(0.3)
         with pytest.raises(PreconditionError):
@@ -200,6 +206,42 @@ class TestUniformCalibrationFn:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             uniform_calibration_fn(self.LOSS, self.COST, -0.1)
+
+    @pytest.mark.parametrize("grid_size", [0, 1, 2])
+    def test_rejects_grids_below_three(self, grid_size):
+        with pytest.raises(DomainError):
+            uniform_calibration_fn(self.LOSS, self.COST, 0.2, grid_size)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45])
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    def test_reads_mu_off_nu(self, family, eps):
+        # mu(eps) from the suffix-infimum curve, at the knots placed at eps.
+        loss, cost = uneven(family, gamma=2.0, beta=1.0), CostParam(0.3)
+        mu = mu_curve(nu_curve(loss, cost, 201, extra_knots=(eps,)))
+        expected = min(k.value for k in mu.knots if k.eps == eps)
+        assert uniform_calibration_fn(loss, cost, eps, 201) == expected
+
+
+class TestNumericFallbackWitness:
+    """A calibrated numeric verdict reports the least coarse gap the way
+    min() finds it: the first least value, where NaN never compares less."""
+
+    @pytest.mark.parametrize("nan_at", [None, 0, 1, 3])
+    def test_first_least_gap_as_min_picks_it(self, monkeypatch, nan_at):
+        def gaps(loss, cost, etas):
+            values = 1.0 + (etas - 0.5) ** 2
+            values[np.argmin(values) + 2] = values.min()  # a tie after the minimum
+            if nan_at is not None:
+                values[nan_at] = math.nan
+            return values
+
+        monkeypatch.setattr(calibration, "h_alpha", gaps)
+        report = check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
+        etas = [e for e in np.linspace(0.0, 1.0, 11).tolist() if abs(e - 0.3) > 1.0 / 22.0]
+        expected = min(zip(etas, gaps(None, None, np.array(etas)).tolist()), key=lambda ev: ev[1])
+        assert report.verdict == "calibrated"
+        assert repr(report.witnesses) == repr((expected,))  # NaN != NaN
+        assert [type(x) for x in report.witnesses[0]] == [float, float]
 
 
 class TestCheckCalibrated:

@@ -1,12 +1,15 @@
 """Gap curves, lower convex envelopes, and the regret-bound transfer."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import costcal
 from costcal import (
     ConvexEnvelope,
     CostParam,
@@ -298,3 +301,35 @@ class TestInvertibilityMatchesCalibration:
                 b > a for a, b in zip(ys, ys[1:])
             )
             assert strictly_increasing == (verdict == "calibrated")
+
+
+def module_trees() -> dict[str, ast.Module]:
+    """The parsed source of every module of the package, by module name."""
+    package = Path(costcal.__file__).parent
+    return {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+
+class TestLayering:
+    """curves sits below calibration: it owns the knot format, and
+    calibration owns the answers the verdict gates."""
+
+    def test_curves_imports_nothing_from_calibration(self):
+        imported = set()
+        for node in ast.walk(module_trees()["curves"]):  # function-local imports too
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rpartition(".")[2])
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert "calibration" not in imported
+
+    def test_only_curves_names_the_knot_builder(self):
+        naming = {
+            module
+            for module, tree in module_trees().items()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == "_knots")
+            or (isinstance(node, ast.alias) and node.name == "_knots")
+            or (isinstance(node, ast.Attribute) and node.attr == "_knots")
+        }
+        assert naming == {"curves"}

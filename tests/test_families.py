@@ -285,14 +285,26 @@ class TestAlphaOfGamma:
         alphas = [alpha_of_gamma(float(g)) for g in gammas]
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
-    def test_domain(self):
+    # A numpy scalar (what iterating an ndarray yields) must behave as the
+    # float: numpy's overflow rules would warn at 143 and pass 150.
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_domain(self, scalar):
         with pytest.raises(DomainError):
-            alpha_of_gamma(0.0)
+            alpha_of_gamma(scalar(0.0))
 
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 150.0, 1e300, 1e-300])
-    def test_rejects_gammas_the_bisection_cannot_handle(self, gamma):
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 150.0, 1000.0, 1e300, 1e-300])
+    def test_rejects_gammas_the_bisection_cannot_handle(self, gamma, scalar):
         with pytest.raises(DomainError):
-            alpha_of_gamma(gamma)
+            alpha_of_gamma(scalar(gamma))
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("gamma", [143.0, 1.0 / 143.0])
+    def test_edge_of_the_supported_range(self, gamma, scalar):
+        alpha = alpha_of_gamma(scalar(gamma))
+        assert type(alpha) is float
+        assert alpha == alpha_of_gamma(gamma)
+        assert alpha == pytest.approx(0.013482772326302649 if gamma > 1.0 else 0.9865172276736974)
 
     def test_near_one_sign_monotone_and_symmetric(self):
         offsets = [1e-15, 1e-13, 1e-12, 1e-11, 1e-9]
@@ -366,32 +378,41 @@ class TestArrayClosedForms:
             expected = [fn(e) for e in ARRAY_ETAS.tolist()]
             np.testing.assert_allclose(values, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize(
         "gamma,eta",
         [(1e-300, 1e-320), (0.01, 1e-320), (0.04, 5e-324), (1e-300, 1e-300), (0.01, 1e-300)]
         + [(1.0, 1e-300), (1.0, 1e-320), (4.0, 1e-300), (4.0, 1e-320)],
     )
-    def test_exponential_past_the_float_range(self, gamma, eta):
+    def test_exponential_past_the_float_range(self, gamma, eta, scalar):
         # ratio ** (-1 / (1 + gamma)) overflows at subnormal posteriors and
-        # small gamma; the float path must take the same way round as the array.
+        # small gamma; the float path must take the same way round as the
+        # array, for a numpy scalar (what iterating an ndarray yields) too.
         spec = UnevenMarginSpec("exponential", 1.0 / gamma, gamma)
+        loss = make_uneven_loss(spec)
         mpmath = pytest.importorskip("mpmath")
         row = no_warnings(spec.c_star, np.array([eta, 0.5]))[0]
         with mpmath.workdps(50):
             e, g = mpmath.mpf(eta), mpmath.mpf(gamma)
             ratio = e / (1 - e)
             expected = e * ratio ** (-1 / (1 + g)) + (1 - e) / g * ratio ** (g / (1 + g))
-        for value in (row, spec.c_star(eta), closed_forms(spec, eta).c_star):
+        eta = scalar(eta)
+        closed = closed_forms(spec, eta)
+        for value in (row, spec.c_star(eta), closed.c_star, optimal_conditional_risk(loss, eta)):
             assert value == pytest.approx(float(expected), rel=1e-12)
+        assert closed == closed_forms(spec, float(eta))
+        cost = CostParam(0.5)  # where beta = 1/gamma is calibrated
+        assert h_alpha(loss, cost, eta) == h_alpha(loss, cost, float(eta))
 
-    def test_sigmoid_c_star_at_tiny_posteriors(self):
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    def test_sigmoid_c_star_at_tiny_posteriors(self, scalar):
         # Below eta = 1e-150, C* rounds to eta (the next term is -eta^2 / 2),
-        # on the float path as on the array path.
+        # on the float path (a numpy scalar included) as on the array path.
         loss, cost = make_uneven_loss(SIGMOID_GAMMA2), CostParam(ALPHA_SIGMOID_GAMMA2)
         etas = np.array([5e-324, 1e-320, 1e-300, 1e-200, 1e-150, 1e-100])
         np.testing.assert_array_equal(no_warnings(SIGMOID_GAMMA2.c_star, etas), etas)
         gaps = no_warnings(h_alpha, loss, cost, etas)
-        for eta, gap in zip(etas.tolist(), gaps.tolist()):
+        for eta, gap in zip(map(scalar, etas.tolist()), gaps.tolist()):
             assert SIGMOID_GAMMA2.c_star(eta) == closed_forms(SIGMOID_GAMMA2, eta).c_star == eta
             assert h_alpha(loss, cost, eta) == gap
 

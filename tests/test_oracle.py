@@ -238,9 +238,9 @@ class TestBatchedSearch:
         rows_seen = []
         batched = oracle._golden_section_rows
 
-        def spy(f, a, b, tol=1e-10):
+        def spy(f, a, b):
             rows_seen.append(len(a))
-            return batched(f, a, b, tol)
+            return batched(f, a, b)
 
         monkeypatch.setattr(oracle, "_golden_section_rows", spy)
         nu_curve(SEARCHED[name], CostParam(0.3), 51)
