@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -38,8 +39,18 @@ EXIT_NEGATIVE = 3
 QUANTITIES = ("H", "nu", "mu", "psi", "C_star", "C_minus")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+class _Formatted(dict):
+    """The ``.17g`` string of each float, formatted on first lookup only.
+
+    Zeros are never stored: -0.0 and 0.0 are equal keys, but they format
+    as ``-0`` and ``0``.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = format(x, ".17g")
+        if x:
+            self[x] = text
+        return text
 
 
 def _build_loss(args) -> tuple[Loss, CostParam]:
@@ -63,29 +74,42 @@ def cmd_check(args) -> int:
     return EXIT_OK if report.verdict == "calibrated" else EXIT_NEGATIVE
 
 
-def _curve_rows(loss: Loss, cost: CostParam, quantities: list[str], grid: int):
-    rows: list[tuple[str, float, float, str]] = []
+def _curve_columns(loss: Loss, cost: CostParam, quantities: list[str], grid: int) -> dict:
+    """Per quantity, its (xs, values, sides) columns in x order, a left
+    knot before the right one at the same x."""
+    columns = {}
     if any(q in quantities for q in ("H", "C_star", "C_minus")):
         etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
-        columns = []
+        xs, both = etas.tolist(), ("both",) * len(etas)
         if "H" in quantities:
-            columns.append(("H", h_alpha(loss, cost, etas)))
+            columns["H"] = (xs, h_alpha(loss, cost, etas).tolist(), both)
         if "C_star" in quantities:
-            columns.append(("C_star", optimal_conditional_risk(loss, etas)))
+            columns["C_star"] = (xs, optimal_conditional_risk(loss, etas).tolist(), both)
         if "C_minus" in quantities:
-            columns.append(("C_minus", constrained_optimal_risk(loss, cost, etas)))
-        for q, values in columns:
-            rows.extend((q, x, v, "both") for x, v in zip(etas.tolist(), values.tolist()))
+            values = constrained_optimal_risk(loss, cost, etas).tolist()
+            columns["C_minus"] = (xs, values, both)
     if any(q in quantities for q in ("nu", "mu", "psi")):
         nu = nu_curve(loss, cost, grid)
         if "nu" in quantities:
-            rows.extend(("nu", k.eps, k.value, k.side) for k in nu.knots)
+            columns["nu"] = tuple(zip(*nu.knots))
         if "mu" in quantities:
-            rows.extend(("mu", k.eps, k.value, k.side) for k in mu_curve(nu).knots)
+            columns["mu"] = tuple(zip(*mu_curve(nu).knots))
         if "psi" in quantities:
-            rows.extend(("psi", x, v, "both") for x, v in biconjugate(nu).hull_knots)
-    rows.sort(key=lambda r: (r[0], r[1], r[3] != "left"))
-    return rows
+            hull = biconjugate(nu).hull_knots
+            columns["psi"] = (*zip(*hull), ("both",) * len(hull))
+    return columns
+
+
+def _curve_csv(columns: dict) -> str:
+    """The CSV text: rows by quantity name, then x, a left knot before its
+    right one.  Each column is already in that order, so only the names
+    are sorted."""
+    fmt = _Formatted()
+    lines = ["x,quantity,value,side\n"]
+    for q in sorted(columns):
+        xs, values, sides = columns[q]
+        lines += [f"{fmt[x]},{q},{fmt[v]},{side}\n" for x, v, side in zip(xs, values, sides)]
+    return "".join(lines)
 
 
 def cmd_curve(args) -> int:
@@ -98,11 +122,9 @@ def cmd_curve(args) -> int:
         raise CostcalError("at least one quantity is required")
     if args.grid < 3:
         raise DomainError(f"grid_size must be >= 3, got {args.grid}")
-    rows = _curve_rows(loss, cost, quantities, args.grid)
+    text = _curve_csv(_curve_columns(loss, cost, quantities, args.grid))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,quantity,value,side\n")
-        for quantity, x, value, side in rows:
-            fh.write(f"{_fmt(x)},{quantity},{_fmt(value)},{side}\n")
+        fh.write(text)
     return EXIT_OK
 
 
@@ -116,7 +138,8 @@ def cmd_alpha_gamma(args) -> int:
     if args.gamma_min <= 1.0 <= args.gamma_max:
         gammas = np.union1d(gammas, [1.0])
     # Every row is computed before the file opens, so bad input leaves no file.
-    rows = [f"{_fmt(g)},{_fmt(math.log(g))},{_fmt(alpha_of_gamma(g))}\n" for g in gammas.tolist()]
+    fmt = _Formatted()
+    rows = [f"{fmt[g]},{fmt[math.log(g)]},{fmt[alpha_of_gamma(g)]}\n" for g in gammas.tolist()]
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("gamma,ln_gamma,alpha\n")
         fh.writelines(rows)
@@ -189,7 +212,11 @@ def _add_loss_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one (building takes about ten times as long as one
+    ``parse_args``), so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="costcal",
         description="Calibration diagnostics and surrogate regret bounds "
@@ -229,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CostcalError, OSError) as exc:

@@ -11,7 +11,8 @@ regret into a cost-regret bound (``calibration.regret_bound``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import cached_property
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -68,6 +69,15 @@ class ConvexEnvelope:
     @property
     def domain_max(self) -> float:
         return self.hull_knots[-1][0]
+
+    @cached_property
+    def _xy(self) -> np.ndarray:
+        """The knots' xs and ys as the rows of one (2, n) array, built on
+        first use and kept, outside the fields: equality and hashing still
+        see only ``hull_knots``."""
+        n = len(self.hull_knots)
+        flat = np.fromiter(chain.from_iterable(self.hull_knots), float, 2 * n)
+        return flat.reshape(n, 2).T.copy()
 
 
 def nu_curve(
@@ -158,8 +168,7 @@ def envelope_eval(env: ConvexEnvelope, eps: float) -> float:
     """Piecewise-linear interpolation on the hull knots."""
     if not -1e-12 <= eps <= env.domain_max + 1e-12:
         raise DomainError(f"eps={eps} outside [0, {env.domain_max}]")
-    xs = [k[0] for k in env.hull_knots]
-    ys = [k[1] for k in env.hull_knots]
+    xs, ys = env._xy
     return float(np.interp(min(max(eps, xs[0]), xs[-1]), xs, ys))
 
 
@@ -171,8 +180,7 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     """
     if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y}")
-    xs = np.array([k[0] for k in env.hull_knots])
-    ys = np.array([k[1] for k in env.hull_knots])
+    xs, ys = env._xy
     if y >= ys[-1]:
         return float(xs[-1])
     i = int(np.searchsorted(ys, y, side="right")) - 1

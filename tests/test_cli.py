@@ -6,13 +6,29 @@ import io
 import json
 import math
 import os
+import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from costcal import ALPHA_SIGMOID_GAMMA2, Knot, SampledCurve, biconjugate
-from costcal.cli import QUANTITIES, main
+from costcal import (
+    ALPHA_SIGMOID_GAMMA2,
+    FAMILIES,
+    CostParam,
+    Knot,
+    SampledCurve,
+    biconjugate,
+    constrained_optimal_risk,
+    h_alpha,
+    mu_curve,
+    nu_curve,
+    optimal_conditional_risk,
+)
+from costcal.cli import QUANTITIES, _curve_csv, build_parser, main
+
+from conftest import uneven
 
 
 def run(capsys, *argv):
@@ -128,6 +144,109 @@ class TestCurve:
         assert main(self.curve_args(out, quantity, grid=grid)) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+def reference_curve_csv(loss, cost, quantities, grid) -> bytes:
+    """The curve CSV as the sorting writer made it: every row built, then
+    sorted by (quantity, x, side != "left"), one ``.17g`` per field."""
+    rows = []
+    if any(q in quantities for q in ("H", "C_star", "C_minus")):
+        etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
+        columns = []
+        if "H" in quantities:
+            columns.append(("H", h_alpha(loss, cost, etas)))
+        if "C_star" in quantities:
+            columns.append(("C_star", optimal_conditional_risk(loss, etas)))
+        if "C_minus" in quantities:
+            columns.append(("C_minus", constrained_optimal_risk(loss, cost, etas)))
+        for q, values in columns:
+            rows.extend((q, x, v, "both") for x, v in zip(etas.tolist(), values.tolist()))
+    if any(q in quantities for q in ("nu", "mu", "psi")):
+        nu = nu_curve(loss, cost, grid)
+        if "nu" in quantities:
+            rows.extend(("nu", k.eps, k.value, k.side) for k in nu.knots)
+        if "mu" in quantities:
+            rows.extend(("mu", k.eps, k.value, k.side) for k in mu_curve(nu).knots)
+        if "psi" in quantities:
+            rows.extend(("psi", x, v, "both") for x, v in biconjugate(nu).hull_knots)
+    rows.sort(key=lambda r: (r[0], r[1], r[3] != "left"))
+    text = "x,quantity,value,side\n" + "".join(
+        f"{format(x, '.17g')},{q},{format(v, '.17g')},{side}\n" for q, x, v, side in rows
+    )
+    return text.encode()
+
+
+class TestCurveWriter:
+    """The CSV rows keep the sorting writer's bytes without the sort."""
+
+    # alpha = 0.5 puts the left/right pair on the last knot (b_min == B).
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bytes_equal_the_sorting_writer(self, tmp_path, family, alpha):
+        quantities = list(QUANTITIES)
+        random.Random(f"{family}{alpha}").shuffle(quantities)
+        out = tmp_path / "curve.csv"
+        argv = [
+            "curve", "--family", family, "--gamma", "2", "--alpha", repr(alpha),
+            "--quantities", ",".join(quantities), "--grid", "201", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        expected = reference_curve_csv(uneven(family, 2.0), CostParam(alpha), quantities, 201)
+        assert out.read_bytes() == expected
+
+    def test_signed_zeros_in_one_block(self):
+        columns = {"nu": ((-0.0, 0.0, 0.5, 0.5), (0.0, -0.0, -0.0, 0.0), ("both",) * 4)}
+        assert _curve_csv(columns) == (
+            "x,quantity,value,side\n"
+            "-0,nu,0,both\n0,nu,-0,both\n0.5,nu,-0,both\n0.5,nu,0,both\n"
+        )
+
+    def test_blocks_in_quantity_name_order(self):
+        columns = {q: ((0.25,), (1.0,), ("both",)) for q in QUANTITIES}
+        names = [line.split(",")[1] for line in _curve_csv(columns).splitlines()[1:]]
+        assert names == ["C_minus", "C_star", "H", "mu", "nu", "psi"]
+
+
+class TestCachedParser:
+    """One parser serves every call in a process; no call leaks into the next."""
+
+    COMMANDS = [
+        ["check", "--family", "logistic", "--gamma", "1", "--alpha", "0.5"],
+        ["check", "--family", "hinge", "--gamma", "0", "--alpha", "0.3"],
+        ["check", "--family", "hinge", "--gamma", "2", "--alpha", "0.3", "--weighted"],
+        ["bound", "--family", "squared", "--beta", "1", "--gamma", "1", "--alpha", "0.5",
+         "--surrogate-regret", "0.04"],
+        ["curve", "--family", "exponential", "--gamma", "2", "--alpha", "0.3",
+         "--quantities", "nu,mu,psi", "--grid", "51", "--output", "CSV"],
+        ["alpha-gamma", "--gamma-min", "0.5", "--gamma-max", "2", "--points", "5",
+         "--output", "CSV"],
+        ["verify", "--suite", "closed_forms"],
+    ]
+
+    @staticmethod
+    def outcome(argv, path):
+        out, err = io.StringIO(), io.StringIO()
+        argv = [str(path) if a == "CSV" else a for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        written = path.read_bytes() if path.exists() else None
+        return code, out.getvalue(), err.getvalue(), written
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_command_as_when_run_alone(self, tmp_path):
+        in_turn = [self.outcome(argv, tmp_path / f"turn{i}.csv") for i, argv in enumerate(self.COMMANDS)]
+        alone = []
+        for i, argv in enumerate(self.COMMANDS):
+            build_parser.cache_clear()
+            alone.append(self.outcome(argv, tmp_path / f"alone{i}.csv"))
+        assert [code for code, *_ in in_turn] == [2, 2, 0, 0, 0, 0, 0]
+        assert "invalid choice" in in_turn[0][2] and in_turn[1][2].startswith("error: ")
+        assert in_turn == alone
 
 
 class TestAlphaGamma:

@@ -240,6 +240,65 @@ class TestEnvelopeInvert:
             assert envelope_invert(HULL_EXAMPLE, y) >= eps - 1e-12
 
 
+def list_eval(env, eps):
+    """envelope_eval as it was, rebuilding the knot lists at every call."""
+    xs = [k[0] for k in env.hull_knots]
+    ys = [k[1] for k in env.hull_knots]
+    return float(np.interp(min(max(eps, xs[0]), xs[-1]), xs, ys))
+
+
+def list_invert(env, y):
+    """envelope_invert as it was, rebuilding the knot arrays at every call."""
+    xs = np.array([k[0] for k in env.hull_knots])
+    ys = np.array([k[1] for k in env.hull_knots])
+    if y >= ys[-1]:
+        return float(xs[-1])
+    i = int(np.searchsorted(ys, y, side="right")) - 1
+    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+    return float(xs[i] + (y - ys[i]) / slope)
+
+
+class TestEnvelopeArrays:
+    """The knot arrays cached on an envelope give the list-based answers."""
+
+    FLAT = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.2, 0.0), (0.5, 0.6)))
+
+    @staticmethod
+    def envelopes():
+        loss = uneven("exponential", gamma=2.0, alpha_weight=0.3)
+        family = biconjugate(nu_curve(loss, CostParam(0.3), 201))
+        return [HULL_EXAMPLE, TestEnvelopeArrays.FLAT, family]
+
+    @staticmethod
+    def probes(values):
+        """Each knot value, the midpoints between knots, 0, and past the end."""
+        mids = [(a + b) / 2.0 for a, b in zip(values, values[1:])]
+        return [0.0, *values, *mids, values[-1] * 1.5 + 1.0]
+
+    def test_eval_equals_list_eval(self):
+        for env in self.envelopes():
+            xs = [x for x, _ in env.hull_knots]
+            for eps in self.probes(xs)[:-1] + [env.domain_max, env.domain_max + 1e-12]:
+                assert envelope_eval(env, eps) == list_eval(env, eps), eps
+
+    def test_invert_equals_list_invert(self):
+        for env in self.envelopes():
+            for y in self.probes([y for _, y in env.hull_knots]):
+                assert envelope_invert(env, y) == list_invert(env, y), y
+
+    def test_flat_first_segment(self):
+        assert envelope_invert(self.FLAT, 0.0) == list_invert(self.FLAT, 0.0) == 0.2
+        assert envelope_eval(self.FLAT, 0.1) == list_eval(self.FLAT, 0.1) == 0.0
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        knots = ((0.0, 0.0), (0.3, 0.15), (0.7, 0.7))
+        used, fresh = ConvexEnvelope(hull_knots=knots), ConvexEnvelope(hull_knots=knots)
+        envelope_eval(used, 0.5)
+        envelope_invert(used, 0.2)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert {used: 1}[fresh] == 1
+
+
 class TestRegretBound:
     def test_weighted_margin_hinge_clamps_at_domain(self):
         # nu is the identity here, so the bound is min(regret, B).

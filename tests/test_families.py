@@ -30,7 +30,13 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
-from costcal.families import _phi_hinge, _phi_sigmoid
+from costcal.families import (
+    _LOG_MAX,
+    _phi_exponential,
+    _phi_hinge,
+    _phi_sigmoid,
+    _phi_squared,
+)
 from costcal.oracle import brute_force_min, finite_diff_check
 
 from conftest import counted, uneven
@@ -629,3 +635,68 @@ class TestHinge:
     def test_float_path_keeps_nan(self):
         assert math.isnan(_phi_hinge(math.nan))
         assert math.isnan(_phi_hinge(np.float64("nan")))
+
+
+def mp_phi(family, t):
+    """The family's margin function at the exact score t, in mpmath."""
+    import mpmath
+
+    if family == "hinge":
+        return max(mpmath.mpf(0), 1 - t)
+    if family == "squared":
+        return (1 - t) ** 2
+    if family == "exponential":
+        return mpmath.exp(-t)
+    return 1 / (1 + mpmath.exp(t))
+
+
+#: The largest magnitude whose square is finite.
+_SQRT_MAX = math.sqrt(sys.float_info.max)
+
+
+class TestScoresPastTheFloatRange:
+    """A float score whose loss overflows gives +inf: no exception, no warning."""
+
+    @pytest.mark.parametrize("t", [1e200, -1e200, 1e300, -1e300, -1000.0])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_conditional_risk_against_mpmath(self, family, t):
+        mpmath = pytest.importorskip("mpmath")
+        for beta, gamma in ((1.0, 1.0), (0.5, 2.0)):
+            loss = make_uneven_loss(UnevenMarginSpec(family, beta, gamma))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = conditional_risk(loss, 0.5, t)
+            with mpmath.workdps(50):
+                mt = mpmath.mpf(t)
+                ref = float(0.5 * mp_phi(family, mt) + 0.5 * beta * mp_phi(family, -gamma * mt))
+            assert value == pytest.approx(ref, rel=1e-12), (beta, gamma)
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_finite_diff_check_does_not_warn(self, family):
+        loss = make_uneven_loss(UnevenMarginSpec(family, 1.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (-800.0, -1e200, 1e200):
+                finite_diff_check(loss.pos, t)
+                finite_diff_check(loss.neg, t)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-1e150, max_value=1e150))
+    def test_squared_float_path_is_the_power(self, t):
+        # d * d differs from the float power in the last bit for some scores.
+        assert _phi_squared(t) == (1.0 - t) ** 2
+        assert _phi_squared(np.float64(t)) == (1.0 - np.float64(t)) ** 2
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-_LOG_MAX, allow_nan=False))
+    def test_exponential_float_path_is_numpy_exp(self, t):
+        assert _phi_exponential(t) == np.exp(-t)
+
+    def test_overflow_thresholds(self):
+        assert math.isfinite(_phi_exponential(-_LOG_MAX))
+        assert _phi_exponential(math.nextafter(-_LOG_MAX, -math.inf)) == math.inf
+        for t in (1.0 - _SQRT_MAX, 1.0 + _SQRT_MAX):
+            assert math.isfinite(_phi_squared(t))
+            assert _phi_squared(math.nextafter(t, math.copysign(math.inf, t))) == math.inf
+        assert math.isnan(_phi_exponential(math.nan))
+        assert math.isnan(_phi_squared(math.nan))
