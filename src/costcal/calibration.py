@@ -136,7 +136,7 @@ def calibration_fn(loss: Loss, cost: CostParam, eps: float, eta: float) -> float
     """Largest surrogate precision delta guaranteeing cost precision eps
     at posterior eta; infinite when eps exceeds |eta - alpha|."""
     _check_continuity(loss)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     _check_eta(eta)
     if eps > abs(eta - cost.alpha):
@@ -153,12 +153,14 @@ def uniform_calibration_fn(
     infimum of nu over [eps, B], sampled with eps as an exact knot.
     """
     _check_continuity(loss)
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     if eps > cost.b_max:
         return math.inf
     nu = nu_curve(loss, cost, grid_size, extra_knots=(eps,))
-    return min(k.value for k in nu.knots if k.eps >= eps)
+    tail = nu.values[nu.eps >= eps]
+    # min()'s pick: the first least value, where a NaN in first place stays.
+    return tail[0 if np.isnan(tail[0]) else np.nanargmin(tail)].item()
 
 
 def regret_bound(

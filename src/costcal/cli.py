@@ -90,10 +90,12 @@ def _curve_columns(loss: Loss, cost: CostParam, quantities: list[str], grid: int
             columns["C_minus"] = (xs, values, both)
     if any(q in quantities for q in ("nu", "mu", "psi")):
         nu = nu_curve(loss, cost, grid)
+        # mu keeps nu's knot locations and sides.
+        xs, sides = nu.eps.tolist(), nu.sides.tolist()
         if "nu" in quantities:
-            columns["nu"] = tuple(zip(*nu.knots))
+            columns["nu"] = (xs, nu.values.tolist(), sides)
         if "mu" in quantities:
-            columns["mu"] = tuple(zip(*mu_curve(nu).knots))
+            columns["mu"] = (xs, mu_curve(nu).values.tolist(), sides)
         if "psi" in quantities:
             hull = biconjugate(nu).hull_knots
             columns["psi"] = (*zip(*hull), ("both",) * len(hull))

@@ -78,7 +78,8 @@ class PartialLoss:
             if self.limit_neg_inf is None:
                 raise UnsupportedLimitError("no declared limit at -inf")
             return self.limit_neg_inf
-        return float(self.fn(t))
+        # A numpy scalar would take numpy's rules, which warn past the float range.
+        return float(self.fn(float(t)))
 
 
 @dataclass(frozen=True)

@@ -85,3 +85,28 @@ def knot_curves(draw) -> SampledCurve:
     knots += [Knot(small, draw(values), "left"), Knot(small, draw(values), "right")]
     knots.sort(key=lambda k: (k.eps, k.side != "left"))
     return SampledCurve(domain_max=big, knots=tuple(knots))
+
+
+@st.composite
+def collinear_curves(draw) -> SampledCurve:
+    """Knot lists shaped like a hinge ``nu``: straight pieces, and points
+    repeated.  On a dyadic grid with small integer slopes every difference
+    and product is exact, so three points on one piece have a cross of
+    exactly 0; with a slope of 1/3 or 1/10 rounding leaves crosses of
+    either sign, as on a sampled hinge."""
+    n = draw(st.integers(2, 60))
+    step = 2.0 ** draw(st.integers(-7, 0))
+    breaks = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4)))
+    slopes = draw(st.lists(st.integers(0, 6), min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    divisor = draw(st.sampled_from([1.0, 3.0, 10.0]))
+    eps, values, value = [0.0], [0.0], 0.0
+    for i in range(1, n):
+        slope = slopes[sum(b <= i - 1 for b in breaks)]
+        value += slope * step / divisor
+        eps.append(i * step)
+        values.append(value)
+    knots = [Knot(e, v, "both") for e, v in zip(eps, values)]
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
+        knots.append(knots[i])
+    knots.sort(key=lambda k: k.eps)
+    return SampledCurve(domain_max=eps[-1], knots=tuple(knots))

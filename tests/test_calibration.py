@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from costcal import calibration
+from costcal import calibration, curves
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     CostParam,
@@ -175,6 +175,10 @@ class TestCalibrationFn:
         with pytest.raises(DomainError):
             calibration_fn(self.LOSS, self.COST, 0.0, 0.5)
 
+    def test_rejects_nan_eps(self):
+        with pytest.raises(DomainError):
+            calibration_fn(self.LOSS, self.COST, math.nan, 0.5)
+
     @pytest.mark.parametrize("eta", [-0.1, 1.5, math.nan])
     def test_rejects_eta_outside_unit_interval(self, eta):
         with pytest.raises(DomainError, match=r"eta must lie in \[0, 1\]"):
@@ -206,6 +210,31 @@ class TestUniformCalibrationFn:
     def test_rejects_nonpositive_eps(self):
         with pytest.raises(DomainError):
             uniform_calibration_fn(self.LOSS, self.COST, -0.1)
+
+    def test_rejects_nan_eps(self):
+        with pytest.raises(DomainError):
+            uniform_calibration_fn(self.LOSS, self.COST, math.nan)
+
+    @pytest.mark.parametrize("nan_at", [None, 0.2, 0.35, 0.7])
+    def test_a_nan_gap_counts_as_min_counts_it(self, monkeypatch, nan_at):
+        # min() over the knots at or past eps = 0.2 keeps a NaN only in
+        # first place; past it, a NaN never compares less.
+        def gaps(loss, cost, etas):
+            dist = np.abs(etas - cost.alpha)
+            values = 2.0 - dist
+            if nan_at is not None:
+                values[np.abs(dist - nan_at) < 1e-12] = math.nan
+            return values
+
+        monkeypatch.setattr(curves, "h_alpha", gaps)
+        value = uniform_calibration_fn(self.LOSS, self.COST, 0.2, 11)
+        nu = nu_curve(self.LOSS, self.COST, 11, extra_knots=(0.2,))
+        expected = min(k.value for k in nu.knots if k.eps >= 0.2)
+        assert type(value) is float
+        if nan_at == 0.2:
+            assert math.isnan(value) and math.isnan(expected)
+        else:
+            assert value == expected and not math.isnan(value)
 
     @pytest.mark.parametrize("grid_size", [0, 1, 2])
     def test_rejects_grids_below_three(self, grid_size):

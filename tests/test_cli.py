@@ -414,10 +414,13 @@ def loss_flags(draw, families):
 
 
 #: The gamma = 2 sigmoid at its calibrating alpha, or at an alpha outside
-#: (0, 1); any other alpha runs a numeric verdict that takes seconds.
+#: (0, 1).
 SIGMOID_FLAGS = st.sampled_from(
     [ALPHA_SIGMOID_GAMMA2] + [a for a in EDGE if not 0.0 < a < 1.0]
 ).map(lambda a: ["--family=sigmoid", "--gamma=2", f"--alpha={a!r}"])
+#: A sigmoid at a drawn gamma and alpha: a numeric verdict, nearly always a
+#: negative one (0.03-0.35 s each in process).
+SIGMOID_DRAWN = loss_flags(("sigmoid",))
 REGRET = flag("surrogate-regret", st.floats(0.0, 1.0))
 
 
@@ -425,7 +428,7 @@ REGRET = flag("surrogate-regret", st.floats(0.0, 1.0))
 def commands(draw, out=os.devnull):
     kind = draw(st.sampled_from(("check", "bound", "alpha-gamma", "curve", "verify")))
     if kind in ("check", "bound"):
-        argv = [kind] + draw(st.one_of(loss_flags(CONVEX), SIGMOID_FLAGS))
+        argv = [kind] + draw(st.one_of(loss_flags(CONVEX), SIGMOID_FLAGS, SIGMOID_DRAWN))
         return argv + [draw(REGRET)] if kind == "bound" else argv
     if kind == "alpha-gamma":
         return [

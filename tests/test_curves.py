@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import costcal
 from costcal import (
+    ALPHA_SIGMOID_GAMMA2,
+    FAMILIES,
     ConvexEnvelope,
     CostParam,
     DomainError,
@@ -21,13 +23,15 @@ from costcal import (
     check_calibrated_analytic,
     envelope_eval,
     envelope_invert,
+    h_alpha,
     jump_at_bmin,
+    mu_curve,
     nu_curve,
     psi_costinsensitive,
     regret_bound,
 )
 
-from conftest import knot_curves, uneven
+from conftest import collinear_curves, knot_curves, uneven
 
 
 def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
@@ -188,17 +192,116 @@ def reference_hull(curve: SampledCurve) -> tuple[tuple[float, float], ...]:
     return tuple(hull)
 
 
+def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
+    """Suffix infimum by a running minimum from the right end."""
+    knots, low = [], math.inf
+    for k in reversed(curve.knots):
+        low = min(low, k.value)
+        knots.append(Knot(k.eps, low, k.side))
+    return tuple(reversed(knots))
+
+
+def knots_built_the_old_way(loss, cost, grid_size, extra_knots) -> tuple[Knot, ...]:
+    """nu_curve's knots as the list-building code made them: the same
+    samples, one Knot per eps, the b_min one split into left and right."""
+    alpha, big, small = cost.alpha, cost.b_max, cost.b_min
+    extra = [min(max(float(e), 0.0), big) for e in extra_knots]
+    eps_values = np.union1d(np.linspace(0.0, big, grid_size), np.array([0.0, small, big] + extra))
+    lo, hi = np.maximum(alpha - eps_values, 0.0), np.minimum(alpha + eps_values, 1.0)
+    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
+    far = h_hi if alpha <= 0.5 else h_lo
+    values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
+    eps_list = eps_values.tolist()
+    knots = [Knot(e, v, "both") for e, v in zip(eps_list, values.tolist())]
+    i = eps_list.index(small)
+    right = float(far[i]) if small < big else knots[i].value
+    knots[i : i + 1] = [knots[i]._replace(side="left"), Knot(small, right, "right")]
+    return tuple(knots)
+
+
 class TestBiconjugateReference:
     @given(knot_curves())
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_chain(self, curve):
         assert biconjugate(curve).hull_knots == reference_hull(curve)
+        assert mu_curve(curve).knots == reference_mu(curve)
+
+    @given(collinear_curves())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_chain_on_straight_pieces(self, curve):
+        # Crosses of exactly 0 must pop, as in the chain; repeated points too.
+        assert biconjugate(curve).hull_knots == reference_hull(curve)
+        assert mu_curve(curve).knots == reference_mu(curve)
+
+    @pytest.mark.parametrize("grid", [201, 2001])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["calibrated", "weighted"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_references_on_family_curves_at_scale(self, family, weighted, grid):
+        # Unweighted, the convex families calibrate at 1/2 and the sigmoid
+        # (gamma = 2) at its own alpha; --weighted calibrates at alpha.
+        alpha = 0.3 if weighted else (ALPHA_SIGMOID_GAMMA2 if family == "sigmoid" else 0.5)
+        loss = uneven(family, gamma=2.0, alpha_weight=alpha if weighted else None)
+        cost, extra = CostParam(alpha), (0.05, 0.123, alpha / 3.0)
+        nu = nu_curve(loss, cost, grid, extra_knots=extra)
+        assert biconjugate(nu).hull_knots == reference_hull(nu)
+        assert mu_curve(nu).knots == reference_mu(nu)
+        assert nu.knots == knots_built_the_old_way(loss, cost, grid, extra)
 
     def test_equals_reference_on_family_curves(self):
         for family in ("hinge", "squared", "exponential"):
             loss = uneven(family, gamma=2.0, alpha_weight=0.3)
             curve = nu_curve(loss, CostParam(0.3), 201, extra_knots=(0.05, 0.4))
             assert biconjugate(curve).hull_knots == reference_hull(curve)
+
+
+class TestSampledCurveColumns:
+    KNOTS = (
+        Knot(0.0, 0.0, "both"),
+        Knot(0.3, 0.15, "left"),
+        Knot(0.3, 0.3, "right"),
+        Knot(0.7, 0.7, "both"),
+    )
+
+    def test_hand_built_curve_keeps_its_knots(self):
+        curve = SampledCurve(domain_max=0.7, knots=self.KNOTS)
+        assert curve.knots is self.KNOTS
+        assert curve.eps.dtype == curve.values.dtype == np.float64
+        assert curve.eps.tolist() == [0.0, 0.3, 0.3, 0.7]
+        assert curve.values.tolist() == [0.0, 0.15, 0.3, 0.7]
+        assert curve.sides.tolist() == ["both", "left", "right", "both"]
+
+    def test_knots_are_built_once_from_the_columns(self):
+        nu = nu_curve(uneven("squared", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
+        assert "knots" not in vars(nu)
+        knots = nu.knots
+        assert nu.knots is knots
+        assert all(type(k) is Knot for k in knots)
+        assert all(type(k.eps) is float and type(k.value) is float for k in knots)
+        assert [k.side for k in knots].count("left") == 1
+
+    def test_columns_are_read_only(self):
+        nu = nu_curve(uneven("hinge", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
+        for curve in (nu, mu_curve(nu), SampledCurve(domain_max=0.7, knots=self.KNOTS)):
+            for column in (curve.eps, curve.values, curve.sides):
+                with pytest.raises(ValueError):
+                    column[0] = column[1]
+            with pytest.raises(AttributeError):
+                curve.domain_max = 1.0
+
+    def test_equality_and_hash_compare_domain_and_knots(self):
+        loss, cost = uneven("exponential", gamma=2.0, alpha_weight=0.3), CostParam(0.3)
+        nu, fresh = nu_curve(loss, cost, 51), nu_curve(loss, cost, 51)
+        rebuilt = SampledCurve(domain_max=nu.domain_max, knots=nu.knots)
+        assert fresh == rebuilt and rebuilt == fresh
+        assert hash(fresh) == hash(rebuilt)
+        assert {rebuilt: 1}[nu_curve(loss, cost, 51)] == 1
+        assert SampledCurve(domain_max=1.0, knots=nu.knots) != nu
+        dip = hand_curve([(0.0, 0.0), (0.3, 0.5), (0.7, 0.2)])
+        assert mu_curve(dip) != dip
+        assert nu != nu.knots
+        assert SampledCurve(domain_max=0.0, knots=()) == SampledCurve(domain_max=0.0, knots=[])
+        assert repr(rebuilt) == f"SampledCurve(domain_max=0.7, knots={nu.knots!r})"
 
 
 class TestEnvelopeEval:

@@ -671,6 +671,17 @@ class TestScoresPastTheFloatRange:
                 ref = float(0.5 * mp_phi(family, mt) + 0.5 * beta * mp_phi(family, -gamma * mt))
             assert value == pytest.approx(ref, rel=1e-12), (beta, gamma)
 
+    @pytest.mark.parametrize("t", [1e200, -1e200, -1000.0])
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_numpy_scalar_score_gets_the_float_result(self, family, t):
+        for beta, gamma in ((1.0, 1.0), (0.5, 2.0)):
+            loss = make_uneven_loss(UnevenMarginSpec(family, beta, gamma))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                value = conditional_risk(loss, 0.5, np.float64(t))
+            assert value == conditional_risk(loss, 0.5, t), (beta, gamma)
+            assert type(value) is float
+
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_finite_diff_check_does_not_warn(self, family):
         loss = make_uneven_loss(UnevenMarginSpec(family, 1.0, 1.0))
