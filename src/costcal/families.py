@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, UnsupportedFamilyError
-from .losses import CostParam, Loss, PartialLoss, _check_eta, theta_alpha
+from .losses import CostParam, Loss, PartialLoss, _check_eta, _scaled_partial, theta_alpha
 
 __all__ = [
     "FAMILIES",
@@ -26,6 +26,7 @@ __all__ = [
     "UnevenMarginSpec",
     "ClosedForms",
     "make_uneven_loss",
+    "alpha_transform",
     "closed_forms",
     "sigmoid_t_minus",
     "alpha_of_gamma",
@@ -192,10 +193,23 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     return Loss(pos=pos, neg=neg, family=spec)
 
 
-#: Below this posterior the sigmoid's w = num / (2 eta) exceeds 1e150 and
-#: w * w may overflow.  There the root z of z^2 - w z + 1 is 1 / w to a
-#: relative 1 / w^2, so log z = log(2 eta) - log(num); and C*(eta) rounds
-#: to eta (the next term is -eta^2 / 2).
+def alpha_transform(loss: Loss, cost: CostParam) -> Loss:
+    """Outer reweighting of the partial losses by (1 - alpha, alpha).
+
+    An unweighted family member becomes exactly the alpha-weighted member
+    that ``make_uneven_loss`` builds, so one tag always names one loss; any
+    other loss has its partials scaled, and carries no tag.
+    """
+    a = cost.alpha
+    if loss.family is not None and loss.family.alpha_weight is None:
+        return make_uneven_loss(replace(loss.family, alpha_weight=a))
+    return Loss(pos=_scaled_partial(loss.pos, 1.0 - a), neg=_scaled_partial(loss.neg, a))
+
+
+#: Below this posterior C*(eta) of the gamma = 2 sigmoid rounds to eta (the
+#: next term is -eta^2 / 2).  The array path needs the cut: its logistic
+#: clips scores at ``_LOG_MAX``, so below about 5e-155, where -2 t* passes
+#: it, the local minimum's second term would be about 5.6e-309, not 0.
 _SIGMOID_TINY = 1e-150
 
 
@@ -210,7 +224,10 @@ def sigmoid_t_minus(eta):
     """The negative local minimizer of the gamma = 2 sigmoid conditional risk.
 
     Exists for eta in (0, 1/2); ``eta`` is a float or an ndarray.  Solves
-    the stationarity quartic in z = e^t via the substitution w = z + 1/z.
+    the stationarity quartic in z = e^t via the substitution w = z + 1/z:
+    z is the smaller root of z^2 - w z + 1.  With r = 2 / w in (0, 1),
+    z = r / (1 + sqrt(1 - r^2)): the root takes no difference and nothing
+    overflows at any posterior, as w^2 would at tiny ones.
     """
     if isinstance(eta, np.ndarray):
         xp, inside = np, np.all((0.0 < eta) & (eta < 0.5))
@@ -219,42 +236,8 @@ def sigmoid_t_minus(eta):
     if not inside:
         raise DomainError(f"eta must lie in (0, 1/2), got {eta}")
     num = (1.0 - eta) + xp.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))
-    if xp is math:
-        if eta < _SIGMOID_TINY:
-            return math.log(2.0 * eta) - math.log(num)
-        return _sigmoid_log_root(math, eta, num)
-    out = np.log(2.0 * eta) - np.log(num)
-    wide = eta >= _SIGMOID_TINY
-    out[wide] = _sigmoid_log_root(np, eta[wide], num[wide])
-    return out
-
-
-def _sigmoid_log_root(xp, eta, num):
-    """log z for the smaller root z of z^2 - w z + 1, w = num / (2 eta),
-    written without cancellation: (w - sqrt(w^2 - 4)) / 2 loses every
-    digit once w^2 swamps the 4."""
-    w = num / (2.0 * eta)
-    return xp.log(2.0 / (w + xp.sqrt(w * w - 4.0)))
-
-
-def _sigmoid_c_star(eta: float) -> float:
-    if eta < _SIGMOID_TINY:
-        return eta
-    if eta < ALPHA_SIGMOID_GAMMA2:
-        return _sigmoid_local_min(eta)
-    return (1.0 - eta) / 2.0
-
-
-def _sigmoid_h_cc(eta: float) -> float:
-    # Constrained optimum at alpha = 1/2: for eta < 1/2 the admissible
-    # scores are t >= 0 where the risk is minimized at an endpoint; for
-    # eta >= 1/2 the risk is strictly decreasing, so t = 0 is optimal
-    # among t <= 0.
-    if eta < 0.5:
-        c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0)
-    else:
-        c_minus = (1.0 + eta) / 4.0
-    return max(c_minus - _sigmoid_c_star(eta), 0.0)
+    r = 4.0 * eta / num
+    return xp.log(r) - xp.log1p(xp.sqrt(1.0 - r * r))
 
 
 def _squared_scale(gamma: float) -> float:
@@ -263,52 +246,37 @@ def _squared_scale(gamma: float) -> float:
     return (1.0 + gamma) / gamma * (1.0 + gamma)
 
 
-def _closed_unweighted(family: str, gamma: float, eta: float) -> ClosedForms:
+def _c_star(family: str, gamma: float, eta):
+    """The unweighted closed C*(eta), for a float or an ndarray."""
+    if isinstance(eta, np.ndarray):
+        return _c_star_rows(family, gamma, eta)
     # A numpy scalar would bring numpy's overflow rules onto this float path.
     gamma, eta = float(gamma), float(eta)
     if family == "hinge":
-        t_star = -1.0 / gamma if eta <= 0.5 else 1.0
-        c_star = (1.0 + gamma) / gamma * min(eta, 1.0 - eta)
-        h = 2.0 * eta - 1.0 if eta >= 0.5 else (1.0 - 2.0 * eta) / gamma
-        return ClosedForms(t_star, c_star, h)
+        return (1.0 + gamma) / gamma * min(eta, 1.0 - eta)
     if family == "squared":
-        t_star = (2.0 * eta - 1.0) / (eta + gamma * (1.0 - eta))
-        c_star = _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
-        return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
+        return _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
     if family == "exponential":
-        if eta == 0.0:
-            return ClosedForms(-math.inf, 0.0, 1.0 / gamma)
-        if eta == 1.0:
-            return ClosedForms(math.inf, 0.0, 1.0)
+        if eta == 0.0 or eta == 1.0:
+            return 0.0
         ratio = eta / (1.0 - eta)
-        t_star = math.log(ratio) / (1.0 + gamma)
         try:
             low = eta * ratio ** (-1.0 / (1.0 + gamma))
         except OverflowError:
             # As in _c_star_rows: a subnormal ratio with gamma below about 0.05.
             low = eta ** (gamma / (1.0 + gamma)) * (1.0 - eta) ** (1.0 / (1.0 + gamma))
-        c_star = low + (1.0 - eta) / gamma * ratio ** (gamma / (1.0 + gamma))
-        return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
+        return low + (1.0 - eta) / gamma * ratio ** (gamma / (1.0 + gamma))
     # sigmoid, gamma == 2
-    if eta == 0.0:
-        t_star = -math.inf
-    elif eta < ALPHA_SIGMOID_GAMMA2:
-        t_star = sigmoid_t_minus(eta)
-    else:
-        t_star = math.inf
-    return ClosedForms(t_star, _sigmoid_c_star(eta), _sigmoid_h_cc(eta))
-
-
-def _c_star(family: str, gamma: float, eta):
-    """The unweighted closed C*(eta), for a float or an ndarray."""
-    if isinstance(eta, np.ndarray):
-        return _c_star_rows(family, gamma, eta)
-    return _closed_unweighted(family, gamma, eta).c_star
+    if eta < _SIGMOID_TINY:
+        return eta
+    if eta < ALPHA_SIGMOID_GAMMA2:
+        return _sigmoid_local_min(eta)
+    return (1.0 - eta) / 2.0
 
 
 def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
-    """``_closed_unweighted(...).c_star`` on an ndarray of posteriors, with
-    the same arithmetic; each branch sees only the posteriors it serves."""
+    """``_c_star`` on an ndarray of posteriors, with the float path's
+    arithmetic; each branch sees only the posteriors it serves."""
     if family == "hinge":
         return (1.0 + gamma) / gamma * np.minimum(eta, 1.0 - eta)
     if family == "squared":
@@ -339,14 +307,37 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     Available for the calibrated configuration beta = 1/gamma (convex
     families) and the gamma = 2 sigmoid, unweighted.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    _check_eta(eta)
     if spec.alpha_weight is not None or not spec.has_closed_forms:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
-    return _closed_unweighted(spec.family, spec.gamma, eta)
+    family, gamma, eta = spec.family, float(spec.gamma), float(eta)
+    c_star = _c_star(family, gamma, eta)
+    if family == "hinge":
+        t_star = -1.0 / gamma if eta <= 0.5 else 1.0
+        h = 2.0 * eta - 1.0 if eta >= 0.5 else (1.0 - 2.0 * eta) / gamma
+        return ClosedForms(t_star, c_star, h)
+    if family == "sigmoid":
+        if eta == 0.0:
+            t_star = -math.inf
+        elif eta < ALPHA_SIGMOID_GAMMA2:
+            t_star = sigmoid_t_minus(eta)
+        else:
+            t_star = math.inf
+        # C^- at alpha = 1/2: below eta = 1/2 the admissible scores t >= 0
+        # have their least risk at an endpoint; above it t = 0 is best.
+        c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0) if eta < 0.5 else (1.0 + eta) / 4.0
+        return ClosedForms(t_star, c_star, max(c_minus - c_star, 0.0))
+    if family == "squared":
+        t_star = (2.0 * eta - 1.0) / (eta + gamma * (1.0 - eta))
+    elif 0.0 < eta < 1.0:  # exponential; its minimizer is infinite at eta = 0 and 1
+        t_star = math.log(eta / (1.0 - eta)) / (1.0 + gamma)
+    else:
+        t_star = math.inf if eta else -math.inf
+    # C^- at alpha = 1/2 is the risk at t = 0, eta + (1 - eta) / gamma.
+    return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
 
 
 def sigmoid_c_minus(cost: CostParam, eta):
@@ -367,14 +358,6 @@ def sigmoid_c_minus(cost: CostParam, eta):
     return out if isinstance(eta, np.ndarray) else float(out)
 
 
-def _alpha_gamma_lhs(eta: float, gamma: float) -> float:
-    base = (eta * gamma - 1.0 + eta) / (1.0 - eta) * gamma / (gamma - 1.0)
-    if base == math.inf:
-        # Only for gamma beyond ~1e154; inf ** (gamma - 1) would not raise.
-        raise OverflowError("base of the tangency equation overflows")
-    return eta * (gamma * gamma * base ** (gamma - 1.0) + 1.0) - 1.0
-
-
 #: d alpha / d ln(gamma) at gamma = 1: (x - 1)/4, where x = W(1/e) solves
 #: x + ln(x) = -1, the tangency equation's first-order term at gamma = 1.
 _ALPHA_SLOPE_AT_1 = -0.18038386430973155
@@ -393,28 +376,35 @@ def alpha_of_gamma(gamma: float) -> float:
     reciprocal symmetry alpha(1/gamma) = 1 - alpha(gamma).  So alpha - 1/2
     is odd in ln(gamma).  Within 1e-6 of gamma = 1, where the tangency
     equation divides two vanishing terms and loses its digits, alpha is its
-    linear term in ln(gamma), exact to O(ln(gamma)^3).
+    linear term in ln(gamma), exact to O(ln(gamma)^3).  Past about
+    [1e-12, 1e12] the root leaves the bracket, and DomainError is raised.
     """
     if not 0.0 < gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    gamma = float(gamma)  # a numpy scalar would overflow past 143 instead of raising
+    gamma = float(gamma)  # a numpy scalar gets the float's answer, as a float
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)
     if gamma < 1.0:
         return 1.0 - alpha_of_gamma(1.0 / gamma)
-    lo = 1.0 / (1.0 + gamma) + 1e-12
+    # The tangency equation eta * (gamma^2 * base^(gamma - 1) + 1) = 1, in
+    # logs so that no power overflows: eta lies below its root when
+    # 2 ln(gamma) + (gamma - 1) ln(base) < ln((1 - eta) / eta), with ln(base)
+    # a sum of two logs.  The terms in gamma alone are taken once.
+    log_gamma2, log_tail = 2.0 * math.log(gamma), math.log(gamma / (gamma - 1.0))
+    start = lo = 1.0 / (1.0 + gamma) + 1e-12
     hi = 1.0 - 1e-12
     mid = 0.5 * (lo + hi)
-    try:
-        while lo < mid < hi:
-            if _alpha_gamma_lhs(mid, gamma) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            mid = 0.5 * (lo + hi)
-    except OverflowError:
+    while lo < mid < hi:
+        log_base = math.log((mid * gamma - 1.0 + mid) / (1.0 - mid)) + log_tail
+        if log_gamma2 + (gamma - 1.0) * log_base < math.log((1.0 - mid) / mid):
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    if lo == start:
+        # The root, about 2 / gamma, lies under the bracket's 1e-12 offset.
         raise DomainError(
-            f"the tangency equation overflows at gamma={gamma}; "
-            "alpha_of_gamma supports gamma within about [1/143, 143]"
-        ) from None
+            f"the tangency root at gamma={gamma} lies below the bisection bracket; "
+            "alpha_of_gamma supports gamma within about [1e-12, 1e12]"
+        )
     return hi

@@ -3,8 +3,8 @@
 A binary-classification loss is a pair of nonnegative partial losses
 (one per label) evaluated at a real-valued score.  This module computes
 the conditional risk, its unconstrained and sign-constrained optima, the
-calibration gap between them, and the reweighting transform that links
-the cost-sensitive and cost-insensitive pictures.
+calibration gap between them, and the posterior reparametrization that
+links the cost-sensitive and cost-insensitive pictures.
 
 Scores are plain floats; ``math.inf`` and ``-math.inf`` are admitted and
 are resolved through the partial losses' declared limits.  The optimal
@@ -15,7 +15,7 @@ of the same shape (see ``optimal_conditional_risk``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -37,7 +37,6 @@ __all__ = [
     "h_alpha",
     "h_cc",
     "cost_regret",
-    "alpha_transform",
     "theta_alpha",
 ]
 
@@ -272,6 +271,7 @@ def cost_regret(cost: CostParam, eta: float, t: float) -> float:
 
 
 def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
+    """The partial loss c * partial, its metadata scaled with it."""
     def scaled(t: float, fn=partial.fn, c=c) -> float:
         return c * fn(t)
 
@@ -286,23 +286,6 @@ def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
         is_continuous_at_zero=partial.is_continuous_at_zero,
         limit_neg_inf=scale_limit(partial.limit_neg_inf),
         limit_pos_inf=scale_limit(partial.limit_pos_inf),
-    )
-
-
-def alpha_transform(loss: Loss, cost: CostParam) -> Loss:
-    """Outer reweighting of the partial losses by (1 - alpha, alpha).
-
-    A family tag survives only when the input loss is an unweighted
-    family member; the result is then the alpha-weighted member.
-    """
-    a = cost.alpha
-    family = None
-    if loss.family is not None and loss.family.alpha_weight is None:
-        family = replace(loss.family, alpha_weight=a)
-    return Loss(
-        pos=_scaled_partial(loss.pos, 1.0 - a),
-        neg=_scaled_partial(loss.neg, a),
-        family=family,
     )
 
 

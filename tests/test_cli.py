@@ -13,9 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import costcal.cli
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     FAMILIES,
+    BoundTrialRecord,
     CostParam,
     Knot,
     SampledCurve,
@@ -136,6 +138,12 @@ class TestCurve:
     def test_unwritable_path_is_usage_error(self, capsys, tmp_path):
         code = main(self.curve_args(tmp_path / "missing" / "x.csv", "H"))
         assert code == 2
+
+    def test_empty_quantity_list_is_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "x.csv"
+        assert main(self.curve_args(out, ",")) == 2
+        assert capsys.readouterr().err == "error: at least one quantity is required\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("quantity", ["H", "C_star", "C_minus", "nu"])
     @pytest.mark.parametrize("grid", ["-1", "0", "2"])
@@ -328,6 +336,16 @@ class TestVerify:
         assert summary["checks"] == [
             {"name": "closed_forms_vs_oracle", "passed": 84, "failed": 0}
         ]
+
+    def test_failing_check_exits_three(self, capsys, monkeypatch):
+        # One failing fuzz trial per family stands in for the 4,000-trial suite.
+        failing = BoundTrialRecord(1, "hinge", 0.3, 2.0, 0.1, 0.01, 0.05, False)
+        monkeypatch.setattr(costcal.cli, "fuzz_bound", lambda seed, family, n: [failing])
+        code, out = run(capsys, "verify", "--suite", "bounds")
+        assert code == 3
+        summary = json.loads(out)
+        assert summary["all_passed"] is False
+        assert summary["checks"] == [{"name": "regret_bound_fuzz", "passed": 0, "failed": 4}]
 
 
 class TestBound:

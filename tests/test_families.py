@@ -256,6 +256,36 @@ class TestSigmoidTMinus:
         with pytest.raises(DomainError):
             sigmoid_t_minus(eta)
 
+    def test_within_40_ulps_of_mpmath(self):
+        # The smaller root z = 2 / (w + sqrt(w^2 - 4)), w = num / (2 eta), in
+        # 60 digits, where w^2 cannot overflow.  Near 1/2 the float formula
+        # loses digits to cancellation in num, hence 40 ulps.
+        mpmath = pytest.importorskip("mpmath")
+        etas = np.concatenate([np.logspace(-320.0, -1.0, 120), np.linspace(0.01, 0.49, 241)])
+        values = no_warnings(sigmoid_t_minus, etas)
+        for eta, array_value in zip(etas.tolist(), values.tolist()):
+            with mpmath.workdps(60):
+                e = mpmath.mpf(eta)
+                w = ((1 - e) + mpmath.sqrt((1 - e) ** 2 + 8 * e * (1 - e))) / (2 * e)
+                ref = float(mpmath.log(2 / (w + mpmath.sqrt(w * w - 4))))
+            for value in (sigmoid_t_minus(eta), array_value):
+                assert abs(value - ref) <= 40 * math.ulp(ref), (eta, value, ref)
+
+    def test_one_solve_per_scalar_c_star(self, monkeypatch):
+        calls = []
+
+        def spy(eta):
+            calls.append(eta)
+            return sigmoid_t_minus(eta)
+
+        monkeypatch.setattr(costcal.families, "sigmoid_t_minus", spy)
+        loss = uneven("sigmoid", gamma=2.0)
+        for c_star in (SIGMOID_GAMMA2.c_star, lambda eta: optimal_conditional_risk(loss, eta)):
+            for eta in (1e-9, 0.05, 0.2, 0.3):
+                del calls[:]
+                c_star(eta)
+                assert calls == [eta]
+
     @pytest.mark.parametrize("eta", [3e-9, 1e-8, 1e-300, 1e-320])
     def test_stationary_at_tiny_posteriors(self, eta):
         # The root z = e^t is about eta here; the textbook root formula
@@ -292,14 +322,14 @@ class TestAlphaOfGamma:
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
 
     # A numpy scalar (what iterating an ndarray yields) must behave as the
-    # float: numpy's overflow rules would warn at 143 and pass 150.
+    # float, in its errors and in its answer's type.
     @pytest.mark.parametrize("scalar", [float, np.float64])
     def test_domain(self, scalar):
         with pytest.raises(DomainError):
             alpha_of_gamma(scalar(0.0))
 
     @pytest.mark.parametrize("scalar", [float, np.float64])
-    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 150.0, 1000.0, 1e300, 1e-300])
+    @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e12, 1e-12, 1e300, 1e-300])
     def test_rejects_gammas_the_bisection_cannot_handle(self, gamma, scalar):
         with pytest.raises(DomainError):
             alpha_of_gamma(scalar(gamma))
@@ -311,6 +341,27 @@ class TestAlphaOfGamma:
         assert type(alpha) is float
         assert alpha == alpha_of_gamma(gamma)
         assert alpha == pytest.approx(0.013482772326302649 if gamma > 1.0 else 0.9865172276736974)
+
+    @pytest.mark.parametrize("scalar", [float, np.float64])
+    @pytest.mark.parametrize("gamma", [150.0, 1e3, 1.0 / 150.0, 1e-3])
+    def test_past_143_against_mpmath(self, gamma, scalar):
+        # The tangency equation's root by 60-digit bisection, past gamma = 143,
+        # where its powers overflow a float.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            g = mpmath.mpf(max(gamma, 1.0 / gamma))
+            lo, hi = 1 / (1 + g), mpmath.mpf(1)
+            for _ in range(220):
+                eta = (lo + hi) / 2
+                base = (eta * g - 1 + eta) / (1 - eta) * g / (g - 1)
+                if eta * (g * g * base ** (g - 1) + 1) < 1:
+                    lo = eta
+                else:
+                    hi = eta
+            ref = float(lo if gamma > 1.0 else 1 - lo)
+        alpha = alpha_of_gamma(scalar(gamma))
+        assert type(alpha) is float
+        assert abs(alpha - ref) <= 2 * math.ulp(ref)
 
     def test_near_one_sign_monotone_and_symmetric(self):
         offsets = [1e-15, 1e-13, 1e-12, 1e-11, 1e-9]

@@ -1,6 +1,7 @@
 """Conditional risks, constrained optima, gaps, and the reweighting transform."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -301,6 +302,30 @@ class TestAlphaTransform:
         assert once.family.alpha_weight == 0.4
         # A second weighting has no family-level representation.
         assert alpha_transform(once, CostParam(0.3)).family is None
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
+    @pytest.mark.parametrize("gamma", [0.3, 2.0, 3.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7])
+    def test_tagged_member_becomes_the_weighted_member(self, family, gamma, alpha):
+        # One tag names one loss: the partials, metadata and gaps are bit for
+        # bit those make_uneven_loss builds for the weighted tag (beta = 1/gamma;
+        # the gamma = 2 sigmoid is its calibrated member).
+        cost = CostParam(alpha)
+        got = alpha_transform(uneven(family, gamma), cost)
+        want = uneven(family, gamma, alpha_weight=alpha)
+        assert got.family == want.family
+        scores = np.linspace(-50.0, 50.0, 2001)
+        for mine, theirs in ((got.pos, want.pos), (got.neg, want.neg)):
+            assert replace(mine, fn=None) == replace(theirs, fn=None)
+            assert np.array_equal(mine.fn(scores), theirs.fn(scores))
+            assert [mine(t) for t in scores.tolist()] == [theirs(t) for t in scores.tolist()]
+        etas = np.linspace(0.0, 1.0, 101)
+        assert np.array_equal(h_alpha(got, cost, etas), h_alpha(want, cost, etas))
+
+    def test_underflowing_member_weight_is_rejected(self):
+        # As make_uneven_loss does for --weighted: alpha * beta rounds to 0.
+        with pytest.raises(DomainError, match="underflows"):
+            alpha_transform(uneven("hinge", gamma=1.0, beta=5e-324), CostParam(0.3))
 
 
 class TestThetaAlpha:
