@@ -213,10 +213,12 @@ def alpha_transform(loss: Loss, cost: CostParam) -> Loss:
 _SIGMOID_TINY = 1e-150
 
 
-def _sigmoid_local_min(eta):
+def _sigmoid_local_min(eta, t=None):
     """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
-    minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
-    t = sigmoid_t_minus(eta)
+    minimizer ``t``, solved here unless given, for a float or an ndarray
+    of posteriors in (0, 1/2)."""
+    if t is None:
+        t = sigmoid_t_minus(eta)
     return eta * _phi_sigmoid(t) + 0.5 * (1.0 - eta) * _phi_sigmoid(-2.0 * t)
 
 
@@ -267,11 +269,19 @@ def _c_star(family: str, gamma: float, eta):
             low = eta ** (gamma / (1.0 + gamma)) * (1.0 - eta) ** (1.0 / (1.0 + gamma))
         return low + (1.0 - eta) / gamma * ratio ** (gamma / (1.0 + gamma))
     # sigmoid, gamma == 2
-    if eta < _SIGMOID_TINY:
-        return eta
-    if eta < ALPHA_SIGMOID_GAMMA2:
-        return _sigmoid_local_min(eta)
-    return (1.0 - eta) / 2.0
+    return _sigmoid_optimum(eta)[1]
+
+
+def _sigmoid_optimum(eta: float) -> tuple[float, float]:
+    """(t*, C*(eta)) of the gamma = 2 sigmoid at a float posterior.  Below
+    alpha the minimizer is the negative local one, solved once for both;
+    below _SIGMOID_TINY, C* is eta, to which the local minimum rounds."""
+    if eta >= ALPHA_SIGMOID_GAMMA2:
+        return math.inf, (1.0 - eta) / 2.0
+    if eta == 0.0:
+        return -math.inf, eta
+    t = sigmoid_t_minus(eta)
+    return t, eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta, t)
 
 
 def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
@@ -314,22 +324,17 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
     family, gamma, eta = spec.family, float(spec.gamma), float(eta)
+    if family == "sigmoid":
+        t_star, c_star = _sigmoid_optimum(eta)
+        # C^- at alpha = 1/2: below eta = 1/2 the admissible scores t >= 0
+        # have their least risk at an endpoint; above it t = 0 is best.
+        c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0) if eta < 0.5 else (1.0 + eta) / 4.0
+        return ClosedForms(t_star, c_star, max(c_minus - c_star, 0.0))
     c_star = _c_star(family, gamma, eta)
     if family == "hinge":
         t_star = -1.0 / gamma if eta <= 0.5 else 1.0
         h = 2.0 * eta - 1.0 if eta >= 0.5 else (1.0 - 2.0 * eta) / gamma
         return ClosedForms(t_star, c_star, h)
-    if family == "sigmoid":
-        if eta == 0.0:
-            t_star = -math.inf
-        elif eta < ALPHA_SIGMOID_GAMMA2:
-            t_star = sigmoid_t_minus(eta)
-        else:
-            t_star = math.inf
-        # C^- at alpha = 1/2: below eta = 1/2 the admissible scores t >= 0
-        # have their least risk at an endpoint; above it t = 0 is best.
-        c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0) if eta < 0.5 else (1.0 + eta) / 4.0
-        return ClosedForms(t_star, c_star, max(c_minus - c_star, 0.0))
     if family == "squared":
         t_star = (2.0 * eta - 1.0) / (eta + gamma * (1.0 - eta))
     elif 0.0 < eta < 1.0:  # exponential; its minimizer is infinite at eta = 0 and 1
@@ -384,8 +389,22 @@ def alpha_of_gamma(gamma: float) -> float:
     gamma = float(gamma)  # a numpy scalar gets the float's answer, as a float
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)
-    if gamma < 1.0:
-        return 1.0 - alpha_of_gamma(1.0 / gamma)
+    # Below 1 the root is found at 1 / gamma, but an error names the caller's gamma.
+    root = _tangency_root(gamma if gamma > 1.0 else 1.0 / gamma)
+    if root is None:
+        raise DomainError(
+            f"the tangency root at gamma={gamma} lies outside the bisection bracket; "
+            "alpha_of_gamma supports gamma within about [1e-12, 1e12]"
+        )
+    return root if gamma > 1.0 else 1.0 - root
+
+
+def _tangency_root(gamma: float) -> float | None:
+    """``alpha_of_gamma`` for gamma > 1 by bisection, or None when the root,
+    about 2 / gamma, lies under the bracket's 1e-12 offset (gamma past about
+    1e12, or infinite: 1 / gamma overflows for the least subnormals)."""
+    if gamma == math.inf:
+        return None
     # The tangency equation eta * (gamma^2 * base^(gamma - 1) + 1) = 1, in
     # logs so that no power overflows: eta lies below its root when
     # 2 ln(gamma) + (gamma - 1) ln(base) < ln((1 - eta) / eta), with ln(base)
@@ -401,10 +420,4 @@ def alpha_of_gamma(gamma: float) -> float:
         else:
             hi = mid
         mid = 0.5 * (lo + hi)
-    if lo == start:
-        # The root, about 2 / gamma, lies under the bracket's 1e-12 offset.
-        raise DomainError(
-            f"the tangency root at gamma={gamma} lies below the bisection bracket; "
-            "alpha_of_gamma supports gamma within about [1e-12, 1e12]"
-        )
-    return hi
+    return None if lo == start else hi

@@ -131,15 +131,6 @@ def _check_eta(eta) -> None:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
 
 
-def _split(eta: np.ndarray, mask: np.ndarray, inside, outside) -> np.ndarray:
-    """``inside`` on the posteriors where mask holds, ``outside`` elsewhere."""
-    out = np.empty(eta.shape)
-    for part, fn in ((mask, inside), (~mask, outside)):
-        if part.any():
-            out[part] = fn(eta[part])
-    return out
-
-
 def conditional_risk(loss: Loss, eta: float, t: float) -> float:
     """eta * L1(t) + (1 - eta) * L-1(t), with 0 * inf taken as 0.
 
@@ -164,12 +155,17 @@ def optimal_conditional_risk(loss: Loss, eta):
     numpy, or one batched search for all of them.
     """
     _check_eta(eta)
-    closed = None if loss.family is None else loss.family.c_star(eta)
+    closed = _closed_c_star(loss, eta)
     if closed is not None:
         return closed
     from .oracle import brute_force_min
 
     return brute_force_min(loss, eta, "none").value
+
+
+def _closed_c_star(loss: Loss, eta):
+    """The closed-form C*(eta), or None when the search must serve it."""
+    return None if loss.family is None else loss.family.c_star(eta)
 
 
 def derivative_test(loss: Loss, cost: CostParam) -> tuple[float, float, float, bool] | None:
@@ -198,41 +194,70 @@ def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
     losses the value is the conditional risk at 0 (tests cross-check this
     shortcut against the constrained search); otherwise the constrained
     brute-force search runs, including the admissible infinite limit.
-    An ndarray ``eta`` is served as in ``optimal_conditional_risk``; its
-    search runs once per side of alpha.
+    An ndarray ``eta`` is served as in ``optimal_conditional_risk``: what
+    no closed form serves, on both sides of alpha and at alpha itself,
+    comes from one batched search.
     """
     _check_eta(eta)
     if isinstance(eta, np.ndarray):
-        return _split(
-            eta,
-            eta == cost.alpha,
-            lambda e: optimal_conditional_risk(loss, e),
-            lambda e: _off_threshold_risk(loss, cost, e),
-        )
+        return _constrained_rows(loss, cost, eta)
     if eta == cost.alpha:
         return optimal_conditional_risk(loss, eta)
     return _off_threshold_risk(loss, cost, eta)
 
 
-def _off_threshold_risk(loss: Loss, cost: CostParam, eta):
-    """``constrained_optimal_risk`` at posteriors other than alpha."""
+def _closed_c_minus(loss: Loss, cost: CostParam, eta):
+    """C^-(eta) off alpha from the convex shortcut or a closed form, or
+    None when the search must serve it."""
     test = derivative_test(loss, cost)
     if test is not None and test[3]:
         return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
-    closed = None if loss.family is None else loss.family.c_minus(cost, eta)
+    return None if loss.family is None else loss.family.c_minus(cost, eta)
+
+
+def _off_threshold_risk(loss: Loss, cost: CostParam, eta: float) -> float:
+    """``constrained_optimal_risk`` at a float posterior other than alpha."""
+    closed = _closed_c_minus(loss, cost, eta)
     if closed is not None:
         return closed
     from .oracle import brute_force_min
 
-    if isinstance(eta, np.ndarray):
-        return _split(
-            eta,
-            eta > cost.alpha,
-            lambda e: brute_force_min(loss, e, "nonpositive_scores").value,
-            lambda e: brute_force_min(loss, e, "nonnegative_scores").value,
-        )
     constraint = "nonpositive_scores" if eta > cost.alpha else "nonnegative_scores"
     return brute_force_min(loss, eta, constraint).value
+
+
+def _sign_codes(cost: CostParam, eta: np.ndarray) -> np.ndarray:
+    """Per posterior, the row search's code of the constraint t*(eta-alpha)
+    <= 0: nonpositive scores above alpha, nonnegative below, none at alpha."""
+    from .oracle import _NONE, _NONNEGATIVE, _NONPOSITIVE
+
+    below = np.where(eta < cost.alpha, _NONNEGATIVE, _NONE)
+    return np.where(eta > cost.alpha, _NONPOSITIVE, below)
+
+
+def _constrained_rows(loss: Loss, cost: CostParam, eta: np.ndarray) -> np.ndarray:
+    """``constrained_optimal_risk`` on an ndarray: C^- off alpha and C* at
+    alpha, each closed where a closed form serves; the rest, on both sides
+    and at alpha alike, comes from one search."""
+    at = eta == cost.alpha
+    out = np.empty(eta.shape)
+    searched = np.zeros(eta.shape, dtype=bool)
+    for rows, closed in (
+        (~at, lambda e: _closed_c_minus(loss, cost, e)),
+        (at, lambda e: _closed_c_star(loss, e)),
+    ):
+        if rows.any():
+            value = closed(eta[rows])
+            if value is None:
+                searched |= rows
+            else:
+                out[rows] = value
+    if searched.any():
+        from .oracle import _search_rows
+
+        e = eta[searched]
+        out[searched] = _search_rows(loss, e, _sign_codes(cost, e))[0].value
+    return out
 
 
 def h_alpha(loss: Loss, cost: CostParam, eta):
@@ -241,16 +266,42 @@ def h_alpha(loss: Loss, cost: CostParam, eta):
     At eta == alpha the constraint is vacuous, so the gap is 0 there by
     definition and nothing is evaluated for it.  Negative gaps (rounding
     in the searches) are clamped to 0.  Takes a float or an ndarray of
-    posteriors.
+    posteriors; on an array, whichever of C^- and C* no closed form
+    serves comes from one search, which runs both together when neither
+    is closed.
     """
     _check_eta(eta)
-    array = isinstance(eta, np.ndarray)
-    if not array and eta == cost.alpha:
+    if isinstance(eta, np.ndarray):
+        return _gap_rows(loss, cost, eta)
+    if eta == cost.alpha:
         return 0.0
-    gap = _off_threshold_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta)
-    if array:
-        return np.where((0.0 > gap) | (eta == cost.alpha), 0.0, gap)
-    return max(gap, 0.0)
+    return max(_off_threshold_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta), 0.0)
+
+
+def _gap_rows(loss: Loss, cost: CostParam, eta: np.ndarray) -> np.ndarray:
+    """``h_alpha`` on an ndarray."""
+    at = eta == cost.alpha
+    c_minus, c_star = _closed_c_minus(loss, cost, eta), _closed_c_star(loss, eta)
+    if c_minus is None or c_star is None:
+        from .oracle import _NONE, _search_rows
+
+        # No row is searched at alpha: the gap is 0 there whatever the optima.
+        e = eta[~at]
+
+        def spread(result):
+            values = np.zeros(eta.shape)
+            values[~at] = result.value
+            return values
+
+        free = np.full(e.shape, _NONE)
+        if c_star is not None:
+            c_minus = spread(_search_rows(loss, e, _sign_codes(cost, e))[0])
+        elif c_minus is not None:
+            c_star = spread(_search_rows(loss, e, free)[0])
+        else:
+            c_minus, c_star = map(spread, _search_rows(loss, e, _sign_codes(cost, e), free))
+    gap = c_minus - c_star
+    return np.where((0.0 > gap) | at, 0.0, gap)
 
 
 def h_cc(loss: Loss, eta):

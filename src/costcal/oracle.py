@@ -8,6 +8,7 @@ distributions, and the seeded regret-bound fuzz harness.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,18 +41,42 @@ __all__ = [
 # Coarse search grid: symmetric log-spaced scores plus the origin.
 _HALF_GRID = np.logspace(-6.0, math.log10(50.0), 400)
 _GRID = np.concatenate([-_HALF_GRID[::-1], [0.0], _HALF_GRID])
+#: The index of the score 0 in ``_GRID``.
+_ZERO = len(_HALF_GRID)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: The golden section stops once its bracket is no wider than this.
 _GOLDEN_TOL = 1e-10
 
-#: Per constraint: the admissible grid scores, and the admissible infinite
-#: scores in the order they compete.
+#: Per constraint: the admissible columns of ``_GRID``, and the admissible
+#: infinite scores in the order they compete.  The row search names a
+#: constraint by its code, its index here (``_NONE`` and so on).
 _SEARCH = {
-    "none": (_GRID, (-math.inf, math.inf)),
-    "nonpositive_scores": (_GRID[_GRID <= 0.0], (-math.inf,)),
-    "nonnegative_scores": (_GRID[_GRID >= 0.0], (math.inf,)),
+    "none": (slice(0, len(_GRID)), (-math.inf, math.inf)),
+    "nonpositive_scores": (slice(0, _ZERO + 1), (-math.inf,)),
+    "nonnegative_scores": (slice(_ZERO, len(_GRID)), (math.inf,)),
 }
+_NONE, _NONPOSITIVE, _NONNEGATIVE = range(len(_SEARCH))
+_START = np.array([cols.start for cols, _ in _SEARCH.values()])
+_STOP = np.array([cols.stop for cols, _ in _SEARCH.values()])
+
+#: Each partial loss's values on ``_GRID``, evaluated on first use, by the
+#: ``id`` of the partial.  A weak reference's callback drops the entry when
+#: the partial is freed, so a table lives as long as its partial and is no
+#: part of it.  Keyed by identity, so ``fn`` need not be hashable.
+_GRID_VALUES: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+
+
+def _grid_values(partial: PartialLoss) -> np.ndarray:
+    """``partial.fn`` on the whole of ``_GRID``, read-only; a search slices
+    its admissible columns out of it."""
+    key = id(partial)
+    entry = _GRID_VALUES.get(key)
+    if entry is None or entry[0]() is not partial:
+        values = np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
+        ref = weakref.ref(partial, lambda _, key=key: _GRID_VALUES.pop(key, None))
+        entry = _GRID_VALUES[key] = (ref, values)
+    return entry[1]
 
 
 @dataclass(frozen=True)
@@ -136,30 +161,38 @@ def _golden_section(f, a: float, b: float):
     return x, min(yc, yd)
 
 
-def _golden_section_rows(f, a: np.ndarray, b: np.ndarray):
-    """``_golden_section`` on every row at once; ``f(rows, t)`` evaluates the
-    rows' objectives at one score each.  Each row follows the scalar
-    iteration exactly and stops once its own bracket is within ``_GOLDEN_TOL``."""
-    a, b = a.copy(), b.copy()
+def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """``_golden_section`` on every row at once; ``f(w, t)`` evaluates the
+    rows' objectives at one score each, ``w`` holding one parameter per row.
+    Each row follows the scalar iteration exactly and stops once its own
+    bracket is within ``_GOLDEN_TOL``.  The state holds the running rows
+    only: it is compacted on a step where a row finishes, so every other
+    step works on whole arrays, with no gather or scatter."""
+    arg, value = np.empty(len(a)), np.empty(len(a))
+    ids = np.arange(len(a))
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
-    rows = np.arange(len(a))
-    yc, yd = f(rows, c), f(rows, d)
-    while rows.size:
-        left = yc[rows] < yd[rows]
-        lo, hi = np.where(left, a[rows], c[rows]), np.where(left, d[rows], b[rows])
-        hr = hi - lo
-        mid = np.where(left, c[rows], d[rows])
-        new_c = np.where(left, hi - _INV_PHI * hr, mid)
-        new_d = np.where(left, mid, lo + _INV_PHI * hr)
-        kept = np.where(left, yc[rows], yd[rows])
-        y_new = f(rows, np.where(left, new_c, new_d))
-        a[rows], b[rows], c[rows], d[rows] = lo, hi, new_c, new_d
-        yc[rows] = np.where(left, y_new, kept)
-        yd[rows] = np.where(left, kept, y_new)
-        rows = rows[hr > _GOLDEN_TOL]
-    return np.where(yc < yd, c, d), np.where(yd < yc, yd, yc)
+    yc, yd = f(w, c), f(w, d)
+    while ids.size:
+        left = yc < yd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        h = b - a
+        mid = np.where(left, c, d)
+        c = np.where(left, b - _INV_PHI * h, mid)
+        d = np.where(left, mid, a + _INV_PHI * h)
+        kept = np.where(left, yc, yd)
+        y_new = f(w, np.where(left, c, d))
+        yc, yd = np.where(left, y_new, kept), np.where(left, kept, y_new)
+        running = h > _GOLDEN_TOL
+        if not running.all():
+            done = ids[~running]
+            arg[done] = np.where(yc < yd, c, d)[~running]
+            value[done] = np.where(yd < yc, yd, yc)[~running]
+            a, b, c, d, yc, yd, w, ids = (
+                x[running] for x in (a, b, c, d, yc, yd, w, ids)
+            )
+    return arg, value
 
 
 # A partial past the float range is +inf, its correctly rounded value, which
@@ -171,20 +204,24 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     A coarse pass over the log-spaced grid (restricted by the sign
     constraint) brackets the best point; golden-section refinement then
     polishes it.  Declared limits at the admissible infinities compete
-    with the refined finite minimum.
+    with the refined finite minimum.  The grid values of each partial loss
+    are computed once per partial (``_grid_values``).
 
-    ``eta`` is a float, or an ndarray of posteriors searched together
-    (``arg`` and ``value`` are then arrays of its shape).  Each posterior
-    of an array gets the same result as the float search, up to rounding.
+    ``eta`` is a float, or an ndarray of posteriors searched together by
+    ``_search_rows`` (``arg`` and ``value`` are then arrays of its shape).
+    Each posterior of an array gets the same result as the float search,
+    up to rounding.
     """
     if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
-    ts, limits = _SEARCH[constraint]
+    columns, limits = _SEARCH[constraint]
     _check_eta(eta)
     if isinstance(eta, np.ndarray):
-        return _brute_force_rows(loss, eta, ts, limits)
+        code = list(_SEARCH).index(constraint)
+        return _search_rows(loss, eta, np.full(eta.shape, code))[0]
 
-    pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
+    ts = _GRID[columns]
+    pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
     # A partial of weight 0 contributes 0, even where it is infinite.
     if eta == 0.0:
         risks = neg_vals
@@ -226,49 +263,88 @@ def _finite_risk(loss: Loss, eta: float):
     return lambda t: eta * float(pos(t)) + w * float(neg(t))
 
 
-#: Posterior rows per block of the grid pass.  A block's risk matrix is
+#: Posteriors per block of the grid pass.  A block's risk matrix is at most
 #: 32 x 801 doubles (205 kB); 32 rows ran faster than 16, 64 or 128.  The
 #: two block matrices are allocated once per search: allocated per block,
 #: glibc may hand them back to the OS and fault them in again each time.
 _BLOCK_ROWS = 32
 
 
-def _brute_force_rows(loss: Loss, eta: np.ndarray, ts: np.ndarray, limits) -> SearchResult:
-    """The float search of ``brute_force_min``, on every posterior at once."""
+@np.errstate(over="ignore")
+def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[SearchResult]:
+    """``brute_force_min``'s search on rows of a posterior and a constraint,
+    all in one search.  Each array in ``codes``, of ``eta``'s shape, holds
+    a constraint code (``_NONE`` and so on) per posterior, and gets one
+    ``SearchResult`` of that shape.
+
+    The grid pass mixes each posterior's risk row once, on the columns its
+    constraints admit, and takes each constraint's argmin over its own
+    slice of that row.  Then every row refines in one golden section, and
+    each row's admissible limits compete."""
     shape = eta.shape
     eta = eta.astype(float).ravel()
-    pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
-    n = len(eta)
-    idx = np.empty(n, dtype=np.intp)
-    grid_v = np.empty(n)
-    buffers = np.empty((2, min(n, _BLOCK_ROWS), len(ts)))
-    for start in range(0, n, _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
+    n, k = len(eta), len(codes)
+    code = np.concatenate([np.ravel(c) for c in codes]).astype(np.intp)
+    start, stop = _START[code], _STOP[code]
+    # Row r searches posterior r % n; each posterior's risk row covers the
+    # columns of all its searches.
+    first, last = start.reshape(k, n).min(axis=0), stop.reshape(k, n).max(axis=0)
+    pos_vals, neg_vals = _grid_values(loss.pos), _grid_values(loss.neg)
+    idx = np.empty(k * n, dtype=np.intp)
+    grid_v = np.empty(k * n)
+    width = int(last.max() - first.min()) if n else 0
+    buffers = np.empty((2, min(n, _BLOCK_ROWS) * width))
+    for lo_row in range(0, n, _BLOCK_ROWS):
+        block = slice(lo_row, lo_row + _BLOCK_ROWS)
         w = eta[block, None]
-        risks = _mix(w, pos_vals, neg_vals, out=buffers[:, : len(w)])
-        idx[block] = np.argmin(risks, axis=1)
-        grid_v[block] = risks[np.arange(len(risks)), idx[block]]
+        c0, c1 = int(first[block].min()), int(last[block].max())
+        out = buffers[:, : len(w) * (c1 - c0)].reshape(2, len(w), c1 - c0)
+        risks = _mix(w, pos_vals[c0:c1], neg_vals[c0:c1], out=out)
+        for j in range(k):
+            rows = slice(j * n + lo_row, j * n + lo_row + len(w))
+            _grid_argmin(risks, c0, code[rows], idx[rows], grid_v[rows])
 
-    def risk_at(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return _mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
+    def risk_at(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return _mix(w, loss.pos.fn(t), loss.neg.fn(t))
 
-    lo = ts[np.maximum(idx - 1, 0)]
-    hi = ts[np.minimum(idx + 1, len(ts) - 1)]
-    best_t, best_v = _golden_section_rows(risk_at, lo, hi)
+    row_eta = np.tile(eta, k)
+    lo = _GRID[np.maximum(idx - 1, start)]
+    hi = _GRID[np.minimum(idx + 1, stop - 1)]
+    best_t, best_v = _golden_section_rows(risk_at, lo, hi, row_eta)
     on_grid = grid_v < best_v
-    best_t[on_grid], best_v[on_grid] = ts[idx[on_grid]], grid_v[on_grid]
+    best_t[on_grid], best_v[on_grid] = _GRID[idx[on_grid]], grid_v[on_grid]
 
-    for t in limits:
+    for t in (-math.inf, math.inf):
+        admitted = np.array([t in limits for _, limits in _SEARCH.values()])
+        rows = np.flatnonzero(admitted[code])
         lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
         lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
         # A missing limit is NaN, which rules the candidate out only where
         # its partial has nonzero weight, as in conditional_risk.
         v = _mix(
-            eta, np.nan if lim_pos is None else lim_pos, np.nan if lim_neg is None else lim_neg
+            row_eta[rows],
+            np.nan if lim_pos is None else lim_pos,
+            np.nan if lim_neg is None else lim_neg,
         )
-        wins = v <= best_v
-        best_t[wins], best_v[wins] = t, v[wins]
-    return SearchResult(arg=best_t.reshape(shape), value=best_v.reshape(shape))
+        wins = v <= best_v[rows]
+        best_t[rows[wins]], best_v[rows[wins]] = t, v[wins]
+    return [
+        SearchResult(arg=t.reshape(shape), value=v.reshape(shape))
+        for t, v in zip(np.split(best_t, k), np.split(best_v, k))
+    ]
+
+
+def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, value: np.ndarray):
+    """Per row of a block's risk matrix (its columns start at ``c0``), the
+    grid index and value of the least risk over the columns its constraint
+    code admits; written into ``idx`` and ``value``."""
+    mixed = code.min() != code.max()
+    for c in range(len(_SEARCH)) if mixed else code[:1]:
+        rows = code == c if mixed else slice(None)
+        sub = risks[rows, _START[c] - c0 : _STOP[c] - c0]
+        i = np.argmin(sub, axis=1)
+        idx[rows] = i + _START[c]
+        value[rows] = sub[np.arange(len(sub)), i]
 
 
 def finite_diff_check(partial: PartialLoss, t: float, h: float = 1e-6) -> float:

@@ -307,6 +307,17 @@ class TestAlphaGamma:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_tiny_gamma_min_error_names_it(self, capsys, tmp_path):
+        out = tmp_path / "t.csv"
+        code = main(
+            ["alpha-gamma", "--gamma-min", "1e-300", "--gamma-max", "2",
+             "--points", "3", "--output", str(out)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gamma=1e-300 " in err
+        assert not out.exists()
+
     def test_infinite_gamma_max_is_usage_error_without_warnings(self, capsys, tmp_path):
         out = tmp_path / "t.csv"
         code = main(

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -280,7 +281,11 @@ class TestSigmoidTMinus:
 
         monkeypatch.setattr(costcal.families, "sigmoid_t_minus", spy)
         loss = uneven("sigmoid", gamma=2.0)
-        for c_star in (SIGMOID_GAMMA2.c_star, lambda eta: optimal_conditional_risk(loss, eta)):
+        for c_star in (
+            SIGMOID_GAMMA2.c_star,
+            lambda eta: optimal_conditional_risk(loss, eta),
+            lambda eta: closed_forms(SIGMOID_GAMMA2, eta),
+        ):
             for eta in (1e-9, 0.05, 0.2, 0.3):
                 del calls[:]
                 c_star(eta)
@@ -333,6 +338,13 @@ class TestAlphaOfGamma:
     def test_rejects_gammas_the_bisection_cannot_handle(self, gamma, scalar):
         with pytest.raises(DomainError):
             alpha_of_gamma(scalar(gamma))
+
+    # Below 1 the root is found at 1 / gamma; the error must still name the
+    # caller's gamma, not 1e300 or the infinite reciprocal of 5e-324.
+    @pytest.mark.parametrize("gamma", [1e-300, 5e-324, 1e300])
+    def test_errors_name_the_callers_gamma(self, gamma):
+        with pytest.raises(DomainError, match=re.escape(f"gamma={gamma!r} ")):
+            alpha_of_gamma(gamma)
 
     @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize("gamma", [143.0, 1.0 / 143.0])

@@ -1,7 +1,9 @@
 """Brute-force search, finite differences, empirical regrets, and fuzzing."""
 
+import gc
 import math
 import warnings
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from costcal import (
     check_calibrated_numeric,
     closed_forms,
     conditional_risk,
+    constrained_optimal_risk,
     empirical_regrets,
     finite_diff_check,
     fuzz_bound,
@@ -119,7 +122,8 @@ class TestBruteForceMin:
 def loop_search(loss, eta, constraint):
     """The float search with its golden section on ``conditional_risk``
     itself, a step at a time: the reference for ``brute_force_min``."""
-    ts, limits = oracle._SEARCH[constraint]
+    columns, limits = oracle._SEARCH[constraint]
+    ts = oracle._GRID[columns]
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
     if eta == 0.0:
         risks = neg_vals
@@ -238,9 +242,9 @@ class TestBatchedSearch:
         rows_seen = []
         batched = oracle._golden_section_rows
 
-        def spy(f, a, b):
+        def spy(f, a, b, w):
             rows_seen.append(len(a))
-            return batched(f, a, b)
+            return batched(f, a, b, w)
 
         monkeypatch.setattr(oracle, "_golden_section_rows", spy)
         nu_curve(SEARCHED[name], CostParam(0.3), 51)
@@ -255,6 +259,176 @@ class TestBatchedSearch:
             brute_force_min(loss, np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
             brute_force_min(loss, np.array([np.nan]))
+
+
+def gathering_golden_section(f, a, b):
+    """The batched golden section as one run per constraint had it: every
+    step gathers the running rows' state and scatters it back."""
+    a, b = a.copy(), b.copy()
+    h = b - a
+    c = b - oracle._INV_PHI * h
+    d = a + oracle._INV_PHI * h
+    rows = np.arange(len(a))
+    yc, yd = f(rows, c), f(rows, d)
+    while rows.size:
+        left = yc[rows] < yd[rows]
+        lo, hi = np.where(left, a[rows], c[rows]), np.where(left, d[rows], b[rows])
+        hr = hi - lo
+        mid = np.where(left, c[rows], d[rows])
+        new_c = np.where(left, hi - oracle._INV_PHI * hr, mid)
+        new_d = np.where(left, mid, lo + oracle._INV_PHI * hr)
+        kept = np.where(left, yc[rows], yd[rows])
+        y_new = f(rows, np.where(left, new_c, new_d))
+        a[rows], b[rows], c[rows], d[rows] = lo, hi, new_c, new_d
+        yc[rows] = np.where(left, y_new, kept)
+        yd[rows] = np.where(left, kept, y_new)
+        rows = rows[hr > oracle._GOLDEN_TOL]
+    return np.where(yc < yd, c, d), np.where(yd < yc, yd, yc)
+
+
+@np.errstate(over="ignore")
+def constraint_search(loss, eta, constraint):
+    """The batched search for one constraint, with its own grid evaluation
+    and its own golden section: the reference for the row search."""
+    columns, limits = oracle._SEARCH[constraint]
+    ts = oracle._GRID[columns]
+    eta = np.asarray(eta, dtype=float)
+    risks = oracle._mix(eta[:, None], loss.pos.fn(ts), loss.neg.fn(ts))
+    idx = np.argmin(risks, axis=1)
+    grid_v = risks[np.arange(len(eta)), idx]
+
+    def risk_at(rows, t):
+        return oracle._mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
+
+    lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, len(ts) - 1)]
+    best_t, best_v = gathering_golden_section(risk_at, lo, hi)
+    on_grid = grid_v < best_v
+    best_t[on_grid], best_v[on_grid] = ts[idx[on_grid]], grid_v[on_grid]
+    for t in limits:
+        lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
+        lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
+        v = oracle._mix(
+            eta, np.nan if lim_pos is None else lim_pos, np.nan if lim_neg is None else lim_neg
+        )
+        wins = v <= best_v
+        best_t[wins], best_v[wins] = t, v[wins]
+    return best_t, best_v
+
+
+def assert_rows_match_reference(loss, etas, *codes):
+    """Every row of one ``_search_rows`` call is bit-equal to the search
+    for its constraint alone."""
+    etas = np.array(etas, dtype=float)
+    results = oracle._search_rows(loss, etas, *(np.array(c) for c in codes))
+    assert len(results) == len(codes)
+    for code, result in zip(codes, results):
+        code = np.array(code)
+        for k, constraint in enumerate(CONSTRAINTS):
+            rows = code == k
+            if rows.any():
+                ref_t, ref_v = constraint_search(loss, etas[rows], constraint)
+                got = zip(result.arg[rows].tolist(), result.value[rows].tolist())
+                assert [bits(*r) for r in got] == [bits(*r) for r in zip(ref_t, ref_v)]
+
+
+ROW_LOSSES = {
+    **SEARCHED, "undeclared-limit": UNDECLARED_LIMIT, "inf-on-negatives": INFINITE_ON_NEGATIVES
+}
+ROW_ETAS = [0.0, 1.0, 0.3, 1e-12, 1.0 - 1e-12]
+
+
+class TestRowSearch:
+    """One search over rows of mixed constraints against the per-constraint
+    batched search, and the requests that make one such search."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
+    def test_mixed_constraints_at_the_edges(self, name):
+        etas = ROW_ETAS * 3
+        # Each posterior under every constraint, in both columns.
+        first = [k for k in range(3) for _ in ROW_ETAS]
+        second = [(k + 1) % 3 for k in first]
+        assert_rows_match_reference(ROW_LOSSES[name], etas, first, second)
+        assert_rows_match_reference(ROW_LOSSES[name], etas, second)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.integers(0, 2), st.integers(0, 2)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(sorted(ROW_LOSSES)),
+    )
+    def test_drawn_posteriors_and_constraints(self, rows, name):
+        etas, first, second = zip(*rows)
+        assert_rows_match_reference(ROW_LOSSES[name], etas, first, second)
+
+    def test_no_posteriors(self):
+        loss, cost, none = SEARCHED["hinge"], CostParam(0.3), np.array([])
+        for constraint in CONSTRAINTS:
+            result = brute_force_min(loss, none, constraint)
+            assert result.arg.shape == result.value.shape == (0,)
+        assert h_alpha(loss, cost, none).shape == (0,)
+        assert constrained_optimal_risk(loss, cost, none).shape == (0,)
+
+    @pytest.mark.parametrize("request_fn", [h_alpha, constrained_optimal_risk])
+    def test_one_golden_section_run_with_alpha_among_the_posteriors(self, monkeypatch, request_fn):
+        loss, alpha = SEARCHED["sigmoid-gamma3"], 0.3
+        etas = np.array([0.0, 1e-12, 0.1, alpha, 0.5, 0.9, 1.0])
+        runs = []
+        golden = oracle._golden_section_rows
+
+        def spy(f, a, b, w):
+            runs.append(len(a))
+            return golden(f, a, b, w)
+
+        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
+        values = request_fn(loss, CostParam(alpha), etas)
+        assert len(runs) == 1 and runs[0] > 1
+        # Against the per-constraint search: C^- on each side, C* at alpha.
+        _, below = constraint_search(loss, etas[:3], "nonnegative_scores")
+        _, above = constraint_search(loss, etas[4:], "nonpositive_scores")
+        _, c_star = constraint_search(loss, etas, "none")
+        c_minus = np.concatenate([below, c_star[3:4], above])
+        gap = c_minus - c_star
+        expected = np.where(0.0 > gap, 0.0, gap) if request_fn is h_alpha else c_minus
+        assert bits(*values) == bits(*expected)
+
+
+@dataclass
+class ScaledExp:
+    """e^-t times c: a callable that equality makes unhashable."""
+
+    c: float
+
+    def __call__(self, t):
+        return self.c * np.exp(-t)
+
+
+class TestGridTable:
+    def test_each_partial_evaluated_once_on_the_grid(self):
+        loss, scores = counted(SEARCHED["squared-weighted"])
+        cost, etas = CostParam(0.3), np.array([0.1, 0.3, 0.8])
+        for constraint in CONSTRAINTS:
+            brute_force_min(loss, 0.6, constraint)
+            brute_force_min(loss, etas, constraint)
+        h_alpha(loss, cost, etas)
+        constrained_optimal_risk(loss, cost, etas)
+        assert [np.size(t) for t in scores if np.size(t) > len(etas)] == [len(oracle._GRID)] * 2
+
+    def test_unhashable_fn_and_freed_with_its_partial(self):
+        partial = PartialLoss(
+            fn=ScaledExp(1.0), value_at_zero=1.0, is_convex=True,
+            limit_neg_inf=math.inf, limit_pos_inf=0.0,
+        )
+        loss = Loss(pos=partial, neg=replace(partial, fn=ScaledExp(2.0)))
+        brute_force_min(loss, 0.3)
+        brute_force_min(loss, np.array([0.2, 0.7]))
+        keys = [id(loss.pos), id(loss.neg)]
+        assert all(key in oracle._GRID_VALUES for key in keys)
+        del loss, partial
+        gc.collect()
+        assert not any(key in oracle._GRID_VALUES for key in keys)
 
 
 def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
