@@ -152,20 +152,10 @@ def optimal_conditional_risk(loss: Loss, eta):
     Family-tagged losses in a supported configuration dispatch to their
     closed form; everything else runs the brute-force search.  ``eta`` is
     a float or an ndarray of posteriors; an array runs the closed form in
-    numpy, or one batched search for all of them.
+    numpy, or one batched search for all of them (see ``_optima``).
     """
     _check_eta(eta)
-    closed = _closed_c_star(loss, eta)
-    if closed is not None:
-        return closed
-    from .oracle import brute_force_min
-
-    return brute_force_min(loss, eta, "none").value
-
-
-def _closed_c_star(loss: Loss, eta):
-    """The closed-form C*(eta), or None when the search must serve it."""
-    return None if loss.family is None else loss.family.c_star(eta)
+    return _optima(loss, None, eta)
 
 
 def derivative_test(loss: Loss, cost: CostParam) -> tuple[float, float, float, bool] | None:
@@ -199,65 +189,7 @@ def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
     comes from one batched search.
     """
     _check_eta(eta)
-    if isinstance(eta, np.ndarray):
-        return _constrained_rows(loss, cost, eta)
-    if eta == cost.alpha:
-        return optimal_conditional_risk(loss, eta)
-    return _off_threshold_risk(loss, cost, eta)
-
-
-def _closed_c_minus(loss: Loss, cost: CostParam, eta):
-    """C^-(eta) off alpha from the convex shortcut or a closed form, or
-    None when the search must serve it."""
-    test = derivative_test(loss, cost)
-    if test is not None and test[3]:
-        return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
-    return None if loss.family is None else loss.family.c_minus(cost, eta)
-
-
-def _off_threshold_risk(loss: Loss, cost: CostParam, eta: float) -> float:
-    """``constrained_optimal_risk`` at a float posterior other than alpha."""
-    closed = _closed_c_minus(loss, cost, eta)
-    if closed is not None:
-        return closed
-    from .oracle import brute_force_min
-
-    constraint = "nonpositive_scores" if eta > cost.alpha else "nonnegative_scores"
-    return brute_force_min(loss, eta, constraint).value
-
-
-def _sign_codes(cost: CostParam, eta: np.ndarray) -> np.ndarray:
-    """Per posterior, the row search's code of the constraint t*(eta-alpha)
-    <= 0: nonpositive scores above alpha, nonnegative below, none at alpha."""
-    from .oracle import _NONE, _NONNEGATIVE, _NONPOSITIVE
-
-    below = np.where(eta < cost.alpha, _NONNEGATIVE, _NONE)
-    return np.where(eta > cost.alpha, _NONPOSITIVE, below)
-
-
-def _constrained_rows(loss: Loss, cost: CostParam, eta: np.ndarray) -> np.ndarray:
-    """``constrained_optimal_risk`` on an ndarray: C^- off alpha and C* at
-    alpha, each closed where a closed form serves; the rest, on both sides
-    and at alpha alike, comes from one search."""
-    at = eta == cost.alpha
-    out = np.empty(eta.shape)
-    searched = np.zeros(eta.shape, dtype=bool)
-    for rows, closed in (
-        (~at, lambda e: _closed_c_minus(loss, cost, e)),
-        (at, lambda e: _closed_c_star(loss, e)),
-    ):
-        if rows.any():
-            value = closed(eta[rows])
-            if value is None:
-                searched |= rows
-            else:
-                out[rows] = value
-    if searched.any():
-        from .oracle import _search_rows
-
-        e = eta[searched]
-        out[searched] = _search_rows(loss, e, _sign_codes(cost, e))[0].value
-    return out
+    return _optima(loss, cost, eta)
 
 
 def h_alpha(loss: Loss, cost: CostParam, eta):
@@ -271,37 +203,85 @@ def h_alpha(loss: Loss, cost: CostParam, eta):
     is closed.
     """
     _check_eta(eta)
-    if isinstance(eta, np.ndarray):
-        return _gap_rows(loss, cost, eta)
-    if eta == cost.alpha:
+    if not isinstance(eta, np.ndarray) and eta == cost.alpha:
         return 0.0
-    return max(_off_threshold_risk(loss, cost, eta) - optimal_conditional_risk(loss, eta), 0.0)
+    return _optima(loss, cost, eta, gap=True)
 
 
-def _gap_rows(loss: Loss, cost: CostParam, eta: np.ndarray) -> np.ndarray:
-    """``h_alpha`` on an ndarray."""
+def _closed(loss: Loss, cost: CostParam | None, eta):
+    """From a closed form: C^-(eta) off alpha for a cost, by the derivative
+    test's shortcut first, or C*(eta) for ``cost`` None.  None when the
+    search must serve the value."""
+    if cost is None:
+        return None if loss.family is None else loss.family.c_star(eta)
+    test = derivative_test(loss, cost)
+    if test is not None and test[3]:
+        return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
+    return None if loss.family is None else loss.family.c_minus(cost, eta)
+
+
+def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
+    """The one place that chooses closed form or search.
+
+    Returns C*(eta) for ``cost`` None, and C^-(eta) for a cost, which is
+    C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
+    0, and 0 at alpha.
+
+    A float runs one ``brute_force_min`` for each quantity no closed form
+    serves.  An array runs the closed forms on the whole of it; whatever
+    they leave comes from one ``_search_rows`` call.  Its constraint code
+    per row is the sign every admissible score keeps: sign(alpha - eta)
+    for C^-, so 0 (no constraint, C*) at alpha, and 0 for C*.
+    """
+    if not isinstance(eta, np.ndarray):
+        if cost is not None and eta == cost.alpha:
+            cost = None
+        value = _closed(loss, cost, eta)
+        if value is None:
+            from .oracle import brute_force_min
+
+            constraint = "none" if cost is None else (
+                "nonpositive_scores" if eta > cost.alpha else "nonnegative_scores"
+            )
+            value = brute_force_min(loss, eta, constraint).value
+        return max(value - _optima(loss, None, eta), 0.0) if gap else value
+
+    def search(rows, *kinds):
+        """One ``_search_rows`` call on ``eta[rows]``, a column of values per
+        kind: sign(alpha - eta) codes for a cost, 0 for None."""
+        from .oracle import _search_rows
+
+        e = eta[rows]
+        codes = (np.zeros(e.shape) if k is None else np.sign(k.alpha - e) for k in kinds)
+        return [result.value for result in _search_rows(loss, e, *codes)]
+
+    if cost is None:
+        c_star = _closed(loss, None, eta)
+        return search(..., None)[0] if c_star is None else c_star
     at = eta == cost.alpha
-    c_minus, c_star = _closed_c_minus(loss, cost, eta), _closed_c_star(loss, eta)
-    if c_minus is None or c_star is None:
-        from .oracle import _NONE, _search_rows
-
-        # No row is searched at alpha: the gap is 0 there whatever the optima.
-        e = eta[~at]
-
-        def spread(result):
-            values = np.zeros(eta.shape)
-            values[~at] = result.value
-            return values
-
-        free = np.full(e.shape, _NONE)
-        if c_star is not None:
-            c_minus = spread(_search_rows(loss, e, _sign_codes(cost, e))[0])
-        elif c_minus is not None:
-            c_star = spread(_search_rows(loss, e, free)[0])
+    c_minus = _closed(loss, cost, eta)
+    if gap:
+        c_star = _closed(loss, None, eta)
+        if c_minus is None or c_star is None:
+            # No row is searched at alpha: the gap is 0 there whatever the optima.
+            off = ~at
+            found = search(off, *(k for k, v in ((cost, c_minus), (None, c_star)) if v is None))
+            c_minus = found.pop(0) if c_minus is None else c_minus[off]
+            c_star = found.pop(0) if c_star is None else c_star[off]
+            h = np.zeros(eta.shape)
+            h[off] = c_minus - c_star
         else:
-            c_minus, c_star = map(spread, _search_rows(loss, e, _sign_codes(cost, e), free))
-    gap = c_minus - c_star
-    return np.where((0.0 > gap) | at, 0.0, gap)
+            h = c_minus - c_star
+        return np.where((0.0 > h) | at, 0.0, h)
+    # C^- off alpha and C* at alpha: one search serves the rows of either
+    # that no closed form serves, its code 0 at alpha.
+    c_star = _closed(loss, None, eta) if at.any() else 0.0
+    value = np.where(at, 0.0 if c_star is None else c_star, 0.0 if c_minus is None else c_minus)
+    if c_minus is None or c_star is None:
+        rows = (~at if c_minus is None else False) | (at if c_star is None else False)
+        if rows.any():
+            value[rows] = search(rows, cost)[0]
+    return value
 
 
 def h_cc(loss: Loss, eta):

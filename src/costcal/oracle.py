@@ -48,17 +48,19 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: The golden section stops once its bracket is no wider than this.
 _GOLDEN_TOL = 1e-10
 
-#: Per constraint: the admissible columns of ``_GRID``, and the admissible
-#: infinite scores in the order they compete.  The row search names a
-#: constraint by its code, its index here (``_NONE`` and so on).
+#: A constraint is coded by the sign every admissible score keeps: 0 for
+#: none, +1 for nonnegative scores, -1 for nonpositive ones.  Per
+#: constraint: its code, its admissible columns of ``_GRID``, and its
+#: admissible infinite scores in the order they compete.
 _SEARCH = {
-    "none": (slice(0, len(_GRID)), (-math.inf, math.inf)),
-    "nonpositive_scores": (slice(0, _ZERO + 1), (-math.inf,)),
-    "nonnegative_scores": (slice(_ZERO, len(_GRID)), (math.inf,)),
+    "none": (0, slice(0, len(_GRID)), (-math.inf, math.inf)),
+    "nonnegative_scores": (1, slice(_ZERO, len(_GRID)), (math.inf,)),
+    "nonpositive_scores": (-1, slice(0, _ZERO + 1), (-math.inf,)),
 }
-_NONE, _NONPOSITIVE, _NONNEGATIVE = range(len(_SEARCH))
-_START = np.array([cols.start for cols, _ in _SEARCH.values()])
-_STOP = np.array([cols.stop for cols, _ in _SEARCH.values()])
+#: The bounds of a code's columns, indexed by the code: 0 and +1 count
+#: from the front, and -1 from the back, as ``_SEARCH`` lists them.
+_START = np.array([columns.start for _, columns, _ in _SEARCH.values()])
+_STOP = np.array([columns.stop for _, columns, _ in _SEARCH.values()])
 
 #: Each partial loss's values on ``_GRID``, evaluated on first use, by the
 #: ``id`` of the partial.  A weak reference's callback drops the entry when
@@ -69,11 +71,15 @@ _GRID_VALUES: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
 def _grid_values(partial: PartialLoss) -> np.ndarray:
     """``partial.fn`` on the whole of ``_GRID``, read-only; a search slices
-    its admissible columns out of it."""
+    its admissible columns out of it.  A partial defined on one half-line
+    only may be NaN on the other, which no search on its half-line reads,
+    so numpy's invalid-value warning is silenced there."""
     key = id(partial)
     entry = _GRID_VALUES.get(key)
     if entry is None or entry[0]() is not partial:
-        values = np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
+        with np.errstate(invalid="ignore"):
+            table = np.asarray(partial.fn(_GRID), dtype=float)
+        values = np.broadcast_to(table, _GRID.shape)
         ref = weakref.ref(partial, lambda _, key=key: _GRID_VALUES.pop(key, None))
         entry = _GRID_VALUES[key] = (ref, values)
     return entry[1]
@@ -214,10 +220,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     """
     if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
-    columns, limits = _SEARCH[constraint]
+    code, columns, limits = _SEARCH[constraint]
     _check_eta(eta)
     if isinstance(eta, np.ndarray):
-        code = list(_SEARCH).index(constraint)
         return _search_rows(loss, eta, np.full(eta.shape, code))[0]
 
     ts = _GRID[columns]
@@ -274,8 +279,8 @@ _BLOCK_ROWS = 32
 def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[SearchResult]:
     """``brute_force_min``'s search on rows of a posterior and a constraint,
     all in one search.  Each array in ``codes``, of ``eta``'s shape, holds
-    a constraint code (``_NONE`` and so on) per posterior, and gets one
-    ``SearchResult`` of that shape.
+    a constraint code per posterior (the sign every admissible score
+    keeps; see ``_SEARCH``), and gets one ``SearchResult`` of that shape.
 
     The grid pass mixes each posterior's risk row once, on the columns its
     constraints admit, and takes each constraint's argmin over its own
@@ -314,9 +319,8 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
     on_grid = grid_v < best_v
     best_t[on_grid], best_v[on_grid] = _GRID[idx[on_grid]], grid_v[on_grid]
 
-    for t in (-math.inf, math.inf):
-        admitted = np.array([t in limits for _, limits in _SEARCH.values()])
-        rows = np.flatnonzero(admitted[code])
+    for t, admitted in ((-math.inf, code <= 0), (math.inf, code >= 0)):
+        rows = np.flatnonzero(admitted)
         lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
         lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
         # A missing limit is NaN, which rules the candidate out only where
@@ -339,7 +343,7 @@ def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, 
     grid index and value of the least risk over the columns its constraint
     code admits; written into ``idx`` and ``value``."""
     mixed = code.min() != code.max()
-    for c in range(len(_SEARCH)) if mixed else code[:1]:
+    for c in (-1, 0, 1) if mixed else code[:1]:
         rows = code == c if mixed else slice(None)
         sub = risks[rows, _START[c] - c0 : _STOP[c] - c0]
         i = np.argmin(sub, axis=1)

@@ -495,3 +495,40 @@ class TestLayering:
             or (isinstance(node, ast.Attribute) and node.attr == "_knots")
         }
         assert naming == {"curves"}
+
+    def test_only_oracle_names_the_search_layout(self):
+        layout = {"_SEARCH", "_START", "_STOP"}
+        naming = {
+            module
+            for module, tree in module_trees().items()
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id in layout)
+            or (isinstance(node, ast.alias) and node.name in layout)
+            or (isinstance(node, ast.Attribute) and node.attr in layout)
+        }
+        assert naming == {"oracle"}
+
+    def test_losses_reaches_the_oracle_only_from_the_chooser(self):
+        tree = module_trees()["losses"]
+        chooser = next(
+            node
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name == "_optima"
+        )
+        inside = {id(node) for node in ast.walk(chooser)}
+        from_oracle = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (
+                (node.module or "").endswith("oracle")
+                or any(alias.name == "oracle" for alias in node.names)
+            )
+        ]
+        assert from_oracle and all(id(node) in inside for node in from_oracle)
+        names = {alias.name for node in from_oracle for alias in node.names}
+        assert names == {"brute_force_min", "_search_rows"}
+        assert not any(
+            isinstance(node, ast.Import) and any(a.name.endswith("oracle") for a in node.names)
+            for node in ast.walk(tree)
+        )

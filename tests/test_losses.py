@@ -24,6 +24,7 @@ from costcal import (
     optimal_conditional_risk,
     theta_alpha,
 )
+from costcal import oracle
 from costcal.losses import sign
 from costcal.oracle import brute_force_min
 
@@ -351,6 +352,67 @@ class TestThetaAlpha:
                 theta, w = theta_alpha(cost, float(eta))
                 assert w > 0.0
                 assert sign(2.0 * theta - 1.0) == sign(float(eta) - alpha)
+
+
+#: One case per branch of the closed-or-search chooser: (loss, alpha, whether
+#: C* is closed, whether C^- is closed off alpha).
+CHOOSER_BRANCHES = {
+    "both closed": (uneven("hinge", gamma=2.0), 0.5, True, True),
+    "C^- searched": (uneven("hinge", gamma=2.0), 0.3, True, False),
+    "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4, False, True),
+    "both searched": (untagged(uneven("sigmoid", gamma=3.0)), 0.3, False, False),
+}
+
+
+class TestFloatAndArrayRequests:
+    """C*, C^- and H on an array, alpha among the posteriors, against the
+    same requests one float at a time, on each branch of the chooser."""
+
+    @pytest.mark.parametrize("branch", sorted(CHOOSER_BRANCHES))
+    def test_array_matches_floats(self, monkeypatch, branch):
+        loss, alpha, star_closed, minus_closed = CHOOSER_BRANCHES[branch]
+        cost = CostParam(alpha)
+        etas = np.array([0.0, 1e-12, 0.1, alpha, 0.5, 0.9, 1.0 - 1e-12, 1.0])
+        searches = {"float": 0, "rows": []}
+        float_search, row_search = oracle.brute_force_min, oracle._search_rows
+
+        def float_spy(loss, eta, constraint="none"):
+            searches["float"] += not isinstance(eta, np.ndarray)
+            return float_search(loss, eta, constraint)
+
+        def row_spy(loss, eta, *codes):
+            searches["rows"].append(eta.tolist())
+            return row_search(loss, eta, *codes)
+
+        monkeypatch.setattr(oracle, "brute_force_min", float_spy)
+        monkeypatch.setattr(oracle, "_search_rows", row_spy)
+        off = len(etas) - 1
+        star, minus = (0 if star_closed else 1), (0 if minus_closed else 1)
+        # Per request: the function, the float searches over all posteriors
+        # (H searches nothing at alpha), and whether an array must search.
+        requests = {
+            "C*": (lambda e: optimal_conditional_risk(loss, e), star * len(etas), star),
+            "C^-": (
+                lambda e: constrained_optimal_risk(loss, cost, e), minus * off + star, star | minus
+            ),
+            "H": (lambda e: h_alpha(loss, cost, e), (minus + star) * off, star | minus),
+        }
+        for name, (request, float_searches, array_searches) in requests.items():
+            searches["float"], searches["rows"] = 0, []
+            values = request(etas)
+            assert len(searches["rows"]) == array_searches, name
+            floats = [request(float(e)) for e in etas]
+            assert searches["float"] == float_searches, name
+            np.testing.assert_allclose(values, floats, rtol=0.0, atol=1e-12, err_msg=name)
+        # The last request, H, searched no row at alpha.
+        assert alpha not in sum(searches["rows"], [])
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.8])
+    def test_zero_dimensional_c_minus_at_alpha_is_c_star(self, alpha):
+        # Both take the closed C* of the same 0-d array, so the same bits.
+        loss, at = uneven("exponential", gamma=2.0, alpha_weight=0.3), np.array(alpha)
+        c_minus = constrained_optimal_risk(loss, CostParam(alpha), at)
+        assert float(c_minus).hex() == float(optimal_conditional_risk(loss, at)).hex()
 
 
 class TestStructuralInvariants:

@@ -122,7 +122,7 @@ class TestBruteForceMin:
 def loop_search(loss, eta, constraint):
     """The float search with its golden section on ``conditional_risk``
     itself, a step at a time: the reference for ``brute_force_min``."""
-    columns, limits = oracle._SEARCH[constraint]
+    _, columns, limits = oracle._SEARCH[constraint]
     ts = oracle._GRID[columns]
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
     if eta == 0.0:
@@ -290,7 +290,7 @@ def gathering_golden_section(f, a, b):
 def constraint_search(loss, eta, constraint):
     """The batched search for one constraint, with its own grid evaluation
     and its own golden section: the reference for the row search."""
-    columns, limits = oracle._SEARCH[constraint]
+    _, columns, limits = oracle._SEARCH[constraint]
     ts = oracle._GRID[columns]
     eta = np.asarray(eta, dtype=float)
     risks = oracle._mix(eta[:, None], loss.pos.fn(ts), loss.neg.fn(ts))
@@ -323,7 +323,7 @@ def assert_rows_match_reference(loss, etas, *codes):
     assert len(results) == len(codes)
     for code, result in zip(codes, results):
         code = np.array(code)
-        for k, constraint in enumerate(CONSTRAINTS):
+        for constraint, (k, _, _) in oracle._SEARCH.items():
             rows = code == k
             if rows.any():
                 ref_t, ref_v = constraint_search(loss, etas[rows], constraint)
@@ -345,15 +345,15 @@ class TestRowSearch:
     def test_mixed_constraints_at_the_edges(self, name):
         etas = ROW_ETAS * 3
         # Each posterior under every constraint, in both columns.
-        first = [k for k in range(3) for _ in ROW_ETAS]
-        second = [(k + 1) % 3 for k in first]
+        first = [k for k in (-1, 0, 1) for _ in ROW_ETAS]
+        second = [(k + 2) % 3 - 1 for k in first]
         assert_rows_match_reference(ROW_LOSSES[name], etas, first, second)
         assert_rows_match_reference(ROW_LOSSES[name], etas, second)
 
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.integers(0, 2), st.integers(0, 2)),
+            st.tuples(st.floats(0.0, 1.0), st.integers(-1, 1), st.integers(-1, 1)),
             min_size=1,
             max_size=40,
         ),
@@ -415,6 +415,26 @@ class TestGridTable:
         h_alpha(loss, cost, etas)
         constrained_optimal_risk(loss, cost, etas)
         assert [np.size(t) for t in scores if np.size(t) > len(etas)] == [len(oracle._GRID)] * 2
+
+    def test_half_line_partials_do_not_warn(self):
+        # NaN off the nonnegative scores: the table holds it, and no search
+        # under the nonnegative constraint reads it.
+        loss = Loss(
+            pos=PartialLoss(
+                fn=np.sqrt, value_at_zero=0.0, is_convex=False, limit_pos_inf=math.inf
+            ),
+            neg=PartialLoss(
+                fn=lambda t: 1.0 / (1.0 + np.sqrt(t)),
+                value_at_zero=1.0,
+                is_convex=False,
+                limit_pos_inf=0.0,
+            ),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tuple(brute_force_min(loss, 0.5, "nonnegative_scores")) == (0.0, 0.5)
+            batch = brute_force_min(loss, np.array([0.5]), "nonnegative_scores")
+        assert (batch.arg.tolist(), batch.value.tolist()) == ([0.0], [0.5])
 
     def test_unhashable_fn_and_freed_with_its_partial(self):
         partial = PartialLoss(
