@@ -101,19 +101,19 @@ class ClosedForms(NamedTuple):
 
 # Per-family margin function phi, with value/derivative at 0 and limits.
 def _phi_hinge(t):
-    """max(0, 1 - t), for a float or an ndarray.  A float skips the ufunc's
-    per-call dispatch, which the float golden section would pay at every
-    step; the builtin ``max`` keeps NaN and gives ``np.maximum``'s bits."""
+    """max(0, 1 - t), for a float or an ndarray.  A float, which the float
+    golden section passes at every step, takes the builtin ``max`` and skips
+    the ufunc's per-call dispatch; ``max`` keeps NaN and gives
+    ``np.maximum``'s bits."""
     if isinstance(t, np.ndarray):
         return np.maximum(0.0, 1.0 - t)
     return max(1.0 - t, 0.0)
 
 
 # A Python float score whose loss overflows gives +inf, with no OverflowError
-# and no numpy warning.  A numpy scalar keeps numpy's rules: the float search
-# passes about a hundred per search, under ``brute_force_min``'s
-# ``np.errstate``, and checking them, or entering ``np.errstate`` here (about
-# 2 us a call), would slow it.
+# and no numpy warning.  The float search and ``PartialLoss.__call__`` pass
+# Python floats, and the batched search ndarrays; a numpy scalar handed to
+# ``fn`` directly keeps numpy's rules, and may warn past the float range.
 def _phi_squared(t):
     """(1 - t)^2.  The power stays: ``d * d`` differs from a float's power
     in the last bit for about 1 score in 1600, moving the search's results."""

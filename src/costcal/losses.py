@@ -131,13 +131,19 @@ def _check_eta(eta) -> None:
         raise DomainError(f"eta must lie in [0, 1], got {eta}")
 
 
+def _check_score(t: float) -> None:
+    if math.isnan(t):
+        raise DomainError("score must not be NaN")
+
+
 def conditional_risk(loss: Loss, eta: float, t: float) -> float:
     """eta * L1(t) + (1 - eta) * L-1(t), with 0 * inf taken as 0.
 
     Infinite scores use the declared limits of the partial losses; a
-    value of +inf propagates.
+    value of +inf propagates.  A NaN score raises ``DomainError``.
     """
     _check_eta(eta)
+    _check_score(t)
     total = 0.0
     for weight, partial in ((eta, loss.pos), (1.0 - eta, loss.neg)):
         if weight == 0.0:
@@ -293,9 +299,10 @@ def cost_regret(cost: CostParam, eta: float, t: float) -> float:
     """Pointwise cost-sensitive regret of deciding with score t at posterior eta.
 
     Equals |eta - alpha| exactly when the sign of t disagrees with the
-    sign of eta - alpha, else 0.
+    sign of eta - alpha, else 0.  A NaN score raises ``DomainError``.
     """
     _check_eta(eta)
+    _check_score(t)
     if sign(t) != sign(eta - cost.alpha):
         return abs(eta - cost.alpha)
     return 0.0

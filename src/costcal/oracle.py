@@ -8,6 +8,7 @@ distributions, and the seeded regret-bound fuzz harness.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -96,7 +97,7 @@ class FiniteDistribution:
             raise DomainError("distribution needs at least one atom")
         total = 0.0
         for mass, eta in self.atoms:
-            if mass <= 0.0:
+            if not mass > 0.0:  # NaN too
                 raise DomainError(f"masses must be positive, got {mass}")
             if not 0.0 <= eta <= 1.0:
                 raise DomainError(f"eta must lie in [0, 1], got {eta}")
@@ -129,18 +130,28 @@ class SearchResult(NamedTuple):
     value: float
 
 
-def _mix(w: np.ndarray, pos, neg, out=None) -> np.ndarray:
-    """w * pos + (1 - w) * neg, broadcast, where a partial of weight 0
-    contributes 0 even where it is infinite (as in ``conditional_risk``).
+def _weights(w: np.ndarray):
+    """What ``_mix`` needs of the weights ``w``: ``w``, ``1 - w``, and the
+    masks of weight 0 and weight 1, or None where no weight is 0 or 1.
+    Computed once for every mix that shares the weights."""
+    zero, one = w == 0.0, w == 1.0
+    return w, 1.0 - w, (zero, one) if zero.any() or one.any() else None
+
+
+def _mix(weights, pos, neg, out=None) -> np.ndarray:
+    """w * pos + (1 - w) * neg for ``weights = _weights(w)``, broadcast,
+    where a partial of weight 0 contributes 0 even where it is infinite (as
+    in ``conditional_risk``).  That 0 * inf is NaN before it is replaced,
+    so callers silence numpy's invalid-value warning.
 
     ``out`` is an optional pair of arrays of the result's shape: the result
     is written to the first, the second holds the (1 - w) * neg term."""
+    w, w_neg, edges = weights
     risks, term = (None, None) if out is None else out
-    with np.errstate(invalid="ignore"):
-        risks = np.multiply(w, pos, out=risks)
-        risks += np.multiply(1.0 - w, neg, out=term)
-    zero, one = w == 0.0, w == 1.0
-    if zero.any() or one.any():
+    risks = np.multiply(w, pos, out=risks)
+    risks += np.multiply(w_neg, neg, out=term)
+    if edges is not None:
+        zero, one = edges
         np.copyto(risks, neg, where=zero)
         np.copyto(risks, pos, where=one)
     return risks
@@ -167,28 +178,34 @@ def _golden_section(f, a: float, b: float):
     return x, min(yc, yd)
 
 
-def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, w: np.ndarray):
-    """``_golden_section`` on every row at once; ``f(w, t)`` evaluates the
-    rows' objectives at one score each, ``w`` holding one parameter per row.
-    Each row follows the scalar iteration exactly and stops once its own
-    bracket is within ``_GOLDEN_TOL``.  The state holds the running rows
-    only: it is compacted on a step where a row finishes, so every other
-    step works on whole arrays, with no gather or scatter."""
+def _golden_section_rows(pos, neg, a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """``_golden_section`` on every row at once, of the objective
+    ``w * pos(t) + (1 - w) * neg(t)`` mixed by ``_mix``: ``pos`` and ``neg``
+    are the partials' ``fn`` and ``w`` holds one weight per row.  Each row
+    follows the scalar iteration exactly and stops once its own bracket is
+    within ``_GOLDEN_TOL``; each step evaluates each partial once, on one
+    score per running row.  The state holds the running rows only: it is
+    compacted on a step where a row finishes, so every other step works on
+    whole arrays, with no gather or scatter, and the weights' invariants
+    (``_weights``) are computed once per compaction.  Runs under its
+    caller's ``np.errstate`` (``_mix`` needs invalid values silenced)."""
     arg, value = np.empty(len(a)), np.empty(len(a))
     ids = np.arange(len(a))
-    h = b - a
-    c = b - _INV_PHI * h
-    d = a + _INV_PHI * h
-    yc, yd = f(w, c), f(w, d)
+    weights = _weights(w)
+    step = _INV_PHI * (b - a)
+    c, d = b - step, a + step
+    yc, yd = _mix(weights, pos(c), neg(c)), _mix(weights, pos(d), neg(d))
     while ids.size:
         left = yc < yd
         a, b = np.where(left, a, c), np.where(left, d, b)
         h = b - a
+        step = _INV_PHI * h
+        # The new score: c for a row that kept its left part, else d.
+        t = np.where(left, b - step, a + step)
         mid = np.where(left, c, d)
-        c = np.where(left, b - _INV_PHI * h, mid)
-        d = np.where(left, mid, a + _INV_PHI * h)
+        c, d = np.where(left, t, mid), np.where(left, mid, t)
         kept = np.where(left, yc, yd)
-        y_new = f(w, np.where(left, c, d))
+        y_new = _mix(weights, pos(t), neg(t))
         yc, yd = np.where(left, y_new, kept), np.where(left, kept, y_new)
         running = h > _GOLDEN_TOL
         if not running.all():
@@ -198,6 +215,7 @@ def _golden_section_rows(f, a: np.ndarray, b: np.ndarray, w: np.ndarray):
             a, b, c, d, yc, yd, w, ids = (
                 x[running] for x in (a, b, c, d, yc, yd, w, ids)
             )
+            weights = _weights(w)
     return arg, value
 
 
@@ -216,7 +234,8 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     ``eta`` is a float, or an ndarray of posteriors searched together by
     ``_search_rows`` (``arg`` and ``value`` are then arrays of its shape).
     Each posterior of an array gets the same result as the float search,
-    up to rounding.
+    up to rounding.  A float search returns Python floats (an infinite
+    ``arg`` is ``math.inf``).
     """
     if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
@@ -225,6 +244,10 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     if isinstance(eta, np.ndarray):
         return _search_rows(loss, eta, np.full(eta.shape, code))[0]
 
+    # The golden section runs on Python floats, whose arithmetic is numpy's
+    # without its per-operation dispatch: the posterior, the bracket ends
+    # and the grid's best point are converted once.
+    eta = float(eta)
     ts = _GRID[columns]
     pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
     # A partial of weight 0 contributes 0, even where it is infinite.
@@ -234,13 +257,14 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
         risks = pos_vals
     else:
         risks = eta * pos_vals + (1.0 - eta) * neg_vals
-    i = int(np.argmin(risks))
+    i = int(risks.argmin())
 
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
+    lo = float(ts[max(i - 1, 0)])
+    hi = float(ts[min(i + 1, len(ts) - 1)])
     best_t, best_v = _golden_section(_finite_risk(loss, eta), lo, hi)
-    if risks[i] < best_v:
-        best_t, best_v = float(ts[i]), float(risks[i])
+    grid_v = float(risks[i])
+    if grid_v < best_v:
+        best_t, best_v = float(ts[i]), grid_v
 
     for t in limits:
         try:
@@ -258,7 +282,8 @@ def _finite_risk(loss: Loss, eta: float):
     """``conditional_risk(loss, eta, t)`` for a finite score t, with the same
     arithmetic; ``eta`` is already checked and no limit is needed, so it
     calls the partials' ``fn`` directly.  A partial of weight 0 is not
-    evaluated (0 * inf = 0)."""
+    evaluated (0 * inf = 0).  ``eta`` and t are Python floats, so a family
+    partial takes its float branch (see ``families._PHI``)."""
     pos, neg = loss.pos.fn, loss.neg.fn
     if eta == 0.0:
         return lambda t: float(neg(t))
@@ -275,7 +300,10 @@ def _finite_risk(loss: Loss, eta: float):
 _BLOCK_ROWS = 32
 
 
-@np.errstate(over="ignore")
+# A partial of weight 0 contributes 0 even where it is infinite, which
+# ``_mix`` computes as NaN and then replaces: its invalid-value warning, and
+# an overflow past the float range, add nothing.
+@np.errstate(over="ignore", invalid="ignore")
 def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[SearchResult]:
     """``brute_force_min``'s search on rows of a posterior and a constraint,
     all in one search.  Each array in ``codes``, of ``eta``'s shape, holds
@@ -304,18 +332,15 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
         w = eta[block, None]
         c0, c1 = int(first[block].min()), int(last[block].max())
         out = buffers[:, : len(w) * (c1 - c0)].reshape(2, len(w), c1 - c0)
-        risks = _mix(w, pos_vals[c0:c1], neg_vals[c0:c1], out=out)
+        risks = _mix(_weights(w), pos_vals[c0:c1], neg_vals[c0:c1], out=out)
         for j in range(k):
             rows = slice(j * n + lo_row, j * n + lo_row + len(w))
             _grid_argmin(risks, c0, code[rows], idx[rows], grid_v[rows])
 
-    def risk_at(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        return _mix(w, loss.pos.fn(t), loss.neg.fn(t))
-
     row_eta = np.tile(eta, k)
     lo = _GRID[np.maximum(idx - 1, start)]
     hi = _GRID[np.minimum(idx + 1, stop - 1)]
-    best_t, best_v = _golden_section_rows(risk_at, lo, hi, row_eta)
+    best_t, best_v = _golden_section_rows(loss.pos.fn, loss.neg.fn, lo, hi, row_eta)
     on_grid = grid_v < best_v
     best_t[on_grid], best_v[on_grid] = _GRID[idx[on_grid]], grid_v[on_grid]
 
@@ -326,7 +351,7 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
         # A missing limit is NaN, which rules the candidate out only where
         # its partial has nonzero weight, as in conditional_risk.
         v = _mix(
-            row_eta[rows],
+            _weights(row_eta[rows]),
             np.nan if lim_pos is None else lim_pos,
             np.nan if lim_neg is None else lim_neg,
         )
@@ -352,7 +377,10 @@ def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, 
 
 
 def finite_diff_check(partial: PartialLoss, t: float, h: float = 1e-6) -> float:
-    """Central difference (p(t+h) - p(t-h)) / (2h)."""
+    """Central difference (p(t+h) - p(t-h)) / (2h), for h > 0 with t - h
+    and t + h finite (``fn`` takes finite scores only)."""
+    if not (h > 0.0 and math.isfinite(t - h) and math.isfinite(t + h)):
+        raise DomainError(f"need h > 0 and t +- h finite, got t={t}, h={h}")
     return (float(partial.fn(t + h)) - float(partial.fn(t - h))) / (2.0 * h)
 
 
@@ -362,7 +390,8 @@ def empirical_regrets(
     loss: Loss,
     cost: CostParam,
 ) -> tuple[float, float]:
-    """Exact (cost_regret, surrogate_regret) of a score assignment."""
+    """Exact (cost_regret, surrogate_regret) of a score assignment.  A NaN
+    score raises ``DomainError`` (through ``cost_regret``)."""
     if len(assignment.scores) != len(dist.atoms):
         raise DomainError("assignment length must match the atom count")
     c_reg = 0.0
@@ -410,6 +439,9 @@ def fuzz_bound(
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
+    for name, value in (("seed", seed), ("n_trials", n_trials)):
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n_trials <= 0:
         raise DomainError("n_trials must be positive")
     if seed < 0:

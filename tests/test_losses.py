@@ -84,6 +84,12 @@ class TestConditionalRisk:
         with pytest.raises(DomainError):
             conditional_risk(loss, 1.2, 0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, np.float64(math.nan)])
+    def test_rejects_nan_score(self, t):
+        loss = uneven("hinge", gamma=1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            conditional_risk(loss, 0.3, t)
+
     def test_undeclared_limit_raises(self):
         partial = PartialLoss(fn=lambda t: t * t, value_at_zero=0.0, is_convex=True)
         with pytest.raises(UnsupportedLimitError):
@@ -270,6 +276,12 @@ class TestCostRegret:
     def test_infinite_scores(self):
         assert cost_regret(CostParam(0.3), 0.8, math.inf) == 0.0
         assert cost_regret(CostParam(0.3), 0.8, -math.inf) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.8])
+    def test_rejects_nan_score(self, eta):
+        # sign(nan) is -1, so a NaN score would read as the negative decision.
+        with pytest.raises(DomainError, match="NaN"):
+            cost_regret(CostParam(0.3), eta, math.nan)
 
 
 class TestAlphaTransform:

@@ -118,10 +118,50 @@ class TestBruteForceMin:
             brute_force_min(loss, -0.1, "none")
 
 
+def golden_section(f, a, b):
+    """Minimize a unimodal f on [a, b], in the arithmetic of a and b."""
+    h = b - a
+    c = b - oracle._INV_PHI * h
+    d = a + oracle._INV_PHI * h
+    yc, yd = f(c), f(d)
+    while h > oracle._GOLDEN_TOL:
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = b - oracle._INV_PHI * h
+            yc = f(c)
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + oracle._INV_PHI * h
+            yd = f(d)
+    x = c if yc < yd else d
+    return x, min(yc, yd)
+
+
+def risk_at_score(loss, eta):
+    """``conditional_risk`` itself, at a score."""
+    return lambda t: conditional_risk(loss, eta, t)
+
+
+def mixed_partials(loss, eta):
+    """The float search's objective at a finite score: the partials' ``fn``
+    called on the score as given, a partial of weight 0 skipped."""
+    pos, neg = loss.pos.fn, loss.neg.fn
+    if eta == 0.0:
+        return lambda t: float(neg(t))
+    if eta == 1.0:
+        return lambda t: float(pos(t))
+    return lambda t: eta * float(pos(t)) + (1.0 - eta) * float(neg(t))
+
+
 @np.errstate(over="ignore")
-def loop_search(loss, eta, constraint):
-    """The float search with its golden section on ``conditional_risk``
-    itself, a step at a time: the reference for ``brute_force_min``."""
+def loop_search(loss, eta, constraint, objective=risk_at_score):
+    """The float search a step at a time, with its bracket ends taken from
+    ``_GRID`` as numpy scalars, so every step of the golden section is numpy
+    scalar arithmetic.  The golden section minimizes ``objective(loss,
+    eta)``, by default ``conditional_risk`` itself.  The reference for
+    ``brute_force_min``'s Python-float search."""
     _, columns, limits = oracle._SEARCH[constraint]
     ts = oracle._GRID[columns]
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
@@ -133,7 +173,7 @@ def loop_search(loss, eta, constraint):
         risks = eta * pos_vals + (1.0 - eta) * neg_vals
     i = int(np.argmin(risks))
     lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    best_t, best_v = oracle._golden_section(lambda t: conditional_risk(loss, eta, t), lo, hi)
+    best_t, best_v = golden_section(objective(loss, eta), lo, hi)
     if risks[i] < best_v:
         best_t, best_v = float(ts[i]), float(risks[i])
     for t in limits:
@@ -192,6 +232,56 @@ class TestFloatSearchReference:
         assert searched == [bits(*np.ravel(t)) for t in scores]
 
 
+ROW_LOSSES = {
+    **SEARCHED, "undeclared-limit": UNDECLARED_LIMIT, "inf-on-negatives": INFINITE_ON_NEGATIVES
+}
+#: The edges, a point each side of them, and two cost asymmetries.
+EDGE_ETAS = [0.0, 1e-12, 0.3, ALPHA_SIGMOID_GAMMA2, 1.0 - 1e-12, 1.0]
+
+
+def assert_float_search_matches_numpy_scalars(loss, eta, constraint):
+    """``brute_force_min`` on a float, and on ``eta`` as ``np.float64``,
+    against ``loop_search`` on numpy scalars with the partials called
+    directly: Python floats out, bit-equal to the reference."""
+    expected = bits(*loop_search(loss, eta, constraint, mixed_partials))
+    for posterior in (float(eta), np.float64(eta)):
+        result = brute_force_min(loss, posterior, constraint)
+        assert type(result.arg) is float and type(result.value) is float
+        assert bits(*result) == expected, (eta, constraint)
+
+
+class TestPythonFloatSearch:
+    """The float search converts its posterior, bracket ends and grid point
+    to Python floats once; every row keeps numpy's arithmetic."""
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
+    def test_edges_match_the_numpy_scalar_search(self, name, constraint):
+        for eta in EDGE_ETAS:
+            assert_float_search_matches_numpy_scalars(ROW_LOSSES[name], eta, constraint)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(0.0, 1.0),
+        st.sampled_from(sorted(ROW_LOSSES)),
+        st.sampled_from(CONSTRAINTS),
+    )
+    def test_drawn_posteriors_match_the_numpy_scalar_search(self, eta, name, constraint):
+        assert_float_search_matches_numpy_scalars(ROW_LOSSES[name], eta, constraint)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0, np.float64(0.7)])
+    @pytest.mark.parametrize("name", sorted(SEARCHED))
+    def test_golden_section_hands_the_partials_python_floats(self, name, eta):
+        loss, scores = counted(SEARCHED[name])
+        for constraint in CONSTRAINTS:
+            brute_force_min(loss, eta, constraint)
+        # Each partial's grid table is one array; every other call is one score.
+        arrays = [t for t in scores if isinstance(t, np.ndarray)]
+        singles = [t for t in scores if not isinstance(t, np.ndarray)]
+        assert [t.size for t in arrays] == [len(oracle._GRID)] * 2
+        assert singles and all(type(t) is float for t in singles)
+
+
 class TestBatchedSearch:
     """An ndarray of posteriors against the float search, one by one."""
 
@@ -242,9 +332,9 @@ class TestBatchedSearch:
         rows_seen = []
         batched = oracle._golden_section_rows
 
-        def spy(f, a, b, w):
+        def spy(pos, neg, a, b, w):
             rows_seen.append(len(a))
-            return batched(f, a, b, w)
+            return batched(pos, neg, a, b, w)
 
         monkeypatch.setattr(oracle, "_golden_section_rows", spy)
         nu_curve(SEARCHED[name], CostParam(0.3), 51)
@@ -259,6 +349,16 @@ class TestBatchedSearch:
             brute_force_min(loss, np.array([0.5, 1.5]))
         with pytest.raises(DomainError):
             brute_force_min(loss, np.array([np.nan]))
+
+
+def mix(w, pos, neg):
+    """w * pos + (1 - w) * neg, where a partial of weight 0 contributes 0."""
+    with np.errstate(invalid="ignore"):
+        risks = w * pos + (1.0 - w) * neg
+    zero, one = w == 0.0, w == 1.0
+    np.copyto(risks, neg, where=zero)
+    np.copyto(risks, pos, where=one)
+    return risks
 
 
 def gathering_golden_section(f, a, b):
@@ -293,12 +393,12 @@ def constraint_search(loss, eta, constraint):
     _, columns, limits = oracle._SEARCH[constraint]
     ts = oracle._GRID[columns]
     eta = np.asarray(eta, dtype=float)
-    risks = oracle._mix(eta[:, None], loss.pos.fn(ts), loss.neg.fn(ts))
+    risks = mix(eta[:, None], loss.pos.fn(ts), loss.neg.fn(ts))
     idx = np.argmin(risks, axis=1)
     grid_v = risks[np.arange(len(eta)), idx]
 
     def risk_at(rows, t):
-        return oracle._mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
+        return mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
 
     lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, len(ts) - 1)]
     best_t, best_v = gathering_golden_section(risk_at, lo, hi)
@@ -307,7 +407,7 @@ def constraint_search(loss, eta, constraint):
     for t in limits:
         lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
         lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
-        v = oracle._mix(
+        v = mix(
             eta, np.nan if lim_pos is None else lim_pos, np.nan if lim_neg is None else lim_neg
         )
         wins = v <= best_v
@@ -331,9 +431,6 @@ def assert_rows_match_reference(loss, etas, *codes):
                 assert [bits(*r) for r in got] == [bits(*r) for r in zip(ref_t, ref_v)]
 
 
-ROW_LOSSES = {
-    **SEARCHED, "undeclared-limit": UNDECLARED_LIMIT, "inf-on-negatives": INFINITE_ON_NEGATIVES
-}
 ROW_ETAS = [0.0, 1.0, 0.3, 1e-12, 1.0 - 1e-12]
 
 
@@ -378,9 +475,9 @@ class TestRowSearch:
         runs = []
         golden = oracle._golden_section_rows
 
-        def spy(f, a, b, w):
+        def spy(pos, neg, a, b, w):
             runs.append(len(a))
-            return golden(f, a, b, w)
+            return golden(pos, neg, a, b, w)
 
         monkeypatch.setattr(oracle, "_golden_section_rows", spy)
         values = request_fn(loss, CostParam(alpha), etas)
@@ -511,6 +608,24 @@ class TestFiniteDiffCheck:
         loss = uneven("hinge", gamma=1.0, beta=1.0)
         assert finite_diff_check(loss.pos, -1.0) == pytest.approx(-1.0, abs=1e-6)
 
+    @pytest.mark.parametrize(
+        "t,h",
+        [
+            (0.0, 0.0),
+            (0.0, -1e-6),
+            (0.0, math.nan),
+            (0.0, math.inf),
+            (math.nan, 1e-6),
+            (math.inf, 1e-6),
+            (-math.inf, 1e-6),
+            (1.7e308, 1e307),
+        ],
+    )
+    def test_rejects_bad_point_or_step(self, t, h):
+        loss = uneven("hinge", gamma=1.0, beta=1.0)
+        with pytest.raises(DomainError):
+            finite_diff_check(loss.pos, t, h)
+
     def test_squared_slope_at_zero(self):
         loss = uneven("squared", gamma=1.0, beta=1.0)
         assert finite_diff_check(loss.pos, 0.0) == pytest.approx(-2.0, abs=1e-6)
@@ -546,6 +661,19 @@ class TestFiniteDistribution:
         with pytest.raises(DomainError):
             FiniteDistribution(())
 
+    @pytest.mark.parametrize(
+        "atoms",
+        [
+            ((math.nan, 0.5),),
+            ((0.5, 0.2), (math.nan, 0.8)),
+            ((1.0, math.nan),),
+            ((0.5, 0.2), (0.5, math.nan)),
+        ],
+    )
+    def test_rejects_nan(self, atoms):
+        with pytest.raises(DomainError):
+            FiniteDistribution(atoms)
+
 
 class TestEmpiricalRegrets:
     def test_single_atom_wrong_side(self):
@@ -576,6 +704,13 @@ class TestEmpiricalRegrets:
         loss = uneven("hinge", gamma=1.0, beta=1.0)
         with pytest.raises(DomainError):
             empirical_regrets(dist, DecisionAssignment((1.0, -1.0)), loss, CostParam(0.5))
+
+    @pytest.mark.parametrize("eta", [0.1, 0.3, 0.9])
+    def test_nan_score_rejected(self, eta):
+        dist = FiniteDistribution(((0.5, eta), (0.5, 0.6)))
+        loss = uneven("hinge", gamma=1.0, beta=1.0)
+        with pytest.raises(DomainError, match="NaN"):
+            empirical_regrets(dist, DecisionAssignment((math.nan, 1.0)), loss, CostParam(0.3))
 
     def test_infinite_scores_use_declared_limits(self):
         dist = FiniteDistribution(((0.5, 0.1), (0.5, 0.9)))
@@ -623,3 +758,20 @@ class TestFuzzBound:
     def test_rejects_negative_seed(self):
         with pytest.raises(DomainError, match="seed"):
             fuzz_bound(-1, "hinge", 1)
+
+    @pytest.mark.parametrize(
+        "seed,n_trials,name",
+        [
+            (1.5, 1, "seed"),
+            (1.0, 1, "seed"),
+            ("1", 1, "seed"),
+            (1, 2.5, "n_trials"),
+            (1, None, "n_trials"),
+        ],
+    )
+    def test_rejects_non_integers(self, seed, n_trials, name):
+        with pytest.raises(DomainError, match=name):
+            fuzz_bound(seed, "hinge", n_trials)
+
+    def test_numpy_integers_accepted(self):
+        assert fuzz_bound(np.int64(7), "hinge", np.int32(2)) == fuzz_bound(7, "hinge", 2)
