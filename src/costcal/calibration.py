@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_GRID, biconjugate, envelope_invert, nu_curve
+from .curves import DEFAULT_GRID, _check_grid_size, biconjugate, envelope_invert, nu_curve
 from .errors import DomainError, PreconditionError, VacuousBoundError
 from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test, h_alpha
 
@@ -92,8 +92,9 @@ def check_calibrated_numeric(
     local refinement pass at x10 density before a negative verdict, and
     the worst refined point is reported as the witness.
     """
-    if grid_size < 3:
-        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+    _check_grid_size(grid_size)
+    if not 0.0 <= tolerance < math.inf:
+        raise DomainError(f"tolerance must lie in [0, inf), got {tolerance}")
     alpha = cost.alpha
     radius = 1.0 / (2.0 * grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
@@ -153,6 +154,7 @@ def uniform_calibration_fn(
     infimum of nu over [eps, B], sampled with eps as an exact knot.
     """
     _check_continuity(loss)
+    _check_grid_size(grid_size)
     if not eps > 0.0:
         raise DomainError(f"eps must be positive, got {eps}")
     if eps > cost.b_max:
@@ -175,6 +177,7 @@ def regret_bound(
         raise DomainError(
             f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
         )
+    _check_grid_size(grid_size)
     if check_calibrated(loss, cost).verdict != "calibrated":
         raise VacuousBoundError(
             f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .calibration import check_calibrated, regret_bound
-from .curves import biconjugate, mu_curve, nu_curve
+from .curves import _check_grid_size, biconjugate, mu_curve, nu_curve
 from .errors import CostcalError, DomainError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import (
@@ -122,8 +122,7 @@ def cmd_curve(args) -> int:
             raise CostcalError(f"unknown quantity {q!r}; choose from {','.join(QUANTITIES)}")
     if not quantities:
         raise CostcalError("at least one quantity is required")
-    if args.grid < 3:
-        raise DomainError(f"grid_size must be >= 3, got {args.grid}")
+    _check_grid_size(args.grid)
     text = _curve_csv(_curve_columns(loss, cost, quantities, args.grid))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -10,6 +10,7 @@ regret into a cost-regret bound (``calibration.regret_bound``).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -119,6 +120,27 @@ class ConvexEnvelope:
         return flat.reshape(n, 2).T.copy()
 
 
+def _check_grid_size(grid_size) -> None:
+    if not isinstance(grid_size, numbers.Integral):
+        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
+    if grid_size < 3:
+        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+
+
+def _distinct_posteriors(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(np.concatenate([lo, hi]), return_inverse=True)`` for a
+    nonincreasing ``lo`` and a nondecreasing ``hi`` with the same first
+    value, without its sort: ``lo`` reversed, then ``hi``, is already
+    sorted, so each run of equal posteriors in it is one distinct value."""
+    n = len(lo)
+    posteriors = np.concatenate([lo[::-1], hi])
+    first = np.empty(len(posteriors), bool)
+    first[0] = True
+    np.not_equal(posteriors[1:], posteriors[:-1], out=first[1:])
+    where = np.cumsum(first) - 1
+    return posteriors[first], np.concatenate([where[n - 1 :: -1], where[n:]])
+
+
 def nu_curve(
     loss: Loss,
     cost: CostParam,
@@ -132,8 +154,7 @@ def nu_curve(
     domain), which callers use to evaluate the envelope without
     interpolation error at specific points.
     """
-    if grid_size < 3:
-        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+    _check_grid_size(grid_size)
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
     eps_values = np.union1d(
         np.linspace(0.0, big, grid_size),
@@ -142,7 +163,7 @@ def nu_curve(
     # Gaps at both alpha - eps and alpha + eps (clipped to [0, 1]), in one call.
     lo = np.maximum(alpha - eps_values, 0.0)
     hi = np.minimum(alpha + eps_values, 1.0)
-    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    etas, where = _distinct_posteriors(lo, hi)
     h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
     # Past min(a, 1-a) only the side with room remains.
     far = h_hi if alpha <= 0.5 else h_lo

@@ -63,27 +63,41 @@ _SEARCH = {
 _START = np.array([columns.start for _, columns, _ in _SEARCH.values()])
 _STOP = np.array([columns.stop for _, columns, _ in _SEARCH.values()])
 
-#: Each partial loss's values on ``_GRID``, evaluated on first use, by the
-#: ``id`` of the partial.  A weak reference's callback drops the entry when
-#: the partial is freed, so a table lives as long as its partial and is no
-#: part of it.  Keyed by identity, so ``fn`` need not be hashable.
+#: Each partial loss's values on ``_GRID``, evaluated on first use.
 _GRID_VALUES: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+#: Each loss's last float search per constraint: three slots of
+#: ``(posterior, SearchResult)`` or None, indexed by the constraint code as
+#: ``_START`` is.
+_LAST_SEARCH: dict[int, tuple[weakref.ref, list]] = {}
 
 
-def _grid_values(partial: PartialLoss) -> np.ndarray:
+def _kept(store: dict, obj, make):
+    """``store``'s state for ``obj``: ``make(obj)``, made on first use and
+    kept for as long as ``obj`` lives.  Keyed by ``id``, so ``obj`` (and a
+    partial's ``fn``) need not be hashable; a weak reference's callback
+    drops the entry when ``obj`` is freed, so the state is no part of it
+    and keeps nothing alive."""
+    key = id(obj)
+    entry = store.get(key)
+    if entry is None or entry[0]() is not obj:
+        ref = weakref.ref(obj, lambda _, key=key: store.pop(key, None))
+        entry = store[key] = (ref, make(obj))
+    return entry[1]
+
+
+def _grid_table(partial: PartialLoss) -> np.ndarray:
     """``partial.fn`` on the whole of ``_GRID``, read-only; a search slices
     its admissible columns out of it.  A partial defined on one half-line
     only may be NaN on the other, which no search on its half-line reads,
     so numpy's invalid-value warning is silenced there."""
-    key = id(partial)
-    entry = _GRID_VALUES.get(key)
-    if entry is None or entry[0]() is not partial:
-        with np.errstate(invalid="ignore"):
-            table = np.asarray(partial.fn(_GRID), dtype=float)
-        values = np.broadcast_to(table, _GRID.shape)
-        ref = weakref.ref(partial, lambda _, key=key: _GRID_VALUES.pop(key, None))
-        entry = _GRID_VALUES[key] = (ref, values)
-    return entry[1]
+    with np.errstate(invalid="ignore"):
+        table = np.asarray(partial.fn(_GRID), dtype=float)
+    return np.broadcast_to(table, _GRID.shape)
+
+
+def _grid_values(partial: PartialLoss) -> np.ndarray:
+    """``_grid_table(partial)``, computed once per partial."""
+    return _kept(_GRID_VALUES, partial, _grid_table)
 
 
 @dataclass(frozen=True)
@@ -231,6 +245,13 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     with the refined finite minimum.  The grid values of each partial loss
     are computed once per partial (``_grid_values``).
 
+    A float search is remembered: each loss keeps its last float search per
+    constraint (``_LAST_SEARCH``), and a float search at that posterior and
+    constraint returns it without searching again.  So C*, C^- and the gap
+    at one posterior search once each.  The result is the one the search
+    would give; only timings and partial-loss evaluations show the
+    difference.  Array searches are never remembered.
+
     ``eta`` is a float, or an ndarray of posteriors searched together by
     ``_search_rows`` (``arg`` and ``value`` are then arrays of its shape).
     Each posterior of an array gets the same result as the float search,
@@ -248,6 +269,12 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     # without its per-operation dispatch: the posterior, the bracket ends
     # and the grid's best point are converted once.
     eta = float(eta)
+    # The loss's last search under this constraint, if at this posterior.
+    # -0.0 shares 0.0's slot: their searches are the same, bit for bit.
+    slots = _kept(_LAST_SEARCH, loss, lambda _: [None, None, None])
+    last = slots[code]
+    if last is not None and last[0] == eta:
+        return last[1]
     ts = _GRID[columns]
     pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
     # A partial of weight 0 contributes 0, even where it is infinite.
@@ -275,7 +302,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
         # minimizing sequences that escape to the boundary.
         if v <= best_v:
             best_t, best_v = t, v
-    return SearchResult(arg=best_t, value=best_v)
+    result = SearchResult(arg=best_t, value=best_v)
+    slots[code] = eta, result
+    return result
 
 
 def _finite_risk(loss: Loss, eta: float):

@@ -109,6 +109,16 @@ class TestNumericCheck:
         with pytest.raises(DomainError):
             check_calibrated_numeric(loss, CostParam(0.5), grid_size=2)
 
+    @pytest.mark.parametrize("tolerance", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_rejects_a_tolerance_outside_zero_to_inf(self, tolerance):
+        # Uncalibrated by both methods: a negative or NaN tolerance would
+        # find no gap at or below it and call the loss calibrated.
+        loss, cost = uneven("hinge", gamma=2.0, beta=0.5), CostParam(0.7)
+        assert check_calibrated_analytic(loss, cost).verdict == "not_calibrated"
+        assert check_calibrated_numeric(loss, cost, 201, 0.0).verdict == "not_calibrated"
+        with pytest.raises(DomainError, match="tolerance"):
+            check_calibrated_numeric(loss, cost, 201, tolerance)
+
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_agrees_with_analytic_check(self, family, alpha):
@@ -240,6 +250,34 @@ class TestUniformCalibrationFn:
     def test_rejects_grids_below_three(self, grid_size):
         with pytest.raises(DomainError):
             uniform_calibration_fn(self.LOSS, self.COST, 0.2, grid_size)
+
+
+class TestIntegerGridSize:
+    """Every grid size is checked to be an integer (numpy's too) before use."""
+
+    LOSS = uneven("hinge", gamma=2.0, alpha_weight=0.3)
+    COST = CostParam(0.3)
+    CALLS = {
+        "nu_curve": lambda loss, cost, g: nu_curve(loss, cost, g),
+        "check_calibrated_numeric": lambda loss, cost, g: check_calibrated_numeric(
+            loss, cost, g
+        ),
+        "uniform_calibration_fn": lambda loss, cost, g: uniform_calibration_fn(
+            loss, cost, 0.2, g
+        ),
+        "regret_bound": lambda loss, cost, g: calibration.regret_bound(loss, cost, 0.1, g),
+    }
+
+    @pytest.mark.parametrize("grid_size", [5.0, np.float64(5.0), 201.5, "201", None])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_rejects_a_grid_size_that_is_not_an_integer(self, name, grid_size):
+        with pytest.raises(DomainError, match="grid_size must be an integer"):
+            self.CALLS[name](self.LOSS, self.COST, grid_size)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integers_accepted(self, name):
+        call = self.CALLS[name]
+        assert call(self.LOSS, self.COST, np.int64(51)) == call(self.LOSS, self.COST, 51)
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45])
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import costcal
+from costcal import curves
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     FAMILIES,
@@ -82,6 +83,34 @@ class TestNuCurve:
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
         with pytest.raises(DomainError):
             nu_curve(loss, CostParam(0.3), grid_size=2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75]), st.floats(0.01, 0.99)),
+        st.integers(3, 300),
+        st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), st.floats(0.0, 2.0)),
+            max_size=6,
+        ),
+    )
+    def test_distinct_posteriors_equal_np_unique(self, alpha, grid_size, extra):
+        # Extra knots at 0 and beyond B clip onto the grid's ends.
+        seen = []
+        distinct = curves._distinct_posteriors
+
+        def spy(lo, hi):
+            found = distinct(lo, hi)
+            seen.append((lo, hi, *found))
+            return found
+
+        loss = uneven("squared", gamma=2.0, alpha_weight=alpha)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(curves, "_distinct_posteriors", spy)
+            nu_curve(loss, CostParam(alpha), grid_size, extra_knots=extra)
+        [(lo, hi, etas, where)] = seen
+        ref_etas, ref_where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+        assert [e.hex() for e in etas.tolist()] == [e.hex() for e in ref_etas.tolist()]
+        assert where.tolist() == ref_where.tolist()
 
 
 class TestJumpAtBmin:

@@ -29,6 +29,7 @@ from costcal import (
     fuzz_bound,
     h_alpha,
     nu_curve,
+    optimal_conditional_risk,
 )
 from costcal import oracle
 from costcal.families import UnevenMarginSpec
@@ -546,6 +547,133 @@ class TestGridTable:
         del loss, partial
         gc.collect()
         assert not any(key in oracle._GRID_VALUES for key in keys)
+
+
+#: Posteriors a request order draws from: the edges, -0.0, a point each
+#: side of them, alpha, and numpy scalars.
+LAST_SEARCH_ETAS = [
+    0.0, -0.0, 1e-12, 0.3, 1.0 - 1e-12, 1.0,
+    np.float64(0.0), np.float64(-0.0), np.float64(0.3), np.float64(0.7),
+]
+
+
+def cold_search(loss, eta, constraint):
+    """``brute_force_min`` on a fresh copy of ``loss``, which remembers no
+    search."""
+    return bits(*brute_force_min(replace(loss), eta, constraint))
+
+
+def golden_section_runs(monkeypatch) -> list:
+    """A spy on the float golden section: one entry per run, its bracket."""
+    runs = []
+    golden = oracle._golden_section
+
+    def spy(f, a, b):
+        runs.append((a, b))
+        return golden(f, a, b)
+
+    monkeypatch.setattr(oracle, "_golden_section", spy)
+    return runs
+
+
+class TestLastSearch:
+    """Each loss remembers its last float search per constraint; a repeated
+    request returns it, bit-equal to a cold search."""
+
+    @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
+    def test_every_request_matches_a_cold_search(self, name):
+        loss = replace(ROW_LOSSES[name])
+        for _ in range(2):
+            for eta in LAST_SEARCH_ETAS:
+                for constraint in CONSTRAINTS:
+                    result = brute_force_min(loss, eta, constraint)
+                    assert type(result.arg) is float and type(result.value) is float
+                    assert bits(*result) == cold_search(loss, eta, constraint), (eta, constraint)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(ROW_LOSSES)),
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from(LAST_SEARCH_ETAS), st.floats(0.0, 1.0)),
+                st.sampled_from(CONSTRAINTS),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_drawn_request_orders_match_cold_searches(self, name, requests):
+        loss = replace(ROW_LOSSES[name])
+        for eta, constraint in requests:
+            assert bits(*brute_force_min(loss, eta, constraint)) == cold_search(
+                loss, eta, constraint
+            ), (eta, constraint)
+
+    @pytest.mark.parametrize("eta, searches", [(0.2, 2), (0.3, 1), (0.0, 2), (-0.0, 2)])
+    def test_c_star_c_minus_and_gap_search_each_once(self, monkeypatch, eta, searches):
+        # C^- at alpha is C*; the gap there is 0 and searches nothing.
+        loss, cost = replace(SEARCHED["sigmoid-gamma3"]), CostParam(0.3)
+        runs = golden_section_runs(monkeypatch)
+        c_star = optimal_conditional_risk(loss, eta)
+        c_minus = constrained_optimal_risk(loss, cost, eta)
+        gap = h_alpha(loss, cost, eta)
+        assert len(runs) == searches
+        assert gap == (0.0 if eta == 0.3 else max(c_minus - c_star, 0.0))
+        # Asked again, in any order, nothing more is searched.
+        h_alpha(loss, cost, eta)
+        constrained_optimal_risk(loss, cost, eta)
+        optimal_conditional_risk(loss, np.float64(eta))
+        assert len(runs) == searches
+
+    def test_one_slot_per_constraint(self, monkeypatch):
+        loss = replace(SEARCHED["hinge"])
+        runs = golden_section_runs(monkeypatch)
+        for eta in (0.2, 0.7, 0.2):
+            for constraint in CONSTRAINTS:
+                brute_force_min(loss, eta, constraint)
+        # Each constraint's slot holds the last posterior only.
+        assert len(runs) == 9
+        slots = oracle._LAST_SEARCH[id(loss)][1]
+        assert len(slots) == 3 and all(eta == 0.2 for eta, _ in slots)
+
+    def test_array_searches_are_not_remembered(self, monkeypatch):
+        loss = replace(SEARCHED["hinge"])
+        brute_force_min(loss, np.array([0.2, 0.7]))
+        assert id(loss) not in oracle._LAST_SEARCH
+        brute_force_min(loss, 0.2)
+        runs = []
+        rows = oracle._golden_section_rows
+
+        def spy(pos, neg, a, b, w):
+            runs.append(len(a))
+            return rows(pos, neg, a, b, w)
+
+        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
+        brute_force_min(loss, np.array([0.2]))
+        assert runs == [1]
+
+    @pytest.mark.parametrize("eta", [math.nan, np.float64(math.nan), -1e-300, 1.5])
+    def test_bad_posterior_raises_before_any_lookup(self, eta):
+        loss = replace(SEARCHED["hinge"])
+        with pytest.raises(DomainError):
+            brute_force_min(loss, eta)
+        assert id(loss) not in oracle._LAST_SEARCH
+        brute_force_min(loss, 0.3)
+        with pytest.raises(DomainError):
+            brute_force_min(loss, eta)
+
+    def test_unhashable_fn_and_freed_with_its_loss(self):
+        partial = PartialLoss(
+            fn=ScaledExp(1.0), value_at_zero=1.0, is_convex=True,
+            limit_neg_inf=math.inf, limit_pos_inf=0.0,
+        )
+        loss = Loss(pos=partial, neg=replace(partial, fn=ScaledExp(2.0)))
+        result = brute_force_min(loss, 0.3)
+        key = id(loss)
+        assert oracle._LAST_SEARCH[key][1][0] == (0.3, result)
+        del loss, result
+        gc.collect()
+        assert key not in oracle._LAST_SEARCH
 
 
 def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
