@@ -127,6 +127,15 @@ def _check_grid_size(grid_size) -> None:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
 
 
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """The mask of the first entry of each run of equal entries of a
+    nonempty ``x``, as ``np.unique`` builds it from its sorted array."""
+    first = np.empty(len(x), bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    return first
+
+
 def _distinct_posteriors(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(np.concatenate([lo, hi]), return_inverse=True)`` for a
     nonincreasing ``lo`` and a nondecreasing ``hi`` with the same first
@@ -134,9 +143,7 @@ def _distinct_posteriors(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np
     sorted, so each run of equal posteriors in it is one distinct value."""
     n = len(lo)
     posteriors = np.concatenate([lo[::-1], hi])
-    first = np.empty(len(posteriors), bool)
-    first[0] = True
-    np.not_equal(posteriors[1:], posteriors[:-1], out=first[1:])
+    first = _run_starts(posteriors)
     where = np.cumsum(first) - 1
     return posteriors[first], np.concatenate([where[n - 1 :: -1], where[n:]])
 
@@ -152,30 +159,41 @@ def nu_curve(
     Both one-sided values are recorded at min(a, 1-a), where nu may
     jump.  ``extra_knots`` adds exact sample locations (clipped to the
     domain), which callers use to evaluate the envelope without
-    interpolation error at specific points.
+    interpolation error at specific points; a NaN one raises
+    ``DomainError``.
     """
     _check_grid_size(grid_size)
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-    eps_values = np.union1d(
-        np.linspace(0.0, big, grid_size),
-        np.array([0.0, small, big] + [min(max(float(e), 0.0), big) for e in extra_knots]),
-    )
+    extras = [min(max(float(e), 0.0), big) for e in extra_knots]
+    # np.union1d of the grid and the knots, built as it builds it (one
+    # sort, then the first of each run), without its wrappers: the same
+    # values, and the same one kept of 0.0 and -0.0.
+    eps_values = np.concatenate([np.linspace(0.0, big, grid_size), [0.0, small, big, *extras]])
+    eps_values.sort()
+    if eps_values[-1] != eps_values[-1]:  # NaN sorts last; only an extra knot can be NaN
+        raise DomainError(f"extra_knots must not contain NaN, got {extras}")
+    eps_values = eps_values[_run_starts(eps_values)]
+    n = len(eps_values)
     # Gaps at both alpha - eps and alpha + eps (clipped to [0, 1]), in one call.
     lo = np.maximum(alpha - eps_values, 0.0)
     hi = np.minimum(alpha + eps_values, 1.0)
     etas, where = _distinct_posteriors(lo, hi)
-    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
+    gaps = h_alpha(loss, cost, etas)[where]
+    h_lo, h_hi = gaps[:n], gaps[n:]
     # Past min(a, 1-a) only the side with room remains.
     far = h_hi if alpha <= 0.5 else h_lo
     values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
 
+    # The knot at min(a, 1-a) (eps_values[i], which is small) is doubled:
+    # the left limit, then the right one.
     i = int(np.searchsorted(eps_values, small))
-    right = far[i] if small < big else values[i]
-    sides = np.empty(len(eps_values) + 1, object)
+    right = far[i : i + 1] if small < big else values[i : i + 1]
+    sides = np.empty(n + 1, object)
     sides.fill("both")  # one shared str; np.full would make a copy per knot
     sides[i : i + 2] = "left", "right"
-    eps = np.insert(eps_values, i + 1, small)
-    return SampledCurve._from_columns(big, eps, np.insert(values, i + 1, right), sides)
+    eps = np.concatenate([eps_values[: i + 1], eps_values[i:]])
+    values = np.concatenate([values[: i + 1], right, values[i + 1 :]])
+    return SampledCurve._from_columns(big, eps, values, sides)
 
 
 def mu_curve(nu: SampledCurve) -> SampledCurve:

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curves import biconjugate, envelope_eval, nu_curve
+from .curves import _check_grid_size, biconjugate, envelope_eval, nu_curve
 from .errors import DomainError, UnsupportedLimitError
 from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
 from .losses import (
@@ -443,16 +443,20 @@ def _random_trial_inputs(rng: np.random.Generator, family: str):
     n_atoms = int(rng.integers(1, 21))
     masses = rng.dirichlet(np.ones(n_atoms))
     etas = rng.uniform(0.0, 1.0, n_atoms)
+    # Per atom, one draw picks -inf, +inf or a finite score, which takes the
+    # next draw d as -3 + 6 d (the value rng.uniform(-3.0, 3.0) returns).
+    # Draws left unread change nothing: the generator is this trial's own.
+    draws = iter(rng.random(2 * n_atoms).tolist())
     scores = []
     for _ in range(n_atoms):
-        u = rng.uniform()
+        u = next(draws)
         if u < 0.05:
             scores.append(-math.inf)
         elif u < 0.10:
             scores.append(math.inf)
         else:
-            scores.append(float(rng.uniform(-3.0, 3.0)))
-    dist = FiniteDistribution(tuple((float(m), float(e)) for m, e in zip(masses, etas)))
+            scores.append(-3.0 + 6.0 * next(draws))
+    dist = FiniteDistribution(tuple(zip(masses.tolist(), etas.tolist())))
     return spec, alpha, gamma, dist, DecisionAssignment(tuple(scores))
 
 
@@ -465,6 +469,11 @@ def fuzz_bound(
     distribution, and scores (with occasional infinities), then checks
     psi(cost_regret) <= surrogate_regret + 1e-8.  The trial's derived
     seed is recorded; trials are independent streams, ordered by index.
+
+    A trial draws, in order: gamma and alpha (not for the sigmoid, which
+    pins both), the atom count n, the n masses, the n posteriors, then one
+    block of 2n uniforms read in order: per atom, one draw picks -inf,
+    +inf or a finite score, which takes the next draw.
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
@@ -475,6 +484,7 @@ def fuzz_bound(
         raise DomainError("n_trials must be positive")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
+    _check_grid_size(grid_size)
 
     records = []
     for i in range(n_trials):

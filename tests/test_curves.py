@@ -50,6 +50,43 @@ def hand_curve(points, domain_max=None) -> SampledCurve:
 HULL_EXAMPLE = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.3, 0.15), (0.7, 0.7)))
 
 
+@st.composite
+def nu_curve_args(draw):
+    """(alpha, grid_size, extra_knots) for ``nu_curve``.  The extra knots
+    include 0.0, -0.0, repeats, points past B and below 0, infinities, and
+    the knots the grid already has (0, B, min(a, 1 - a) and grid points)."""
+    alpha = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75]), st.floats(0.01, 0.99)))
+    grid_size = draw(st.integers(3, 300))
+    big, small = max(alpha, 1.0 - alpha), min(alpha, 1.0 - alpha)
+    grid = np.linspace(0.0, big, grid_size).tolist()
+    fixed = [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, big, small, -small]
+    knot = st.one_of(st.sampled_from(fixed), st.sampled_from(grid), st.floats(-2.0, 2.0))
+    extra = draw(st.lists(knot, max_size=8))
+    return alpha, grid_size, extra + draw(st.lists(st.sampled_from(extra or [0.0]), max_size=3))
+
+
+def columns_built_with_union1d(loss, cost, grid_size, extra_knots):
+    """nu_curve's (eps, values, sides) as np.union1d, np.split and
+    np.insert built them."""
+    alpha, big, small = cost.alpha, cost.b_max, cost.b_min
+    eps_values = np.union1d(
+        np.linspace(0.0, big, grid_size),
+        np.array([0.0, small, big] + [min(max(float(e), 0.0), big) for e in extra_knots]),
+    )
+    lo = np.maximum(alpha - eps_values, 0.0)
+    hi = np.minimum(alpha + eps_values, 1.0)
+    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
+    far = h_hi if alpha <= 0.5 else h_lo
+    values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
+    i = int(np.searchsorted(eps_values, small))
+    right = far[i] if small < big else values[i]
+    sides = np.full(len(eps_values) + 1, "both", object)
+    sides[i : i + 2] = "left", "right"
+    eps = np.insert(eps_values, i + 1, small)
+    return eps, np.insert(values, i + 1, right), sides
+
+
 class TestNuCurve:
     def test_weighted_hinge_values(self):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
@@ -84,17 +121,28 @@ class TestNuCurve:
         with pytest.raises(DomainError):
             nu_curve(loss, CostParam(0.3), grid_size=2)
 
+    def test_nan_extra_knot_rejected_before_any_gap(self, monkeypatch):
+        def no_gaps(*args):
+            raise AssertionError("a gap was computed")
+
+        monkeypatch.setattr(curves, "h_alpha", no_gaps)
+        loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
+        for extra in ((math.nan,), (0.1, math.nan, 0.2), iter([math.nan])):
+            with pytest.raises(DomainError, match="extra_knots.*nan"):
+                nu_curve(loss, CostParam(0.3), 5, extra_knots=extra)
+
+    def test_infinite_extra_knots_clip_to_the_ends(self):
+        loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
+        plain = nu_curve(loss, CostParam(0.3), 5)
+        clipped = nu_curve(loss, CostParam(0.3), 5, extra_knots=(math.inf, -math.inf))
+        assert clipped == plain
+        assert len(clipped.eps) == 7 and clipped.eps[[0, -1]].tolist() == [0.0, 0.7]
+
     @settings(max_examples=100, deadline=None)
-    @given(
-        st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75]), st.floats(0.01, 0.99)),
-        st.integers(3, 300),
-        st.lists(
-            st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0]), st.floats(0.0, 2.0)),
-            max_size=6,
-        ),
-    )
-    def test_distinct_posteriors_equal_np_unique(self, alpha, grid_size, extra):
+    @given(nu_curve_args())
+    def test_distinct_posteriors_equal_np_unique(self, args):
         # Extra knots at 0 and beyond B clip onto the grid's ends.
+        alpha, grid_size, extra = args
         seen = []
         distinct = curves._distinct_posteriors
 
@@ -111,6 +159,19 @@ class TestNuCurve:
         ref_etas, ref_where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
         assert [e.hex() for e in etas.tolist()] == [e.hex() for e in ref_etas.tolist()]
         assert where.tolist() == ref_where.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(nu_curve_args())
+    def test_columns_equal_union1d_split_insert_construction(self, args):
+        # The weighted hinge jumps at min(a, 1 - a), so left and right differ.
+        alpha, grid_size, extra = args
+        loss, cost = uneven("hinge", gamma=2.0, alpha_weight=alpha), CostParam(alpha)
+        curve = nu_curve(loss, cost, grid_size, extra_knots=extra)
+        eps, values, sides = columns_built_with_union1d(loss, cost, grid_size, extra)
+        # Hex strings tell 0.0 from -0.0.
+        assert [e.hex() for e in curve.eps.tolist()] == [e.hex() for e in eps.tolist()]
+        assert [v.hex() for v in curve.values.tolist()] == [v.hex() for v in values.tolist()]
+        assert curve.sides.tolist() == sides.tolist()
 
 
 class TestJumpAtBmin:

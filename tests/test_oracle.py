@@ -851,7 +851,55 @@ class TestEmpiricalRegrets:
         assert s_reg >= 0.0
 
 
+def trial_inputs_drawn_per_atom(rng, family):
+    """The fuzz trial's inputs as drawn with one rng.uniform call per
+    choice and per finite score."""
+    if family == "sigmoid":
+        gamma, alpha = 2.0, ALPHA_SIGMOID_GAMMA2
+        spec = UnevenMarginSpec("sigmoid", beta=0.5, gamma=2.0)
+    else:
+        gamma = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        alpha = rng.uniform(0.1, 0.9)
+        spec = UnevenMarginSpec(family, beta=1.0 / gamma, gamma=gamma, alpha_weight=alpha)
+    n_atoms = int(rng.integers(1, 21))
+    masses = rng.dirichlet(np.ones(n_atoms))
+    etas = rng.uniform(0.0, 1.0, n_atoms)
+    scores = []
+    for _ in range(n_atoms):
+        u = rng.uniform()
+        if u < 0.05:
+            scores.append(-math.inf)
+        elif u < 0.10:
+            scores.append(math.inf)
+        else:
+            scores.append(float(rng.uniform(-3.0, 3.0)))
+    dist = FiniteDistribution(tuple((float(m), float(e)) for m, e in zip(masses, etas)))
+    return spec, alpha, gamma, dist, DecisionAssignment(tuple(scores))
+
+
 class TestFuzzBound:
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
+    def test_trial_inputs_equal_per_atom_draws(self, family):
+        # repr tells 0.0 from -0.0 and prints each float exactly.
+        for seed in range(500):
+            got = oracle._random_trial_inputs(np.random.default_rng(seed), family)
+            want = trial_inputs_drawn_per_atom(np.random.default_rng(seed), family)
+            assert repr(got) == repr(want), seed
+
+    def test_records_equal_those_of_per_atom_draws(self, monkeypatch):
+        records = fuzz_bound(4, "exponential", 40)
+        monkeypatch.setattr(oracle, "_random_trial_inputs", trial_inputs_drawn_per_atom)
+        assert repr(fuzz_bound(4, "exponential", 40)) == repr(records)
+
+    @pytest.mark.parametrize("grid_size", [2, 5.0, True, "201", None])
+    def test_rejects_bad_grid_size_before_any_trial(self, monkeypatch, grid_size):
+        def no_trials(*args):
+            raise AssertionError("a trial was drawn")
+
+        monkeypatch.setattr(oracle, "_random_trial_inputs", no_trials)
+        with pytest.raises(DomainError, match="grid_size"):
+            fuzz_bound(1, "hinge", 3, grid_size=grid_size)
+
     def test_deterministic_given_seed(self):
         assert fuzz_bound(7, "hinge", 5) == fuzz_bound(7, "hinge", 5)
 
