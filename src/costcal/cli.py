@@ -39,20 +39,6 @@ EXIT_NEGATIVE = 3
 QUANTITIES = ("H", "nu", "mu", "psi", "C_star", "C_minus")
 
 
-class _Formatted(dict):
-    """The ``.17g`` string of each float, formatted on first lookup only.
-
-    Zeros are never stored: -0.0 and 0.0 are equal keys, but they format
-    as ``-0`` and ``0``.
-    """
-
-    def __missing__(self, x: float) -> str:
-        text = format(x, ".17g")
-        if x:
-            self[x] = text
-        return text
-
-
 def _build_loss(args) -> tuple[Loss, CostParam]:
     if not 0.0 < args.gamma < math.inf:
         raise DomainError(f"gamma must be positive and finite, got {args.gamma}")
@@ -80,38 +66,57 @@ def _curve_columns(loss: Loss, cost: CostParam, quantities: list[str], grid: int
     columns = {}
     if any(q in quantities for q in ("H", "C_star", "C_minus")):
         etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
-        xs, both = etas.tolist(), ("both",) * len(etas)
+        both = ("both",) * len(etas)
         if "H" in quantities:
-            columns["H"] = (xs, h_alpha(loss, cost, etas).tolist(), both)
+            columns["H"] = (etas, h_alpha(loss, cost, etas), both)
         if "C_star" in quantities:
-            columns["C_star"] = (xs, optimal_conditional_risk(loss, etas).tolist(), both)
+            columns["C_star"] = (etas, optimal_conditional_risk(loss, etas), both)
         if "C_minus" in quantities:
-            values = constrained_optimal_risk(loss, cost, etas).tolist()
-            columns["C_minus"] = (xs, values, both)
+            columns["C_minus"] = (etas, constrained_optimal_risk(loss, cost, etas), both)
     if any(q in quantities for q in ("nu", "mu", "psi")):
         nu = nu_curve(loss, cost, grid)
         # mu keeps nu's knot locations and sides.
-        xs, sides = nu.eps.tolist(), nu.sides.tolist()
         if "nu" in quantities:
-            columns["nu"] = (xs, nu.values.tolist(), sides)
+            columns["nu"] = (nu.eps, nu.values, nu.sides)
         if "mu" in quantities:
-            columns["mu"] = (xs, mu_curve(nu).values.tolist(), sides)
+            columns["mu"] = (nu.eps, mu_curve(nu).values, nu.sides)
         if "psi" in quantities:
-            hull = biconjugate(nu).hull_knots
-            columns["psi"] = (*zip(*hull), ("both",) * len(hull))
+            env = biconjugate(nu)
+            columns["psi"] = (env.xs, env.ys, ("both",) * len(env.xs))
     return columns
+
+
+def _formatted(floats: np.ndarray) -> list[str]:
+    """The ``.17g`` string of each float.  Each distinct float is
+    formatted once, all in one ``%`` pass.  Floats are told apart by
+    their bits, so -0.0 and 0.0 (equal, but written ``-0`` and ``0``)
+    each get their own string."""
+    bits, where = np.unique(floats.view(np.int64), return_inverse=True)
+    text = ("%.17g\n" * len(bits)) % tuple(bits.view(float).tolist())
+    return np.array(text.split("\n"), object)[where].tolist()
 
 
 def _curve_csv(columns: dict) -> str:
     """The CSV text: rows by quantity name, then x, a left knot before its
     right one.  Each column is already in that order, so only the names
     are sorted."""
-    fmt = _Formatted()
-    lines = ["x,quantity,value,side\n"]
-    for q in sorted(columns):
-        xs, values, sides = columns[q]
-        lines += [f"{fmt[x]},{q},{fmt[v]},{side}\n" for x, v, side in zip(xs, values, sides)]
-    return "".join(lines)
+    names = sorted(columns)
+    fields = _formatted(np.concatenate([np.asarray(c, float) for q in names for c in columns[q][:2]]))
+    ends = {side: f",{side}\n" for side in ("left", "right", "both")}
+    blocks, start = ["x,quantity,value,side\n"], 0
+    for q in names:
+        sides = columns[q][2]
+        n = len(sides)
+        rows = [f",{q},"] * (4 * n)
+        rows[0::4] = fields[start : start + n]
+        rows[2::4] = fields[start + n : start + 2 * n]
+        rows[3::4] = [ends[side] for side in sides]
+        blocks.append("".join(rows))
+        start += 2 * n
+    # Drop the per-field lists before the text is built: held through the
+    # last join they raise the closed_form benchmark's peak RSS by 0.5 MB.
+    del fields, rows
+    return "".join(blocks)
 
 
 def cmd_curve(args) -> int:
@@ -139,11 +144,10 @@ def cmd_alpha_gamma(args) -> int:
     if args.gamma_min <= 1.0 <= args.gamma_max:
         gammas = np.union1d(gammas, [1.0])
     # Every row is computed before the file opens, so bad input leaves no file.
-    fmt = _Formatted()
-    rows = [f"{fmt[g]},{fmt[math.log(g)]},{fmt[alpha_of_gamma(g)]}\n" for g in gammas.tolist()]
+    fields = [x for g in gammas.tolist() for x in (g, math.log(g), alpha_of_gamma(g))]
+    text = ("%.17g,%.17g,%.17g\n" * len(gammas)) % tuple(fields)
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gamma,ln_gamma,alpha\n")
-        fh.writelines(rows)
+        fh.write("gamma,ln_gamma,alpha\n" + text)
     return EXIT_OK
 
 

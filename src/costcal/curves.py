@@ -11,9 +11,8 @@ regret into a cost-regret bound (``calibration.regret_bound``).
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -49,7 +48,39 @@ def _knots(rows: Iterable[tuple[float, float, str]]) -> tuple[Knot, ...]:
     return tuple(map(tuple.__new__, repeat(Knot), rows))
 
 
-class SampledCurve:
+class _Columnar:
+    """An immutable value held as read-only columns.  Equality, hashing
+    and ``repr`` are a frozen dataclass's over the attributes named in
+    ``_fields``."""
+
+    _fields: tuple[str, ...]
+
+    def _set(self, **attrs) -> None:
+        for value in attrs.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self.__dict__.update(attrs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class SampledCurve(_Columnar):
     """A knot-listed function on [0, domain_max].
 
     A jump discontinuity is encoded as two knots at the same eps, the
@@ -61,63 +92,56 @@ class SampledCurve:
     Equality and hashing compare ``(domain_max, knots)``.
     """
 
+    _fields = ("domain_max", "knots")
+
     def __init__(self, domain_max: float, knots: Iterable[Knot]) -> None:
         knots = tuple(knots)
         eps, values, sides = zip(*knots) if knots else ((), (), ())
-        columns = np.array(eps, float), np.array(values, float), np.array(sides, object)
-        self._set(domain_max, *columns)
-        self.__dict__["knots"] = knots
+        eps, values, sides = np.array(eps, float), np.array(values, float), np.array(sides, object)
+        self._set(domain_max=domain_max, eps=eps, values=values, sides=sides, knots=knots)
 
     @classmethod
     def _from_columns(
         cls, domain_max: float, eps: np.ndarray, values: np.ndarray, sides: np.ndarray
     ) -> SampledCurve:
         curve = cls.__new__(cls)
-        curve._set(domain_max, eps, values, sides)
+        curve._set(domain_max=domain_max, eps=eps, values=values, sides=sides)
         return curve
-
-    def _set(self, domain_max, eps, values, sides) -> None:
-        for column in (eps, values, sides):
-            column.flags.writeable = False
-        self.__dict__.update(domain_max=domain_max, eps=eps, values=values, sides=sides)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"SampledCurve is immutable; cannot set {name!r}")
 
     @cached_property
     def knots(self) -> tuple[Knot, ...]:
         return _knots(zip(self.eps.tolist(), self.values.tolist(), self.sides.tolist()))
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain_max, self.knots) == (other.domain_max, other.knots)
 
-    def __hash__(self) -> int:
-        return hash((self.domain_max, self.knots))
+class ConvexEnvelope(_Columnar):
+    """Piecewise-linear convex nondecreasing minorant, 0 at 0.
 
-    def __repr__(self) -> str:
-        return f"SampledCurve(domain_max={self.domain_max!r}, knots={self.knots!r})"
+    The hull knots are held as two read-only float64 columns, ``xs`` and
+    ``ys``.  The ``(x, y)`` tuples of ``hull_knots`` are built on first
+    access and kept.  Equality, hashing and ``repr`` compare
+    ``hull_knots``.
+    """
 
+    _fields = ("hull_knots",)
 
-@dataclass(frozen=True)
-class ConvexEnvelope:
-    """Piecewise-linear convex nondecreasing minorant, 0 at 0."""
+    def __init__(self, hull_knots: Iterable[tuple[float, float]]) -> None:
+        hull_knots = tuple(hull_knots)
+        xs, ys = np.array(hull_knots, float).reshape(len(hull_knots), 2).T.copy()
+        self._set(xs=xs, ys=ys, hull_knots=hull_knots)
 
-    hull_knots: tuple[tuple[float, float], ...]
+    @classmethod
+    def _from_columns(cls, xs: np.ndarray, ys: np.ndarray) -> ConvexEnvelope:
+        env = cls.__new__(cls)
+        env._set(xs=xs, ys=ys)
+        return env
+
+    @cached_property
+    def hull_knots(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
     @property
     def domain_max(self) -> float:
-        return self.hull_knots[-1][0]
-
-    @cached_property
-    def _xy(self) -> np.ndarray:
-        """The knots' xs and ys as the rows of one (2, n) array, built on
-        first use and kept, outside the fields: equality and hashing still
-        see only ``hull_knots``."""
-        n = len(self.hull_knots)
-        flat = np.fromiter(chain.from_iterable(self.hull_knots), float, 2 * n)
-        return flat.reshape(n, 2).T.copy()
+        return self.xs[-1].item()
 
 
 def _check_grid_size(grid_size) -> None:
@@ -221,7 +245,7 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     """Lower convex hull of the sampled knots (monotone-chain sweep).
 
     With a (0, 0) knot and nonnegative values the hull is automatically
-    convex, nondecreasing, and 0 at 0.
+    convex, nondecreasing, and 0 at 0.  A NaN knot raises ``DomainError``.
 
     The chain pops hull[-1] while hull[-2] -> hull[-1] -> p does not turn
     left (cross <= 0), then pushes p.  Every point is pushed, so after a
@@ -229,15 +253,19 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     before the next one, and that point's first test is the cross of three
     consecutive points.  Those crosses are computed at once in numpy, with
     the chain's float operations in its order (so the same bits), and each
-    run of points they let through is pushed as one slice.  The chain runs
-    point by point from a consecutive cross <= 0 until a step pops nothing
-    and the next consecutive cross is > 0, so the knots are exactly the
-    sequential chain's.
+    run of points they let through is pushed as one range of indices.  The
+    chain runs point by point from a consecutive cross <= 0 until a step
+    pops nothing and the next consecutive cross is > 0, so the knots are
+    exactly the sequential chain's.  It keeps the hull as indices into the
+    sorted points, and the top two hull points as floats in locals.
     """
     if curve.eps.size < 2:
         raise DomainError("need at least 2 knots")
     order = np.lexsort((curve.values, curve.eps))
     xs, ys = curve.eps[order], curve.values[order]
+    if xs[-1] != xs[-1] or np.isnan(ys).any():  # a NaN eps sorts last
+        first = np.flatnonzero(np.isnan(curve.eps) | np.isnan(curve.values))[0]
+        raise DomainError(f"the curve has a NaN knot at eps={curve.eps[first].item()!r}")
     x0, y0, x1, y1, x2, y2 = xs[:-2], ys[:-2], xs[1:-1], ys[1:-1], xs[2:], ys[2:]
     # Python floats give inf and NaN here without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -245,43 +273,48 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     # Per point, whether its consecutive cross pops (points 0 and 1 have
     # none); the last entry stands for the end of the points.
     first_pops = [False, False, *pops.tolist(), True]
-    points = list(zip(xs.tolist(), ys.tolist()))
-    n = len(points)
-    hull: list[tuple[float, float]] = []
+    x_at, y_at = xs.tolist(), ys.tolist()
+    n = len(x_at)
+    hull: list[int] = []
     done = 0  # the points before this one have had their step
     while done < n:
         m = first_pops.index(True, done + 1)
-        hull += points[done:m]
+        hull += range(done, m)
+        # o and a: the points at hull[-2] and hull[-1].
+        ox, oy, ax, ay = x_at[hull[-2]], y_at[hull[-2]], x_at[m - 1], y_at[m - 1]
         for k in range(m, n):
-            px, py = p = points[k]
-            (ox, oy), (ax, ay) = hull[-2], hull[-1]
+            px, py = x_at[k], y_at[k]
             if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
                 if not first_pops[k + 1]:
-                    break  # step k pops nothing and opens a run: the next slice pushes p
-                hull.append(p)
-                continue
-            hull.pop()
-            while len(hull) >= 2:
-                (ox, oy), (ax, ay) = hull[-2], hull[-1]
-                if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                    hull.pop()
-                else:
-                    break
-            hull.append(p)
+                    break  # step k pops nothing and opens a run: the next range pushes k
+            else:
+                hull.pop()
+                ax, ay = ox, oy
+                while len(hull) >= 2:
+                    j = hull[-2]
+                    ox, oy = x_at[j], y_at[j]
+                    if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                        hull.pop()
+                        ax, ay = ox, oy
+                    else:
+                        break
+            hull.append(k)
+            ox, oy, ax, ay = ax, ay, px, py
         else:
             k = n
         done = k
     # A trailing point directly above the previous x must not extend the hull.
-    while len(hull) >= 2 and hull[-1][0] == hull[-2][0]:
+    while len(hull) >= 2 and x_at[hull[-1]] == x_at[hull[-2]]:
         hull.pop()
-    return ConvexEnvelope(hull_knots=tuple(hull))
+    idx = np.fromiter(hull, np.intp, len(hull))
+    return ConvexEnvelope._from_columns(xs[idx], ys[idx])
 
 
 def envelope_eval(env: ConvexEnvelope, eps: float) -> float:
     """Piecewise-linear interpolation on the hull knots."""
     if not -1e-12 <= eps <= env.domain_max + 1e-12:
         raise DomainError(f"eps={eps} outside [0, {env.domain_max}]")
-    xs, ys = env._xy
+    xs, ys = env.xs, env.ys
     return float(np.interp(min(max(eps, xs[0]), xs[-1]), xs, ys))
 
 
@@ -293,7 +326,7 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     """
     if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y}")
-    xs, ys = env._xy
+    xs, ys = env.xs, env.ys
     if y >= ys[-1]:
         return float(xs[-1])
     i = int(np.searchsorted(ys, y, side="right")) - 1

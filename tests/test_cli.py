@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -213,6 +214,77 @@ class TestCurveWriter:
         columns = {q: ((0.25,), (1.0,), ("both",)) for q in QUANTITIES}
         names = [line.split(",")[1] for line in _curve_csv(columns).splitlines()[1:]]
         assert names == ["C_minus", "C_star", "H", "mu", "nu", "psi"]
+
+
+class Formatted(dict):
+    """The ``.17g`` string of each float, formatted on first lookup only
+    (zeros are never stored: -0.0 and 0.0 are equal keys)."""
+
+    def __missing__(self, x: float) -> str:
+        text = format(x, ".17g")
+        if x:
+            self[x] = text
+        return text
+
+
+def formatted_curve_csv(columns: dict) -> str:
+    """The curve CSV writer that looked each field up in ``Formatted``."""
+    fmt = Formatted()
+    lines = ["x,quantity,value,side\n"]
+    for q in sorted(columns):
+        xs, values, sides = columns[q]
+        lines += [f"{fmt[x]},{q},{fmt[v]},{side}\n" for x, v, side in zip(xs, values, sides)]
+    return "".join(lines)
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+    struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0],  # a NaN with a payload
+    5e-324, -5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0, 1e16, 123456789012345678.0,
+]
+
+
+@st.composite
+def curve_columns(draw) -> dict:
+    """Curve columns of a few quantities.  Floats come from a pool shared
+    by every column (so values repeat across quantities and between x and
+    value columns), from the special floats, and from all floats."""
+    anything = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    pool = draw(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), anything), min_size=1, max_size=6))
+    number = st.one_of(st.sampled_from(pool), st.sampled_from(SPECIAL_FLOATS), anything)
+    columns = {}
+    for q in draw(st.lists(st.sampled_from(QUANTITIES), min_size=1, max_size=6, unique=True)):
+        n = draw(st.integers(0, 12))
+        rows = st.lists(number, min_size=n, max_size=n)
+        sides = draw(st.lists(st.sampled_from(["left", "right", "both"]), min_size=n, max_size=n))
+        columns[q] = (draw(rows), draw(rows), sides)
+    return columns
+
+
+class TestCurveWriterOnDrawnColumns:
+    """The column writer keeps the bytes of the writer that formatted each
+    field through a lookup, on any floats."""
+
+    @given(curve_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_formatted_lookup_writer(self, columns):
+        expected = formatted_curve_csv(columns)
+        assert _curve_csv(columns) == expected
+        arrays = {
+            q: (np.array(xs, float), np.array(values, float), np.array(sides, object))
+            for q, (xs, values, sides) in columns.items()
+        }
+        assert _curve_csv(arrays) == expected
+
+    def test_special_floats_each_once_per_bit_pattern(self):
+        floats = SPECIAL_FLOATS
+        columns = {"nu": (floats, floats[::-1], ["both"] * len(floats))}
+        text = _curve_csv(columns)
+        assert text == formatted_curve_csv(columns)
+        assert text.splitlines()[1:3] == ["0,nu,1.2345678901234568e+17,both", "-0,nu,10000000000000000,both"]
+        assert "nan,nu,-1.7976931348623157e+308,both" in text
+        assert "4.9406564584124654e-324,nu," in text
 
 
 class TestCachedParser:

@@ -1,6 +1,7 @@
 """Gap curves, lower convex envelopes, and the regret-bound transfer."""
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -18,6 +19,8 @@ from costcal import (
     CostParam,
     DomainError,
     Knot,
+    Loss,
+    PartialLoss,
     SampledCurve,
     VacuousBoundError,
     biconjugate,
@@ -230,6 +233,23 @@ class TestBiconjugate:
         with pytest.raises(DomainError):
             biconjugate(SampledCurve(domain_max=0.0, knots=(Knot(0.0, 0.0, "both"),)))
 
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_knot_is_a_domain_error(self, at):
+        points = [(0.0, 0.0), (0.5, 0.25), (1.0, 1.0)]
+        points[at] = (points[at][0], math.nan)
+        with pytest.raises(DomainError, match=f"NaN knot at eps={points[at][0]!r}"):
+            biconjugate(hand_curve(points))
+
+    def test_nan_eps_is_a_domain_error(self):
+        curve = hand_curve([(0.0, 0.0), (math.nan, 0.5), (1.0, 1.0)], domain_max=1.0)
+        with pytest.raises(DomainError, match="NaN knot at eps=nan"):
+            biconjugate(curve)
+
+    def test_first_nan_knot_is_named(self):
+        curve = hand_curve([(0.0, 0.0), (0.75, math.nan), (0.25, math.nan), (1.0, 1.0)])
+        with pytest.raises(DomainError, match="eps=0.75$"):
+            biconjugate(curve)
+
     def test_idempotent(self):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
         env = biconjugate(nu_curve(loss, CostParam(0.3), 201))
@@ -282,6 +302,15 @@ def reference_hull(curve: SampledCurve) -> tuple[tuple[float, float], ...]:
     return tuple(hull)
 
 
+def assert_hull_is_reference(env: ConvexEnvelope, curve: SampledCurve) -> None:
+    """The envelope's columns and its lazily built knots are the chain's."""
+    hull = reference_hull(curve)
+    assert "hull_knots" not in vars(env)
+    assert env.xs.tolist() == [x for x, _ in hull]
+    assert env.ys.tolist() == [y for _, y in hull]
+    assert env.hull_knots == hull
+
+
 def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
     """Suffix infimum by a running minimum from the right end."""
     knots, low = [], math.inf
@@ -314,14 +343,14 @@ class TestBiconjugateReference:
     @given(knot_curves())
     @settings(max_examples=200, deadline=None)
     def test_equals_reference_chain(self, curve):
-        assert biconjugate(curve).hull_knots == reference_hull(curve)
+        assert_hull_is_reference(biconjugate(curve), curve)
         assert mu_curve(curve).knots == reference_mu(curve)
 
     @given(collinear_curves())
     @settings(max_examples=300, deadline=None)
     def test_equals_reference_chain_on_straight_pieces(self, curve):
         # Crosses of exactly 0 must pop, as in the chain; repeated points too.
-        assert biconjugate(curve).hull_knots == reference_hull(curve)
+        assert_hull_is_reference(biconjugate(curve), curve)
         assert mu_curve(curve).knots == reference_mu(curve)
 
     @pytest.mark.parametrize("grid", [201, 2001])
@@ -334,7 +363,7 @@ class TestBiconjugateReference:
         loss = uneven(family, gamma=2.0, alpha_weight=alpha if weighted else None)
         cost, extra = CostParam(alpha), (0.05, 0.123, alpha / 3.0)
         nu = nu_curve(loss, cost, grid, extra_knots=extra)
-        assert biconjugate(nu).hull_knots == reference_hull(nu)
+        assert_hull_is_reference(biconjugate(nu), nu)
         assert mu_curve(nu).knots == reference_mu(nu)
         assert nu.knots == knots_built_the_old_way(loss, cost, grid, extra)
 
@@ -452,7 +481,7 @@ def list_invert(env, y):
 
 
 class TestEnvelopeArrays:
-    """The knot arrays cached on an envelope give the list-based answers."""
+    """The envelope's columns give the list-based answers."""
 
     FLAT = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.2, 0.0), (0.5, 0.6)))
 
@@ -492,7 +521,93 @@ class TestEnvelopeArrays:
         assert {used: 1}[fresh] == 1
 
 
+@dataclasses.dataclass(frozen=True)
+class DataclassEnvelope:
+    """ConvexEnvelope as it was: a frozen dataclass of its hull knots."""
+
+    hull_knots: tuple[tuple[float, float], ...]
+
+
+class TestEnvelopeColumns:
+    KNOT_SETS = [
+        ((0.0, 0.0), (0.3, 0.15), (0.7, 0.7)),
+        ((0.0, 0.0), (0.2, 0.0), (0.5, 0.6)),
+        ((0.0, -0.0), (1.0, 1e-300), (1.0, math.inf)),
+        ((0.0, 0.0),),
+    ]
+
+    @pytest.mark.parametrize("knots", KNOT_SETS)
+    def test_eq_hash_and_repr_are_the_dataclass_ones(self, knots):
+        env, ref = ConvexEnvelope(hull_knots=knots), DataclassEnvelope(hull_knots=knots)
+        assert env.hull_knots is knots
+        assert env.xs.dtype == env.ys.dtype == np.float64
+        assert env.xs.tolist() == [x for x, _ in knots]
+        assert env.ys.tolist() == [y for _, y in knots]
+        assert repr(env) == repr(ref).replace("DataclassEnvelope", "ConvexEnvelope")
+        assert hash(env) == hash(ref)
+        assert env == ConvexEnvelope(hull_knots=tuple(knots))
+        assert env != ref and env != knots
+        others = [k for k in self.KNOT_SETS if k != knots]
+        assert all(env != ConvexEnvelope(hull_knots=k) for k in others)
+
+    def test_built_envelope_equals_the_hand_built_one(self):
+        nu = nu_curve(uneven("hinge", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 51)
+        env = biconjugate(nu)
+        rebuilt = ConvexEnvelope(hull_knots=env.hull_knots)
+        assert env == rebuilt and hash(env) == hash(rebuilt)
+        assert {rebuilt: 1}[biconjugate(nu)] == 1
+        assert repr(env) == f"ConvexEnvelope(hull_knots={env.hull_knots!r})"
+        assert hash(env) == hash(DataclassEnvelope(hull_knots=env.hull_knots))
+
+    def test_columns_are_read_only(self):
+        nu = nu_curve(uneven("squared", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
+        for env in (biconjugate(nu), HULL_EXAMPLE):
+            for column in (env.xs, env.ys):
+                with pytest.raises(ValueError):
+                    column[0] = 1.0
+            with pytest.raises(AttributeError):
+                env.hull_knots = ()
+            with pytest.raises(AttributeError):
+                env.xs = env.ys
+
+    def test_answers_build_no_knot_tuples(self, monkeypatch):
+        built = []
+
+        def kept(curve):
+            built.append(biconjugate(curve))
+            return built[-1]
+
+        monkeypatch.setattr(costcal.calibration, "biconjugate", kept)
+        loss, cost = uneven("exponential", gamma=2.0, alpha_weight=0.3), CostParam(0.3)
+        regret_bound(loss, cost, 0.01)
+        env = built[0]
+        envelope_eval(env, 0.2)
+        envelope_invert(env, 0.05)
+        assert env.domain_max == 0.7
+        assert "hull_knots" not in vars(env)
+        knots = env.hull_knots
+        assert env.hull_knots is knots
+        assert all(type(x) is float and type(y) is float for x, y in knots)
+
+
 class TestRegretBound:
+    def test_nan_gaps_are_a_domain_error(self):
+        # The partials are NaN past |t| = 30, so the oracle's gaps are NaN
+        # at some posteriors; the numeric verdict still reads "calibrated".
+        def nan_far(fn):
+            return lambda t: np.where(np.abs(t) > 30.0, np.nan, fn(t))
+
+        loss = Loss(
+            pos=PartialLoss(nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), 1.0, False,
+                            limit_neg_inf=math.inf, limit_pos_inf=0.0),
+            neg=PartialLoss(nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), 1.0, False,
+                            limit_neg_inf=0.0, limit_pos_inf=math.inf),
+        )
+        cost = CostParam(0.5)
+        assert costcal.check_calibrated(loss, cost).verdict == "calibrated"
+        with pytest.raises(DomainError, match="NaN knot at eps="):
+            regret_bound(loss, cost, 0.01, 51)
+
     def test_weighted_margin_hinge_clamps_at_domain(self):
         # nu is the identity here, so the bound is min(regret, B).
         loss = uneven("hinge", gamma=1.0, alpha_weight=0.3)
