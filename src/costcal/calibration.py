@@ -90,7 +90,8 @@ def check_calibrated_numeric(
     The gap is evaluated on a uniform posterior grid outside a
     half-grid-step neighborhood of alpha.  Near-zero values trigger one
     local refinement pass at x10 density before a negative verdict, and
-    the worst refined point is reported as the witness.
+    the worst refined point is reported as the witness.  A NaN gap raises
+    ``DomainError`` before any verdict.
     """
     _check_grid_size(grid_size)
     if not 0.0 <= tolerance < math.inf:
@@ -99,7 +100,7 @@ def check_calibrated_numeric(
     radius = 1.0 / (2.0 * grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     etas = grid[np.abs(grid - alpha) > radius]
-    gaps = h_alpha(loss, cost, etas)
+    gaps = _gaps(loss, cost, etas)
 
     witnesses = ()
     bad = etas[gaps <= tolerance]
@@ -108,15 +109,14 @@ def check_calibrated_numeric(
         step = 1.0 / (grid_size - 1)
         near = np.linspace(np.maximum(bad - step, 0.0), np.minimum(bad + step, 1.0), 21, axis=1)
         near = near[np.abs(near - alpha) > radius / 10.0]
-        refined = h_alpha(loss, cost, near)
+        refined = _gaps(loss, cost, near)
         low = refined <= tolerance
         near, refined = near[low], refined[low]
         order = np.argsort(refined, kind="stable")
         witnesses = tuple(zip(near[order].tolist(), refined[order].tolist()))
     verdict = "not_calibrated" if witnesses else "calibrated"
     if not witnesses:
-        # min()'s pick: the first least gap, where a NaN in first place stays.
-        i = 0 if np.isnan(gaps[0]) else int(np.nanargmin(gaps))
+        i = int(gaps.argmin())  # the first least gap
         witnesses = ((etas[i].item(), gaps[i].item()),)
     return CalibrationReport(
         verdict=verdict,
@@ -126,6 +126,15 @@ def check_calibrated_numeric(
         tolerance=tolerance,
         grid_size=grid_size,
     )
+
+
+def _gaps(loss: Loss, cost: CostParam, etas: np.ndarray) -> np.ndarray:
+    """``h_alpha`` on a 1-d array of posteriors; a NaN gap raises
+    ``DomainError`` naming the first posterior where it is NaN."""
+    gaps = h_alpha(loss, cost, etas)
+    if np.isnan(gaps).any():
+        raise DomainError(f"the calibration gap is NaN at eta={etas[np.isnan(gaps)][0].item()!r}")
+    return gaps
 
 
 def _check_continuity(loss: Loss) -> None:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from numpy import ndarray  # by name: looking up np.ndarray cost a fifth of a partial's float call
 
 from .errors import DomainError, UnsupportedFamilyError
 from .losses import CostParam, Loss, PartialLoss, _check_eta, _scaled_partial, theta_alpha
@@ -99,66 +100,72 @@ class ClosedForms(NamedTuple):
     h_cc: float
 
 
-# Per-family margin function phi, with value/derivative at 0 and limits.
-def _phi_hinge(t):
-    """max(0, 1 - t), for a float or an ndarray.  A float, which the float
-    golden section passes at every step, takes the builtin ``max`` and skips
-    the ufunc's per-call dispatch; ``max`` keeps NaN and gives
-    ``np.maximum``'s bits."""
-    if isinstance(t, np.ndarray):
-        return np.maximum(0.0, 1.0 - t)
-    return max(1.0 - t, 0.0)
-
-
-# A Python float score whose loss overflows gives +inf, with no OverflowError
-# and no numpy warning.  The float search and ``PartialLoss.__call__`` pass
-# Python floats, and the batched search ndarrays; a numpy scalar handed to
-# ``fn`` directly keeps numpy's rules, and may warn past the float range.
-def _phi_squared(t):
-    """(1 - t)^2.  The power stays: ``d * d`` differs from a float's power
-    in the last bit for about 1 score in 1600, moving the search's results."""
-    try:
-        return (1.0 - t) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _phi_exponential(t):
-    """e^-t through numpy's ``exp``; libm's moves last digits."""
-    if type(t) is float and t < -_LOG_MAX:
-        return math.inf
-    return np.exp(-t)
-
-
 #: The largest score whose exponential is finite.
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _phi_sigmoid(t):
-    """The logistic 1 / (1 + e^t), for a float or an ndarray, warning on
-    nothing.  A float goes through libm's ``exp`` (faster than numpy for one
-    score, which the float golden section needs); past its overflow the
-    value is 0.  An ndarray clips scores at ``_LOG_MAX``, so ``np.exp``
-    never overflows and a clipped score gives about 5.6e-309."""
-    if isinstance(t, np.ndarray):
-        return 1.0 / (1.0 + np.exp(np.minimum(t, _LOG_MAX)))
-    try:
-        return 1.0 / (1.0 + math.exp(t))
-    except OverflowError:
-        return 0.0
+def _partial(family: str, c: float, s: float | None):
+    """The family's partial c * phi(t), or c * phi(s * t) for a given s, as
+    one closure (the float golden section calls it at every step), for a
+    float or an ndarray score.  ``c`` is positive.  A Python float score
+    whose loss overflows gives +inf, with no OverflowError and no numpy
+    warning; a numpy scalar keeps numpy's rules."""
+    if family == "hinge":
+        # A float skips the ufunc: ``0.0 if d < 0.0 else d`` is max(d, 0.0),
+        # so ``np.maximum``'s bits, for every d, NaN included.
+        def fn(t, c=c, s=s):
+            u = t if s is None else s * t
+            if isinstance(u, ndarray):
+                return c * np.maximum(0.0, 1.0 - u)
+            d = 1.0 - u
+            return c * (0.0 if d < 0.0 else d)
+    elif family == "squared":
+        # The power stays: ``d * d`` differs from a float's power in the
+        # last bit for about 1 score in 1600, moving the search.
+        def fn(t, c=c, s=s):
+            u = t if s is None else s * t
+            try:
+                return c * (1.0 - u) ** 2
+            except OverflowError:
+                return math.inf
+    elif family == "exponential":
+        # numpy's ``exp``: libm's moves last digits.  A Python float score
+        # gets a Python float.
+        def fn(t, c=c, s=s):
+            u = t if s is None else s * t
+            if type(u) is not float:
+                return c * np.exp(-u)
+            return math.inf if u < -_LOG_MAX else c * float(np.exp(-u))
+    else:
+        # The logistic 1 / (1 + e^u), warning on nothing.  A float or a numpy
+        # scalar takes libm's ``exp``, faster for one score, and is 0 past its
+        # overflow.  An ndarray clips scores at ``_LOG_MAX``, so ``np.exp``
+        # never overflows and a clipped score gives about 5.6e-309.
+        def fn(t, c=c, s=s):
+            u = t if s is None else s * t
+            if isinstance(u, ndarray):
+                return c * (1.0 / (1.0 + np.exp(np.minimum(u, _LOG_MAX))))
+            try:
+                return c * (1.0 / (1.0 + math.exp(u)))
+            except OverflowError:
+                return 0.0
+    return fn
 
 
+_LOGISTIC = _partial("sigmoid", 1.0, None)  # 1.0 * phi has phi's bits
+
+# Per family: phi's value and derivative at 0, convexity, limits at -/+inf.
 _PHI = {
-    "hinge": (_phi_hinge, 1.0, -1.0, True, math.inf, 0.0),
-    "squared": (_phi_squared, 1.0, -2.0, True, math.inf, math.inf),
-    "exponential": (_phi_exponential, 1.0, -1.0, True, math.inf, 0.0),
-    "sigmoid": (_phi_sigmoid, 0.5, -0.25, False, 1.0, 0.0),
+    "hinge": (1.0, -1.0, True, math.inf, 0.0),
+    "squared": (1.0, -2.0, True, math.inf, math.inf),
+    "exponential": (1.0, -1.0, True, math.inf, 0.0),
+    "sigmoid": (0.5, -0.25, False, 1.0, 0.0),
 }
 
 
 def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     """Build the Loss for a family spec, metadata populated from phi."""
-    phi, at0, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
+    at0, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
     beta, gamma = spec.beta, spec.gamma
     if spec.alpha_weight is None:
         w_pos, w_neg = 1.0, beta
@@ -168,14 +175,8 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
             # 0 * phi would be 0, or NaN where phi overflows, not the loss.
             raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {beta}")
 
-    def pos_fn(t, phi=phi, c=w_pos):
-        return c * phi(t)
-
-    def neg_fn(t, phi=phi, c=w_neg, g=gamma):
-        return c * phi(-g * t)
-
     pos = PartialLoss(
-        fn=pos_fn,
+        fn=_partial(spec.family, w_pos, None),
         value_at_zero=w_pos * at0,
         is_convex=convex,
         deriv_at_zero=w_pos * d0,
@@ -183,7 +184,7 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
         limit_pos_inf=w_pos * lim_pos,
     )
     neg = PartialLoss(
-        fn=neg_fn,
+        fn=_partial(spec.family, w_neg, -gamma),  # s * t is -gamma * t
         value_at_zero=w_neg * at0,
         is_convex=convex,
         deriv_at_zero=-w_neg * gamma * d0,
@@ -219,7 +220,7 @@ def _sigmoid_local_min(eta, t=None):
     of posteriors in (0, 1/2)."""
     if t is None:
         t = sigmoid_t_minus(eta)
-    return eta * _phi_sigmoid(t) + 0.5 * (1.0 - eta) * _phi_sigmoid(-2.0 * t)
+    return eta * _LOGISTIC(t) + 0.5 * (1.0 - eta) * _LOGISTIC(-2.0 * t)
 
 
 def sigmoid_t_minus(eta):

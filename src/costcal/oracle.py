@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .curves import _check_grid_size, biconjugate, envelope_eval, nu_curve
-from .errors import DomainError, UnsupportedLimitError
+from .errors import DomainError
 from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
 from .losses import (
     CostParam,
@@ -171,23 +171,30 @@ def _mix(weights, pos, neg, out=None) -> np.ndarray:
     return risks
 
 
-def _golden_section(f, a: float, b: float):
-    """Minimize a unimodal f on [a, b]; returns (arg, value)."""
+def _golden_section(pos, neg, eta: float, a: float, b: float):
+    """Minimize the conditional risk, unimodal on [a, b]; returns (arg,
+    value).  The partials' ``fn`` get Python floats, and their mix is
+    ``conditional_risk``'s arithmetic, inline: a partial of weight 0 is not
+    evaluated (0 * inf = 0), so at eta = 0 or 1 the other is the risk."""
+    w = 1.0 - eta
+    mixed = 0.0 < eta < 1.0
+    one = neg if eta == 0.0 else pos
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
-    yc, yd = f(c), f(d)
+    yc = eta * float(pos(c)) + w * float(neg(c)) if mixed else float(one(c))
+    yd = eta * float(pos(d)) + w * float(neg(d)) if mixed else float(one(d))
     while h > _GOLDEN_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
             c = b - _INV_PHI * h
-            yc = f(c)
+            yc = eta * float(pos(c)) + w * float(neg(c)) if mixed else float(one(c))
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
-            yd = f(d)
+            yd = eta * float(pos(d)) + w * float(neg(d)) if mixed else float(one(d))
     x = c if yc < yd else d
     return x, min(yc, yd)
 
@@ -216,11 +223,9 @@ def _golden_section_rows(pos, neg, a: np.ndarray, b: np.ndarray, w: np.ndarray):
         step = _INV_PHI * h
         # The new score: c for a row that kept its left part, else d.
         t = np.where(left, b - step, a + step)
-        mid = np.where(left, c, d)
-        c, d = np.where(left, t, mid), np.where(left, mid, t)
-        kept = np.where(left, yc, yd)
-        y_new = _mix(weights, pos(t), neg(t))
-        yc, yd = np.where(left, y_new, kept), np.where(left, kept, y_new)
+        c, d = np.where(left, t, d), np.where(left, c, t)
+        y = _mix(weights, pos(t), neg(t))
+        yc, yd = np.where(left, y, yd), np.where(left, yc, y)
         running = h > _GOLDEN_TOL
         if not running.all():
             done = ids[~running]
@@ -233,9 +238,6 @@ def _golden_section_rows(pos, neg, a: np.ndarray, b: np.ndarray, w: np.ndarray):
     return arg, value
 
 
-# A partial past the float range is +inf, its correctly rounded value, which
-# the search handles; numpy's overflow warning adds nothing.
-@np.errstate(over="ignore")
 def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     """Two-stage minimization of the conditional risk over scores.
 
@@ -275,29 +277,32 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     last = slots[code]
     if last is not None and last[0] == eta:
         return last[1]
-    ts = _GRID[columns]
-    pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
-    # A partial of weight 0 contributes 0, even where it is infinite.
-    if eta == 0.0:
-        risks = neg_vals
-    elif eta == 1.0:
-        risks = pos_vals
-    else:
-        risks = eta * pos_vals + (1.0 - eta) * neg_vals
-    i = int(risks.argmin())
-
-    lo = float(ts[max(i - 1, 0)])
-    hi = float(ts[min(i + 1, len(ts) - 1)])
-    best_t, best_v = _golden_section(_finite_risk(loss, eta), lo, hi)
+    # A partial past the float range is +inf, its correctly rounded value,
+    # which the search handles; numpy's overflow warning adds nothing.
+    with np.errstate(over="ignore"):
+        ts = _GRID[columns]
+        pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
+        # A partial of weight 0 contributes 0, even where it is infinite.
+        if eta == 0.0:
+            risks = neg_vals
+        elif eta == 1.0:
+            risks = pos_vals
+        else:
+            risks = eta * pos_vals + (1.0 - eta) * neg_vals
+        i = int(risks.argmin())
+        lo = float(ts[max(i - 1, 0)])
+        hi = float(ts[min(i + 1, len(ts) - 1)])
+        best_t, best_v = _golden_section(loss.pos.fn, loss.neg.fn, eta, lo, hi)
     grid_v = float(risks[i])
     if grid_v < best_v:
         best_t, best_v = float(ts[i]), grid_v
 
     for t in limits:
-        try:
-            v = conditional_risk(loss, eta, t)
-        except UnsupportedLimitError:
-            continue
+        # conditional_risk's arithmetic on the declared limits.
+        v = 0.0
+        for weight, limit in zip((eta, 1.0 - eta), _limits(loss, t)):
+            if weight != 0.0:
+                v += weight * limit
         # Ties go to the limit: it attains the same infimum and marks
         # minimizing sequences that escape to the boundary.
         if v <= best_v:
@@ -307,19 +312,12 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     return result
 
 
-def _finite_risk(loss: Loss, eta: float):
-    """``conditional_risk(loss, eta, t)`` for a finite score t, with the same
-    arithmetic; ``eta`` is already checked and no limit is needed, so it
-    calls the partials' ``fn`` directly.  A partial of weight 0 is not
-    evaluated (0 * inf = 0).  ``eta`` and t are Python floats, so a family
-    partial takes its float branch (see ``families._PHI``)."""
-    pos, neg = loss.pos.fn, loss.neg.fn
-    if eta == 0.0:
-        return lambda t: float(neg(t))
-    if eta == 1.0:
-        return lambda t: float(pos(t))
-    w = 1.0 - eta
-    return lambda t: eta * float(pos(t)) + w * float(neg(t))
+def _limits(loss: Loss, t: float) -> list:
+    """The partials' declared limits at the infinite score t, NaN where
+    undeclared: such a candidate never wins where that partial has nonzero
+    weight, as in ``conditional_risk``."""
+    name = "limit_pos_inf" if t > 0 else "limit_neg_inf"
+    return [math.nan if v is None else v for v in (getattr(loss.pos, name), getattr(loss.neg, name))]
 
 
 #: Posteriors per block of the grid pass.  A block's risk matrix is at most
@@ -375,15 +373,7 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
 
     for t, admitted in ((-math.inf, code <= 0), (math.inf, code >= 0)):
         rows = np.flatnonzero(admitted)
-        lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
-        lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
-        # A missing limit is NaN, which rules the candidate out only where
-        # its partial has nonzero weight, as in conditional_risk.
-        v = _mix(
-            _weights(row_eta[rows]),
-            np.nan if lim_pos is None else lim_pos,
-            np.nan if lim_neg is None else lim_neg,
-        )
+        v = _mix(_weights(row_eta[rows]), *_limits(loss, t))
         wins = v <= best_v[rows]
         best_t[rows[wins]], best_v[rows[wins]] = t, v[wins]
     return [

@@ -1,6 +1,7 @@
 """Calibration verdicts, calibration functions, and the suffix-infimum curve."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -291,7 +292,7 @@ class TestIntegerGridSize:
 
 class TestNumericFallbackWitness:
     """A calibrated numeric verdict reports the least coarse gap the way
-    min() finds it: the first least value, where NaN never compares less."""
+    min() finds it: the first least value.  A NaN gap is a domain error."""
 
     @pytest.mark.parametrize("nan_at", [None, 0, 1, 3])
     def test_first_least_gap_as_min_picks_it(self, monkeypatch, nan_at):
@@ -303,11 +304,15 @@ class TestNumericFallbackWitness:
             return values
 
         monkeypatch.setattr(calibration, "h_alpha", gaps)
-        report = check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
         etas = [e for e in np.linspace(0.0, 1.0, 11).tolist() if abs(e - 0.3) > 1.0 / 22.0]
+        if nan_at is not None:
+            with pytest.raises(DomainError, match=re.escape(f"NaN at eta={etas[nan_at]!r}") + "$"):
+                check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
+            return
+        report = check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
         expected = min(zip(etas, gaps(None, None, np.array(etas)).tolist()), key=lambda ev: ev[1])
         assert report.verdict == "calibrated"
-        assert repr(report.witnesses) == repr((expected,))  # NaN != NaN
+        assert repr(report.witnesses) == repr((expected,))
         assert [type(x) for x in report.witnesses[0]] == [float, float]
 
 

@@ -593,7 +593,7 @@ class TestEnvelopeColumns:
 class TestRegretBound:
     def test_nan_gaps_are_a_domain_error(self):
         # The partials are NaN past |t| = 30, so the oracle's gaps are NaN
-        # at some posteriors; the numeric verdict still reads "calibrated".
+        # at some posteriors; the numeric verdict, and so the bound, refuse them.
         def nan_far(fn):
             return lambda t: np.where(np.abs(t) > 30.0, np.nan, fn(t))
 
@@ -604,8 +604,9 @@ class TestRegretBound:
                             limit_neg_inf=0.0, limit_pos_inf=math.inf),
         )
         cost = CostParam(0.5)
-        assert costcal.check_calibrated(loss, cost).verdict == "calibrated"
-        with pytest.raises(DomainError, match="NaN knot at eps="):
+        with pytest.raises(DomainError, match="calibration gap is NaN at eta="):
+            costcal.check_calibrated(loss, cost)
+        with pytest.raises(DomainError, match="calibration gap is NaN at eta="):
             regret_bound(loss, cost, 0.01, 51)
 
     def test_weighted_margin_hinge_clamps_at_domain(self):

@@ -31,18 +31,16 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
-from costcal.families import (
-    _LOG_MAX,
-    _phi_exponential,
-    _phi_hinge,
-    _phi_sigmoid,
-    _phi_squared,
-)
+from costcal.families import _LOG_MAX
 from costcal.oracle import brute_force_min, finite_diff_check
 
 from conftest import counted, uneven
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
+# Each family's phi, as its unweighted positive partial 1.0 * phi(t).
+_phi_hinge, _phi_squared, _phi_exponential, _phi_sigmoid = (
+    make_uneven_loss(UnevenMarginSpec(family, 1.0, 1.0)).pos.fn for family in ALL_FAMILIES
+)
 SIGMOID_GAMMA2 = UnevenMarginSpec("sigmoid", 0.5, 2.0)
 
 

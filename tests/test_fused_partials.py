@@ -1,0 +1,142 @@
+"""Each family partial is one closure computing c * phi(s * t) itself; its
+results are bit-equal to the margin functions and wrapper closures it
+replaced, kept here as the reference."""
+
+import math
+import sys
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from costcal import UnevenMarginSpec, make_uneven_loss
+
+_LOG_MAX = math.log(sys.float_info.max)
+
+
+def ref_phi_hinge(t):
+    if isinstance(t, np.ndarray):
+        return np.maximum(0.0, 1.0 - t)
+    return max(1.0 - t, 0.0)
+
+
+def ref_phi_squared(t):
+    try:
+        return (1.0 - t) ** 2
+    except OverflowError:
+        return math.inf
+
+
+def ref_phi_exponential(t):
+    if type(t) is float and t < -_LOG_MAX:
+        return math.inf
+    return np.exp(-t)
+
+
+def ref_phi_sigmoid(t):
+    if isinstance(t, np.ndarray):
+        return 1.0 / (1.0 + np.exp(np.minimum(t, _LOG_MAX)))
+    try:
+        return 1.0 / (1.0 + math.exp(t))
+    except OverflowError:
+        return 0.0
+
+
+REF_PHI = {
+    "hinge": ref_phi_hinge,
+    "squared": ref_phi_squared,
+    "exponential": ref_phi_exponential,
+    "sigmoid": ref_phi_sigmoid,
+}
+
+
+def ref_partials(spec):
+    """The partials' ``fn`` as built before: a wrapper closure around phi."""
+    phi = REF_PHI[spec.family]
+    if spec.alpha_weight is None:
+        w_pos, w_neg = 1.0, spec.beta
+    else:
+        w_pos, w_neg = 1.0 - spec.alpha_weight, spec.alpha_weight * spec.beta
+
+    def pos_fn(t, phi=phi, c=w_pos):
+        return c * phi(t)
+
+    def neg_fn(t, phi=phi, c=w_neg, g=spec.gamma):
+        return c * phi(-g * t)
+
+    return pos_fn, neg_fn
+
+
+FAMILIES = sorted(REF_PHI)
+GAMMAS = [1e-3, 0.25, 2.0, 1e3]
+FLOAT_SCORES = [
+    0.0, -0.0, math.nan, 5e-324, -5e-324, 1e300, -1e300, 1.0, -1.0, 0.5, -30.0, 50.0,
+    _LOG_MAX, -_LOG_MAX, math.nextafter(_LOG_MAX, math.inf),
+    math.nextafter(-_LOG_MAX, -math.inf), 710.0, -710.0, 1e5, -1e5,
+]
+ARRAY = np.array(FLOAT_SCORES + np.linspace(-60.0, 60.0, 1201).tolist())
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def assert_same(spec, scores):
+    """Both partials of ``spec`` on every score: bits, and types, equal to
+    the reference's; a Python float score gets a Python float."""
+    loss = make_uneven_loss(spec)
+    for fn, ref in zip((loss.pos.fn, loss.neg.fn), ref_partials(spec)):
+        for t in scores:
+            # A numpy scalar past the float range warns in both, as before.
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                got, want = fn(t), ref(t)
+            assert bits(got) == bits(want), (spec, t)
+            if type(t) is float:
+                assert type(got) is float, (spec, t)
+            else:
+                assert type(got) is type(want), (spec, t)
+
+
+def specs(family, gamma):
+    """The family at gamma, calibrated (beta = 1/gamma) and at beta = 0.7,
+    unweighted and weighted."""
+    return [
+        UnevenMarginSpec(family, beta, gamma, alpha_weight)
+        for beta in (1.0 / gamma, 0.7)
+        for alpha_weight in (None, 0.3)
+    ]
+
+
+@pytest.mark.parametrize("gamma", GAMMAS)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fixed_scores(family, gamma):
+    scores = FLOAT_SCORES + [np.float64(t) for t in FLOAT_SCORES] + [ARRAY]
+    for spec in specs(family, gamma):
+        assert_same(spec, scores)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.floats(1e-6, 1e6),
+    st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
+    st.floats(),
+)
+def test_drawn_gammas_and_scores(family, gamma, alpha_weight, t):
+    spec = UnevenMarginSpec(family, 1.0 / gamma, gamma, alpha_weight)
+    assert_same(spec, [t, np.float64(t), np.array([t, -t, 0.5 * t])])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.sampled_from(GAMMAS),
+    st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
+    st.lists(st.floats(), min_size=1, max_size=20),
+)
+def test_drawn_arrays(family, gamma, alpha_weight, scores):
+    spec = UnevenMarginSpec(family, 0.7, gamma, alpha_weight)
+    assert_same(spec, [np.array(scores)] + scores)

@@ -568,9 +568,9 @@ def golden_section_runs(monkeypatch) -> list:
     runs = []
     golden = oracle._golden_section
 
-    def spy(f, a, b):
+    def spy(pos, neg, eta, a, b):
         runs.append((a, b))
-        return golden(f, a, b)
+        return golden(pos, neg, eta, a, b)
 
     monkeypatch.setattr(oracle, "_golden_section", spy)
     return runs
