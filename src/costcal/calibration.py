@@ -90,8 +90,8 @@ def check_calibrated_numeric(
     The gap is evaluated on a uniform posterior grid outside a
     half-grid-step neighborhood of alpha.  Near-zero values trigger one
     local refinement pass at x10 density before a negative verdict, and
-    the worst refined point is reported as the witness.  A NaN gap raises
-    ``DomainError`` before any verdict.
+    the worst refined point is reported as the witness.  A search that
+    reads a NaN risk raises ``DomainError`` before any verdict.
     """
     _check_grid_size(grid_size)
     if not 0.0 <= tolerance < math.inf:
@@ -100,7 +100,7 @@ def check_calibrated_numeric(
     radius = 1.0 / (2.0 * grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     etas = grid[np.abs(grid - alpha) > radius]
-    gaps = _gaps(loss, cost, etas)
+    gaps = h_alpha(loss, cost, etas)
 
     witnesses = ()
     bad = etas[gaps <= tolerance]
@@ -109,7 +109,7 @@ def check_calibrated_numeric(
         step = 1.0 / (grid_size - 1)
         near = np.linspace(np.maximum(bad - step, 0.0), np.minimum(bad + step, 1.0), 21, axis=1)
         near = near[np.abs(near - alpha) > radius / 10.0]
-        refined = _gaps(loss, cost, near)
+        refined = h_alpha(loss, cost, near)
         low = refined <= tolerance
         near, refined = near[low], refined[low]
         order = np.argsort(refined, kind="stable")
@@ -126,15 +126,6 @@ def check_calibrated_numeric(
         tolerance=tolerance,
         grid_size=grid_size,
     )
-
-
-def _gaps(loss: Loss, cost: CostParam, etas: np.ndarray) -> np.ndarray:
-    """``h_alpha`` on a 1-d array of posteriors; a NaN gap raises
-    ``DomainError`` naming the first posterior where it is NaN."""
-    gaps = h_alpha(loss, cost, etas)
-    if np.isnan(gaps).any():
-        raise DomainError(f"the calibration gap is NaN at eta={etas[np.isnan(gaps)][0].item()!r}")
-    return gaps
 
 
 def _check_continuity(loss: Loss) -> None:
@@ -170,8 +161,7 @@ def uniform_calibration_fn(
         return math.inf
     nu = nu_curve(loss, cost, grid_size, extra_knots=(eps,))
     tail = nu.values[nu.eps >= eps]
-    # min()'s pick: the first least value, where a NaN in first place stays.
-    return tail[0 if np.isnan(tail[0]) else np.nanargmin(tail)].item()
+    return tail[tail.argmin()].item()
 
 
 def regret_bound(

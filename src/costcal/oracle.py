@@ -87,12 +87,10 @@ def _kept(store: dict, obj, make):
 
 def _grid_table(partial: PartialLoss) -> np.ndarray:
     """``partial.fn`` on the whole of ``_GRID``, read-only; a search slices
-    its admissible columns out of it.  A partial defined on one half-line
-    only may be NaN on the other, which no search on its half-line reads,
-    so numpy's invalid-value warning is silenced there."""
-    with np.errstate(invalid="ignore"):
-        table = np.asarray(partial.fn(_GRID), dtype=float)
-    return np.broadcast_to(table, _GRID.shape)
+    its admissible columns out of it.  Runs under the search's
+    ``np.errstate``: a partial defined on one half-line only may be NaN on
+    the other, which no search on its half-line reads."""
+    return np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
 
 
 def _grid_values(partial: PartialLoss) -> np.ndarray:
@@ -259,6 +257,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     Each posterior of an array gets the same result as the float search,
     up to rounding.  A float search returns Python floats (an infinite
     ``arg`` is ``math.inf``).
+
+    Raises ``DomainError``, naming the posterior, where the risk is NaN at
+    the grid argmin or the refined point (a partial of weight 0 is unread).
     """
     if constraint not in _SEARCH:
         raise DomainError(f"unknown constraint {constraint!r}")
@@ -278,8 +279,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     if last is not None and last[0] == eta:
         return last[1]
     # A partial past the float range is +inf, its correctly rounded value,
-    # which the search handles; numpy's overflow warning adds nothing.
-    with np.errstate(over="ignore"):
+    # which the search handles, and a NaN risk raises below: numpy's
+    # overflow and invalid-value warnings add nothing.
+    with np.errstate(over="ignore", invalid="ignore"):
         ts = _GRID[columns]
         pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
         # A partial of weight 0 contributes 0, even where it is infinite.
@@ -296,6 +298,8 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     grid_v = float(risks[i])
     if grid_v < best_v:
         best_t, best_v = float(ts[i]), grid_v
+    elif not best_v <= grid_v:  # one is NaN: argmin picks a NaN wherever the row holds one
+        raise DomainError(f"the conditional risk is NaN at eta={eta!r}")
 
     for t in limits:
         # conditional_risk's arithmetic on the declared limits.
@@ -328,8 +332,8 @@ _BLOCK_ROWS = 32
 
 
 # A partial of weight 0 contributes 0 even where it is infinite, which
-# ``_mix`` computes as NaN and then replaces: its invalid-value warning, and
-# an overflow past the float range, add nothing.
+# ``_mix`` computes as NaN and then replaces, and a NaN risk raises: numpy's
+# invalid-value warning, and an overflow past the float range, add nothing.
 @np.errstate(over="ignore", invalid="ignore")
 def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[SearchResult]:
     """``brute_force_min``'s search on rows of a posterior and a constraint,
@@ -368,6 +372,9 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
     lo = _GRID[np.maximum(idx - 1, start)]
     hi = _GRID[np.minimum(idx + 1, stop - 1)]
     best_t, best_v = _golden_section_rows(loss.pos.fn, loss.neg.fn, lo, hi, row_eta)
+    nan = np.flatnonzero(np.isnan(grid_v) | np.isnan(best_v))
+    if nan.size:  # named in the caller's order: row r searches posterior r % n
+        raise DomainError(f"the conditional risk is NaN at eta={eta[(nan % n).min()].item()!r}")
     on_grid = grid_v < best_v
     best_t[on_grid], best_v[on_grid] = _GRID[idx[on_grid]], grid_v[on_grid]
 

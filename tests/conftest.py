@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
+import numpy as np
 from hypothesis import strategies as st
 
 from costcal import Knot, Loss, PartialLoss, SampledCurve, UnevenMarginSpec, make_uneven_loss
+from costcal.oracle import _GRID
 
 
 def uneven(
@@ -44,6 +47,57 @@ def counted(loss: Loss) -> tuple[Loss, list]:
 
     pos, neg = replace(loss.pos, fn=wrap(loss.pos.fn)), replace(loss.neg, fn=wrap(loss.neg.fn))
     return replace(loss, pos=pos, neg=neg), calls
+
+
+#: Partials defined on the nonnegative scores only, NaN on the negative ones.
+HALF_LINE = Loss(
+    pos=PartialLoss(fn=np.sqrt, value_at_zero=0.0, is_convex=False, limit_pos_inf=math.inf),
+    neg=PartialLoss(
+        fn=lambda t: 1.0 / (1.0 + np.sqrt(t)), value_at_zero=1.0, is_convex=False, limit_pos_inf=0.0
+    ),
+)
+
+
+def _nan_far(fn):
+    return lambda t: np.where(np.abs(t) > 30.0, np.nan, fn(t))
+
+
+#: Squared hinge partials, NaN past |t| = 30.
+NAN_FAR = Loss(
+    pos=PartialLoss(_nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), 1.0, False,
+                    limit_neg_inf=math.inf, limit_pos_inf=0.0),
+    neg=PartialLoss(_nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), 1.0, False,
+                    limit_neg_inf=0.0, limit_pos_inf=math.inf),
+)
+
+
+def edge_nan_loss(threshold: float, edge: str) -> Loss:
+    """Linear partials whose conditional risk slopes up at posteriors below
+    ``threshold`` and down above it, so a search's grid argmin sits at the
+    grid's left edge below it and at its right edge above.  One partial is
+    NaN strictly between the two outermost scores of the grid at ``edge``,
+    which only a golden section bracketed there reads: L1 on the right,
+    read at every posterior above ``threshold``, or L-1 on the left, read
+    at every posterior below it."""
+    a, b = (_GRID[-2], _GRID[-1]) if edge == "right" else (_GRID[0], _GRID[1])
+
+    def nan_inside(fn):
+        return lambda t: np.where((a < t) & (t < b), np.nan, fn(t))
+
+    def pos(t):
+        return (1.0 - threshold) * np.maximum(50.0 - t, 0.0)
+
+    def neg(t):
+        return threshold * np.maximum(50.0 + t, 0.0)
+
+    if edge == "right":
+        pos = nan_inside(pos)
+    else:
+        neg = nan_inside(neg)
+    return Loss(
+        pos=PartialLoss(pos, 50.0 * (1.0 - threshold), False),
+        neg=PartialLoss(neg, 50.0 * threshold, False),
+    )
 
 
 def cost_sensitive_loss(alpha: float) -> Loss:

@@ -29,7 +29,7 @@ from costcal import (
     uniform_calibration_fn,
 )
 
-from conftest import cost_sensitive_loss, knot_curves, uneven
+from conftest import cost_sensitive_loss, edge_nan_loss, knot_curves, uneven
 
 
 class TestAnalyticCheck:
@@ -228,24 +228,26 @@ class TestUniformCalibrationFn:
 
     @pytest.mark.parametrize("nan_at", [None, 0.2, 0.35, 0.7])
     def test_a_nan_gap_counts_as_min_counts_it(self, monkeypatch, nan_at):
-        # min() over the knots at or past eps = 0.2 keeps a NaN only in
-        # first place; past it, a NaN never compares less.
+        # The least knot value at or past eps = 0.2, as min() finds it.  No
+        # gap is NaN: the search that reads a NaN risk raises, here first at
+        # the posterior nan_at past alpha, whatever its knot's place.
+        alpha = self.COST.alpha
+        if nan_at is not None:
+            loss = edge_nan_loss(alpha + nan_at - 0.01, "right")
+            with pytest.raises(DomainError, match="conditional risk is NaN at eta=") as error:
+                uniform_calibration_fn(loss, self.COST, 0.2, 11)
+            assert float(str(error.value).rpartition("=")[2]) == pytest.approx(alpha + nan_at)
+            return
+
         def gaps(loss, cost, etas):
-            dist = np.abs(etas - cost.alpha)
-            values = 2.0 - dist
-            if nan_at is not None:
-                values[np.abs(dist - nan_at) < 1e-12] = math.nan
-            return values
+            return 2.0 - np.abs(etas - cost.alpha)
 
         monkeypatch.setattr(curves, "h_alpha", gaps)
         value = uniform_calibration_fn(self.LOSS, self.COST, 0.2, 11)
         nu = nu_curve(self.LOSS, self.COST, 11, extra_knots=(0.2,))
         expected = min(k.value for k in nu.knots if k.eps >= 0.2)
         assert type(value) is float
-        if nan_at == 0.2:
-            assert math.isnan(value) and math.isnan(expected)
-        else:
-            assert value == expected and not math.isnan(value)
+        assert value == expected and not math.isnan(value)
 
     @pytest.mark.parametrize("grid_size", [0, 1, 2])
     def test_rejects_grids_below_three(self, grid_size):
@@ -292,23 +294,29 @@ class TestIntegerGridSize:
 
 class TestNumericFallbackWitness:
     """A calibrated numeric verdict reports the least coarse gap the way
-    min() finds it: the first least value.  A NaN gap is a domain error."""
+    min() finds it: the first least value.  A search that reads a NaN risk
+    raises ``DomainError`` naming the first coarse posterior it reads it at."""
 
     @pytest.mark.parametrize("nan_at", [None, 0, 1, 3])
     def test_first_least_gap_as_min_picks_it(self, monkeypatch, nan_at):
+        etas = [e for e in np.linspace(0.0, 1.0, 11).tolist() if abs(e - 0.3) > 1.0 / 22.0]
+        if nan_at is not None:
+            # Read below the threshold on the left, above it on the right.
+            loss = (
+                edge_nan_loss(0.5, "left")
+                if nan_at == 0
+                else edge_nan_loss((etas[nan_at - 1] + etas[nan_at]) / 2.0, "right")
+            )
+            with pytest.raises(DomainError, match=re.escape(f"NaN at eta={etas[nan_at]!r}") + "$"):
+                check_calibrated_numeric(loss, CostParam(0.3), 11)
+            return
+
         def gaps(loss, cost, etas):
             values = 1.0 + (etas - 0.5) ** 2
             values[np.argmin(values) + 2] = values.min()  # a tie after the minimum
-            if nan_at is not None:
-                values[nan_at] = math.nan
             return values
 
         monkeypatch.setattr(calibration, "h_alpha", gaps)
-        etas = [e for e in np.linspace(0.0, 1.0, 11).tolist() if abs(e - 0.3) > 1.0 / 22.0]
-        if nan_at is not None:
-            with pytest.raises(DomainError, match=re.escape(f"NaN at eta={etas[nan_at]!r}") + "$"):
-                check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
-            return
         report = check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
         expected = min(zip(etas, gaps(None, None, np.array(etas)).tolist()), key=lambda ev: ev[1])
         assert report.verdict == "calibrated"

@@ -604,9 +604,9 @@ class TestRegretBound:
                             limit_neg_inf=0.0, limit_pos_inf=math.inf),
         )
         cost = CostParam(0.5)
-        with pytest.raises(DomainError, match="calibration gap is NaN at eta="):
+        with pytest.raises(DomainError, match="conditional risk is NaN at eta="):
             costcal.check_calibrated(loss, cost)
-        with pytest.raises(DomainError, match="calibration gap is NaN at eta="):
+        with pytest.raises(DomainError, match="conditional risk is NaN at eta="):
             regret_bound(loss, cost, 0.01, 51)
 
     def test_weighted_margin_hinge_clamps_at_domain(self):

@@ -95,6 +95,13 @@ class TestConditionalRisk:
         with pytest.raises(UnsupportedLimitError):
             partial(math.inf)
 
+    def test_undeclared_limit_at_minus_inf_raises(self):
+        partial = PartialLoss(
+            fn=lambda t: t * t, value_at_zero=0.0, is_convex=True, limit_pos_inf=math.inf
+        )
+        with pytest.raises(UnsupportedLimitError, match="no declared limit at -inf"):
+            partial(-math.inf)
+
 
 class TestOptimalConditionalRisk:
     def test_uneven_hinge_closed_value(self):
