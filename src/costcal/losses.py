@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
@@ -88,11 +89,23 @@ class Loss:
     ``family`` carries the construction tag for losses built by
     :mod:`costcal.families`; hand-built losses leave it ``None`` and are
     always served by the numeric code paths.
+
+    The oracle keeps its search state on the loss, in ``_search_state``: a
+    cached property, which writes the instance ``__dict__`` and no field.
+    So ``==``, ``hash``, ``repr``, ``asdict`` and ``replace`` ignore it, a
+    replaced loss remembers nothing, and the state is freed with the loss.
     """
 
     pos: PartialLoss
     neg: PartialLoss
     family: "UnevenMarginSpec | None" = None
+
+    @cached_property
+    def _search_state(self) -> list:
+        """``[tables, slots]``: the partials' grid values, None until the
+        first search makes them, and the last float search per constraint
+        code, ``(posterior, SearchResult)`` or None, indexed by the code."""
+        return [None, [None, None, None]]
 
 
 @dataclass(frozen=True)
@@ -233,7 +246,7 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
     C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
     0, and 0 at alpha.
 
-    A float runs one ``brute_force_min`` for each quantity no closed form
+    A float runs one float search for each quantity no closed form
     serves.  An array runs the closed forms on the whole of it; whatever
     they leave comes from one ``_search_rows`` call.  Its constraint code
     per row is the sign every admissible score keeps: sign(alpha - eta)
@@ -244,12 +257,11 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
             cost = None
         value = _closed(loss, cost, eta)
         if value is None:
-            from .oracle import brute_force_min
+            from .oracle import _search_float
 
-            constraint = "none" if cost is None else (
-                "nonpositive_scores" if eta > cost.alpha else "nonnegative_scores"
-            )
-            value = brute_force_min(loss, eta, constraint).value
+            # The array branch's code, sign(alpha - eta), or 0 for C*.
+            code = 0 if cost is None else (-1 if eta > cost.alpha else 1)
+            value = _search_float(loss, eta, code).value
         return max(value - _optima(loss, None, eta), 0.0) if gap else value
 
     def search(rows, *kinds):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import weakref
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -50,52 +49,28 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_TOL = 1e-10
 
 #: A constraint is coded by the sign every admissible score keeps: 0 for
-#: none, +1 for nonnegative scores, -1 for nonpositive ones.  Per
-#: constraint: its code, its admissible columns of ``_GRID``, and its
-#: admissible infinite scores in the order they compete.
-_SEARCH = {
-    "none": (0, slice(0, len(_GRID)), (-math.inf, math.inf)),
-    "nonnegative_scores": (1, slice(_ZERO, len(_GRID)), (math.inf,)),
-    "nonpositive_scores": (-1, slice(0, _ZERO + 1), (-math.inf,)),
-}
-#: The bounds of a code's columns, indexed by the code: 0 and +1 count
-#: from the front, and -1 from the back, as ``_SEARCH`` lists them.
-_START = np.array([columns.start for _, columns, _ in _SEARCH.values()])
-_STOP = np.array([columns.stop for _, columns, _ in _SEARCH.values()])
-
-#: Each partial loss's values on ``_GRID``, evaluated on first use.
-_GRID_VALUES: dict[int, tuple[weakref.ref, np.ndarray]] = {}
-#: Each loss's last float search per constraint: three slots of
-#: ``(posterior, SearchResult)`` or None, indexed by the constraint code as
-#: ``_START`` is.
-_LAST_SEARCH: dict[int, tuple[weakref.ref, list]] = {}
+#: none, +1 for nonnegative scores, -1 for nonpositive ones.  Its name is
+#: read only where ``brute_force_min`` takes it.
+_SEARCH = {"none": 0, "nonnegative_scores": 1, "nonpositive_scores": -1}
+#: The bounds of a code's admissible columns of ``_GRID``, indexed by the
+#: code (-1 counts from the back).
+_START = np.array([0, _ZERO, 0])
+_STOP = np.array([len(_GRID), len(_GRID), _ZERO + 1])
 
 
-def _kept(store: dict, obj, make):
-    """``store``'s state for ``obj``: ``make(obj)``, made on first use and
-    kept for as long as ``obj`` lives.  Keyed by ``id``, so ``obj`` (and a
-    partial's ``fn``) need not be hashable; a weak reference's callback
-    drops the entry when ``obj`` is freed, so the state is no part of it
-    and keeps nothing alive."""
-    key = id(obj)
-    entry = store.get(key)
-    if entry is None or entry[0]() is not obj:
-        ref = weakref.ref(obj, lambda _, key=key: store.pop(key, None))
-        entry = store[key] = (ref, make(obj))
-    return entry[1]
-
-
-def _grid_table(partial: PartialLoss) -> np.ndarray:
-    """``partial.fn`` on the whole of ``_GRID``, read-only; a search slices
-    its admissible columns out of it.  Runs under the search's
-    ``np.errstate``: a partial defined on one half-line only may be NaN on
-    the other, which no search on its half-line reads."""
-    return np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
-
-
-def _grid_values(partial: PartialLoss) -> np.ndarray:
-    """``_grid_table(partial)``, computed once per partial."""
-    return _kept(_GRID_VALUES, partial, _grid_table)
+def _grid_tables(loss: Loss) -> tuple[np.ndarray, np.ndarray]:
+    """Each partial's ``fn`` on the whole of ``_GRID``, read-only, made by
+    the loss's first search and kept on the loss (``Loss._search_state``);
+    a search slices its admissible columns out of them.  Runs under the
+    search's ``np.errstate``: a partial defined on one half-line only may be
+    NaN on the other, which no search on its half-line reads."""
+    state = loss._search_state
+    if state[0] is None:
+        state[0] = tuple(
+            np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
+            for partial in (loss.pos, loss.neg)
+        )
+    return state[0]
 
 
 @dataclass(frozen=True)
@@ -240,17 +215,16 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     """Two-stage minimization of the conditional risk over scores.
 
     A coarse pass over the log-spaced grid (restricted by the sign
-    constraint) brackets the best point; golden-section refinement then
-    polishes it.  Declared limits at the admissible infinities compete
-    with the refined finite minimum.  The grid values of each partial loss
-    are computed once per partial (``_grid_values``).
+    constraint, coded as in ``_SEARCH``) brackets the best point;
+    golden-section refinement then polishes it.  Declared limits at the
+    admissible infinities compete with the refined finite minimum.
 
-    A float search is remembered: each loss keeps its last float search per
-    constraint (``_LAST_SEARCH``), and a float search at that posterior and
-    constraint returns it without searching again.  So C*, C^- and the gap
-    at one posterior search once each.  The result is the one the search
-    would give; only timings and partial-loss evaluations show the
-    difference.  Array searches are never remembered.
+    The loss keeps its state (``Loss._search_state``): each partial's
+    values on the grid, from its first search, and its last float search
+    per constraint.  A float search at that posterior and constraint
+    returns the kept result, so C*, C^- and the gap at one posterior search
+    once each; only timings and partial-loss evaluations show it.  Array
+    searches are never remembered.
 
     ``eta`` is a float, or an ndarray of posteriors searched together by
     ``_search_rows`` (``arg`` and ``value`` are then arrays of its shape).
@@ -261,20 +235,26 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     Raises ``DomainError``, naming the posterior, where the risk is NaN at
     the grid argmin or the refined point (a partial of weight 0 is unread).
     """
-    if constraint not in _SEARCH:
+    code = _SEARCH.get(constraint)
+    if code is None:
         raise DomainError(f"unknown constraint {constraint!r}")
-    code, columns, limits = _SEARCH[constraint]
     _check_eta(eta)
     if isinstance(eta, np.ndarray):
         return _search_rows(loss, eta, np.full(eta.shape, code))[0]
+    return _search_float(loss, eta, code)
 
+
+def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
+    """``brute_force_min``'s search at the float posterior ``eta`` under the
+    constraint ``code``, returned from the loss's slot for ``code`` where
+    that holds a search at ``eta``.  ``eta`` must lie in [0, 1]."""
     # The golden section runs on Python floats, whose arithmetic is numpy's
     # without its per-operation dispatch: the posterior, the bracket ends
     # and the grid's best point are converted once.
     eta = float(eta)
     # The loss's last search under this constraint, if at this posterior.
     # -0.0 shares 0.0's slot: their searches are the same, bit for bit.
-    slots = _kept(_LAST_SEARCH, loss, lambda _: [None, None, None])
+    slots = loss._search_state[1]
     last = slots[code]
     if last is not None and last[0] == eta:
         return last[1]
@@ -282,8 +262,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     # which the search handles, and a NaN risk raises below: numpy's
     # overflow and invalid-value warnings add nothing.
     with np.errstate(over="ignore", invalid="ignore"):
+        columns = slice(_START[code], _STOP[code])
         ts = _GRID[columns]
-        pos_vals, neg_vals = _grid_values(loss.pos)[columns], _grid_values(loss.neg)[columns]
+        pos_vals, neg_vals = (table[columns] for table in _grid_tables(loss))
         # A partial of weight 0 contributes 0, even where it is infinite.
         if eta == 0.0:
             risks = neg_vals
@@ -301,7 +282,9 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     elif not best_v <= grid_v:  # one is NaN: argmin picks a NaN wherever the row holds one
         raise DomainError(f"the conditional risk is NaN at eta={eta!r}")
 
-    for t in limits:
+    for t, admitted in ((-math.inf, code <= 0), (math.inf, code >= 0)):
+        if not admitted:
+            continue
         # conditional_risk's arithmetic on the declared limits.
         v = 0.0
         for weight, limit in zip((eta, 1.0 - eta), _limits(loss, t)):
@@ -338,13 +321,15 @@ _BLOCK_ROWS = 32
 def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[SearchResult]:
     """``brute_force_min``'s search on rows of a posterior and a constraint,
     all in one search.  Each array in ``codes``, of ``eta``'s shape, holds
-    a constraint code per posterior (the sign every admissible score
-    keeps; see ``_SEARCH``), and gets one ``SearchResult`` of that shape.
+    a constraint code per posterior (``_SEARCH``), and gets one
+    ``SearchResult`` of that shape.  Nothing is remembered but the loss's
+    grid tables (``_grid_tables``), which the float search shares.
 
     The grid pass mixes each posterior's risk row once, on the columns its
     constraints admit, and takes each constraint's argmin over its own
     slice of that row.  Then every row refines in one golden section, and
-    each row's admissible limits compete."""
+    each row's admissible limits compete: -inf where its code is <= 0,
+    +inf where it is >= 0."""
     shape = eta.shape
     eta = eta.astype(float).ravel()
     n, k = len(eta), len(codes)
@@ -353,7 +338,7 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
     # Row r searches posterior r % n; each posterior's risk row covers the
     # columns of all its searches.
     first, last = start.reshape(k, n).min(axis=0), stop.reshape(k, n).max(axis=0)
-    pos_vals, neg_vals = _grid_values(loss.pos), _grid_values(loss.neg)
+    pos_vals, neg_vals = _grid_tables(loss)
     idx = np.empty(k * n, dtype=np.intp)
     grid_v = np.empty(k * n)
     width = int(last.max() - first.min()) if n else 0

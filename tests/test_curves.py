@@ -677,6 +677,19 @@ def module_trees() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
 
 
+def modules_naming(names: set[str]) -> set[str]:
+    """The modules of the package that name any of ``names``: as a name, an
+    imported name or an attribute."""
+    return {
+        module
+        for module, tree in module_trees().items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.alias) and node.name in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    }
+
+
 class TestLayering:
     """curves sits below calibration: it owns the knot format, and
     calibration owns the answers the verdict gates."""
@@ -692,27 +705,24 @@ class TestLayering:
         assert "calibration" not in imported
 
     def test_only_curves_names_the_knot_builder(self):
-        naming = {
-            module
-            for module, tree in module_trees().items()
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id == "_knots")
-            or (isinstance(node, ast.alias) and node.name == "_knots")
-            or (isinstance(node, ast.Attribute) and node.attr == "_knots")
-        }
-        assert naming == {"curves"}
+        assert modules_naming({"_knots"}) == {"curves"}
 
     def test_only_oracle_names_the_search_layout(self):
-        layout = {"_SEARCH", "_START", "_STOP"}
+        # ``Loss._search_state`` is defined in losses and read in oracle alone.
+        layout = {"_SEARCH", "_START", "_STOP", "_grid_tables", "_search_state"}
+        assert modules_naming(layout) == {"oracle"}
+
+    def test_constraint_names_are_read_only_where_brute_force_min_takes_them(self):
+        names = {"none", "nonnegative_scores", "nonpositive_scores"}
+        trees = module_trees()
         naming = {
-            module
-            for module, tree in module_trees().items()
-            for node in ast.walk(tree)
-            if (isinstance(node, ast.Name) and node.id in layout)
-            or (isinstance(node, ast.alias) and node.name in layout)
-            or (isinstance(node, ast.Attribute) and node.attr in layout)
+            (module, getattr(statement, "name", None) or statement.targets[0].id)
+            for module in ("losses", "oracle")
+            for statement in trees[module].body
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Constant) and node.value in names
         }
-        assert naming == {"oracle"}
+        assert naming == {("oracle", "_SEARCH"), ("oracle", "brute_force_min")}
 
     def test_losses_reaches_the_oracle_only_from_the_chooser(self):
         tree = module_trees()["losses"]
@@ -733,7 +743,7 @@ class TestLayering:
         ]
         assert from_oracle and all(id(node) in inside for node in from_oracle)
         names = {alias.name for node in from_oracle for alias in node.names}
-        assert names == {"brute_force_min", "_search_rows"}
+        assert names == {"_search_float", "_search_rows"}
         assert not any(
             isinstance(node, ast.Import) and any(a.name.endswith("oracle") for a in node.names)
             for node in ast.walk(tree)

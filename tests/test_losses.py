@@ -393,17 +393,17 @@ class TestFloatAndArrayRequests:
         cost = CostParam(alpha)
         etas = np.array([0.0, 1e-12, 0.1, alpha, 0.5, 0.9, 1.0 - 1e-12, 1.0])
         searches = {"float": 0, "rows": []}
-        float_search, row_search = oracle.brute_force_min, oracle._search_rows
+        float_search, row_search = oracle._search_float, oracle._search_rows
 
-        def float_spy(loss, eta, constraint="none"):
-            searches["float"] += not isinstance(eta, np.ndarray)
-            return float_search(loss, eta, constraint)
+        def float_spy(loss, eta, code):
+            searches["float"] += 1
+            return float_search(loss, eta, code)
 
         def row_spy(loss, eta, *codes):
             searches["rows"].append(eta.tolist())
             return row_search(loss, eta, *codes)
 
-        monkeypatch.setattr(oracle, "brute_force_min", float_spy)
+        monkeypatch.setattr(oracle, "_search_float", float_spy)
         monkeypatch.setattr(oracle, "_search_rows", row_spy)
         off = len(etas) - 1
         star, minus = (0 if star_closed else 1), (0 if minus_closed else 1)
