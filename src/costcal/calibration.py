@@ -18,7 +18,7 @@ import numpy as np
 
 from .curves import DEFAULT_GRID, _check_grid_size, biconjugate, envelope_invert, nu_curve
 from .errors import DomainError, PreconditionError, VacuousBoundError
-from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test, h_alpha
+from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, _optima, derivative_test, h_alpha
 
 __all__ = [
     "CalibrationReport",
@@ -32,6 +32,9 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 DEFAULT_TOLERANCE = 1e-9
+#: Coarse posteriors a floored numeric verdict searches first, those of
+#: least gap floor: their gaps set the threshold that rules out the rest.
+_FIRST_SEARCHED = 4
 
 
 @dataclass(frozen=True)
@@ -92,6 +95,18 @@ def check_calibrated_numeric(
     local refinement pass at x10 density before a negative verdict, and
     the worst refined point is reported as the witness.  A search that
     reads a NaN risk raises ``DomainError`` before any verdict.
+
+    The report reads two things off the coarse grid: which gaps are at or
+    under the tolerance, and the first least gap.  So only the posteriors
+    that can decide those are searched (``_coarse_gaps``).  Where C^- is
+    closed and C* searched, the chooser gives each posterior a floor on
+    its gap, no larger than the gap itself, bit for bit; a posterior whose
+    floor lies above both the tolerance and a gap already found is never
+    searched.  Elsewhere every coarse posterior is searched.  The report,
+    and any error raised, are those of searching them all, but for one
+    case: a partial that is NaN only strictly between two grid scores, and
+    is read only at posteriors the floor rules out, is no longer read, so
+    no error is raised.  A NaN at a grid score still takes the full path.
     """
     _check_grid_size(grid_size)
     if not 0.0 <= tolerance < math.inf:
@@ -100,7 +115,7 @@ def check_calibrated_numeric(
     radius = 1.0 / (2.0 * grid_size)
     grid = np.linspace(0.0, 1.0, grid_size)
     etas = grid[np.abs(grid - alpha) > radius]
-    gaps = h_alpha(loss, cost, etas)
+    gaps = _coarse_gaps(loss, cost, etas, tolerance)
 
     witnesses = ()
     bad = etas[gaps <= tolerance]
@@ -126,6 +141,37 @@ def check_calibrated_numeric(
         tolerance=tolerance,
         grid_size=grid_size,
     )
+
+
+def _coarse_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: float) -> np.ndarray:
+    """``h_alpha`` at each posterior of ``etas`` that can decide the
+    verdict, +inf at the rest: every gap at or under ``tolerance`` is
+    exact, and so is the first least gap.
+
+    Without a floor on the gaps (``_optima``), one call searches them all.
+    With one, the posteriors of least floor are searched first; then, until
+    none is left, every other posterior whose floor is not above
+    t = max(least gap found, tolerance).  A posterior never searched has a
+    gap at or above its floor, so above t: neither under the tolerance nor
+    least.  A NaN floor, or a NaN gap found, searches all that are left."""
+    floor = _optima(loss, cost, etas, gap=True, floor=True)
+    if floor is None:
+        return h_alpha(loss, cost, etas)
+    gaps = np.full(etas.shape, np.inf)
+    left = np.ones(etas.shape, dtype=bool)
+    rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
+    try:
+        while rows.size:
+            gaps[rows] = h_alpha(loss, cost, etas[rows])
+            left[rows] = False
+            threshold = max(gaps.min(), tolerance)
+            rows = np.flatnonzero(left & ~(floor > threshold))
+    except DomainError:
+        # A NaN risk off the grid scores: the full search names the first
+        # posterior that reads one.
+        h_alpha(loss, cost, etas)
+        raise
+    return gaps
 
 
 def _check_continuity(loss: Loss) -> None:

@@ -239,12 +239,21 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
     return None if loss.family is None else loss.family.c_minus(cost, eta)
 
 
-def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
+def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False, floor: bool = False):
     """The one place that chooses closed form or search.
 
     Returns C*(eta) for ``cost`` None, and C^-(eta) for a cost, which is
     C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
     0, and 0 at alpha.
+
+    With ``gap`` and ``floor``, on an array and a cost, returns a floor on
+    each posterior's ``h_alpha``, or None.  There is one only where C^- is
+    closed and C* is searched (a closed C* makes the gap itself cheaper
+    than a floor): the gap's own arithmetic with the oracle's ceiling on
+    the searched C* (``_c_star_ceiling``) in its place, or None where the
+    oracle has no ceiling.  IEEE subtraction and the clamp are monotone,
+    so each floor is at most the gap ``h_alpha`` returns, bit for bit,
+    and a NaN gap's floor is NaN or 0.
 
     A float runs one float search for each quantity no closed form
     serves.  An array runs the closed forms on the whole of it; whatever
@@ -276,10 +285,21 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
     if cost is None:
         c_star = _closed(loss, None, eta)
         return search(..., None)[0] if c_star is None else c_star
+    if floor and loss.family is not None and loss.family.has_closed_forms:
+        return None  # _closed serves C*
     at = eta == cost.alpha
     c_minus = _closed(loss, cost, eta)
     if gap:
-        c_star = _closed(loss, None, eta)
+        if not floor:
+            c_star = _closed(loss, None, eta)
+        elif c_minus is None:
+            return None
+        else:
+            from .oracle import _c_star_ceiling
+
+            c_star = _c_star_ceiling(loss, eta)
+            if c_star is None:
+                return None
         if c_minus is None or c_star is None:
             # No row is searched at alpha: the gap is 0 there whatever the optima.
             off = ~at

@@ -374,6 +374,28 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
     ]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in _search_rows
+def _c_star_ceiling(loss: Loss, eta: np.ndarray) -> np.ndarray | None:
+    """A ceiling on the C* that ``_search_rows`` returns at each posterior
+    of the array ``eta``: the least risk over every 16th column of
+    ``_GRID``, the score 0 among them, mixed by the grid pass's own
+    arithmetic (``_mix``), so each column's risk is the grid pass's, bit
+    for bit.
+
+    It is a ceiling because a row search never returns more than its grid
+    minimum: the refined point replaces that only where less, and a limit
+    wins only where not more.  A change to the search (a grown window, a
+    different refinement) must keep that, or this bound breaks.
+
+    None where a grid table holds a NaN or -inf: a mix could then be NaN,
+    and a search that reads it raises, which the full search must report."""
+    tables = _grid_tables(loss)
+    if not all((table > -math.inf).all() for table in tables):
+        return None
+    pos_vals, neg_vals = (table[::16] for table in tables)
+    return _mix(_weights(eta[..., None]), pos_vals, neg_vals).min(axis=-1)
+
+
 def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, value: np.ndarray):
     """Per row of a block's risk matrix (its columns start at ``c0``), the
     grid index and value of the least risk over the columns its constraint

@@ -58,6 +58,31 @@ HALF_LINE = Loss(
 )
 
 
+_DECREASING = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
+#: L1 declares no limit at +inf.
+UNDECLARED_LIMIT = Loss(
+    pos=PartialLoss(**_DECREASING, limit_neg_inf=math.inf),
+    neg=PartialLoss(**_DECREASING, limit_neg_inf=math.inf, limit_pos_inf=0.0),
+)
+#: L1 is +inf on every negative score.
+INFINITE_ON_NEGATIVES = Loss(
+    pos=PartialLoss(
+        fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
+        value_at_zero=1.0,
+        is_convex=True,
+        limit_neg_inf=math.inf,
+        limit_pos_inf=0.0,
+    ),
+    neg=PartialLoss(
+        fn=lambda t: (1.0 + t) ** 2,
+        value_at_zero=1.0,
+        is_convex=True,
+        limit_neg_inf=math.inf,
+        limit_pos_inf=math.inf,
+    ),
+)
+
+
 def _nan_far(fn):
     return lambda t: np.where(np.abs(t) > 30.0, np.nan, fn(t))
 

@@ -2,12 +2,15 @@
 
 import math
 import re
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from costcal import calibration, curves
+from costcal import calibration, curves, oracle
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
     CostParam,
@@ -17,6 +20,7 @@ from costcal import (
     Loss,
     PreconditionError,
     SampledCurve,
+    alpha_of_gamma,
     alpha_transform,
     biconjugate,
     calibration_fn,
@@ -24,12 +28,23 @@ from costcal import (
     check_calibrated_analytic,
     check_calibrated_numeric,
     envelope_eval,
+    h_alpha,
     mu_curve,
     nu_curve,
     uniform_calibration_fn,
 )
 
-from conftest import cost_sensitive_loss, edge_nan_loss, knot_curves, uneven
+from conftest import (
+    HALF_LINE,
+    INFINITE_ON_NEGATIVES,
+    NAN_FAR,
+    UNDECLARED_LIMIT,
+    cost_sensitive_loss,
+    edge_nan_loss,
+    knot_curves,
+    uneven,
+    untagged,
+)
 
 
 class TestAnalyticCheck:
@@ -322,6 +337,156 @@ class TestNumericFallbackWitness:
         assert report.verdict == "calibrated"
         assert repr(report.witnesses) == repr((expected,))
         assert [type(x) for x in report.witnesses[0]] == [float, float]
+
+
+def verdict_outcome(loss, cost, grid_size, tolerance):
+    """The numeric verdict's report as its repr, or its error's type and
+    message."""
+    try:
+        return repr(check_calibrated_numeric(loss, cost, grid_size, tolerance))
+    except Exception as error:
+        return type(error), str(error)
+
+
+def full_search_outcome(loss, cost, grid_size, tolerance):
+    """The reference: ``h_alpha`` on every coarse posterior, then the
+    verdict's own reduction and refinement."""
+    def every_gap(loss, cost, etas, tolerance):
+        return h_alpha(loss, cost, etas)
+
+    with mock.patch.object(calibration, "_coarse_gaps", every_gap):
+        return verdict_outcome(loss, cost, grid_size, tolerance)
+
+
+def declared_edge_nan_loss(threshold: float, edge: str) -> Loss:
+    """``edge_nan_loss`` declared convex with its derivatives at 0, so the
+    derivative test serves C^- at alpha = ``threshold`` and the verdict
+    there bounds its gaps by a floor."""
+    loss = edge_nan_loss(threshold, edge)
+    return Loss(
+        pos=replace(loss.pos, is_convex=True, deriv_at_zero=threshold - 1.0),
+        neg=replace(loss.neg, is_convex=True, deriv_at_zero=threshold),
+    )
+
+
+def calibrated_alpha(loss: Loss) -> float:
+    """The alpha the derivative test calls calibrated for a convex family
+    member, or the sigmoid's alpha(gamma)."""
+    if not loss.pos.is_convex:
+        return alpha_of_gamma(loss.family.gamma)
+    d1, d2 = loss.pos.deriv_at_zero, loss.neg.deriv_at_zero
+    return d2 / (d2 - d1)
+
+
+@st.composite
+def verdict_requests(draw):
+    family = draw(st.sampled_from(["hinge", "squared", "exponential", "sigmoid"]))
+    gamma = draw(st.sampled_from([1e-3, 0.25, 1.0, 4.0, 1e3]))
+    beta = draw(st.sampled_from([1.0 / gamma, 0.7]))
+    loss = uneven(family, gamma, beta, draw(st.sampled_from([None, 0.3])))
+    alpha = draw(st.sampled_from([calibrated_alpha(loss), 0.02, 0.3, 0.5, 0.98]))
+    if draw(st.booleans()):
+        loss = untagged(loss)
+    grid_size = draw(st.sampled_from([3, 11, 1001]))
+    return loss, CostParam(alpha), grid_size, draw(st.sampled_from([0.0, 1e-9, 1e-3]))
+
+
+class TestBoundedCoarseSearch:
+    """A numeric verdict searches only the coarse posteriors whose gap
+    floor cannot rule them out, and reports exactly what searching them all
+    reports."""
+
+    @given(verdict_requests())
+    @settings(max_examples=25, deadline=None)
+    def test_report_equals_the_full_search(self, drawn):
+        assert verdict_outcome(*drawn) == full_search_outcome(*drawn)
+
+    @pytest.mark.parametrize("grid_size", [3, 11, 1001])
+    @pytest.mark.parametrize(
+        "loss, alpha",
+        [
+            (HALF_LINE, 0.3),
+            (NAN_FAR, 0.5),
+            (UNDECLARED_LIMIT, 0.5),
+            (INFINITE_ON_NEGATIVES, 0.3),
+            (edge_nan_loss(0.5, "left"), 0.3),
+            (edge_nan_loss(0.4, "right"), 0.3),
+            # Floored, and a NaN read off the grid scores: the first round
+            # reads it at a posterior after the grid's first.
+            (declared_edge_nan_loss(0.3, "left"), 0.3),
+            (declared_edge_nan_loss(0.7, "right"), 0.7),
+        ],
+    )
+    def test_hand_built_losses_as_the_full_search(self, loss, alpha, grid_size):
+        request = loss, CostParam(alpha), grid_size, 1e-9
+        assert verdict_outcome(*request) == full_search_outcome(*request)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 1e-3])
+    @pytest.mark.parametrize("grid_size", [3, 11, 1001])
+    @pytest.mark.parametrize(
+        "family, gamma, beta, weight",
+        [("hinge", 4.0, 0.25, None), ("squared", 0.25, 0.7, 0.3), ("exponential", 1e3, 0.7, None)],
+    )
+    def test_floored_verdicts_as_the_full_search(self, family, gamma, beta, weight, grid_size, tolerance):
+        loss = untagged(uneven(family, gamma, beta, weight))
+        request = loss, CostParam(calibrated_alpha(loss)), grid_size, tolerance
+        assert verdict_outcome(*request) == full_search_outcome(*request)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.one_of(st.sampled_from([0.0, 1e-9, 1.0, math.inf, math.nan]), st.floats(0.0, 2.0)),
+                st.sampled_from([0.0, 0.5, 1.0]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 1e-9, 0.5]),
+    )
+    # The least gap lies past the first round's least floors, above the tolerance.
+    @example([(1.0, 0.0)] * 4 + [(0.5, 1.0)], 0.0)
+    @settings(max_examples=200, deadline=None)
+    def test_rounds_keep_what_the_report_reads(self, rows, tolerance):
+        # Drawn gaps, each with a floor no larger (NaN or 0 for a NaN gap):
+        # the rounds leave every gap at or under the tolerance exact, and the
+        # first least gap where argmin finds it.
+        gaps = np.array([gap for gap, _ in rows])
+        floors = np.array(
+            [(math.nan if share else 0.0) if math.isnan(gap) else gap * share if share else 0.0
+             for gap, share in rows]
+        )
+        with mock.patch.object(calibration, "_optima", lambda *args, **kwargs: floors), \
+                mock.patch.object(calibration, "h_alpha", lambda l, c, etas: gaps[etas.astype(int)]):
+            found = calibration._coarse_gaps(None, None, np.arange(len(gaps), dtype=float), tolerance)
+        low = gaps <= tolerance
+        assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
+        i = gaps.argmin()
+        assert found.argmin() == i and repr(found[i]) == repr(gaps[i])
+
+    @staticmethod
+    def searched_rows(monkeypatch, loss, cost):
+        """The posteriors each ``_search_rows`` call of the verdict searches."""
+        calls, search = [], oracle._search_rows
+
+        def spy(loss, eta, *codes):
+            calls.append(eta.size)
+            return search(loss, eta, *codes)
+
+        monkeypatch.setattr(oracle, "_search_rows", spy)
+        check_calibrated_numeric(loss, cost)
+        return calls
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    def test_calibrated_convex_verdict_searches_a_handful(self, monkeypatch, family):
+        loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
+        calls = self.searched_rows(monkeypatch, loss, CostParam(calibrated_alpha(loss)))
+        assert 0 < sum(calls) <= 8
+
+    def test_sigmoid_verdict_searches_every_coarse_posterior(self, monkeypatch):
+        # C^- is searched, so no floor bounds the gaps.
+        loss = untagged(uneven("sigmoid", gamma=3.0))
+        calls = self.searched_rows(monkeypatch, loss, CostParam(alpha_of_gamma(3.0)))
+        assert calls == [1000]
 
 
 class TestCheckCalibrated:

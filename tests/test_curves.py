@@ -743,7 +743,7 @@ class TestLayering:
         ]
         assert from_oracle and all(id(node) in inside for node in from_oracle)
         names = {alias.name for node in from_oracle for alias in node.names}
-        assert names == {"_search_float", "_search_rows"}
+        assert names == {"_search_float", "_search_rows", "_c_star_ceiling"}
         assert not any(
             isinstance(node, ast.Import) and any(a.name.endswith("oracle") for a in node.names)
             for node in ast.walk(tree)

@@ -25,7 +25,7 @@ from costcal import (
     theta_alpha,
 )
 from costcal import oracle
-from costcal.losses import sign
+from costcal.losses import _optima, sign
 from costcal.oracle import brute_force_min
 
 from conftest import counted, uneven, untagged
@@ -381,6 +381,41 @@ CHOOSER_BRANCHES = {
     "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4, False, True),
     "both searched": (untagged(uneven("sigmoid", gamma=3.0)), 0.3, False, False),
 }
+
+
+class TestGapFloor:
+    """The chooser's floor on the gap: only where C^- is closed and C* is
+    searched, and never above the gap ``h_alpha`` returns."""
+
+    FLOORED = {
+        "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4),
+        "untagged hinge": (untagged(uneven("hinge", gamma=2.0)), 0.5),
+        "untagged exponential": (
+            untagged(uneven("exponential", gamma=0.25, beta=0.7, alpha_weight=0.3)),
+            0.0525 / 0.7525,
+        ),
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.sampled_from(sorted(FLOORED)),
+    )
+    def test_at_most_the_gap(self, etas, name):
+        loss, alpha = self.FLOORED[name]
+        cost = CostParam(alpha)
+        etas = np.array(etas + [alpha])
+        floor = _optima(loss, cost, etas, gap=True, floor=True)
+        assert (floor <= h_alpha(loss, cost, etas)).all()
+
+    @pytest.mark.parametrize("branch", ["both closed", "C^- searched", "both searched"])
+    def test_none_unless_only_c_star_is_searched(self, branch):
+        loss, alpha, _, _ = CHOOSER_BRANCHES[branch]
+        assert _optima(loss, CostParam(alpha), ETA_GRID, gap=True, floor=True) is None
 
 
 class TestFloatAndArrayRequests:

@@ -35,7 +35,15 @@ from costcal import (
 from costcal import oracle
 from costcal.families import UnevenMarginSpec
 
-from conftest import counted, uneven, untagged
+from conftest import (
+    HALF_LINE,
+    INFINITE_ON_NEGATIVES,
+    NAN_FAR,
+    UNDECLARED_LIMIT,
+    counted,
+    uneven,
+    untagged,
+)
 
 CONSTRAINTS = ("none", "nonpositive_scores", "nonnegative_scores")
 #: The references' own reading of each constraint, apart from the oracle's
@@ -55,31 +63,6 @@ SEARCHED = {
     "sigmoid": untagged(uneven("sigmoid", gamma=2.0)),
     "sigmoid-gamma3": untagged(uneven("sigmoid", gamma=3.0)),
 }
-
-_DECREASING = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
-#: L1 declares no limit at +inf.
-UNDECLARED_LIMIT = Loss(
-    pos=PartialLoss(**_DECREASING, limit_neg_inf=math.inf),
-    neg=PartialLoss(**_DECREASING, limit_neg_inf=math.inf, limit_pos_inf=0.0),
-)
-#: L1 is +inf on every negative score.
-INFINITE_ON_NEGATIVES = Loss(
-    pos=PartialLoss(
-        fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
-        value_at_zero=1.0,
-        is_convex=True,
-        limit_neg_inf=math.inf,
-        limit_pos_inf=0.0,
-    ),
-    neg=PartialLoss(
-        fn=lambda t: (1.0 + t) ** 2,
-        value_at_zero=1.0,
-        is_convex=True,
-        limit_neg_inf=math.inf,
-        limit_pos_inf=math.inf,
-    ),
-)
-
 
 def assert_batch_matches_scalar(loss, etas, constraint):
     batch = brute_force_min(loss, np.array(etas, dtype=float), constraint)
@@ -517,6 +500,33 @@ class TestRowSearch:
         gap = c_minus - c_star
         expected = np.where(0.0 > gap, 0.0, gap) if request_fn is h_alpha else c_minus
         assert bits(*values) == bits(*expected)
+
+
+class TestCStarCeiling:
+    """The ceiling on the searched C*: each row at least the C* the row
+    search returns, bit for bit, or None where a mix could be NaN."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(st.one_of(st.sampled_from(EDGE_ETAS), st.floats(0.0, 1.0)), min_size=1, max_size=40),
+        st.sampled_from(sorted(ROW_LOSSES)),
+    )
+    def test_each_row_at_least_the_searched_c_star(self, etas, name):
+        loss, etas = ROW_LOSSES[name], np.array(etas)
+        ceiling = oracle._c_star_ceiling(loss, etas)
+        assert ceiling.shape == etas.shape
+        assert (ceiling >= brute_force_min(loss, etas).value).all()
+
+    def test_the_grid_minimum_at_its_columns_is_its_value(self):
+        # At eta = 1/2 the hinge's least risk on the grid is at the score 0,
+        # one of the ceiling's columns, so the ceiling is that risk.
+        loss = SEARCHED["hinge"]
+        risk = 0.5 * loss.pos.value_at_zero + 0.5 * loss.neg.value_at_zero
+        assert oracle._c_star_ceiling(loss, np.array([0.5])).tolist() == [risk]
+
+    @pytest.mark.parametrize("loss", [HALF_LINE, NAN_FAR])
+    def test_none_where_a_grid_table_holds_a_nan(self, loss):
+        assert oracle._c_star_ceiling(loss, np.array([0.3, 0.7])) is None
 
 
 @dataclass
