@@ -11,6 +11,7 @@ regret into a cost-regret bound (``calibration.regret_bound``).
 from __future__ import annotations
 
 import numbers
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple
@@ -42,98 +43,61 @@ class Knot(NamedTuple):
     side: str  # "left", "right", or "both"
 
 
-def _knots(rows: Iterable[tuple[float, float, str]]) -> tuple[Knot, ...]:
-    """Knots from (eps, value, side) rows.  tuple.__new__ skips Knot's
-    Python-level constructor, about 40% of the cost on 2001 knots."""
-    return tuple(map(tuple.__new__, repeat(Knot), rows))
+def _set_columns(obj, **dtypes) -> None:
+    """Set the named fields of the frozen ``obj`` to read-only arrays of their
+    dtypes (``np.asarray``; one of that dtype is frozen in place): 1-d, of one length."""
+    columns = [np.asarray(getattr(obj, name), dtype) for name, dtype in dtypes.items()]
+    shapes = [column.shape for column in columns]
+    if len(set(shapes)) > 1 or len(shapes[0]) != 1:
+        raise DomainError(f"{type(obj).__name__} needs 1-d columns of one length, got {shapes}")
+    for column in columns:
+        column.flags.writeable = False
+    obj.__dict__.update(zip(dtypes, columns))
 
 
-class _Columnar:
-    """An immutable value held as read-only columns.  Equality, hashing
-    and ``repr`` are a frozen dataclass's over the attributes named in
-    ``_fields``."""
-
-    _fields: tuple[str, ...]
-
-    def _set(self, **attrs) -> None:
-        for value in attrs.values():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-        self.__dict__.update(attrs)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-
-class SampledCurve(_Columnar):
+@dataclass(frozen=True, eq=False)
+class SampledCurve:
     """A knot-listed function on [0, domain_max].
 
-    A jump discontinuity is encoded as two knots at the same eps, the
-    left-limit value first.
-
-    The knots are held as three read-only columns: ``eps`` and ``values``
-    (float64 arrays) and ``sides`` (an object array of the side strings).
-    The ``Knot`` tuples are built on first access of ``knots`` and kept.
-    Equality and hashing compare ``(domain_max, knots)``.
+    The knots are three read-only columns: ``eps`` and ``values`` (float64)
+    and ``sides`` (an object array of "left", "right" or "both").  A jump
+    is encoded as two knots at the same eps, the left-limit value first.
+    ``knots`` views them as ``Knot`` tuples, built on first access.
+    An array of its column's dtype is adopted and frozen in place, not copied:
+    pass a copy if you keep a writable view of it, or the curve changes under it.
     """
 
-    _fields = ("domain_max", "knots")
+    domain_max: float
+    eps: np.ndarray
+    values: np.ndarray
+    sides: np.ndarray
 
-    def __init__(self, domain_max: float, knots: Iterable[Knot]) -> None:
-        knots = tuple(knots)
-        eps, values, sides = zip(*knots) if knots else ((), (), ())
-        eps, values, sides = np.array(eps, float), np.array(values, float), np.array(sides, object)
-        self._set(domain_max=domain_max, eps=eps, values=values, sides=sides, knots=knots)
-
-    @classmethod
-    def _from_columns(
-        cls, domain_max: float, eps: np.ndarray, values: np.ndarray, sides: np.ndarray
-    ) -> SampledCurve:
-        curve = cls.__new__(cls)
-        curve._set(domain_max=domain_max, eps=eps, values=values, sides=sides)
-        return curve
+    def __post_init__(self) -> None:
+        _set_columns(self, eps=float, values=float, sides=object)
 
     @cached_property
     def knots(self) -> tuple[Knot, ...]:
-        return _knots(zip(self.eps.tolist(), self.values.tolist(), self.sides.tolist()))
+        # tuple.__new__ skips Knot's constructor, about 40% of 2001 knots' cost.
+        rows = zip(self.eps.tolist(), self.values.tolist(), self.sides.tolist())
+        return tuple(map(tuple.__new__, repeat(Knot), rows))
 
 
-class ConvexEnvelope(_Columnar):
+@dataclass(frozen=True, eq=False)
+class ConvexEnvelope:
     """Piecewise-linear convex nondecreasing minorant, 0 at 0.
 
-    The hull knots are held as two read-only float64 columns, ``xs`` and
-    ``ys``.  The ``(x, y)`` tuples of ``hull_knots`` are built on first
-    access and kept.  Equality, hashing and ``repr`` compare
-    ``hull_knots``.
+    The hull knots are two nonempty read-only float64 columns, ``xs`` and
+    ``ys``.  ``hull_knots`` views them as ``(x, y)`` tuples, built on first
+    access.  Columns are adopted and frozen as ``SampledCurve``'s are.
     """
 
-    _fields = ("hull_knots",)
+    xs: np.ndarray
+    ys: np.ndarray
 
-    def __init__(self, hull_knots: Iterable[tuple[float, float]]) -> None:
-        hull_knots = tuple(hull_knots)
-        xs, ys = np.array(hull_knots, float).reshape(len(hull_knots), 2).T.copy()
-        self._set(xs=xs, ys=ys, hull_knots=hull_knots)
-
-    @classmethod
-    def _from_columns(cls, xs: np.ndarray, ys: np.ndarray) -> ConvexEnvelope:
-        env = cls.__new__(cls)
-        env._set(xs=xs, ys=ys)
-        return env
+    def __post_init__(self) -> None:
+        _set_columns(self, xs=float, ys=float)
+        if not self.xs.size:
+            raise DomainError("an envelope needs at least one knot")
 
     @cached_property
     def hull_knots(self) -> tuple[tuple[float, float], ...]:
@@ -217,7 +181,7 @@ def nu_curve(
     sides[i : i + 2] = "left", "right"
     eps = np.concatenate([eps_values[: i + 1], eps_values[i:]])
     values = np.concatenate([values[: i + 1], right, values[i + 1 :]])
-    return SampledCurve._from_columns(big, eps, values, sides)
+    return SampledCurve(big, eps, values, sides)
 
 
 def mu_curve(nu: SampledCurve) -> SampledCurve:
@@ -228,7 +192,7 @@ def mu_curve(nu: SampledCurve) -> SampledCurve:
     if not nu.values.size:
         raise DomainError("empty curve")
     suffix_min = np.minimum.accumulate(nu.values[::-1])[::-1]
-    return SampledCurve._from_columns(nu.domain_max, nu.eps, suffix_min, nu.sides)
+    return SampledCurve(nu.domain_max, nu.eps, suffix_min, nu.sides)
 
 
 def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, float]:
@@ -307,7 +271,7 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     while len(hull) >= 2 and x_at[hull[-1]] == x_at[hull[-2]]:
         hull.pop()
     idx = np.fromiter(hull, np.intp, len(hull))
-    return ConvexEnvelope._from_columns(xs[idx], ys[idx])
+    return ConvexEnvelope(xs[idx], ys[idx])
 
 
 def envelope_eval(env: ConvexEnvelope, eps: float) -> float:

@@ -28,6 +28,19 @@ def uneven(
     return make_uneven_loss(spec)
 
 
+def curve_of(domain_max: float, knots) -> SampledCurve:
+    """The ``SampledCurve`` whose knots are the ``(eps, value, side)`` rows
+    ``knots``, built from their columns."""
+    knots = list(knots)
+    eps, values, sides = ([k[i] for k in knots] for i in range(3))
+    return SampledCurve(domain_max, eps, values, sides)
+
+
+def curve_bits(curve: SampledCurve) -> tuple:
+    """A curve's domain and columns, bit for bit: curves compare by identity."""
+    return curve.domain_max, curve.eps.tobytes(), curve.values.tobytes(), tuple(curve.sides)
+
+
 def untagged(loss: Loss) -> Loss:
     """Same partials without the family tag, forcing the numeric paths."""
     return Loss(pos=loss.pos, neg=loss.neg, family=None)
@@ -163,7 +176,7 @@ def knot_curves(draw) -> SampledCurve:
     knots = [Knot(e, draw(values), "both") for e in [0.0] + eps]
     knots += [Knot(small, draw(values), "left"), Knot(small, draw(values), "right")]
     knots.sort(key=lambda k: (k.eps, k.side != "left"))
-    return SampledCurve(domain_max=big, knots=tuple(knots))
+    return curve_of(big, knots)
 
 
 @st.composite
@@ -188,4 +201,4 @@ def collinear_curves(draw) -> SampledCurve:
     for i in draw(st.lists(st.integers(0, n - 1), max_size=8)):
         knots.append(knots[i])
     knots.sort(key=lambda k: k.eps)
-    return SampledCurve(domain_max=eps[-1], knots=tuple(knots))
+    return curve_of(eps[-1], knots)

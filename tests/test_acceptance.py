@@ -32,7 +32,7 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
-from costcal.curves import Knot, SampledCurve
+from costcal.curves import SampledCurve
 from costcal.oracle import brute_force_min
 
 from conftest import uneven
@@ -161,10 +161,9 @@ def test_criterion_09_suffix_infimum_hull_equality():
     for _ in range(20):
         xs = np.sort(rng.uniform(0.01, 1.0, int(rng.integers(3, 40))))
         values = rng.uniform(0.0, 3.0, xs.size)
-        knots = (Knot(0.0, 0.0, "both"),) + tuple(
-            Knot(float(x), float(v), "both") for x, v in zip(xs, values)
-        )
-        ok = ok and hulls_agree(SampledCurve(domain_max=float(xs[-1]), knots=knots))
+        sides = ["both"] * (xs.size + 1)
+        curve = SampledCurve(float(xs[-1]), np.r_[0.0, xs], np.r_[0.0, values], sides)
+        ok = ok and hulls_agree(curve)
     report(9, "hull(mu) = hull(nu) for families and 20 random curves", ok)
 
 

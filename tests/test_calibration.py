@@ -40,6 +40,7 @@ from conftest import (
     NAN_FAR,
     UNDECLARED_LIMIT,
     cost_sensitive_loss,
+    curve_bits,
     edge_nan_loss,
     knot_curves,
     uneven,
@@ -295,7 +296,10 @@ class TestIntegerGridSize:
     @pytest.mark.parametrize("name", sorted(CALLS))
     def test_numpy_integers_accepted(self, name):
         call = self.CALLS[name]
-        assert call(self.LOSS, self.COST, np.int64(51)) == call(self.LOSS, self.COST, 51)
+        got, want = call(self.LOSS, self.COST, np.int64(51)), call(self.LOSS, self.COST, 51)
+        if name == "nu_curve":
+            got, want = curve_bits(got), curve_bits(want)
+        assert got == want
 
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45])
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
@@ -525,15 +529,7 @@ class TestMuCurve:
         assert mu_curve(nu).knots == reference_mu(nu)
 
     def test_nondecreasing_input_is_fixed(self):
-        curve = SampledCurve(
-            domain_max=0.6,
-            knots=(
-                Knot(0.0, 0.0, "both"),
-                Knot(0.2, 0.1, "both"),
-                Knot(0.4, 0.3, "both"),
-                Knot(0.6, 0.3, "both"),
-            ),
-        )
+        curve = SampledCurve(0.6, [0.0, 0.2, 0.4, 0.6], [0.0, 0.1, 0.3, 0.3], ["both"] * 4)
         mu = mu_curve(curve)
         assert [k.value for k in mu.knots] == [0.0, 0.1, 0.3, 0.3]
 
@@ -546,15 +542,7 @@ class TestMuCurve:
             assert (a.eps, a.side) == (b.eps, b.side)
 
     def test_interior_dip_is_flattened(self):
-        curve = SampledCurve(
-            domain_max=0.7,
-            knots=(
-                Knot(0.0, 0.0, "both"),
-                Knot(0.2, 0.3, "both"),
-                Knot(0.4, 0.1, "both"),
-                Knot(0.7, 0.5, "both"),
-            ),
-        )
+        curve = SampledCurve(0.7, [0.0, 0.2, 0.4, 0.7], [0.0, 0.3, 0.1, 0.5], ["both"] * 4)
         mu = mu_curve(curve)
         values = {k.eps: k.value for k in mu.knots}
         assert values[0.2] == pytest.approx(0.1, abs=1e-15)
@@ -571,7 +559,7 @@ class TestMuCurve:
 
     def test_empty_curve_rejected(self):
         with pytest.raises(DomainError):
-            mu_curve(SampledCurve(domain_max=0.0, knots=()))
+            mu_curve(SampledCurve(0.0, [], [], []))
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
     def test_envelopes_of_mu_and_nu_agree(self, family):
@@ -594,10 +582,8 @@ class TestMuCurve:
         for _ in range(10):
             xs = np.sort(rng.uniform(0.01, 1.0, rng.integers(3, 25)))
             values = rng.uniform(0.0, 2.0, xs.size)
-            knots = (Knot(0.0, 0.0, "both"),) + tuple(
-                Knot(float(x), float(v), "both") for x, v in zip(xs, values)
-            )
-            curve = SampledCurve(domain_max=float(xs[-1]), knots=knots)
+            sides = ["both"] * (xs.size + 1)
+            curve = SampledCurve(float(xs[-1]), np.r_[0.0, xs], np.r_[0.0, values], sides)
             env_a = biconjugate(curve)
             env_b = biconjugate(mu_curve(curve))
             for k in curve.knots:

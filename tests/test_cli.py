@@ -20,7 +20,6 @@ from costcal import (
     FAMILIES,
     BoundTrialRecord,
     CostParam,
-    Knot,
     SampledCurve,
     biconjugate,
     constrained_optimal_risk,
@@ -126,10 +125,8 @@ class TestCurve:
         assert main(self.curve_args(out, "psi", grid="51")) == 0
         rows = [r for r in read_rows(out) if r["quantity"] == "psi"]
         points = [(float(r["x"]), float(r["value"])) for r in rows]
-        curve = SampledCurve(
-            domain_max=points[-1][0],
-            knots=tuple(Knot(x, v, "both") for x, v in points),
-        )
+        xs, ys = zip(*points)
+        curve = SampledCurve(xs[-1], xs, ys, ["both"] * len(points))
         assert biconjugate(curve).hull_knots == tuple(points)
 
     def test_unknown_quantity_is_usage_error(self, capsys, tmp_path):

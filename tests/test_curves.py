@@ -1,7 +1,6 @@
 """Gap curves, lower convex envelopes, and the regret-bound transfer."""
 
 import ast
-import dataclasses
 import math
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from costcal import (
     regret_bound,
 )
 
-from conftest import collinear_curves, knot_curves, uneven
+from conftest import collinear_curves, curve_bits, curve_of, knot_curves, uneven
 
 
 def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
@@ -46,11 +45,10 @@ def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
 
 
 def hand_curve(points, domain_max=None) -> SampledCurve:
-    knots = tuple(Knot(x, v, "both") for x, v in points)
-    return SampledCurve(domain_max=domain_max or points[-1][0], knots=knots)
+    return curve_of(domain_max or points[-1][0], ((x, v, "both") for x, v in points))
 
 
-HULL_EXAMPLE = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.3, 0.15), (0.7, 0.7)))
+HULL_EXAMPLE = ConvexEnvelope([0.0, 0.3, 0.7], [0.0, 0.15, 0.7])
 
 
 @st.composite
@@ -138,7 +136,7 @@ class TestNuCurve:
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
         plain = nu_curve(loss, CostParam(0.3), 5)
         clipped = nu_curve(loss, CostParam(0.3), 5, extra_knots=(math.inf, -math.inf))
-        assert clipped == plain
+        assert curve_bits(clipped) == curve_bits(plain)
         assert len(clipped.eps) == 7 and clipped.eps[[0, -1]].tolist() == [0.0, 0.7]
 
     @settings(max_examples=100, deadline=None)
@@ -210,13 +208,7 @@ class TestBiconjugate:
 
     def test_hull_of_exact_jump_knots(self):
         curve = SampledCurve(
-            domain_max=0.7,
-            knots=(
-                Knot(0.0, 0.0, "both"),
-                Knot(0.3, 0.15, "left"),
-                Knot(0.3, 0.3, "right"),
-                Knot(0.7, 0.7, "both"),
-            ),
+            0.7, [0.0, 0.3, 0.3, 0.7], [0.0, 0.15, 0.3, 0.7], ["both", "left", "right", "both"]
         )
         env = biconjugate(curve)
         assert env.hull_knots == ((0.0, 0.0), (0.3, 0.15), (0.7, 0.7))
@@ -231,7 +223,7 @@ class TestBiconjugate:
 
     def test_needs_two_knots(self):
         with pytest.raises(DomainError):
-            biconjugate(SampledCurve(domain_max=0.0, knots=(Knot(0.0, 0.0, "both"),)))
+            biconjugate(SampledCurve(0.0, [0.0], [0.0], ["both"]))
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_nan_knot_is_a_domain_error(self, at):
@@ -382,13 +374,23 @@ class TestSampledCurveColumns:
         Knot(0.7, 0.7, "both"),
     )
 
-    def test_hand_built_curve_keeps_its_knots(self):
-        curve = SampledCurve(domain_max=0.7, knots=self.KNOTS)
-        assert curve.knots is self.KNOTS
+    def test_hand_built_curve_holds_its_columns(self):
+        curve = curve_of(0.7, self.KNOTS)
         assert curve.eps.dtype == curve.values.dtype == np.float64
+        assert curve.sides.dtype == object
         assert curve.eps.tolist() == [0.0, 0.3, 0.3, 0.7]
         assert curve.values.tolist() == [0.0, 0.15, 0.3, 0.7]
         assert curve.sides.tolist() == ["both", "left", "right", "both"]
+        assert curve.knots == self.KNOTS
+
+    def test_arrays_of_the_column_dtype_are_not_copied(self):
+        eps, values = np.array([0.0, 0.5]), np.array([0.0, 0.25])
+        sides = np.array(["both", "both"], object)
+        curve = SampledCurve(0.5, eps, values, sides)
+        assert curve.eps is eps and curve.values is values and curve.sides is sides
+        assert not eps.flags.writeable
+        ints = np.array([0, 1])
+        assert SampledCurve(1.0, ints, ints, sides).eps.dtype == np.float64
 
     def test_knots_are_built_once_from_the_columns(self):
         nu = nu_curve(uneven("squared", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
@@ -401,26 +403,45 @@ class TestSampledCurveColumns:
 
     def test_columns_are_read_only(self):
         nu = nu_curve(uneven("hinge", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
-        for curve in (nu, mu_curve(nu), SampledCurve(domain_max=0.7, knots=self.KNOTS)):
+        for curve in (nu, mu_curve(nu), curve_of(0.7, self.KNOTS)):
             for column in (curve.eps, curve.values, curve.sides):
                 with pytest.raises(ValueError):
                     column[0] = column[1]
             with pytest.raises(AttributeError):
                 curve.domain_max = 1.0
 
-    def test_equality_and_hash_compare_domain_and_knots(self):
-        loss, cost = uneven("exponential", gamma=2.0, alpha_weight=0.3), CostParam(0.3)
-        nu, fresh = nu_curve(loss, cost, 51), nu_curve(loss, cost, 51)
-        rebuilt = SampledCurve(domain_max=nu.domain_max, knots=nu.knots)
-        assert fresh == rebuilt and rebuilt == fresh
-        assert hash(fresh) == hash(rebuilt)
-        assert {rebuilt: 1}[nu_curve(loss, cost, 51)] == 1
-        assert SampledCurve(domain_max=1.0, knots=nu.knots) != nu
-        dip = hand_curve([(0.0, 0.0), (0.3, 0.5), (0.7, 0.2)])
-        assert mu_curve(dip) != dip
-        assert nu != nu.knots
-        assert SampledCurve(domain_max=0.0, knots=()) == SampledCurve(domain_max=0.0, knots=[])
-        assert repr(rebuilt) == f"SampledCurve(domain_max=0.7, knots={nu.knots!r})"
+
+class TestMalformedColumns:
+    """A hand-built curve or envelope is refused where it is built."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SampledCurve(0.7, [[0.0, 0.7]], [[0.0, 0.7]], [["both", "both"]]),
+            lambda: SampledCurve(0.7, 0.0, [0.0], ["both"]),
+            lambda: ConvexEnvelope(np.zeros((2, 2)), np.zeros((2, 2))),
+        ],
+        ids=["curve-2d", "curve-0d", "envelope-2d"],
+    )
+    def test_a_column_that_is_not_1d_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="1-d columns of one length"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: SampledCurve(0.7, [0.0, 0.7], [0.0, 0.7], ["both"]),
+            lambda: ConvexEnvelope([0.0, 0.3], [0.0, 0.15, 0.7]),
+        ],
+        ids=["curve", "envelope"],
+    )
+    def test_columns_of_different_lengths_are_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="1-d columns of one length"):
+            build()
+
+    def test_an_empty_envelope_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="at least one knot"):
+            ConvexEnvelope([], [])
 
 
 class TestEnvelopeEval:
@@ -448,7 +469,7 @@ class TestEnvelopeInvert:
         assert envelope_invert(HULL_EXAMPLE, 10.0) == 0.7
 
     def test_flat_segment_returns_right_endpoint(self):
-        env = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.2, 0.0), (0.5, 0.6)))
+        env = ConvexEnvelope([0.0, 0.2, 0.5], [0.0, 0.0, 0.6])
         assert envelope_invert(env, 0.0) == pytest.approx(0.2, abs=1e-12)
 
     def test_negative_target_rejected(self):
@@ -483,7 +504,7 @@ def list_invert(env, y):
 class TestEnvelopeArrays:
     """The envelope's columns give the list-based answers."""
 
-    FLAT = ConvexEnvelope(hull_knots=((0.0, 0.0), (0.2, 0.0), (0.5, 0.6)))
+    FLAT = ConvexEnvelope([0.0, 0.2, 0.5], [0.0, 0.0, 0.6])
 
     @staticmethod
     def envelopes():
@@ -512,21 +533,6 @@ class TestEnvelopeArrays:
         assert envelope_invert(self.FLAT, 0.0) == list_invert(self.FLAT, 0.0) == 0.2
         assert envelope_eval(self.FLAT, 0.1) == list_eval(self.FLAT, 0.1) == 0.0
 
-    def test_equality_and_hash_ignore_the_cache(self):
-        knots = ((0.0, 0.0), (0.3, 0.15), (0.7, 0.7))
-        used, fresh = ConvexEnvelope(hull_knots=knots), ConvexEnvelope(hull_knots=knots)
-        envelope_eval(used, 0.5)
-        envelope_invert(used, 0.2)
-        assert used == fresh and hash(used) == hash(fresh)
-        assert {used: 1}[fresh] == 1
-
-
-@dataclasses.dataclass(frozen=True)
-class DataclassEnvelope:
-    """ConvexEnvelope as it was: a frozen dataclass of its hull knots."""
-
-    hull_knots: tuple[tuple[float, float], ...]
-
 
 class TestEnvelopeColumns:
     KNOT_SETS = [
@@ -537,27 +543,20 @@ class TestEnvelopeColumns:
     ]
 
     @pytest.mark.parametrize("knots", KNOT_SETS)
-    def test_eq_hash_and_repr_are_the_dataclass_ones(self, knots):
-        env, ref = ConvexEnvelope(hull_knots=knots), DataclassEnvelope(hull_knots=knots)
-        assert env.hull_knots is knots
+    def test_hand_built_envelope_holds_its_columns(self, knots):
+        xs, ys = ([k[i] for k in knots] for i in range(2))
+        env = ConvexEnvelope(xs, ys)
         assert env.xs.dtype == env.ys.dtype == np.float64
-        assert env.xs.tolist() == [x for x, _ in knots]
-        assert env.ys.tolist() == [y for _, y in knots]
-        assert repr(env) == repr(ref).replace("DataclassEnvelope", "ConvexEnvelope")
-        assert hash(env) == hash(ref)
-        assert env == ConvexEnvelope(hull_knots=tuple(knots))
-        assert env != ref and env != knots
-        others = [k for k in self.KNOT_SETS if k != knots]
-        assert all(env != ConvexEnvelope(hull_knots=k) for k in others)
+        assert env.xs.tolist() == xs and env.ys.tolist() == ys
+        assert env.hull_knots == knots
+        assert env.domain_max == xs[-1]
 
-    def test_built_envelope_equals_the_hand_built_one(self):
+    def test_built_columns_are_not_copied(self):
         nu = nu_curve(uneven("hinge", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 51)
         env = biconjugate(nu)
-        rebuilt = ConvexEnvelope(hull_knots=env.hull_knots)
-        assert env == rebuilt and hash(env) == hash(rebuilt)
-        assert {rebuilt: 1}[biconjugate(nu)] == 1
-        assert repr(env) == f"ConvexEnvelope(hull_knots={env.hull_knots!r})"
-        assert hash(env) == hash(DataclassEnvelope(hull_knots=env.hull_knots))
+        rebuilt = ConvexEnvelope(env.xs, env.ys)
+        assert rebuilt.xs is env.xs and rebuilt.ys is env.ys
+        assert rebuilt.hull_knots == env.hull_knots
 
     def test_columns_are_read_only(self):
         nu = nu_curve(uneven("squared", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 11)
@@ -704,8 +703,15 @@ class TestLayering:
                 imported.update(alias.name.rpartition(".")[2] for alias in node.names)
         assert "calibration" not in imported
 
-    def test_only_curves_names_the_knot_builder(self):
-        assert modules_naming({"_knots"}) == {"curves"}
+    def test_only_curves_reads_the_knot_views(self):
+        # The tuple views are kept for the benchmark; the package reads columns.
+        readers = {
+            module
+            for module, tree in module_trees().items()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in {"knots", "hull_knots"}
+        }
+        assert readers <= {"curves"}
 
     def test_only_oracle_names_the_search_layout(self):
         # ``Loss._search_state`` is defined in losses and read in oracle alone.

@@ -529,6 +529,39 @@ class TestCStarCeiling:
         assert oracle._c_star_ceiling(loss, np.array([0.3, 0.7])) is None
 
 
+#: Weights with 0 and 1 among them, and partial values with inf and NaN.
+MIX_WEIGHTS = np.array([0.0, 0.3, 1.0, 0.5, 1.0, 0.0, 1e-300])
+MIX_PARTIALS = np.array([0.0, 1.5, math.inf, math.nan, -0.0, 2.0, math.inf])
+#: ``_mix``'s callers' shapes: a column of weights over a grid table's
+#: columns (the grid pass and the ceiling), one weight and one score per
+#: row (the golden section), and one value per partial (the limits).
+MIX_CASES = {
+    "columns": (MIX_WEIGHTS[:, None], MIX_PARTIALS, MIX_PARTIALS[::-1]),
+    "rows": (MIX_WEIGHTS, MIX_PARTIALS, np.roll(MIX_PARTIALS, 2)),
+    "rows-without-edges": (MIX_WEIGHTS[[1, 3, 6]], MIX_PARTIALS[:3], MIX_PARTIALS[3:6]),
+    "limits-inf": (MIX_WEIGHTS, math.inf, 0.0),
+    "limits-nan": (MIX_WEIGHTS, 1.0, math.nan),
+}
+
+
+class TestMix:
+    """``_mix`` on each of its callers' shapes, into a new array or an
+    ``out=`` buffer, equals ``mix`` bit for bit: a partial of weight 0
+    contributes nothing, even an ``inf`` or NaN one."""
+
+    @pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
+    @pytest.mark.parametrize("case", sorted(MIX_CASES))
+    def test_equals_the_copyto_form(self, case, into_out):
+        w, pos, neg = MIX_CASES[case]
+        expected = mix(w, pos, neg)
+        out = np.full((2, *expected.shape), 7.0) if into_out else None
+        with np.errstate(invalid="ignore"):
+            risks = oracle._mix(oracle._weights(w), pos, neg, out=out)
+        assert risks.shape == expected.shape
+        assert risks.tobytes() == expected.tobytes()
+        assert not into_out or np.shares_memory(risks, out)
+
+
 @dataclass
 class ScaledExp:
     """e^-t times c: a callable that equality makes unhashable."""
