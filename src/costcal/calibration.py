@@ -6,19 +6,31 @@ losses this reduces to three derivative conditions at the origin;
 otherwise a grid scan of the gap gives a numeric (non-proof) verdict.
 The calibration functions translate a target cost-regret precision into
 the surrogate precision that guarantees it; the regret bound, gated by
-the verdict, inverts the envelope of the gap curve.
+the verdict, inverts the envelope of the gap curve.  The seeded fuzz
+harness (``fuzz_bound``) tests that bound on random finite
+distributions, against their exact regrets.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DEFAULT_GRID, _check_grid_size, biconjugate, envelope_invert, nu_curve
+from .curves import (
+    DEFAULT_GRID,
+    _check_grid_size,
+    biconjugate,
+    envelope_eval,
+    envelope_invert,
+    nu_curve,
+)
 from .errors import DomainError, PreconditionError, VacuousBoundError
-from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, _optima, derivative_test, h_alpha
+from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
+from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test
+from .oracle import DecisionAssignment, FiniteDistribution, _optima, empirical_regrets, h_alpha
 
 __all__ = [
     "CalibrationReport",
@@ -28,6 +40,8 @@ __all__ = [
     "calibration_fn",
     "uniform_calibration_fn",
     "regret_bound",
+    "BoundTrialRecord",
+    "fuzz_bound",
 ]
 
 DEFAULT_GRID_SIZE = 1001
@@ -229,3 +243,96 @@ def regret_bound(
         )
     env = biconjugate(nu_curve(loss, cost, grid_size))
     return envelope_invert(env, surrogate_regret)
+
+
+@dataclass(frozen=True)
+class BoundTrialRecord:
+    seed: int
+    family: str
+    alpha: float
+    gamma: float
+    cost_regret: float
+    surrogate_regret: float
+    psi_value: float
+    passed: bool
+
+
+def _random_trial_inputs(rng: np.random.Generator, family: str):
+    if family == "sigmoid":
+        gamma = 2.0
+        alpha = ALPHA_SIGMOID_GAMMA2
+        spec = UnevenMarginSpec("sigmoid", beta=0.5, gamma=2.0)
+    else:
+        gamma = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
+        alpha = rng.uniform(0.1, 0.9)
+        spec = UnevenMarginSpec(family, beta=1.0 / gamma, gamma=gamma, alpha_weight=alpha)
+    n_atoms = int(rng.integers(1, 21))
+    masses = rng.dirichlet(np.ones(n_atoms))
+    etas = rng.uniform(0.0, 1.0, n_atoms)
+    # Per atom, one draw picks -inf, +inf or a finite score, which takes the
+    # next draw d as -3 + 6 d (the value rng.uniform(-3.0, 3.0) returns).
+    # Draws left unread change nothing: the generator is this trial's own.
+    draws = iter(rng.random(2 * n_atoms).tolist())
+    scores = []
+    for _ in range(n_atoms):
+        u = next(draws)
+        if u < 0.05:
+            scores.append(-math.inf)
+        elif u < 0.10:
+            scores.append(math.inf)
+        else:
+            scores.append(-3.0 + 6.0 * next(draws))
+    dist = FiniteDistribution(tuple(zip(masses.tolist(), etas.tolist())))
+    return spec, alpha, gamma, dist, DecisionAssignment(tuple(scores))
+
+
+def fuzz_bound(
+    seed: int, family: str, n_trials: int, grid_size: int = 201
+) -> list[BoundTrialRecord]:
+    """Seeded random trials of the surrogate regret bound.
+
+    Each trial draws a calibrated family configuration, a finite
+    distribution, and scores (with occasional infinities), then checks
+    psi(cost_regret) <= surrogate_regret + 1e-8.  The trial's derived
+    seed is recorded; trials are independent streams, ordered by index.
+
+    A trial draws, in order: gamma and alpha (not for the sigmoid, which
+    pins both), the atom count n, the n masses, the n posteriors, then one
+    block of 2n uniforms read in order: per atom, one draw picks -inf,
+    +inf or a finite score, which takes the next draw.
+    """
+    if family not in FAMILIES:
+        raise DomainError(f"unknown family {family!r}")
+    for name, value in (("seed", seed), ("n_trials", n_trials)):
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
+    if n_trials <= 0:
+        raise DomainError("n_trials must be positive")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
+    _check_grid_size(grid_size)
+
+    records = []
+    for i in range(n_trials):
+        trial_seed = seed * 1_000_000 + i
+        rng = np.random.default_rng(trial_seed)
+        spec, alpha, gamma, dist, assignment = _random_trial_inputs(rng, family)
+        loss = make_uneven_loss(spec)
+        cost = CostParam(alpha)
+        c_reg, s_reg = empirical_regrets(dist, assignment, loss, cost)
+        extra = tuple(abs(eta - alpha) for _, eta in dist.atoms) + (c_reg,)
+        env = biconjugate(nu_curve(loss, cost, grid_size, extra_knots=extra))
+        psi_value = envelope_eval(env, c_reg)
+        records.append(
+            BoundTrialRecord(
+                seed=trial_seed,
+                family=family,
+                alpha=alpha,
+                gamma=gamma,
+                cost_regret=c_reg,
+                surrogate_regret=s_reg,
+                psi_value=psi_value,
+                passed=psi_value <= s_reg + 1e-8,
+            )
+        )
+    return records

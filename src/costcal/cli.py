@@ -17,20 +17,18 @@ import sys
 
 import numpy as np
 
-from .calibration import check_calibrated, regret_bound
-from .curves import _check_grid_size, biconjugate, mu_curve, nu_curve
+from .calibration import check_calibrated, fuzz_bound, regret_bound
+from .curves import _MAX_LEN, _check_grid_size, biconjugate, mu_curve, nu_curve
 from .errors import CostcalError, DomainError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
-from .losses import (
-    CostParam,
-    Loss,
+from .losses import CostParam, Loss, theta_alpha
+from .oracle import (
+    brute_force_min,
     constrained_optimal_risk,
     h_alpha,
     h_cc,
     optimal_conditional_risk,
-    theta_alpha,
 )
-from .oracle import brute_force_min, fuzz_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -139,6 +137,8 @@ def cmd_alpha_gamma(args) -> int:
         raise CostcalError("need 0 < gamma-min <= gamma-max < inf")
     if args.points < 1:
         raise CostcalError("points must be >= 1")
+    if args.points > _MAX_LEN:
+        raise CostcalError(f"points must be <= {_MAX_LEN}, got {args.points}")
     gammas = np.geomspace(args.gamma_min, args.gamma_max, args.points)
     gammas[np.abs(gammas - 1.0) < 1e-9] = 1.0
     if args.gamma_min <= 1.0 <= args.gamma_max:
@@ -264,8 +264,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CostcalError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CostcalError, OSError, MemoryError) as exc:  # a count too large to allocate, too
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -19,7 +19,8 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .losses import CostParam, Loss, h_alpha
+from .losses import CostParam, Loss
+from .oracle import h_alpha
 
 __all__ = [
     "Knot",
@@ -108,11 +109,18 @@ class ConvexEnvelope:
         return self.xs[-1].item()
 
 
+#: The most entries a float64 array can have.  numpy raises ValueError or
+#: IndexError, not MemoryError, on a longer one.
+_MAX_LEN = np.iinfo(np.intp).max // 8
+
+
 def _check_grid_size(grid_size) -> None:
     if not isinstance(grid_size, numbers.Integral):
         raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
     if grid_size < 3:
         raise DomainError(f"grid_size must be >= 3, got {grid_size}")
+    if grid_size > _MAX_LEN:
+        raise DomainError(f"grid_size must be <= {_MAX_LEN}, got {grid_size}")
 
 
 def _run_starts(x: np.ndarray) -> np.ndarray:

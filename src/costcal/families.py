@@ -19,7 +19,7 @@ import numpy as np
 from numpy import ndarray  # by name: looking up np.ndarray cost a fifth of a partial's float call
 
 from .errors import DomainError, UnsupportedFamilyError
-from .losses import CostParam, Loss, PartialLoss, _check_eta, _scaled_partial, theta_alpha
+from .losses import CostParam, Loss, PartialLoss, _check_eta, theta_alpha
 
 __all__ = [
     "FAMILIES",
@@ -205,6 +205,25 @@ def alpha_transform(loss: Loss, cost: CostParam) -> Loss:
     if loss.family is not None and loss.family.alpha_weight is None:
         return make_uneven_loss(replace(loss.family, alpha_weight=a))
     return Loss(pos=_scaled_partial(loss.pos, 1.0 - a), neg=_scaled_partial(loss.neg, a))
+
+
+def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
+    """The partial loss c * partial, its metadata scaled with it."""
+    def scaled(t: float, fn=partial.fn, c=c) -> float:
+        return c * fn(t)
+
+    def scale_limit(v: float | None) -> float | None:
+        return None if v is None else c * v
+
+    return PartialLoss(
+        fn=scaled,
+        value_at_zero=c * partial.value_at_zero,
+        is_convex=partial.is_convex,
+        deriv_at_zero=None if partial.deriv_at_zero is None else c * partial.deriv_at_zero,
+        is_continuous_at_zero=partial.is_continuous_at_zero,
+        limit_neg_inf=scale_limit(partial.limit_neg_inf),
+        limit_pos_inf=scale_limit(partial.limit_pos_inf),
+    )
 
 
 #: Below this posterior C*(eta) of the gamma = 2 sigmoid rounds to eta (the

@@ -1,41 +1,38 @@
-"""Independent brute-force verification utilities.
+"""The optima of the conditional risk, by closed form or by search.
 
-Grid + golden-section minimization of conditional risks, central
-finite differences, exact risk/regret evaluation on finite discrete
-distributions, and the seeded regret-bound fuzz harness.
+C* (``optimal_conditional_risk``), C^- (``constrained_optimal_risk``)
+and the calibration gap H = C^- - C* (``h_alpha``) all come from one
+chooser, ``_optima``.  It takes a loss's closed form where there is one,
+and otherwise runs the brute-force search (``brute_force_min``): a pass
+over a log-spaced score grid, then golden-section refinement, on a float
+posterior or on a whole array of them.  The chooser codes each search's
+sign constraint, and bounds the searched C* from above to give the
+numeric verdict a floor on the gaps.  The exact risk and regret of a
+score assignment on a finite distribution (``empirical_regrets``) are
+also here.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .curves import _check_grid_size, biconjugate, envelope_eval, nu_curve
 from .errors import DomainError
-from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
-from .losses import (
-    CostParam,
-    Loss,
-    PartialLoss,
-    _check_eta,
-    conditional_risk,
-    cost_regret,
-    optimal_conditional_risk,
-)
+from .losses import CostParam, Loss, _check_eta, conditional_risk, cost_regret, derivative_test
 
 __all__ = [
     "FiniteDistribution",
     "DecisionAssignment",
-    "BoundTrialRecord",
     "SearchResult",
     "brute_force_min",
-    "finite_diff_check",
+    "optimal_conditional_risk",
+    "constrained_optimal_risk",
+    "h_alpha",
+    "h_cc",
     "empirical_regrets",
-    "fuzz_bound",
 ]
 
 # Coarse search grid: symmetric log-spaced scores plus the origin.
@@ -98,18 +95,6 @@ class DecisionAssignment:
     """One score per atom of a FiniteDistribution."""
 
     scores: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class BoundTrialRecord:
-    seed: int
-    family: str
-    alpha: float
-    gamma: float
-    cost_regret: float
-    surrogate_regret: float
-    psi_value: float
-    passed: bool
 
 
 class SearchResult(NamedTuple):
@@ -409,12 +394,141 @@ def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, 
         value[rows] = sub[np.arange(len(sub)), i]
 
 
-def finite_diff_check(partial: PartialLoss, t: float, h: float = 1e-6) -> float:
-    """Central difference (p(t+h) - p(t-h)) / (2h), for h > 0 with t - h
-    and t + h finite (``fn`` takes finite scores only)."""
-    if not (h > 0.0 and math.isfinite(t - h) and math.isfinite(t + h)):
-        raise DomainError(f"need h > 0 and t +- h finite, got t={t}, h={h}")
-    return (float(partial.fn(t + h)) - float(partial.fn(t - h))) / (2.0 * h)
+def optimal_conditional_risk(loss: Loss, eta):
+    """Infimum of the conditional risk over all scores, limits included.
+
+    Family-tagged losses in a supported configuration dispatch to their
+    closed form; everything else runs the brute-force search.  ``eta`` is
+    a float or an ndarray of posteriors; an array runs the closed form in
+    numpy, or one batched search for all of them (see ``_optima``).
+    """
+    _check_eta(eta)
+    return _optima(loss, None, eta)
+
+
+def constrained_optimal_risk(loss: Loss, cost: CostParam, eta):
+    """Infimum of the conditional risk over scores t with t*(eta-alpha) <= 0.
+
+    At eta == alpha the constraint is vacuous.  For convex calibrated
+    losses the value is the conditional risk at 0 (tests cross-check this
+    shortcut against the constrained search); otherwise the constrained
+    brute-force search runs, including the admissible infinite limit.
+    An ndarray ``eta`` is served as in ``optimal_conditional_risk``: what
+    no closed form serves, on both sides of alpha and at alpha itself,
+    comes from one batched search.
+    """
+    _check_eta(eta)
+    return _optima(loss, cost, eta)
+
+
+def h_alpha(loss: Loss, cost: CostParam, eta):
+    """Calibration gap: constrained minus unconstrained optimal risk.
+
+    At eta == alpha the constraint is vacuous, so the gap is 0 there by
+    definition and nothing is evaluated for it.  Negative gaps (rounding
+    in the searches) are clamped to 0.  Takes a float or an ndarray of
+    posteriors; on an array, whichever of C^- and C* no closed form
+    serves comes from one search, which runs both together when neither
+    is closed.
+    """
+    _check_eta(eta)
+    if not isinstance(eta, np.ndarray) and eta == cost.alpha:
+        return 0.0
+    return _optima(loss, cost, eta, gap=True)
+
+
+def _closed(loss: Loss, cost: CostParam | None, eta):
+    """From a closed form: C^-(eta) off alpha for a cost, by the derivative
+    test's shortcut first, or C*(eta) for ``cost`` None.  None when the
+    search must serve the value."""
+    if cost is None:
+        return None if loss.family is None else loss.family.c_star(eta)
+    test = derivative_test(loss, cost)
+    if test is not None and test[3]:
+        return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
+    return None if loss.family is None else loss.family.c_minus(cost, eta)
+
+
+def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False, floor: bool = False):
+    """The one place that chooses closed form or search.
+
+    Returns C*(eta) for ``cost`` None, and C^-(eta) for a cost, which is
+    C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
+    0, and 0 at alpha.
+
+    With ``gap`` and ``floor``, on an array and a cost, returns a floor on
+    each posterior's ``h_alpha``, or None.  There is one only where C^- is
+    closed and C* is searched (a closed C* makes the gap itself cheaper
+    than a floor): the gap's own arithmetic with the search's ceiling on
+    the searched C* (``_c_star_ceiling``) in its place, or None where the
+    search has no ceiling.  IEEE subtraction and the clamp are monotone,
+    so each floor is at most the gap ``h_alpha`` returns, bit for bit,
+    and a NaN gap's floor is NaN or 0.
+
+    A float runs one float search for each quantity no closed form
+    serves.  An array runs the closed forms on the whole of it; whatever
+    they leave comes from one ``_search_rows`` call.  Its constraint code
+    per row is the sign every admissible score keeps: sign(alpha - eta)
+    for C^-, so 0 (no constraint, C*) at alpha, and 0 for C*.
+    """
+    if not isinstance(eta, np.ndarray):
+        if cost is not None and eta == cost.alpha:
+            cost = None
+        value = _closed(loss, cost, eta)
+        if value is None:
+            # The array branch's code, sign(alpha - eta), or 0 for C*.
+            code = 0 if cost is None else (-1 if eta > cost.alpha else 1)
+            value = _search_float(loss, eta, code).value
+        return max(value - _optima(loss, None, eta), 0.0) if gap else value
+
+    def search(rows, *kinds):
+        """One ``_search_rows`` call on ``eta[rows]``, a column of values per
+        kind: sign(alpha - eta) codes for a cost, 0 for None."""
+        e = eta[rows]
+        codes = (np.zeros(e.shape) if k is None else np.sign(k.alpha - e) for k in kinds)
+        return [result.value for result in _search_rows(loss, e, *codes)]
+
+    if cost is None:
+        c_star = _closed(loss, None, eta)
+        return search(..., None)[0] if c_star is None else c_star
+    if floor and loss.family is not None and loss.family.has_closed_forms:
+        return None  # _closed serves C*
+    at = eta == cost.alpha
+    c_minus = _closed(loss, cost, eta)
+    if gap:
+        if not floor:
+            c_star = _closed(loss, None, eta)
+        elif c_minus is None:
+            return None
+        else:
+            c_star = _c_star_ceiling(loss, eta)
+            if c_star is None:
+                return None
+        if c_minus is None or c_star is None:
+            # No row is searched at alpha: the gap is 0 there whatever the optima.
+            off = ~at
+            found = search(off, *(k for k, v in ((cost, c_minus), (None, c_star)) if v is None))
+            c_minus = found.pop(0) if c_minus is None else c_minus[off]
+            c_star = found.pop(0) if c_star is None else c_star[off]
+            h = np.zeros(eta.shape)
+            h[off] = c_minus - c_star
+        else:
+            h = c_minus - c_star
+        return np.where((0.0 > h) | at, 0.0, h)
+    # C^- off alpha and C* at alpha: one search serves the rows of either
+    # that no closed form serves, its code 0 at alpha.
+    c_star = _closed(loss, None, eta) if at.any() else 0.0
+    value = np.where(at, 0.0 if c_star is None else c_star, 0.0 if c_minus is None else c_minus)
+    if c_minus is None or c_star is None:
+        rows = (~at if c_minus is None else False) | (at if c_star is None else False)
+        if rows.any():
+            value[rows] = search(rows, cost)[0]
+    return value
+
+
+def h_cc(loss: Loss, eta):
+    """Cost-insensitive calibration gap; identical to the alpha = 1/2 gap."""
+    return h_alpha(loss, CostParam(0.5), eta)
 
 
 def empirical_regrets(
@@ -433,84 +547,3 @@ def empirical_regrets(
         c_reg += mass * cost_regret(cost, eta, t)
         s_reg += mass * (conditional_risk(loss, eta, t) - optimal_conditional_risk(loss, eta))
     return c_reg, max(s_reg, 0.0)
-
-
-def _random_trial_inputs(rng: np.random.Generator, family: str):
-    if family == "sigmoid":
-        gamma = 2.0
-        alpha = ALPHA_SIGMOID_GAMMA2
-        spec = UnevenMarginSpec("sigmoid", beta=0.5, gamma=2.0)
-    else:
-        gamma = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-        alpha = rng.uniform(0.1, 0.9)
-        spec = UnevenMarginSpec(family, beta=1.0 / gamma, gamma=gamma, alpha_weight=alpha)
-    n_atoms = int(rng.integers(1, 21))
-    masses = rng.dirichlet(np.ones(n_atoms))
-    etas = rng.uniform(0.0, 1.0, n_atoms)
-    # Per atom, one draw picks -inf, +inf or a finite score, which takes the
-    # next draw d as -3 + 6 d (the value rng.uniform(-3.0, 3.0) returns).
-    # Draws left unread change nothing: the generator is this trial's own.
-    draws = iter(rng.random(2 * n_atoms).tolist())
-    scores = []
-    for _ in range(n_atoms):
-        u = next(draws)
-        if u < 0.05:
-            scores.append(-math.inf)
-        elif u < 0.10:
-            scores.append(math.inf)
-        else:
-            scores.append(-3.0 + 6.0 * next(draws))
-    dist = FiniteDistribution(tuple(zip(masses.tolist(), etas.tolist())))
-    return spec, alpha, gamma, dist, DecisionAssignment(tuple(scores))
-
-
-def fuzz_bound(
-    seed: int, family: str, n_trials: int, grid_size: int = 201
-) -> list[BoundTrialRecord]:
-    """Seeded random trials of the surrogate regret bound.
-
-    Each trial draws a calibrated family configuration, a finite
-    distribution, and scores (with occasional infinities), then checks
-    psi(cost_regret) <= surrogate_regret + 1e-8.  The trial's derived
-    seed is recorded; trials are independent streams, ordered by index.
-
-    A trial draws, in order: gamma and alpha (not for the sigmoid, which
-    pins both), the atom count n, the n masses, the n posteriors, then one
-    block of 2n uniforms read in order: per atom, one draw picks -inf,
-    +inf or a finite score, which takes the next draw.
-    """
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}")
-    for name, value in (("seed", seed), ("n_trials", n_trials)):
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if n_trials <= 0:
-        raise DomainError("n_trials must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-    _check_grid_size(grid_size)
-
-    records = []
-    for i in range(n_trials):
-        trial_seed = seed * 1_000_000 + i
-        rng = np.random.default_rng(trial_seed)
-        spec, alpha, gamma, dist, assignment = _random_trial_inputs(rng, family)
-        loss = make_uneven_loss(spec)
-        cost = CostParam(alpha)
-        c_reg, s_reg = empirical_regrets(dist, assignment, loss, cost)
-        extra = tuple(abs(eta - alpha) for _, eta in dist.atoms) + (c_reg,)
-        env = biconjugate(nu_curve(loss, cost, grid_size, extra_knots=extra))
-        psi_value = envelope_eval(env, c_reg)
-        records.append(
-            BoundTrialRecord(
-                seed=trial_seed,
-                family=family,
-                alpha=alpha,
-                gamma=gamma,
-                cost_regret=c_reg,
-                surrogate_regret=s_reg,
-                psi_value=psi_value,
-                passed=psi_value <= s_reg + 1e-8,
-            )
-        )
-    return records

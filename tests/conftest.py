@@ -28,6 +28,12 @@ def uneven(
     return make_uneven_loss(spec)
 
 
+def finite_diff_check(partial: PartialLoss, t: float, h: float = 1e-6) -> float:
+    """Central difference (p(t+h) - p(t-h)) / (2h) of a partial's ``fn``,
+    for h > 0 with t - h and t + h finite."""
+    return (float(partial.fn(t + h)) - float(partial.fn(t - h))) / (2.0 * h)
+
+
 def curve_of(domain_max: float, knots) -> SampledCurve:
     """The ``SampledCurve`` whose knots are the ``(eps, value, side)`` rows
     ``knots``, built from their columns."""

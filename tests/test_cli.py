@@ -604,3 +604,19 @@ class TestExitCodeProperty:
         code, err = run_cli(argv)
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err
+
+    # Counts past any address space: numpy once raised MemoryError at 10**15,
+    # IndexError at 2**63 - 1 and ValueError at 10**19.  Every allocation
+    # here fails at once, so no memory is taken.
+    @pytest.mark.parametrize("count", [10**15, 2**63 - 1, 10**19])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--family=hinge", "--gamma=2", "--alpha=0.3", "--quantities=H,nu", "--grid"],
+            ["alpha-gamma", "--gamma-min=1", "--gamma-max=2", "--points"],
+        ],
+    )
+    def test_a_huge_count_exits_2(self, argv, count):
+        code, err = run_cli([*argv, str(count), f"--output={os.devnull}"])
+        assert code == 2, err
+        assert err.startswith("error: ") and err.count("\n") == 1

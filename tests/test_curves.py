@@ -689,19 +689,60 @@ def modules_naming(names: set[str]) -> set[str]:
     }
 
 
-class TestLayering:
-    """curves sits below calibration: it owns the knot format, and
-    calibration owns the answers the verdict gates."""
+#: Each module's layer: a module imports only from lower layers at run time.
+LAYERS = {
+    "errors": 0, "losses": 1, "families": 2, "oracle": 2, "curves": 3, "calibration": 4, "cli": 5
+}
 
-    def test_curves_imports_nothing_from_calibration(self):
-        imported = set()
-        for node in ast.walk(module_trees()["curves"]):  # function-local imports too
-            if isinstance(node, ast.ImportFrom):
-                imported.add((node.module or "").rpartition(".")[2])
-                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+
+def runtime_imports(tree: ast.Module) -> set[str]:
+    """The package modules a module imports anywhere outside its
+    ``if TYPE_CHECKING:`` block."""
+    imported = set()
+    for statement in tree.body:
+        if isinstance(statement, ast.If) and ast.unparse(statement.test) == "TYPE_CHECKING":
+            continue
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.startswith("costcal")
+            ):
+                module = (node.module or "").removeprefix("costcal").lstrip(".")
+                imported.update([module] if module else (alias.name for alias in node.names))
             elif isinstance(node, ast.Import):
-                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
-        assert "calibration" not in imported
+                imported.update(
+                    alias.name.removeprefix("costcal.")
+                    for alias in node.names
+                    if alias.name.startswith("costcal.")
+                )
+    return imported
+
+
+class TestLayering:
+    """The modules form one order, errors < losses < {families, oracle} <
+    curves < calibration < cli, and import nothing inside a function."""
+
+    def test_no_function_imports(self):
+        inside = [
+            (module, function.name)
+            for module, tree in module_trees().items()
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(function)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+        ]
+        assert inside == []
+
+    def test_runtime_imports_follow_the_layer_order(self):
+        trees = module_trees()
+        assert set(trees) == set(LAYERS) | {"__init__"}
+        upward = {
+            (module, imported)
+            for module, layer in LAYERS.items()
+            for imported in runtime_imports(trees[module])
+            if not LAYERS[imported] < layer
+        }
+        assert upward == set()
+        assert runtime_imports(trees["oracle"]) == {"errors", "losses"}
 
     def test_only_curves_reads_the_knot_views(self):
         # The tuple views are kept for the benchmark; the package reads columns.
@@ -729,28 +770,3 @@ class TestLayering:
             if isinstance(node, ast.Constant) and node.value in names
         }
         assert naming == {("oracle", "_SEARCH"), ("oracle", "brute_force_min")}
-
-    def test_losses_reaches_the_oracle_only_from_the_chooser(self):
-        tree = module_trees()["losses"]
-        chooser = next(
-            node
-            for node in tree.body
-            if isinstance(node, ast.FunctionDef) and node.name == "_optima"
-        )
-        inside = {id(node) for node in ast.walk(chooser)}
-        from_oracle = [
-            node
-            for node in ast.walk(tree)
-            if isinstance(node, ast.ImportFrom)
-            and (
-                (node.module or "").endswith("oracle")
-                or any(alias.name == "oracle" for alias in node.names)
-            )
-        ]
-        assert from_oracle and all(id(node) in inside for node in from_oracle)
-        names = {alias.name for node in from_oracle for alias in node.names}
-        assert names == {"_search_float", "_search_rows", "_c_star_ceiling"}
-        assert not any(
-            isinstance(node, ast.Import) and any(a.name.endswith("oracle") for a in node.names)
-            for node in ast.walk(tree)
-        )

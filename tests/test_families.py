@@ -32,9 +32,9 @@ from costcal import (
     theta_alpha,
 )
 from costcal.families import _LOG_MAX
-from costcal.oracle import brute_force_min, finite_diff_check
+from costcal.oracle import brute_force_min
 
-from conftest import counted, uneven
+from conftest import counted, finite_diff_check, uneven
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
 # Each family's phi, as its unweighted positive partial 1.0 * phi(t).

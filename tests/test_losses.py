@@ -25,8 +25,8 @@ from costcal import (
     theta_alpha,
 )
 from costcal import oracle
-from costcal.losses import _optima, sign
-from costcal.oracle import brute_force_min
+from costcal.losses import sign
+from costcal.oracle import _optima, brute_force_min
 
 from conftest import counted, uneven, untagged
 
