@@ -620,3 +620,17 @@ class TestExitCodeProperty:
         code, err = run_cli([*argv, str(count), f"--output={os.devnull}"])
         assert code == 2, err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a_failed_allocation_exits_2_and_writes_nothing(self, monkeypatch, tmp_path):
+        # An allocation numpy cannot satisfy is an input error; a bare
+        # MemoryError carries no message, so its type name is printed.
+        def out_of_memory(gamma):
+            raise MemoryError
+
+        monkeypatch.setattr(costcal.cli, "alpha_of_gamma", out_of_memory)
+        out = tmp_path / "alpha.csv"
+        code, err = run_cli(
+            ["alpha-gamma", "--gamma-min=1", "--gamma-max=2", "--points=3", f"--output={out}"]
+        )
+        assert (code, err) == (2, "error: MemoryError\n")
+        assert not out.exists()

@@ -742,7 +742,21 @@ class TestLayering:
             if not LAYERS[imported] < layer
         }
         assert upward == set()
-        assert runtime_imports(trees["oracle"]) == {"errors", "losses"}
+
+    def test_oracle_imports_only_errors_and_losses(self):
+        # The search and its chooser rest on the pointwise layer alone.
+        assert runtime_imports(module_trees()["oracle"]) == {"errors", "losses"}
+
+    def test_curves_imports_nothing_from_calibration(self):
+        # curves owns the knot format; calibration owns the answers the verdict gates.
+        imported = set()
+        for node in ast.walk(module_trees()["curves"]):  # function-local imports too
+            if isinstance(node, ast.ImportFrom):
+                imported.add((node.module or "").rpartition(".")[2])
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name.rpartition(".")[2] for alias in node.names)
+        assert "calibration" not in imported
 
     def test_only_curves_reads_the_knot_views(self):
         # The tuple views are kept for the benchmark; the package reads columns.
