@@ -22,6 +22,7 @@ import numpy as np
 from .curves import (
     DEFAULT_GRID,
     _check_grid_size,
+    _grid,
     biconjugate,
     envelope_eval,
     envelope_invert,
@@ -127,7 +128,7 @@ def check_calibrated_numeric(
         raise DomainError(f"tolerance must lie in [0, inf), got {tolerance}")
     alpha = cost.alpha
     radius = 1.0 / (2.0 * grid_size)
-    grid = np.linspace(0.0, 1.0, grid_size)
+    grid = _grid(1.0, grid_size)
     etas = grid[np.abs(grid - alpha) > radius]
     gaps = _coarse_gaps(loss, cost, etas, tolerance)
 

@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .calibration import check_calibrated, fuzz_bound, regret_bound
-from .curves import _MAX_LEN, _check_grid_size, biconjugate, mu_curve, nu_curve
+from .curves import _MAX_LEN, _check_grid_size, _grid, biconjugate, mu_curve, nu_curve
 from .errors import CostcalError, DomainError, VacuousBoundError
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import CostParam, Loss, theta_alpha
@@ -63,7 +63,7 @@ def _curve_columns(loss: Loss, cost: CostParam, quantities: list[str], grid: int
     knot before the right one at the same x."""
     columns = {}
     if any(q in quantities for q in ("H", "C_star", "C_minus")):
-        etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
+        etas = np.union1d(_grid(1.0, grid), [cost.alpha])
         both = ("both",) * len(etas)
         if "H" in quantities:
             columns["H"] = (etas, h_alpha(loss, cost, etas), both)

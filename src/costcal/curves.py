@@ -123,6 +123,15 @@ def _check_grid_size(grid_size) -> None:
         raise DomainError(f"grid_size must be <= {_MAX_LEN}, got {grid_size}")
 
 
+def _grid(stop: float, grid_size: int) -> np.ndarray:
+    """``np.linspace(0, stop, grid_size)``; a grid too large to allocate
+    raises ``DomainError`` naming ``grid_size``."""
+    try:
+        return np.linspace(0.0, stop, grid_size)
+    except MemoryError as exc:
+        raise DomainError(f"grid_size={grid_size} is too large to allocate: {exc}") from exc
+
+
 def _run_starts(x: np.ndarray) -> np.ndarray:
     """The mask of the first entry of each run of equal entries of a
     nonempty ``x``, as ``np.unique`` builds it from its sorted array."""
@@ -164,7 +173,7 @@ def nu_curve(
     # np.union1d of the grid and the knots, built as it builds it (one
     # sort, then the first of each run), without its wrappers: the same
     # values, and the same one kept of 0.0 and -0.0.
-    eps_values = np.concatenate([np.linspace(0.0, big, grid_size), [0.0, small, big, *extras]])
+    eps_values = np.concatenate([_grid(big, grid_size), [0.0, small, big, *extras]])
     eps_values.sort()
     if eps_values[-1] != eps_values[-1]:  # NaN sorts last; only an extra knot can be NaN
         raise DomainError(f"extra_knots must not contain NaN, got {extras}")
@@ -213,23 +222,80 @@ def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, f
     return abs(right - left) > tol, left, right
 
 
+#: A numpy pass costs about as much as this many Python steps of the chain.
+#: ``biconjugate`` hands a cascade to numpy once it pops the stack this far
+#: below its size where the current stretch of steps began, and a sweep
+#: once half as many steps in a row have each popped one point.
+_PASS = 64
+
+
+@np.errstate(over="ignore", invalid="ignore")  # as the chain's Python floats give inf and NaN
+def _cascade(xs: np.ndarray, ys: np.ndarray, stack, top: int, px: float, py: float) -> int:
+    """The chain's pops at the point (px, py) on the stack of ``top``
+    indices into ``xs``/``ys``, decided in numpy passes: the crosses of
+    (stack[i - 1], stack[i], p) from the top down, to the first one not
+    ``<= 0``.  Returns the stack's size after the pops."""
+    stack = np.asarray(stack[:top], np.intp)
+    span = _PASS
+    while top >= 2:
+        lo = max(top - span, 1)
+        o, a = stack[lo - 1 : top - 1], stack[lo:top]
+        ox, oy = xs[o], ys[o]
+        kept = np.flatnonzero(~((xs[a] - ox) * (py - oy) - (ys[a] - oy) * (px - ox) <= 0.0))
+        if kept.size:
+            return lo + int(kept[-1]) + 1
+        top, span = lo, 2 * span
+    return top
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _sweep(xs: np.ndarray, ys: np.ndarray, k: int, ox: float, oy: float, below) -> int:
+    """The first step from point k that does not pop exactly one point,
+    for a chain whose stack ends with the point ``below`` (an ``(x, y)``
+    pair, or None where there is none), then (ox, oy), then point k - 1.
+    While each step pops only the point before it, (ox, oy) stays under
+    the top: step i pops point i - 1 where the cross of ((ox, oy), i - 1,
+    i) is ``<= 0``, and keeps (ox, oy) where the cross of (below, (ox, oy),
+    i) is not.  Decided in numpy passes over the points."""
+    n = len(xs)
+    stop = min(k + _PASS, n)
+    while True:
+        dx, dy = xs[k - 1 : stop] - ox, ys[k - 1 : stop] - oy
+        sweeps = dx[:-1] * dy[1:] - dy[:-1] * dx[1:] <= 0.0
+        if below is not None:
+            bx, by = below
+            sweeps = sweeps > ((ox - bx) * (ys[k:stop] - by) - (oy - by) * (xs[k:stop] - bx) <= 0.0)
+        i = int(sweeps.argmin())
+        if not sweeps[i]:
+            return k + i
+        if stop == n:
+            return n
+        k, stop = stop, n
+
+
 def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     """Lower convex hull of the sampled knots (monotone-chain sweep).
 
     With a (0, 0) knot and nonnegative values the hull is automatically
     convex, nondecreasing, and 0 at 0.  A NaN knot raises ``DomainError``.
 
-    The chain pops hull[-1] while hull[-2] -> hull[-1] -> p does not turn
-    left (cross <= 0), then pushes p.  Every point is pushed, so after a
-    step that pops nothing the top two entries are the two points just
-    before the next one, and that point's first test is the cross of three
-    consecutive points.  Those crosses are computed at once in numpy, with
-    the chain's float operations in its order (so the same bits), and each
-    run of points they let through is pushed as one range of indices.  The
-    chain runs point by point from a consecutive cross <= 0 until a step
-    pops nothing and the next consecutive cross is > 0, so the knots are
-    exactly the sequential chain's.  It keeps the hull as indices into the
-    sorted points, and the top two hull points as floats in locals.
+    The chain pops the top while the top two and the next point p do not
+    turn left (cross <= 0), then pushes p; the knots are exactly its own.
+    The hull is a stack of indices into the sorted points.  Every point is
+    pushed, so after a step that pops nothing the next step's first test
+    is the cross of three consecutive points.  Those crosses are computed
+    at once in numpy, with the chain's float operations in its order (so
+    the same bits), and each run of points they let through is slice-
+    assigned into the stack.  From a consecutive cross <= 0 the chain steps
+    in Python, on Python floats, until a step pops nothing and the next
+    consecutive cross is > 0; a step after one that popped nothing reads
+    its first test off those crosses.  Two long patterns there are decided
+    in numpy with the same crosses: a cascade of pops at one point
+    (``_cascade``), and a sweep, where each step pops just the point before
+    it (``_sweep``), as over a concave stretch or past a jump.  Where few
+    consecutive crosses pop, few steps run in Python, and they read the
+    points through memoryviews; otherwise they read lists, which cost a
+    pass over the points but are read about twice as fast.
     """
     if curve.eps.size < 2:
         raise DomainError("need at least 2 knots")
@@ -242,43 +308,78 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     # Python floats give inf and NaN here without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
         pops = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0) <= 0.0
-    # Per point, whether its consecutive cross pops (points 0 and 1 have
-    # none); the last entry stands for the end of the points.
-    first_pops = [False, False, *pops.tolist(), True]
-    x_at, y_at = xs.tolist(), ys.tolist()
-    n = len(x_at)
-    hull: list[int] = []
-    done = 0  # the points before this one have had their step
+    # Byte k is 1 where point k's consecutive cross pops (points 0 and 1
+    # have none); the last byte stands for the end of the points.
+    flags = b"\0\0" + pops.tobytes() + b"\1"
+    n = len(xs)
+    if 8 * flags.count(1) > n:
+        x_at, y_at, stack, ids = xs.tolist(), ys.tolist(), [0] * n, range(n)
+    else:
+        # Zeroed, as the list is: the sweep's test reads an entry above the top.
+        x_at, y_at, ids = memoryview(xs), memoryview(ys), memoryview(np.arange(n, dtype=np.intp))
+        stack = memoryview(np.zeros(n, np.intp))
+    top = done = 0  # the stack's size; the points before ``done`` have had their step
+    tail = n - 4 * _PASS  # a sweep from past here would seldom pay for its passes
     while done < n:
-        m = first_pops.index(True, done + 1)
-        hull += range(done, m)
-        # o and a: the points at hull[-2] and hull[-1].
-        ox, oy, ax, ay = x_at[hull[-2]], y_at[hull[-2]], x_at[m - 1], y_at[m - 1]
-        for k in range(m, n):
-            px, py = x_at[k], y_at[k]
-            if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                if not first_pops[k + 1]:
-                    break  # step k pops nothing and opens a run: the next range pushes k
-            else:
-                hull.pop()
-                ax, ay = ox, oy
-                while len(hull) >= 2:
-                    j = hull[-2]
-                    ox, oy = x_at[j], y_at[j]
-                    if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                        hull.pop()
+        m = flags.find(1, done + 1)
+        stack[top : top + m - done] = ids[done:m]
+        top += m - done
+        if m == n:
+            break
+        # o and a: the points at stack[top - 2] and stack[top - 1].  Step m's
+        # first test is its consecutive cross, which pops (``known``).
+        j = stack[top - 2]
+        ox, oy, ax, ay = x_at[j], y_at[j], x_at[m - 1], y_at[m - 1]
+        k, size, known = m, _PASS // 2, True
+        while True:  # steps [start, stop), then a sweep where they all popped one point
+            start, stop = k, k + size if k + size <= tail else n
+            floor = max(top - _PASS, 1)  # a cascade to here goes to numpy
+            for k in range(start, stop):
+                px, py = x_at[k], y_at[k]
+                if known or (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                    known = False
+                    top -= 1
+                    ax, ay = ox, oy
+                    while top > floor:
+                        j = stack[top - 2]
+                        ox, oy = x_at[j], y_at[j]
+                        if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                            break
+                        top -= 1
                         ax, ay = ox, oy
                     else:
-                        break
-            hull.append(k)
-            ox, oy, ax, ay = ax, ay, px, py
-        else:
-            k = n
+                        if top >= 2:
+                            top = _cascade(xs, ys, stack, top, px, py)
+                            j = stack[top - 1]
+                            ax, ay = x_at[j], y_at[j]
+                            floor = max(top - _PASS, 1)
+                elif flags[k + 1]:
+                    known = True  # the next step's first test is its consecutive cross
+                else:
+                    break  # step k pops nothing and opens a run: the next run pushes k
+                stack[top] = k
+                top += 1
+                ox, oy, ax, ay = ax, ay, px, py
+            else:
+                k = stop
+                if k == n:
+                    break
+                size *= 2
+                # Neither the slot above the top nor the one under it was
+                # written since ``start``: every step from start + 1 popped
+                # exactly one point, over the same (ox, oy).
+                if stack[top] < start > stack[top - 2]:
+                    below = (x_at[stack[top - 3]], y_at[stack[top - 3]]) if top >= 3 else None
+                    k = _sweep(xs, ys, k, ox, oy, below)
+                    stack[top - 1] = k - 1
+                    ax, ay, size = x_at[k - 1], y_at[k - 1], _PASS // 2
+                continue
+            break
         done = k
     # A trailing point directly above the previous x must not extend the hull.
-    while len(hull) >= 2 and x_at[hull[-1]] == x_at[hull[-2]]:
-        hull.pop()
-    idx = np.fromiter(hull, np.intp, len(hull))
+    while top >= 2 and x_at[stack[top - 1]] == x_at[stack[top - 2]]:
+        top -= 1
+    idx = np.asarray(stack[:top], np.intp)
     return ConvexEnvelope(xs[idx], ys[idx])
 
 

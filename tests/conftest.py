@@ -208,3 +208,26 @@ def collinear_curves(draw) -> SampledCurve:
         knots.append(knots[i])
     knots.sort(key=lambda k: k.eps)
     return curve_of(eps[-1], knots)
+
+
+@st.composite
+def long_curves(draw) -> SampledCurve:
+    """Curves of up to 1,500 knots made of pieces, as a family nu is: a
+    convex, a concave or a rounded straight piece, each after a jump either
+    way, on a dyadic grid with a point repeated.  Long enough for the hull's
+    numpy passes: a sweep over a concave piece or after a jump, and a
+    cascade where a jump down follows a long convex piece."""
+    shapes = st.sampled_from(["convex", "concave", "straight"])
+    pieces = draw(
+        st.lists(st.tuples(shapes, st.integers(2, 300), st.floats(-2.0, 2.0)), min_size=1, max_size=5)
+    )
+    eps, values = [0.0], [0.0]
+    for shape, count, jump in pieces:
+        t = np.arange(1, count + 1) / count
+        rise = {"convex": t * t, "concave": np.sqrt(t), "straight": t / 3.0}[shape]
+        eps += (eps[-1] + np.arange(1, count + 1) / 256.0).tolist()
+        values += (values[-1] + jump + rise).tolist()
+    knots = list(zip(eps, values, ["both"] * len(eps)))
+    knots.insert(draw(st.integers(0, len(knots) - 1)), knots[draw(st.integers(0, len(knots) - 1))])
+    knots.sort(key=lambda k: k[0])
+    return curve_of(eps[-1], knots)

@@ -301,6 +301,13 @@ class TestIntegerGridSize:
             got, want = curve_bits(got), curve_bits(want)
         assert got == want
 
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_a_grid_too_large_to_allocate_is_a_domain_error(self, name):
+        # numpy refuses 7.11 PiB at once, so nothing is allocated.
+        with pytest.raises(DomainError, match="^grid_size=1000000000000000 is too large") as error:
+            self.CALLS[name](self.LOSS, self.COST, 10**15)
+        assert isinstance(error.value.__cause__, MemoryError)
+
     @pytest.mark.parametrize("eps", [0.05, 0.2, 0.3, 0.45])
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
     def test_reads_mu_off_nu(self, family, eps):

@@ -34,7 +34,7 @@ from costcal import (
     regret_bound,
 )
 
-from conftest import collinear_curves, curve_bits, curve_of, knot_curves, uneven
+from conftest import collinear_curves, curve_bits, curve_of, knot_curves, long_curves, uneven
 
 
 def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
@@ -364,6 +364,88 @@ class TestBiconjugateReference:
             loss = uneven(family, gamma=2.0, alpha_weight=0.3)
             curve = nu_curve(loss, CostParam(0.3), 201, extra_knots=(0.05, 0.4))
             assert biconjugate(curve).hull_knots == reference_hull(curve)
+
+    @pytest.mark.parametrize("grid", [201, 2001])
+    @pytest.mark.parametrize("alpha", [None, 0.3, 0.7], ids=["half", "weighted-0.3", "weighted-0.7"])
+    @pytest.mark.parametrize("gamma", [0.25, 0.4, 4.0])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_reference_across_gammas_and_costs(self, family, gamma, alpha, grid):
+        # Unweighted members at alpha = 1/2; weighted ones at their alpha.
+        loss = uneven(family, gamma=gamma, alpha_weight=alpha)
+        nu = nu_curve(loss, CostParam(alpha or 0.5), grid)
+        assert_hull_is_reference(biconjugate(nu), nu)
+
+    @staticmethod
+    def spy(monkeypatch, name: str) -> list:
+        """Record the calls of the hull's numpy pass ``curves.<name>``."""
+        calls, run = [], getattr(curves, name)
+
+        def recorded(*args):
+            calls.append(args)
+            return run(*args)
+
+        monkeypatch.setattr(curves, name, recorded)
+        return calls
+
+    def test_the_sweep_after_the_doubled_knot_runs_in_numpy(self, monkeypatch):
+        # Past b_min each of 167 points pops just the one before it, over
+        # the same knot under the top, so 167 knots leave the hull.
+        sweeps = self.spy(monkeypatch, "_sweep")
+        loss = uneven("squared", gamma=0.4, alpha_weight=0.7)
+        nu = nu_curve(loss, CostParam(0.7), 2001)
+        env = biconjugate(nu)
+        assert_hull_is_reference(env, nu)
+        assert len(sweeps) == 1 and nu.eps.size - env.xs.size == 167
+
+    #: Hand-built curves, each with the numpy pass it takes.  A parabola's
+    #: points are pushed as one run, and a last point far below pops back
+    #: past the whole run, or past most of it; where the parabola's first
+    #: half zigzags, a quarter of the consecutive crosses pop, so its points
+    #: are read from lists.  Over a concave curve, or after a jump up from 0,
+    #: each point pops the one before it over the first point, which has
+    #: none under it.
+    PARABOLA = [(i / 599, (i / 599) ** 2) for i in range(600)]
+    ZIGZAG = [(x, y + 1e-3 * (i % 2 and i < 300)) for i, (x, y) in enumerate(PARABOLA)]
+    PASSES = {
+        "cascade-past-the-run": (PARABOLA + [(1.01, -1.0)], "_cascade"),
+        "cascade-into-the-run": (PARABOLA + [(1.01, 0.5)], "_cascade"),
+        "cascade-from-lists": (ZIGZAG + [(1.01, 0.5)], "_cascade"),
+        # On a dyadic parabola the last point lies exactly on the line
+        # through the 11th and 12th points: that cross is 0, and pops.
+        "cascade-onto-a-line": (
+            [(k / 64, (k / 64) ** 2) for k in range(201)] + [(4.0, 1.28564453125)],
+            "_cascade",
+        ),
+        "sweep-over-a-concave-curve": ([(i / 999, (i / 999) ** 0.5) for i in range(1000)], "_sweep"),
+        "sweep-after-a-jump": (
+            [(0.0, 0.0)] + [(i / 999, 1 + (i / 999) ** 2) for i in range(1, 1000)],
+            "_sweep",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PASSES))
+    def test_hand_built_curves_through_each_numpy_pass(self, monkeypatch, name):
+        points, pass_name = self.PASSES[name]
+        calls = self.spy(monkeypatch, pass_name)
+        curve = hand_curve(points)
+        assert_hull_is_reference(biconjugate(curve), curve)
+        assert calls
+
+    def test_knots_out_of_order_are_sorted_first(self):
+        # A family curve's knots shuffled, and a jump whose left value lies
+        # above its right one, sort by (eps, value) as the chain sorts them.
+        nu = nu_curve(uneven("sigmoid", gamma=2.0, alpha_weight=0.3), CostParam(0.3), 2001)
+        order = np.random.default_rng(7).permutation(nu.eps.size)
+        shuffled = SampledCurve(nu.domain_max, nu.eps[order], nu.values[order], nu.sides[order])
+        assert_hull_is_reference(biconjugate(shuffled), shuffled)
+        assert biconjugate(shuffled).xs.tobytes() == biconjugate(nu).xs.tobytes()
+        jump = hand_curve([(0.0, 0.0), (0.5, 0.9), (0.5, 0.2), (1.0, 1.0)])
+        assert biconjugate(jump).hull_knots == ((0.0, 0.0), (0.5, 0.2), (1.0, 1.0))
+
+    @given(long_curves())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_reference_chain_on_long_curves(self, curve):
+        assert_hull_is_reference(biconjugate(curve), curve)
 
 
 class TestSampledCurveColumns:

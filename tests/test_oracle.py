@@ -534,11 +534,16 @@ MIX_WEIGHTS = np.array([0.0, 0.3, 1.0, 0.5, 1.0, 0.0, 1e-300])
 MIX_PARTIALS = np.array([0.0, 1.5, math.inf, math.nan, -0.0, 2.0, math.inf])
 #: ``_mix``'s callers' shapes: a column of weights over a grid table's
 #: columns (the grid pass and the ceiling), one weight and one score per
-#: row (the golden section), and one value per partial (the limits).
+#: row (the golden section), and one value per partial (the limits); and
+#: one row of each, and one weight over a row of columns (the ceiling at a
+#: 0-d posterior), where every axis of the weights has length 1.
 MIX_CASES = {
     "columns": (MIX_WEIGHTS[:, None], MIX_PARTIALS, MIX_PARTIALS[::-1]),
     "rows": (MIX_WEIGHTS, MIX_PARTIALS, np.roll(MIX_PARTIALS, 2)),
     "rows-without-edges": (MIX_WEIGHTS[[1, 3, 6]], MIX_PARTIALS[:3], MIX_PARTIALS[3:6]),
+    "one-row": (MIX_WEIGHTS[:1], MIX_PARTIALS[:1], MIX_PARTIALS[2:3]),
+    "one-row-of-columns": (MIX_WEIGHTS[:1, None], MIX_PARTIALS, MIX_PARTIALS[::-1]),
+    "one-weight-over-columns": (MIX_WEIGHTS[2:3], MIX_PARTIALS, MIX_PARTIALS[::-1]),
     "limits-inf": (MIX_WEIGHTS, math.inf, 0.0),
     "limits-nan": (MIX_WEIGHTS, 1.0, math.nan),
 }
