@@ -223,32 +223,13 @@ def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, f
 
 
 #: A numpy pass costs about as much as this many Python steps of the chain.
-#: ``biconjugate`` hands a cascade to numpy once it pops the stack this far
-#: below its size where the current stretch of steps began, and a sweep
-#: once half as many steps in a row have each popped one point.
+#: ``biconjugate`` steps in chunks of half as many points, then twice as
+#: many each time, and may try a sweep after each chunk, but not within
+#: four times as many points of the end.
 _PASS = 64
 
 
 @np.errstate(over="ignore", invalid="ignore")  # as the chain's Python floats give inf and NaN
-def _cascade(xs: np.ndarray, ys: np.ndarray, stack, top: int, px: float, py: float) -> int:
-    """The chain's pops at the point (px, py) on the stack of ``top``
-    indices into ``xs``/``ys``, decided in numpy passes: the crosses of
-    (stack[i - 1], stack[i], p) from the top down, to the first one not
-    ``<= 0``.  Returns the stack's size after the pops."""
-    stack = np.asarray(stack[:top], np.intp)
-    span = _PASS
-    while top >= 2:
-        lo = max(top - span, 1)
-        o, a = stack[lo - 1 : top - 1], stack[lo:top]
-        ox, oy = xs[o], ys[o]
-        kept = np.flatnonzero(~((xs[a] - ox) * (py - oy) - (ys[a] - oy) * (px - ox) <= 0.0))
-        if kept.size:
-            return lo + int(kept[-1]) + 1
-        top, span = lo, 2 * span
-    return top
-
-
-@np.errstate(over="ignore", invalid="ignore")
 def _sweep(xs: np.ndarray, ys: np.ndarray, k: int, ox: float, oy: float, below) -> int:
     """The first step from point k that does not pop exactly one point,
     for a chain whose stack ends with the point ``below`` (an ``(x, y)``
@@ -289,13 +270,13 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     assigned into the stack.  From a consecutive cross <= 0 the chain steps
     in Python, on Python floats, until a step pops nothing and the next
     consecutive cross is > 0; a step after one that popped nothing reads
-    its first test off those crosses.  Two long patterns there are decided
-    in numpy with the same crosses: a cascade of pops at one point
-    (``_cascade``), and a sweep, where each step pops just the point before
-    it (``_sweep``), as over a concave stretch or past a jump.  Where few
-    consecutive crosses pop, few steps run in Python, and they read the
-    points through memoryviews; otherwise they read lists, which cost a
-    pass over the points but are read about twice as fast.
+    its first test off those crosses.  A sweep, where each step pops just
+    the point before it (as over a concave stretch or past a jump), is
+    decided in numpy with the same crosses (``_sweep``).  Where few
+    consecutive crosses pop, few steps run in Python: they read the points
+    and the stack through memoryviews, and no pushed point becomes a Python
+    object.  Otherwise they read Python lists, which cost a pass over the
+    points but are read and written faster.
     """
     if curve.eps.size < 2:
         raise DomainError("need at least 2 knots")
@@ -315,7 +296,7 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     if 8 * flags.count(1) > n:
         x_at, y_at, stack, ids = xs.tolist(), ys.tolist(), [0] * n, range(n)
     else:
-        # Zeroed, as the list is: the sweep's test reads an entry above the top.
+        # Zeroed, as the list is: the sweep's trigger reads the slot above the top.
         x_at, y_at, ids = memoryview(xs), memoryview(ys), memoryview(np.arange(n, dtype=np.intp))
         stack = memoryview(np.zeros(n, np.intp))
     top = done = 0  # the stack's size; the points before ``done`` have had their step
@@ -331,28 +312,21 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
         j = stack[top - 2]
         ox, oy, ax, ay = x_at[j], y_at[j], x_at[m - 1], y_at[m - 1]
         k, size, known = m, _PASS // 2, True
-        while True:  # steps [start, stop), then a sweep where they all popped one point
+        while True:  # steps [start, stop), then perhaps a sweep
             start, stop = k, k + size if k + size <= tail else n
-            floor = max(top - _PASS, 1)  # a cascade to here goes to numpy
             for k in range(start, stop):
                 px, py = x_at[k], y_at[k]
                 if known or (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
                     known = False
                     top -= 1
                     ax, ay = ox, oy
-                    while top > floor:
+                    while top >= 2:
                         j = stack[top - 2]
                         ox, oy = x_at[j], y_at[j]
                         if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
                             break
                         top -= 1
                         ax, ay = ox, oy
-                    else:
-                        if top >= 2:
-                            top = _cascade(xs, ys, stack, top, px, py)
-                            j = stack[top - 1]
-                            ax, ay = x_at[j], y_at[j]
-                            floor = max(top - _PASS, 1)
                 elif flags[k + 1]:
                     known = True  # the next step's first test is its consecutive cross
                 else:
@@ -365,9 +339,15 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
                 if k == n:
                     break
                 size *= 2
-                # Neither the slot above the top nor the one under it was
-                # written since ``start``: every step from start + 1 popped
-                # exactly one point, over the same (ox, oy).
+                # A sweep from k needs only the state here: the stack ends
+                # with (ox, oy) and point k - 1, and step k's first test is
+                # its full cross (``known`` is False).  This test is only a
+                # guess that the steps since ``start`` swept, so that a
+                # sweep would pay: a step from start + 1 that popped
+                # nothing, or more than one point, mostly leaves an index
+                # >= start in the slot above the top or in the one under
+                # it.  Had the last step popped nothing, the slot under the
+                # top would hold k - 2, so ``known`` is False when it holds.
                 if stack[top] < start > stack[top - 2]:
                     below = (x_at[stack[top - 3]], y_at[stack[top - 3]]) if top >= 3 else None
                     k = _sweep(xs, ys, k, ox, oy, below)

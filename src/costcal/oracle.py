@@ -104,30 +104,17 @@ class SearchResult(NamedTuple):
 
 def _weights(w: np.ndarray):
     """What ``_mix`` needs of the weights ``w``: ``w``, ``1 - w``, and the
-    rows of weight 0 and of weight 1 (``_rows``), or None where no weight
-    is 0 or 1.  Computed once for every mix that shares the weights."""
-    edges = _rows(w == 0.0), _rows(w == 1.0)
-    return w, 1.0 - w, None if edges == (None, None) else edges
-
-
-def _rows(mask: np.ndarray):
-    """An index of the mix's entries where ``mask`` holds, or None where it
-    holds nowhere: along an axis where the weights have length 1 they are
-    broadcast, so it takes the whole axis."""
-    at = mask.nonzero()
-    if not at[0].size:
-        return None
-    return tuple(slice(None) if size == 1 else i for size, i in zip(mask.shape, at))
+    masks of weight 0 and weight 1, or None where no weight is 0 or 1.
+    Computed once for every mix that shares the weights."""
+    zero, one = w == 0.0, w == 1.0
+    return w, 1.0 - w, (zero, one) if zero.any() or one.any() else None
 
 
 def _mix(weights, pos, neg, out=None) -> np.ndarray:
     """w * pos + (1 - w) * neg for ``weights = _weights(w)``, broadcast,
     where a partial of weight 0 contributes 0 even where it is infinite (as
     in ``conditional_risk``).  That 0 * inf is NaN before it is replaced,
-    so callers silence numpy's invalid-value warning.  Only the rows of
-    weight 0 or 1 are rewritten; a partial of the mix's rank has a value
-    per row, and one of a lower rank (a row of columns, or a scalar) is the
-    same on every row.
+    so callers silence numpy's invalid-value warning.
 
     ``out`` is an optional pair of arrays of the result's shape: the result
     is written to the first, the second holds the (1 - w) * neg term."""
@@ -136,9 +123,9 @@ def _mix(weights, pos, neg, out=None) -> np.ndarray:
     risks = np.multiply(w, pos, out=risks)
     risks += np.multiply(w_neg, neg, out=term)
     if edges is not None:
-        for rows, partial in zip(edges, (neg, pos)):
-            if rows is not None:
-                risks[rows] = partial[rows] if getattr(partial, "ndim", 0) == risks.ndim else partial
+        zero, one = edges
+        np.copyto(risks, neg, where=zero)
+        np.copyto(risks, pos, where=one)
     return risks
 
 

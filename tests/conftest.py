@@ -215,8 +215,8 @@ def long_curves(draw) -> SampledCurve:
     """Curves of up to 1,500 knots made of pieces, as a family nu is: a
     convex, a concave or a rounded straight piece, each after a jump either
     way, on a dyadic grid with a point repeated.  Long enough for the hull's
-    numpy passes: a sweep over a concave piece or after a jump, and a
-    cascade where a jump down follows a long convex piece."""
+    numpy sweep over a concave piece or after a jump, and for a point that
+    pops a long stretch where a jump down follows a long convex piece."""
     shapes = st.sampled_from(["convex", "concave", "straight"])
     pieces = draw(
         st.lists(st.tuples(shapes, st.integers(2, 300), st.floats(-2.0, 2.0)), min_size=1, max_size=5)

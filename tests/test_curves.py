@@ -377,7 +377,7 @@ class TestBiconjugateReference:
 
     @staticmethod
     def spy(monkeypatch, name: str) -> list:
-        """Record the calls of the hull's numpy pass ``curves.<name>``."""
+        """Record the calls of ``curves.<name>``."""
         calls, run = [], getattr(curves, name)
 
         def recorded(*args):
@@ -397,39 +397,48 @@ class TestBiconjugateReference:
         assert_hull_is_reference(env, nu)
         assert len(sweeps) == 1 and nu.eps.size - env.xs.size == 167
 
-    #: Hand-built curves, each with the numpy pass it takes.  A parabola's
-    #: points are pushed as one run, and a last point far below pops back
-    #: past the whole run, or past most of it; where the parabola's first
-    #: half zigzags, a quarter of the consecutive crosses pop, so its points
-    #: are read from lists.  Over a concave curve, or after a jump up from 0,
-    #: each point pops the one before it over the first point, which has
-    #: none under it.
+    #: A parabola's points are pushed as one run, and a last point far below
+    #: pops back past the whole run, or past most of it.  Where the
+    #: parabola's first half zigzags, a quarter of the consecutive crosses
+    #: pop, so its points are read from lists.  On a dyadic parabola the
+    #: last point lies exactly on the line through the 11th and 12th
+    #: points: that cross is 0, and pops.
     PARABOLA = [(i / 599, (i / 599) ** 2) for i in range(600)]
     ZIGZAG = [(x, y + 1e-3 * (i % 2 and i < 300)) for i, (x, y) in enumerate(PARABOLA)]
-    PASSES = {
-        "cascade-past-the-run": (PARABOLA + [(1.01, -1.0)], "_cascade"),
-        "cascade-into-the-run": (PARABOLA + [(1.01, 0.5)], "_cascade"),
-        "cascade-from-lists": (ZIGZAG + [(1.01, 0.5)], "_cascade"),
-        # On a dyadic parabola the last point lies exactly on the line
-        # through the 11th and 12th points: that cross is 0, and pops.
-        "cascade-onto-a-line": (
-            [(k / 64, (k / 64) ** 2) for k in range(201)] + [(4.0, 1.28564453125)],
-            "_cascade",
-        ),
-        "sweep-over-a-concave-curve": ([(i / 999, (i / 999) ** 0.5) for i in range(1000)], "_sweep"),
-        "sweep-after-a-jump": (
-            [(0.0, 0.0)] + [(i / 999, 1 + (i / 999) ** 2) for i in range(1, 1000)],
-            "_sweep",
-        ),
+    CASCADES = {
+        "past-the-run": PARABOLA + [(1.01, -1.0)],
+        "into-the-run": PARABOLA + [(1.01, 0.5)],
+        "from-lists": ZIGZAG + [(1.01, 0.5)],
+        "onto-a-line": [(k / 64, (k / 64) ** 2) for k in range(201)] + [(4.0, 1.28564453125)],
     }
 
-    @pytest.mark.parametrize("name", sorted(PASSES))
-    def test_hand_built_curves_through_each_numpy_pass(self, monkeypatch, name):
-        points, pass_name = self.PASSES[name]
-        calls = self.spy(monkeypatch, pass_name)
-        curve = hand_curve(points)
+    @pytest.mark.parametrize("name", sorted(CASCADES))
+    def test_a_last_point_pops_back_into_a_pushed_run(self, name):
+        curve = hand_curve(self.CASCADES[name])
+        env = biconjugate(curve)
+        assert_hull_is_reference(env, curve)
+        if name == "past-the-run":
+            assert env.hull_knots == ((0.0, 0.0), (1.01, -1.0))
+
+    #: Over a concave curve, or after a jump up from 0, each point pops the
+    #: one before it over the first point, which has none under it.  Over
+    #: a concave piece after (0, 0) and (1, 1), each point pops the one
+    #: before it over (1, 1), until a point on the line y = x makes a cross
+    #: of exactly 0 with them, and pops (1, 1) too.
+    SWEEPS = {
+        "over-a-concave-curve": [(i / 999, (i / 999) ** 0.5) for i in range(1000)],
+        "after-a-jump": [(0.0, 0.0)] + [(i / 999, 1 + (i / 999) ** 2) for i in range(1, 1000)],
+        "onto-the-line-under-the-top": [(0.0, 0.0), (1.0, 1.0)]
+        + [(1 + i / 64, 1 + 2 * (i / 64) ** 0.5) for i in range(1, 201)]
+        + [(4.25 + i / 64, 4.25 + i / 16 + (i / 64) ** 2) for i in range(400)],
+    }
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_a_sweep_runs_in_numpy(self, monkeypatch, name):
+        sweeps = self.spy(monkeypatch, "_sweep")
+        curve = hand_curve(self.SWEEPS[name])
         assert_hull_is_reference(biconjugate(curve), curve)
-        assert calls
+        assert sweeps
 
     def test_knots_out_of_order_are_sorted_first(self):
         # A family curve's knots shuffled, and a jump whose left value lies
