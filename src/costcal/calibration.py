@@ -312,6 +312,7 @@ def fuzz_bound(
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     _check_grid_size(grid_size)
+    seed = int(seed)  # a numpy integer would overflow in the trial seeds
 
     records = []
     for i in range(n_trials):

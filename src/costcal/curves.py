@@ -222,38 +222,6 @@ def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, f
     return abs(right - left) > tol, left, right
 
 
-#: A numpy pass costs about as much as this many Python steps of the chain.
-#: ``biconjugate`` steps in chunks of half as many points, then twice as
-#: many each time, and may try a sweep after each chunk, but not within
-#: four times as many points of the end.
-_PASS = 64
-
-
-@np.errstate(over="ignore", invalid="ignore")  # as the chain's Python floats give inf and NaN
-def _sweep(xs: np.ndarray, ys: np.ndarray, k: int, ox: float, oy: float, below) -> int:
-    """The first step from point k that does not pop exactly one point,
-    for a chain whose stack ends with the point ``below`` (an ``(x, y)``
-    pair, or None where there is none), then (ox, oy), then point k - 1.
-    While each step pops only the point before it, (ox, oy) stays under
-    the top: step i pops point i - 1 where the cross of ((ox, oy), i - 1,
-    i) is ``<= 0``, and keeps (ox, oy) where the cross of (below, (ox, oy),
-    i) is not.  Decided in numpy passes over the points."""
-    n = len(xs)
-    stop = min(k + _PASS, n)
-    while True:
-        dx, dy = xs[k - 1 : stop] - ox, ys[k - 1 : stop] - oy
-        sweeps = dx[:-1] * dy[1:] - dy[:-1] * dx[1:] <= 0.0
-        if below is not None:
-            bx, by = below
-            sweeps = sweeps > ((ox - bx) * (ys[k:stop] - by) - (oy - by) * (xs[k:stop] - bx) <= 0.0)
-        i = int(sweeps.argmin())
-        if not sweeps[i]:
-            return k + i
-        if stop == n:
-            return n
-        k, stop = stop, n
-
-
 def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     """Lower convex hull of the sampled knots (monotone-chain sweep).
 
@@ -268,15 +236,9 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     at once in numpy, with the chain's float operations in its order (so
     the same bits), and each run of points they let through is slice-
     assigned into the stack.  From a consecutive cross <= 0 the chain steps
-    in Python, on Python floats, until a step pops nothing and the next
-    consecutive cross is > 0; a step after one that popped nothing reads
-    its first test off those crosses.  A sweep, where each step pops just
-    the point before it (as over a concave stretch or past a jump), is
-    decided in numpy with the same crosses (``_sweep``).  Where few
-    consecutive crosses pop, few steps run in Python: they read the points
-    and the stack through memoryviews, and no pushed point becomes a Python
-    object.  Otherwise they read Python lists, which cost a pass over the
-    points but are read and written faster.
+    in Python, on Python floats read through memoryviews, until a step pops
+    nothing and the next consecutive cross does not pop: the next run
+    starts there.  No pushed point of a run becomes a Python object.
     """
     if curve.eps.size < 2:
         raise DomainError("need at least 2 knots")
@@ -293,68 +255,37 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     # have none); the last byte stands for the end of the points.
     flags = b"\0\0" + pops.tobytes() + b"\1"
     n = len(xs)
-    if 8 * flags.count(1) > n:
-        x_at, y_at, stack, ids = xs.tolist(), ys.tolist(), [0] * n, range(n)
-    else:
-        # Zeroed, as the list is: the sweep's trigger reads the slot above the top.
-        x_at, y_at, ids = memoryview(xs), memoryview(ys), memoryview(np.arange(n, dtype=np.intp))
-        stack = memoryview(np.zeros(n, np.intp))
+    x_at, y_at, ids = memoryview(xs), memoryview(ys), memoryview(np.arange(n, dtype=np.intp))
+    stack = memoryview(np.empty(n, np.intp))
     top = done = 0  # the stack's size; the points before ``done`` have had their step
-    tail = n - 4 * _PASS  # a sweep from past here would seldom pay for its passes
     while done < n:
         m = flags.find(1, done + 1)
         stack[top : top + m - done] = ids[done:m]
         top += m - done
         if m == n:
             break
-        # o and a: the points at stack[top - 2] and stack[top - 1].  Step m's
-        # first test is its consecutive cross, which pops (``known``).
+        # o and a: the points at stack[top - 2] and stack[top - 1].
         j = stack[top - 2]
         ox, oy, ax, ay = x_at[j], y_at[j], x_at[m - 1], y_at[m - 1]
-        k, size, known = m, _PASS // 2, True
-        while True:  # steps [start, stop), then perhaps a sweep
-            start, stop = k, k + size if k + size <= tail else n
-            for k in range(start, stop):
-                px, py = x_at[k], y_at[k]
-                if known or (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                    known = False
+        for k in range(m, n):
+            px, py = x_at[k], y_at[k]
+            if (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                top -= 1
+                ax, ay = ox, oy
+                while top >= 2:
+                    j = stack[top - 2]
+                    ox, oy = x_at[j], y_at[j]
+                    if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
+                        break
                     top -= 1
                     ax, ay = ox, oy
-                    while top >= 2:
-                        j = stack[top - 2]
-                        ox, oy = x_at[j], y_at[j]
-                        if not (ax - ox) * (py - oy) - (ay - oy) * (px - ox) <= 0.0:
-                            break
-                        top -= 1
-                        ax, ay = ox, oy
-                elif flags[k + 1]:
-                    known = True  # the next step's first test is its consecutive cross
-                else:
-                    break  # step k pops nothing and opens a run: the next run pushes k
-                stack[top] = k
-                top += 1
-                ox, oy, ax, ay = ax, ay, px, py
-            else:
-                k = stop
-                if k == n:
-                    break
-                size *= 2
-                # A sweep from k needs only the state here: the stack ends
-                # with (ox, oy) and point k - 1, and step k's first test is
-                # its full cross (``known`` is False).  This test is only a
-                # guess that the steps since ``start`` swept, so that a
-                # sweep would pay: a step from start + 1 that popped
-                # nothing, or more than one point, mostly leaves an index
-                # >= start in the slot above the top or in the one under
-                # it.  Had the last step popped nothing, the slot under the
-                # top would hold k - 2, so ``known`` is False when it holds.
-                if stack[top] < start > stack[top - 2]:
-                    below = (x_at[stack[top - 3]], y_at[stack[top - 3]]) if top >= 3 else None
-                    k = _sweep(xs, ys, k, ox, oy, below)
-                    stack[top - 1] = k - 1
-                    ax, ay, size = x_at[k - 1], y_at[k - 1], _PASS // 2
-                continue
-            break
+            elif not flags[k + 1]:
+                break  # step k pops nothing and opens a run: the next run pushes k
+            stack[top] = k
+            top += 1
+            ox, oy, ax, ay = ax, ay, px, py
+        else:
+            k = n
         done = k
     # A trailing point directly above the previous x must not extend the hull.
     while top >= 2 and x_at[stack[top - 1]] == x_at[stack[top - 2]]:

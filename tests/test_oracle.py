@@ -1035,3 +1035,9 @@ class TestFuzzBound:
 
     def test_numpy_integers_accepted(self):
         assert fuzz_bound(np.int64(7), "hinge", np.int32(2)) == fuzz_bound(7, "hinge", 2)
+
+    def test_a_large_numpy_seed_gives_python_int_trial_seeds(self):
+        # 10**13 * 1_000_000 overflows int64; the trial seed is a Python int.
+        records = fuzz_bound(np.int64(10**13), "hinge", 1)
+        assert records == fuzz_bound(10**13, "hinge", 1)
+        assert records[0].seed == 10**19 and type(records[0].seed) is int
