@@ -120,14 +120,13 @@ def _partial(family: str, c: float, s: float | None):
             d = 1.0 - u
             return c * (0.0 if d < 0.0 else d)
     elif family == "squared":
-        # The power stays: ``d * d`` differs from a float's power in the
-        # last bit for about 1 score in 1600, moving the search.
+        # ``d * d`` for a float and an ndarray alike: it is what numpy's
+        # array ``** 2`` computes, so a float score gets the bits it gets
+        # inside an array (a float's ``** 2`` differs in the last bit for
+        # about 1 score in 1600).  A float past the range gives +inf.
         def fn(t, c=c, s=s):
-            u = t if s is None else s * t
-            try:
-                return c * (1.0 - u) ** 2
-            except OverflowError:
-                return math.inf
+            d = 1.0 - (t if s is None else s * t)
+            return c * (d * d)
     elif family == "exponential":
         # numpy's ``exp``: libm's moves last digits.  A Python float score
         # gets a Python float.

@@ -213,8 +213,10 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
 
     ``eta`` is a float, or an ndarray of posteriors searched together by
     ``_search_rows`` (``arg`` and ``value`` are then arrays of its shape).
-    Each posterior of an array gets the same result as the float search,
-    up to rounding.  A float search returns Python floats (an infinite
+    Each posterior of an array gets the float search's result: bit for bit
+    where the partials give a float score the bits it gets inside an
+    array, as the convex family partials do, and else up to rounding.  A
+    float search returns Python floats (an infinite
     ``arg`` is ``math.inf``).
 
     Raises ``DomainError``, naming the posterior, where the risk is NaN at
@@ -359,6 +361,13 @@ def _search_rows(loss: Loss, eta: np.ndarray, *codes: np.ndarray) -> list[Search
     ]
 
 
+#: Posteriors per block of the ceiling's mix: a 256 x 51 block matrix is
+#: 104 kB, under glibc's 128 kB mmap threshold, so its two buffers stay on
+#: the heap.  One matrix of 1000 rows, 408 kB, is mapped and faulted in
+#: afresh on each call.
+_CEILING_ROWS = 256
+
+
 @np.errstate(over="ignore", invalid="ignore")  # as in _search_rows
 def _c_star_ceiling(loss: Loss, eta: np.ndarray) -> np.ndarray | None:
     """A ceiling on the C* that ``_search_rows`` returns at each posterior
@@ -373,12 +382,22 @@ def _c_star_ceiling(loss: Loss, eta: np.ndarray) -> np.ndarray | None:
     different refinement) must keep that, or this bound breaks.
 
     None where a grid table holds a NaN or -inf: a mix could then be NaN,
-    and a search that reads it raises, which the full search must report."""
+    and a search that reads it raises, which the full search must report.
+
+    The mix runs in blocks of ``_CEILING_ROWS`` posteriors, into one pair
+    of buffers reused across blocks (as the grid pass's are)."""
     tables = _grid_tables(loss)
     if not all((table > -math.inf).all() for table in tables):
         return None
     pos_vals, neg_vals = (table[::16] for table in tables)
-    return _mix(_weights(eta[..., None]), pos_vals, neg_vals).min(axis=-1)
+    rows = eta.ravel()
+    ceiling = np.empty(rows.shape)
+    buffers = np.empty((2, min(len(rows), _CEILING_ROWS), len(pos_vals)))
+    for lo in range(0, len(rows), _CEILING_ROWS):
+        w = rows[lo : lo + _CEILING_ROWS, None]
+        risks = _mix(_weights(w), pos_vals, neg_vals, out=buffers[:, : len(w)])
+        risks.min(axis=-1, out=ceiling[lo : lo + len(w)])
+    return ceiling.reshape(eta.shape)
 
 
 def _grid_argmin(risks: np.ndarray, c0: int, code: np.ndarray, idx: np.ndarray, value: np.ndarray):

@@ -467,7 +467,7 @@ class TestBoundedCoarseSearch:
              for gap, share in rows]
         )
         with mock.patch.object(calibration, "_optima", lambda *args, **kwargs: floors), \
-                mock.patch.object(calibration, "h_alpha", lambda l, c, etas: gaps[etas.astype(int)]):
+                mock.patch.object(calibration, "h_alpha", lambda l, c, etas: gaps[np.asarray(etas).astype(int)]):
             found = calibration._coarse_gaps(None, None, np.arange(len(gaps), dtype=float), tolerance)
         low = gaps <= tolerance
         assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
@@ -475,29 +475,64 @@ class TestBoundedCoarseSearch:
         assert found.argmin() == i and repr(found[i]) == repr(gaps[i])
 
     @staticmethod
-    def searched_rows(monkeypatch, loss, cost):
-        """The posteriors each ``_search_rows`` call of the verdict searches."""
-        calls, search = [], oracle._search_rows
+    def searches(monkeypatch, loss, cost):
+        """The posteriors each row search of the verdict searches, the
+        number of its golden sections on rows, and its float searches."""
+        calls, float_searches, row_sections = [], [], []
+        search, search_float, section = (
+            oracle._search_rows, oracle._search_float, oracle._golden_section_rows
+        )
 
         def spy(loss, eta, *codes):
             calls.append(eta.size)
             return search(loss, eta, *codes)
 
+        def spy_float(loss, eta, code):
+            float_searches.append(eta)
+            return search_float(loss, eta, code)
+
+        def spy_section(*args):
+            row_sections.append(len(args[2]))
+            return section(*args)
+
         monkeypatch.setattr(oracle, "_search_rows", spy)
+        monkeypatch.setattr(oracle, "_search_float", spy_float)
+        monkeypatch.setattr(oracle, "_golden_section_rows", spy_section)
         check_calibrated_numeric(loss, cost)
-        return calls
+        return calls, row_sections, float_searches
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
-    def test_calibrated_convex_verdict_searches_a_handful(self, monkeypatch, family):
+    def test_calibrated_convex_verdict_runs_a_handful_of_float_searches(self, monkeypatch, family):
         loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
-        calls = self.searched_rows(monkeypatch, loss, CostParam(calibrated_alpha(loss)))
-        assert 0 < sum(calls) <= 8
+        calls, row_sections, float_searches = self.searches(
+            monkeypatch, loss, CostParam(calibrated_alpha(loss))
+        )
+        assert calls == [] and row_sections == []
+        assert 0 < len(float_searches) <= 8
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    def test_a_round_past_the_crossover_is_one_row_search(self, monkeypatch, family):
+        # A floor of 0 rules nothing out: after the first round of floats,
+        # every posterior left is searched in one round, as rows.
+        loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
+        request = loss, CostParam(calibrated_alpha(loss)), 1001, 1e-9
+
+        def zero_floor(loss, cost, etas, **kwargs):  # the verdict reads only the floor
+            return np.zeros(etas.shape)
+
+        monkeypatch.setattr(calibration, "_optima", zero_floor)
+        calls, _, float_searches = self.searches(monkeypatch, *request[:2])
+        assert calls == [1000 - calibration._FIRST_SEARCHED] and calls[0] > calibration._FLOAT_ROUND
+        assert len(float_searches) == calibration._FIRST_SEARCHED
+        monkeypatch.undo()
+        with mock.patch.object(calibration, "_optima", zero_floor):
+            assert verdict_outcome(*request) == full_search_outcome(*request)
 
     def test_sigmoid_verdict_searches_every_coarse_posterior(self, monkeypatch):
         # C^- is searched, so no floor bounds the gaps.
         loss = untagged(uneven("sigmoid", gamma=3.0))
-        calls = self.searched_rows(monkeypatch, loss, CostParam(alpha_of_gamma(3.0)))
-        assert calls == [1000]
+        calls, _, float_searches = self.searches(monkeypatch, loss, CostParam(alpha_of_gamma(3.0)))
+        assert calls == [1000] and float_searches == []
 
 
 class TestCheckCalibrated:

@@ -64,12 +64,22 @@ SEARCHED = {
     "sigmoid-gamma3": untagged(uneven("sigmoid", gamma=3.0)),
 }
 
-def assert_batch_matches_scalar(loss, etas, constraint):
+#: The searched members whose partials give a float score the bits it gets
+#: inside an array, so their float and row searches agree bit for bit.
+EXACT = {"hinge", "squared-weighted", "exponential"}
+
+
+def assert_batch_matches_scalar(loss, etas, constraint, exact=False):
+    """Each row of the batched search against the float search: bit for bit
+    where ``exact``, else within 1e-12."""
     batch = brute_force_min(loss, np.array(etas, dtype=float), constraint)
     assert batch.value.shape == (len(etas),)
     for eta, value in zip(etas, batch.value.tolist()):
         expected = brute_force_min(loss, float(eta), constraint).value
-        assert value == expected or abs(value - expected) <= 1e-12, (eta, value, expected)
+        if exact:
+            assert value.hex() == expected.hex(), (eta, value, expected)
+        else:
+            assert value == expected or abs(value - expected) <= 1e-12, (eta, value, expected)
 
 
 class TestBruteForceMin:
@@ -303,7 +313,7 @@ class TestBatchedSearch:
     def test_families_at_the_edges_and_on_a_grid(self, name, constraint, n):
         alpha = 0.3
         etas = [0.0, 1.0, alpha] + np.linspace(0.0, 1.0, 41).tolist()
-        assert_batch_matches_scalar(SEARCHED[name], etas[:n], constraint)
+        assert_batch_matches_scalar(SEARCHED[name], etas[:n], constraint, name in EXACT)
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -312,7 +322,7 @@ class TestBatchedSearch:
         st.sampled_from(CONSTRAINTS),
     )
     def test_drawn_posteriors(self, etas, name, constraint):
-        assert_batch_matches_scalar(SEARCHED[name], etas, constraint)
+        assert_batch_matches_scalar(SEARCHED[name], etas, constraint, name in EXACT)
 
     def test_undeclared_limit_counts_only_under_weight(self):
         # L1 declares no limit at +inf, so that candidate is out wherever L1
@@ -523,6 +533,23 @@ class TestCStarCeiling:
         loss = SEARCHED["hinge"]
         risk = 0.5 * loss.pos.value_at_zero + 0.5 * loss.neg.value_at_zero
         assert oracle._c_star_ceiling(loss, np.array([0.5])).tolist() == [risk]
+
+    @pytest.mark.parametrize("last", [0.0, 1.0])
+    @pytest.mark.parametrize("shape", [(), (1,), (256,), (257,), (1000,), (40, 25)])
+    @pytest.mark.parametrize("name", ["hinge", "sigmoid", "inf-on-negatives"])
+    def test_blocks_give_the_one_matrix_ceiling(self, name, shape, last):
+        # Rows of weight 0 and 1 lead the first block and end the last one
+        # (a lone row ends it at n = 257); n = 1 is ``last`` alone.
+        loss = ROW_LOSSES[name]
+        etas = np.random.default_rng(7).uniform(0.0, 1.0, shape)
+        flat = etas.reshape(-1)
+        flat[[0, 1, -2, -1][-flat.size :]] = [0.0, 1.0, 1.0 - last, last][-flat.size :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pos, neg = (table[::16] for table in oracle._grid_tables(loss))
+            expected = oracle._mix(oracle._weights(etas[..., None]), pos, neg).min(axis=-1)
+        ceiling = oracle._c_star_ceiling(loss, etas)
+        assert ceiling.shape == etas.shape
+        assert ceiling.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("loss", [HALF_LINE, NAN_FAR])
     def test_none_where_a_grid_table_holds_a_nan(self, loss):
