@@ -106,10 +106,20 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 def _partial(family: str, c: float, s: float | None):
     """The family's partial c * phi(t), or c * phi(s * t) for a given s, as
-    one closure (the float golden section calls it at every step), for a
-    float or an ndarray score.  ``c`` is positive.  A Python float score
-    whose loss overflows gives +inf, with no OverflowError and no numpy
-    warning; a numpy scalar keeps numpy's rules."""
+    one closure, for a float or an ndarray score.  ``c`` is positive.  A
+    Python float score gets a Python float, and one whose loss overflows
+    gives +inf, with no OverflowError and no numpy warning; a numpy scalar
+    keeps numpy's rules.
+
+    Each family's float arithmetic lives twice in this module: here, and
+    in its fused risk kernel (``_FUSED``), which repeats these operations
+    in their order.  The closure carries ``fused``, a descriptor ``(code,
+    kernel, c, s)``: the closure's own code, the kernel, and its c and s,
+    1.0 for None (1.0 * t is t, bit for bit).  By it the float search finds
+    the kernel from the partial itself; a wrapper around the closure has
+    other code, and is searched through its own calls."""
+    c = float(c)  # a numpy scalar or an int has the float's bits, not its rules
+    s = None if s is None else float(s)
     if family == "hinge":
         # A float skips the ufunc: ``0.0 if d < 0.0 else d`` is max(d, 0.0),
         # so ``np.maximum``'s bits, for every d, NaN included.
@@ -148,8 +158,70 @@ def _partial(family: str, c: float, s: float | None):
                 return c * (1.0 / (1.0 + math.exp(u)))
             except OverflowError:
                 return 0.0
+    fn.fused = fn.__code__, _FUSED[family], c, 1.0 if s is None else s
     return fn
 
+
+# The fused risk kernels: for a posterior 0 < eta < 1 and two partials'
+# (c, s), the closure t -> eta * (c1 * phi(s1 * t)) + (1 - eta) * (c2 *
+# phi(s2 * t)) on a Python float score, each partial's float path as in
+# ``_partial``, so the risk has the bits of the two partials mixed.
+
+
+def _hinge_risk(eta, c1, s1, c2, s2):
+    w = 1.0 - eta
+
+    def risk(t):
+        d, e = 1.0 - s1 * t, 1.0 - s2 * t
+        return eta * (c1 * (0.0 if d < 0.0 else d)) + w * (c2 * (0.0 if e < 0.0 else e))
+
+    return risk
+
+
+def _squared_risk(eta, c1, s1, c2, s2):
+    w = 1.0 - eta
+
+    def risk(t):
+        d, e = 1.0 - s1 * t, 1.0 - s2 * t
+        return eta * (c1 * (d * d)) + w * (c2 * (e * e))
+
+    return risk
+
+
+def _exponential_risk(eta, c1, s1, c2, s2, exp=np.exp, inf=math.inf, low=-_LOG_MAX):
+    w = 1.0 - eta
+
+    def risk(t):
+        u, v = s1 * t, s2 * t
+        p = inf if u < low else c1 * float(exp(-u))
+        return eta * p + w * (inf if v < low else c2 * float(exp(-v)))
+
+    return risk
+
+
+def _sigmoid_risk(eta, c1, s1, c2, s2, exp=math.exp):
+    w = 1.0 - eta
+
+    def risk(t):
+        try:
+            p = c1 * (1.0 / (1.0 + exp(s1 * t)))
+        except OverflowError:
+            p = 0.0
+        try:
+            n = c2 * (1.0 / (1.0 + exp(s2 * t)))
+        except OverflowError:
+            n = 0.0
+        return eta * p + w * n
+
+    return risk
+
+
+_FUSED = {
+    "hinge": _hinge_risk,
+    "squared": _squared_risk,
+    "exponential": _exponential_risk,
+    "sigmoid": _sigmoid_risk,
+}
 
 _LOGISTIC = _partial("sigmoid", 1.0, None)  # 1.0 * phi has phi's bits
 

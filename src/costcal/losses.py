@@ -98,10 +98,12 @@ class Loss:
 
     @cached_property
     def _search_state(self) -> list:
-        """``[tables, slots]``: the partials' grid values, None until the
-        first search makes them, and the last float search per constraint
-        code, ``(posterior, SearchResult)`` or None, indexed by the code."""
-        return [None, [None, None, None]]
+        """``[tables, slots, plans]``: the partials' grid values, None until
+        the first search makes them; the last float search per constraint
+        code, ``(posterior, SearchResult)`` or None; and what a float search
+        reads of the loss per code, None until its first one.  The last two
+        are indexed by the code."""
+        return [None, [None, None, None], [None, None, None]]
 
 
 @dataclass(frozen=True)
@@ -136,8 +138,12 @@ def _check_eta(eta) -> None:
     if isinstance(eta, np.ndarray):
         if not np.all((eta >= 0.0) & (eta <= 1.0)):
             raise DomainError("eta must lie in [0, 1]")
-    elif not 0.0 <= eta <= 1.0:
-        raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        return
+    try:
+        if not 0.0 <= eta <= 1.0:
+            raise DomainError(f"eta must lie in [0, 1], got {eta}")
+    except TypeError:  # a list, a str, None: no number to compare
+        raise DomainError(f"eta must be a number or an ndarray, got {eta!r}") from None
 
 
 def _check_score(t: float) -> None:

@@ -15,6 +15,7 @@ also here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,15 +59,16 @@ _STOP = np.array([len(_GRID), len(_GRID), _ZERO + 1])
 def _grid_tables(loss: Loss) -> tuple[np.ndarray, np.ndarray]:
     """Each partial's ``fn`` on the whole of ``_GRID``, read-only, made by
     the loss's first search and kept on the loss (``Loss._search_state``);
-    a search slices its admissible columns out of them.  Runs under the
-    search's ``np.errstate``: a partial defined on one half-line only may be
-    NaN on the other, which no search on its half-line reads."""
+    a search slices its admissible columns out of them.  Made under
+    ``np.errstate``: a partial defined on one half-line only may be NaN on
+    the other, which no search on its half-line reads."""
     state = loss._search_state
     if state[0] is None:
-        state[0] = tuple(
-            np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
-            for partial in (loss.pos, loss.neg)
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            state[0] = tuple(
+                np.broadcast_to(np.asarray(partial.fn(_GRID), dtype=float), _GRID.shape)
+                for partial in (loss.pos, loss.neg)
+            )
     return state[0]
 
 
@@ -129,32 +131,65 @@ def _mix(weights, pos, neg, out=None) -> np.ndarray:
     return risks
 
 
-def _golden_section(pos, neg, eta: float, a: float, b: float):
-    """Minimize the conditional risk, unimodal on [a, b]; returns (arg,
-    value).  The partials' ``fn`` get Python floats, and their mix is
-    ``conditional_risk``'s arithmetic, inline: a partial of weight 0 is not
-    evaluated (0 * inf = 0), so at eta = 0 or 1 the other is the risk."""
-    w = 1.0 - eta
-    mixed = 0.0 < eta < 1.0
-    one = neg if eta == 0.0 else pos
+def _golden_section(risk, a: float, b: float):
+    """Minimize ``risk``, a callable of a float score (``_float_risk``),
+    unimodal on [a, b]; returns (arg, value).  The one float loop: every
+    search, of a family's partials or of any others, runs here."""
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
-    yc = eta * float(pos(c)) + w * float(neg(c)) if mixed else float(one(c))
-    yd = eta * float(pos(d)) + w * float(neg(d)) if mixed else float(one(d))
+    yc, yd = risk(c), risk(d)
     while h > _GOLDEN_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
             c = b - _INV_PHI * h
-            yc = eta * float(pos(c)) + w * float(neg(c)) if mixed else float(one(c))
+            yc = risk(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
             d = a + _INV_PHI * h
-            yd = eta * float(pos(d)) + w * float(neg(d)) if mixed else float(one(d))
+            yd = risk(d)
     x = c if yc < yd else d
     return x, min(yc, yd)
+
+
+def _float_risk(pos, neg, eta: float):
+    """The conditional risk at the float posterior ``eta`` as one callable
+    of a Python float score, and whether it is fused.  The partials ``pos``
+    and ``neg`` are ``fn``s, and the risk is ``conditional_risk``'s
+    arithmetic on their results: eta * pos(t) + (1 - eta) * neg(t), where a
+    partial of weight 0 is not evaluated (0 * inf = 0), so at eta = 0 or 1
+    the other is the risk.
+
+    Two partials of one uneven-margin family (``_fused``) get the family's
+    fused kernel: one call, the partials' own float operations in their
+    order, so the same bits, and no numpy warning.  Any other pair
+    (hand-built partials, scaled or wrapped ones) is composed from its two
+    calls, each result converted by ``float``; that may warn, so its
+    search runs under ``np.errstate``."""
+    one = neg if eta == 0.0 else pos if eta == 1.0 else None
+    if one is not None:
+        # A family partial gives a float score a Python float itself.
+        if _fused(one) is not None:
+            return one, True
+        return (lambda t: float(one(t))), False
+    mine, other = _fused(pos), _fused(neg)
+    if mine is not None and other is not None:
+        (_, kernel, c1, s1), (_, other_kernel, c2, s2) = mine, other
+        if kernel is other_kernel:
+            return kernel(eta, c1, s1, c2, s2), True
+    w = 1.0 - eta
+    return (lambda t: eta * float(pos(t)) + w * float(neg(t))), False
+
+
+def _fused(fn):
+    """The descriptor ``(code, kernel, c, s)`` that ``families._partial``
+    attaches to a family partial's ``fn`` as ``fused``, or None.  It names
+    its closure's code, so a wrapper that copied the attribute (as
+    ``functools.wraps`` does) gets None and keeps its own calls."""
+    fused = getattr(fn, "fused", None)
+    return fused if fused is not None and fused[0] is getattr(fn, "__code__", None) else None
 
 
 def _golden_section_rows(pos, neg, a: np.ndarray, b: np.ndarray, w: np.ndarray):
@@ -217,7 +252,10 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     where the partials give a float score the bits it gets inside an
     array, as the convex family partials do, and else up to rounding.  A
     float search returns Python floats (an infinite
-    ``arg`` is ``math.inf``).
+    ``arg`` is ``math.inf``).  Its golden section calls one risk per step:
+    for two partials of one family, the family's fused kernel, whose float
+    arithmetic lives in ``families`` beside the partials' own and gives
+    their bits mixed; for any other pair, the two ``fn`` composed.
 
     Raises ``DomainError``, naming the posterior, where the risk is NaN at
     the grid argmin or the refined point (a partial of weight 0 is unread).
@@ -234,10 +272,14 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
 def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
     """``brute_force_min``'s search at the float posterior ``eta`` under the
     constraint ``code``, returned from the loss's slot for ``code`` where
-    that holds a search at ``eta``.  ``eta`` must lie in [0, 1]."""
-    # The golden section runs on Python floats, whose arithmetic is numpy's
-    # without its per-operation dispatch: the posterior, the bracket ends
-    # and the grid's best point are converted once.
+    that holds a search at ``eta``.  ``eta`` must lie in [0, 1].
+
+    The golden section runs on Python floats, whose arithmetic is numpy's
+    without its per-operation dispatch, through one risk callable
+    (``_float_risk``): a family's fused kernel, which gives the bits of its
+    two partials mixed, or any other pair's two calls composed.  The
+    constraint's columns, bracket scores and limits come from the loss's
+    plan (``_float_plan``)."""
     eta = float(eta)
     # The loss's last search under this constraint, if at this posterior.
     # -0.0 shares 0.0's slot: their searches are the same, bit for bit.
@@ -245,36 +287,27 @@ def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
     last = slots[code]
     if last is not None and last[0] == eta:
         return last[1]
-    # A partial past the float range is +inf, its correctly rounded value,
-    # which the search handles, and a NaN risk raises below: numpy's
-    # overflow and invalid-value warnings add nothing.
-    with np.errstate(over="ignore", invalid="ignore"):
-        columns = slice(_START[code], _STOP[code])
-        ts = _GRID[columns]
-        pos_vals, neg_vals = (table[columns] for table in _grid_tables(loss))
-        # A partial of weight 0 contributes 0, even where it is infinite.
-        if eta == 0.0:
-            risks = neg_vals
-        elif eta == 1.0:
-            risks = pos_vals
-        else:
-            risks = eta * pos_vals + (1.0 - eta) * neg_vals
-        i = int(risks.argmin())
-        lo = float(ts[max(i - 1, 0)])
-        hi = float(ts[min(i + 1, len(ts) - 1)])
-        best_t, best_v = _golden_section(loss.pos.fn, loss.neg.fn, eta, lo, hi)
-    grid_v = float(risks[i])
+    pos_vals, neg_vals, quiet, limits = _float_plan(loss, code)
+    risk, fused = _float_risk(loss.pos.fn, loss.neg.fn, eta)
+    ts = _GRID_FLOATS[code]
+    if quiet and fused:
+        grid_t, grid_v, best_t, best_v = _grid_and_golden(risk, eta, pos_vals, neg_vals, ts)
+    else:
+        # A partial past the float range is +inf, its correctly rounded
+        # value, which the search handles, and a NaN risk raises below:
+        # numpy's overflow and invalid-value warnings add nothing.
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid_t, grid_v, best_t, best_v = _grid_and_golden(risk, eta, pos_vals, neg_vals, ts)
     if grid_v < best_v:
-        best_t, best_v = float(ts[i]), grid_v
+        best_t, best_v = grid_t, grid_v
     elif not best_v <= grid_v:  # one is NaN: argmin picks a NaN wherever the row holds one
         raise DomainError(f"the conditional risk is NaN at eta={eta!r}")
 
-    for t, admitted in ((-math.inf, code <= 0), (math.inf, code >= 0)):
-        if not admitted:
-            continue
+    w = 1.0 - eta
+    for t, declared in limits:
         # conditional_risk's arithmetic on the declared limits.
         v = 0.0
-        for weight, limit in zip((eta, 1.0 - eta), _limits(loss, t)):
+        for weight, limit in zip((eta, w), declared):
             if weight != 0.0:
                 v += weight * limit
         # Ties go to the limit: it attains the same infimum and marks
@@ -284,6 +317,50 @@ def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
     result = SearchResult(arg=best_t, value=best_v)
     slots[code] = eta, result
     return result
+
+
+#: Each constraint code's admissible scores of ``_GRID`` as Python floats,
+#: indexed by the code: the float search's bracket ends and grid points.
+_GRID_FLOATS = [_GRID[_START[c] : _STOP[c]].tolist() for c in (0, 1, -1)]
+#: A grid table whose values all lie below this in magnitude mixes with no
+#: overflow and no invalid value: each term is at most its partial.
+_QUIET = sys.float_info.max / 2.0
+
+
+def _float_plan(loss: Loss, code: int) -> tuple:
+    """What a float search under the constraint ``code`` reads of the loss,
+    made by its first such search and kept on the loss next to the grid
+    tables (``Loss._search_state``): the tables' admissible columns;
+    whether they mix quietly (every value finite and under ``_QUIET``, so
+    no NaN, infinity or overflow can warn); and the admissible infinite
+    scores with the partials' declared limits there, in the order they
+    compete."""
+    plans = loss._search_state[2]
+    plan = plans[code]
+    if plan is None:
+        columns = slice(_START[code], _STOP[code])
+        tables = [table[columns] for table in _grid_tables(loss)]
+        quiet = all(bool((np.abs(table) < _QUIET).all()) for table in tables)
+        admitted = ((-math.inf, code <= 0), (math.inf, code >= 0))
+        limits = [(t, _limits(loss, t)) for t, ok in admitted if ok]
+        plan = plans[code] = (*tables, quiet, limits)
+    return plan
+
+
+def _grid_and_golden(risk, eta: float, pos_vals, neg_vals, ts: list):
+    """The float search's grid pass over the admissible columns, mixed as
+    in ``conditional_risk`` (a partial of weight 0 contributes 0, even
+    where it is infinite), and its golden section around the grid argmin.
+    Returns the grid's best score and risk, and the refined ones."""
+    if eta == 0.0:
+        risks = neg_vals
+    elif eta == 1.0:
+        risks = pos_vals
+    else:
+        risks = eta * pos_vals + (1.0 - eta) * neg_vals
+    i = int(risks.argmin())
+    best_t, best_v = _golden_section(risk, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
+    return ts[i], risks.item(i), best_t, best_v
 
 
 def _limits(loss: Loss, t: float) -> list:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costcal import UnevenMarginSpec, make_uneven_loss
-from costcal.oracle import _GRID
+from costcal.oracle import _GRID, _float_risk
 
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -174,3 +174,62 @@ def test_float_scores_get_their_array_bits(family, gamma):
 def test_drawn_float_scores_get_their_array_bits(family, gamma, scores):
     for spec in specs(family, gamma):
         assert_float_gets_array_bits(spec, np.array(scores))
+
+
+#: Posteriors of the fused kernel tests: the edges, the least subnormal, a
+#: point inside each edge, and two inner posteriors.
+FUSED_ETAS = [0.0, 5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0]
+FUSED_SCORES = np.concatenate([_GRID, DRAWN_SCORES]).tolist()
+
+
+def assert_fused_matches_composed(spec, etas, scores):
+    """The family's fused risk against its partials composed, bit for bit:
+    a Python float for each score, with no numpy warning.
+    The reference is the risk any pair that is not one family's gets: each
+    partial's float call converted by ``float``, then eta * pos + (1 - eta)
+    * neg, or the one partial of nonzero weight."""
+    loss = make_uneven_loss(spec)
+    with np.errstate(all="ignore"):
+        pos, neg = ([float(fn(t)) for t in scores] for fn in (loss.pos.fn, loss.neg.fn))
+    for eta in etas:
+        risk, fused = _float_risk(loss.pos.fn, loss.neg.fn, eta)
+        assert fused, (spec, eta)
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = [risk(t) for t in scores]
+        assert all(type(v) is float for v in got), (spec, eta)
+        w = 1.0 - eta
+        want = neg if eta == 0.0 else pos if eta == 1.0 else [
+            eta * p + w * n for p, n in zip(pos, neg)
+        ]
+        if np.array(got).tobytes() != np.array(want).tobytes():  # named by float.hex
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), (spec, eta)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.25, 4.0, 1e3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fused_risk_has_the_composed_partials_bits(family, gamma):
+    for spec in specs(family, gamma):
+        assert_fused_matches_composed(spec, FUSED_ETAS, FUSED_SCORES)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(FAMILIES),
+    st.floats(1e-3, 1e3),
+    st.booleans(),
+    st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
+    st.one_of(st.sampled_from(FUSED_ETAS), st.floats(0.0, 1.0)),
+    st.lists(st.floats(), min_size=1, max_size=20),
+)
+def test_drawn_fused_risks_have_the_composed_partials_bits(
+    family, gamma, calibrated, alpha_weight, eta, scores
+):
+    spec = UnevenMarginSpec(family, 1.0 / gamma if calibrated else 0.7, gamma, alpha_weight)
+    assert_fused_matches_composed(spec, [eta], scores)
+
+
+def test_partials_of_two_families_are_composed():
+    hinge, squared = (make_uneven_loss(UnevenMarginSpec(f, 0.7, 2.0)) for f in ("hinge", "squared"))
+    assert not _float_risk(hinge.pos.fn, squared.neg.fn, 0.3)[1]
+    assert _float_risk(squared.neg.fn, squared.pos.fn, 0.3)[1]

@@ -84,6 +84,25 @@ class TestConditionalRisk:
         with pytest.raises(DomainError):
             conditional_risk(loss, 1.2, 0.0)
 
+
+class TestPosteriorThatIsNoNumber:
+    """A posterior that is neither a number nor an ndarray raises
+    ``DomainError``, not the comparison's ``TypeError``."""
+
+    @pytest.mark.parametrize("eta", [[0.2, 0.4], "0.3", None])
+    @pytest.mark.parametrize("tagged", [True, False])
+    def test_optima_and_gap_raise_domain_error(self, eta, tagged):
+        loss, cost = uneven("hinge", gamma=2.0), CostParam(0.3)
+        loss = loss if tagged else untagged(loss)
+        requests = (
+            lambda: optimal_conditional_risk(loss, eta),
+            lambda: constrained_optimal_risk(loss, cost, eta),
+            lambda: h_alpha(loss, cost, eta),
+        )
+        for request in requests:
+            with pytest.raises(DomainError, match="must be a number or an ndarray"):
+                request()
+
     @pytest.mark.parametrize("t", [math.nan, np.float64(math.nan)])
     def test_rejects_nan_score(self, t):
         loss = uneven("hinge", gamma=1.0)

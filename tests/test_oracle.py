@@ -1,5 +1,6 @@
 """Brute-force search, finite differences, empirical regrets, and fuzzing."""
 
+import functools
 import gc
 import math
 import warnings
@@ -667,13 +668,14 @@ def cold_search(loss, eta, constraint):
 
 
 def golden_section_runs(monkeypatch) -> list:
-    """A spy on the float golden section: one entry per run, its bracket."""
+    """A spy on the float golden section, the one loop every float search
+    runs: one entry per run, its bracket."""
     runs = []
     golden = oracle._golden_section
 
-    def spy(pos, neg, eta, a, b):
+    def spy(risk, a, b):
         runs.append((a, b))
-        return golden(pos, neg, eta, a, b)
+        return golden(risk, a, b)
 
     monkeypatch.setattr(oracle, "_golden_section", spy)
     return runs
@@ -803,6 +805,42 @@ class TestSearchStateIsNoField:
         assert bits(*brute_force_min(copy, 0.3, constraint)) == searched
         assert len(runs) == 1
         assert copy._search_state[0][0] is not loss._search_state[0][0]
+
+
+class TestFusedRisk:
+    """The fused kernel is found from the partials' ``fn`` alone."""
+
+    # A wrapper made by functools.wraps copies the partial's attributes.
+    @pytest.mark.parametrize("copies_attributes", [False, True])
+    @pytest.mark.parametrize("eta", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_a_replaced_partial_is_searched_through_its_own_fn(
+        self, constraint, eta, copies_attributes
+    ):
+        loss = replace(SEARCHED["exponential"])
+        calls = []
+
+        def shifted(t, fn=loss.pos.fn):
+            calls.append(t)
+            return fn(t - 0.5)
+
+        if copies_attributes:
+            shifted = functools.wraps(loss.pos.fn)(shifted)
+            assert shifted.fused is loss.pos.fn.fused
+        copy = replace(loss, pos=replace(loss.pos, fn=shifted))
+        assert not oracle._float_risk(copy.pos.fn, copy.neg.fn, 0.3)[1]
+        result = brute_force_min(copy, eta, constraint)
+        # The grid table, then one call per golden-section step, except at
+        # eta = 0, where the shifted partial has weight 0 and is not read.
+        singles = [t for t in calls if not isinstance(t, np.ndarray)]
+        assert len(calls) == 1 + len(singles) and (eta == 0.0) == (singles == [])
+        assert bits(*result) == bits(*loop_search(copy, eta, constraint, mixed_partials))
+        if eta == 0.3:  # inside, where the shift moves the optimum
+            assert bits(*result) != bits(*brute_force_min(loss, eta, constraint))
+
+    def test_a_family_pair_searched_untagged_is_fused(self):
+        loss = SEARCHED["sigmoid-gamma3"]
+        assert loss.family is None and oracle._float_risk(loss.pos.fn, loss.neg.fn, 0.3)[1]
 
 
 def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
