@@ -31,7 +31,14 @@ from .curves import (
 from .errors import DomainError, PreconditionError, VacuousBoundError
 from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
 from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test
-from .oracle import DecisionAssignment, FiniteDistribution, _optima, empirical_regrets, h_alpha
+from .oracle import (
+    _FIRST_SEARCHED,
+    DecisionAssignment,
+    FiniteDistribution,
+    _optima,
+    empirical_regrets,
+    h_alpha,
+)
 
 __all__ = [
     "CalibrationReport",
@@ -47,14 +54,11 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 DEFAULT_TOLERANCE = 1e-9
-#: Coarse posteriors a floored numeric verdict searches first, those of
-#: least gap floor: their gaps set the threshold that rules out the rest.
-_FIRST_SEARCHED = 4
 #: The most posteriors a floored round searches as float searches, one
-#: each; a larger round is one row search.  A float gap took 40-80 us and
-#: a row search on 4-32 rows 1.6-2.1 ms, so floats were cheaper up to about
-#: 48 rows for the hinge and the squared loss and 25 for the exponential
-#: (shared 2-core x86-64, Python 3.11, numpy 2.4).
+#: each, where C^- is closed; a larger round is one row search.  A float
+#: gap took 40-80 us and a row search on 4-32 rows 1.6-2.1 ms, so floats
+#: were cheaper up to about 48 rows for the hinge and the squared loss and
+#: 25 for the exponential (shared 2-core x86-64, Python 3.11, numpy 2.4).
 _FLOAT_ROUND = 32
 
 
@@ -119,21 +123,28 @@ def check_calibrated_numeric(
 
     The report reads two things off the coarse grid: which gaps are at or
     under the tolerance, and the first least gap.  So only the posteriors
-    that can decide those are searched (``_coarse_gaps``).  Where C^- is
-    closed and C* searched, the chooser gives each posterior a floor on
-    its gap, no larger than the gap itself, bit for bit; a posterior whose
-    floor lies above both the tolerance and a gap already found is never
-    searched.  A round of at most ``_FLOAT_ROUND`` posteriors runs as
-    float searches, a larger one as one array call.  Elsewhere one array
-    call serves every coarse posterior.  The report, and any
-    error raised, are those of searching them all: the convex family
-    partials give a float score the bits that score gets inside an array,
-    so a float search returns the row search's result.  A hand-built
-    partial whose float and array results differ agrees only to rounding.
-    One case differs: a partial that is NaN only strictly between two
-    grid scores, and is read only at posteriors the floor rules out, is
-    no longer read, so no error is raised.  A NaN at a grid score still
-    takes the full path.
+    that can decide those are searched (``_coarse_gaps``).  Wherever C* is
+    searched and the search has a ceiling on it, the chooser gives each
+    posterior a floor on its gap, no larger than the gap itself, bit for
+    bit; a posterior whose floor lies above both the tolerance and a gap
+    already found has its C* never searched.  Where C^- is closed, a round
+    of at most ``_FLOAT_ROUND`` posteriors runs as float searches, a
+    larger one as one array call.  Where C^- is searched too (the
+    sigmoid, or a convex loss the derivative test does not call
+    calibrated), one array call searches C^- at every coarse posterior
+    and C* at the ``_FIRST_SEARCHED`` nearest alpha, and each later round
+    is one array call of C*.  Elsewhere one array call serves every coarse
+    posterior.  The report, and any error raised, are those of searching
+    them all: rows of an array search are independent, and the convex
+    family partials give a float score the bits that score gets inside an
+    array, so a float search returns the row search's result.  A
+    hand-built partial whose float and array results differ agrees only
+    to rounding.  One case differs: a partial that is NaN only strictly
+    between two grid scores, and is read only by C* searches the floor
+    rules out, is no longer read, so no error is raised.  A NaN at a grid
+    score still takes the full path.  A ``DomainError`` in the refinement
+    pass first re-runs the search on every coarse posterior, so the error
+    names the posterior the full search names.
     """
     _check_grid_size(grid_size)
     if not 0.0 <= tolerance < math.inf:
@@ -151,7 +162,13 @@ def check_calibrated_numeric(
         step = 1.0 / (grid_size - 1)
         near = np.linspace(np.maximum(bad - step, 0.0), np.minimum(bad + step, 1.0), 21, axis=1)
         near = near[np.abs(near - alpha) > radius / 10.0]
-        refined = h_alpha(loss, cost, near)
+        try:
+            refined = h_alpha(loss, cost, near)
+        except DomainError:
+            # The full search reads every coarse posterior first, and
+            # raises at the first that reads a NaN, if any does.
+            h_alpha(loss, cost, etas)
+            raise
         low = refined <= tolerance
         near, refined = near[low], refined[low]
         order = np.argsort(refined, kind="stable")
@@ -175,36 +192,52 @@ def _coarse_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: float
     verdict, +inf at the rest: every gap at or under ``tolerance`` is
     exact, and so is the first least gap.
 
-    Without a floor on the gaps (``_optima``), one call searches them all.
-    With one, the posteriors of least floor are searched first; then, until
-    none is left, every other posterior whose floor is not above
-    t = max(least gap found, tolerance).  A posterior never searched has a
-    gap at or above its floor, so above t: neither under the tolerance nor
-    least.  A NaN floor, or a NaN gap found, searches all that are left.
+    Without a floor on the gaps (``_optima``'s ``_GapFloor``), one call
+    searches them all.  With one, a first round of ``_FIRST_SEARCHED``
+    posteriors is searched: where C^- is closed, those of least floor;
+    where it is searched, those nearest alpha, in the floor's own search.
+    Then, until none is left, every other posterior whose floor is not
+    above t = max(least gap found, tolerance) is searched.  A posterior
+    never searched has a gap at or above its floor, so above t: neither
+    under the tolerance nor least.  A NaN floor, or a NaN gap found,
+    searches all that are left.
 
-    A round of at most ``_FLOAT_ROUND`` posteriors, as the first always
-    is, calls the float ``h_alpha`` once per posterior; a larger one, and
-    the search without a floor, make one array call.  Both give the gaps
-    the array search gives where the partials' float and array results
-    agree bit for bit, as every family partial's but the sigmoid's do
-    (the sigmoid's C^- is searched, so it has no floor).  A
-    ``DomainError`` in any round re-runs the array search on every
-    posterior, which names the first that reads a NaN."""
-    floor = _optima(loss, cost, etas, gap=True, floor=True)
-    if floor is None:
+    Where C^- is searched, each round is one row search of C*, its gaps
+    taken against the C^- the floor kept: the sigmoid's float partial uses
+    libm's ``exp``, so a float search would not give the row search's
+    bits.  Where C^- is closed, a round of at most ``_FLOAT_ROUND``
+    posteriors, as the first always is, calls the float ``h_alpha`` once
+    per posterior, and a larger one makes one array call; both give the
+    gaps the array search gives where the partials' float and array
+    results agree bit for bit, as every convex family partial's do.  A
+    ``DomainError`` anywhere re-runs the array search on every posterior,
+    which names the first that reads a NaN.  A partial that is NaN only
+    strictly between two grid scores, read only by a C* search the floor
+    rules out, is no longer read, so no error is raised."""
+    try:
+        found = _optima(loss, cost, etas, gap=True, floor=True)
+    except DomainError:  # the full search names the first posterior that reads a NaN
+        found = None
+    if found is None:
         return h_alpha(loss, cost, etas)
+    floor, c_minus, first = found
     gaps = np.full(etas.shape, np.inf)
     left = np.ones(etas.shape, dtype=bool)
-    rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
+    if c_minus is None:
+        rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
+    else:  # searched with the floor, which is their gap
+        gaps[first], left[first] = floor[first], False
+        rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
     try:
         while rows.size:
-            if rows.size > _FLOAT_ROUND:
+            if c_minus is not None:
+                gaps[rows] = _optima(loss, cost, etas[rows], gap=True, c_minus=c_minus[rows])
+            elif rows.size > _FLOAT_ROUND:
                 gaps[rows] = h_alpha(loss, cost, etas[rows])
             else:
                 gaps[rows] = [h_alpha(loss, cost, eta) for eta in etas[rows].tolist()]
             left[rows] = False
-            threshold = max(gaps.min(), tolerance)
-            rows = np.flatnonzero(left & ~(floor > threshold))
+            rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
     except DomainError:
         # A NaN risk off the grid scores: the full search names the first
         # posterior that reads one.

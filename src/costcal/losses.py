@@ -147,8 +147,11 @@ def _check_eta(eta) -> None:
 
 
 def _check_score(t: float) -> None:
-    if math.isnan(t):
-        raise DomainError("score must not be NaN")
+    try:
+        if math.isnan(t):
+            raise DomainError("score must not be NaN")
+    except TypeError:  # None, a str: no number to test
+        raise DomainError(f"score must be a number, got {t!r}") from None
 
 
 def conditional_risk(loss: Loss, eta: float, t: float) -> float:

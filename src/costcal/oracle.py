@@ -82,11 +82,15 @@ class FiniteDistribution:
         if not self.atoms:
             raise DomainError("distribution needs at least one atom")
         total = 0.0
-        for mass, eta in self.atoms:
-            if not mass > 0.0:  # NaN too
-                raise DomainError(f"masses must be positive, got {mass}")
-            if not 0.0 <= eta <= 1.0:
-                raise DomainError(f"eta must lie in [0, 1], got {eta}")
+        for atom in self.atoms:
+            try:
+                mass, eta = atom
+                if not mass > 0.0:  # NaN too
+                    raise DomainError(f"masses must be positive, got {mass}")
+                if not 0.0 <= eta <= 1.0:
+                    raise DomainError(f"eta must lie in [0, 1], got {eta}")
+            except TypeError:  # None, a str: no number to compare
+                raise DomainError(f"atoms must be (mass, eta) numbers, got {atom!r}") from None
             total += mass
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"masses must sum to 1, got {total}")
@@ -460,6 +464,9 @@ def _c_star_ceiling(loss: Loss, eta: np.ndarray) -> np.ndarray | None:
 
     None where a grid table holds a NaN or -inf: a mix could then be NaN,
     and a search that reads it raises, which the full search must report.
+    A NaN strictly between grid scores stays unseen here: read only by a
+    C* search that the floor this ceiling gives rules out, it is no longer
+    read, and no error is raised.
 
     The mix runs in blocks of ``_CEILING_ROWS`` posteriors, into one pair
     of buffers reused across blocks (as the grid pass's are)."""
@@ -545,21 +552,58 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
     return None if loss.family is None else loss.family.c_minus(cost, eta)
 
 
-def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False, floor: bool = False):
+#: Posteriors whose gaps a floored numeric verdict searches first: those
+#: of least floor where C^- is closed, and where it is searched, those
+#: nearest alpha, in the floor's own search.  Their gaps set the
+#: threshold that rules out the rest.
+_FIRST_SEARCHED = 4
+
+
+class _GapFloor(NamedTuple):
+    """``_optima``'s floor on the gaps at an array of posteriors."""
+
+    #: At most each posterior's ``h_alpha``, bit for bit; the gap itself
+    #: at the posteriors of ``first``.
+    floor: np.ndarray
+    #: The searched C^- at each posterior, kept for the gaps (0 at alpha);
+    #: None where C^- is closed.
+    c_minus: np.ndarray | None
+    #: The posteriors whose C* was searched with C^-, or None where C^- is
+    #: closed.
+    first: np.ndarray | None
+
+
+def _optima(
+    loss: Loss,
+    cost: CostParam | None,
+    eta,
+    gap: bool = False,
+    floor: bool = False,
+    c_minus: np.ndarray | None = None,
+):
     """The one place that chooses closed form or search.
 
     Returns C*(eta) for ``cost`` None, and C^-(eta) for a cost, which is
     C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
-    0, and 0 at alpha.
+    0, and 0 at alpha.  ``c_minus``, for ``gap`` on an array, holds C^-
+    already searched at each posterior (a ``_GapFloor``'s), which the gap
+    takes in place of its own: only C* is then searched.
 
-    With ``gap`` and ``floor``, on an array and a cost, returns a floor on
-    each posterior's ``h_alpha``, or None.  There is one only where C^- is
-    closed and C* is searched (a closed C* makes the gap itself cheaper
-    than a floor): the gap's own arithmetic with the search's ceiling on
-    the searched C* (``_c_star_ceiling``) in its place, or None where the
-    search has no ceiling.  IEEE subtraction and the clamp are monotone,
-    so each floor is at most the gap ``h_alpha`` returns, bit for bit,
-    and a NaN gap's floor is NaN or 0.
+    With ``gap`` and ``floor``, on a 1-D array and a cost, returns a
+    ``_GapFloor``, or None.  There is none where a closed C* serves (it
+    makes the gap itself cheaper than a floor), or where the search has
+    no ceiling on C* (``_c_star_ceiling``).  Otherwise the floor is the
+    gap's own arithmetic with that ceiling in the place of C*.  IEEE
+    subtraction and the clamp are monotone, so each floor is at most the
+    gap ``h_alpha`` returns, bit for bit, and a NaN gap's floor is NaN or
+    0.  Where C^- is searched, one ``_search_rows`` call serves C^- at
+    every posterior off alpha and C* at the ``_FIRST_SEARCHED``
+    posteriors nearest alpha (``first``), whose floors are then their
+    gaps.  Rows of a row search are independent, so each value is the one
+    the full search returns.  A NaN risk strictly between two grid
+    scores, read only by a C* search that a caller skips on this floor,
+    is no longer read; a NaN at a grid score leaves no ceiling, so the
+    full search runs.
 
     A float runs one float search for each quantity no closed form
     serves.  An array runs the closed forms on the whole of it; whatever
@@ -590,16 +634,27 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False, floor: b
     if floor and loss.family is not None and loss.family.has_closed_forms:
         return None  # _closed serves C*
     at = eta == cost.alpha
-    c_minus = _closed(loss, cost, eta)
-    if gap:
-        if not floor:
-            c_star = _closed(loss, None, eta)
-        elif c_minus is None:
+    if c_minus is None:
+        c_minus = _closed(loss, cost, eta)
+    if gap and floor:
+        c_star = _c_star_ceiling(loss, eta)
+        if c_star is None:
             return None
-        else:
-            c_star = _c_star_ceiling(loss, eta)
-            if c_star is None:
-                return None
+        first = None
+        if c_minus is None:
+            # One search: C^- off alpha, then C* at the posteriors nearest alpha.
+            off = np.flatnonzero(~at)
+            nearest = np.argsort(np.abs(eta[off] - cost.alpha), kind="stable")
+            first = off[nearest[:_FIRST_SEARCHED]]
+            codes = np.concatenate([np.sign(cost.alpha - eta[off]), np.zeros(first.size)])
+            found = _search_rows(loss, eta[np.concatenate([off, first])], codes)[0].value
+            c_minus = np.zeros(eta.shape)
+            c_minus[off], c_star[first] = found[: off.size], found[off.size :]
+        h = c_minus - c_star
+        h = np.where((0.0 > h) | at, 0.0, h)
+        return _GapFloor(h, None if first is None else c_minus, first)
+    if gap:
+        c_star = _closed(loss, None, eta)
         if c_minus is None or c_star is None:
             # No row is searched at alpha: the gap is 0 there whatever the optima.
             off = ~at

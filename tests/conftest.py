@@ -6,10 +6,19 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from costcal import Knot, Loss, PartialLoss, SampledCurve, UnevenMarginSpec, make_uneven_loss
 from costcal.oracle import _GRID
+
+# Tier-1 draws the same examples on every run, and reads and writes no
+# example database, so a pass or a failure repeats.  CI also runs the
+# hypothesis tests with ``--hypothesis-profile=randomized``, which draws
+# fresh examples each time.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.register_profile("randomized", derandomize=False)
+settings.load_profile("deterministic")
 
 
 def uneven(

@@ -402,6 +402,15 @@ def verdict_requests(draw):
     return loss, CostParam(alpha), grid_size, draw(st.sampled_from([0.0, 1e-9, 1e-3]))
 
 
+#: Untagged convex members the derivative test does not call calibrated,
+#: so C^- is searched: (family, gamma, beta, alpha_weight, alpha).
+NOT_CALIBRATED_CONVEX = [
+    ("hinge", 2.0, 0.7, None, 0.3),
+    ("squared", 2.0, None, 0.3, 0.5),
+    ("exponential", 2.0, None, None, 0.8),
+]
+
+
 class TestBoundedCoarseSearch:
     """A numeric verdict searches only the coarse posteriors whose gap
     floor cannot rule them out, and reports exactly what searching them all
@@ -443,6 +452,7 @@ class TestBoundedCoarseSearch:
         request = loss, CostParam(calibrated_alpha(loss)), grid_size, tolerance
         assert verdict_outcome(*request) == full_search_outcome(*request)
 
+    @pytest.mark.parametrize("c_minus_searched", [False, True])
     @given(
         st.lists(
             st.tuples(
@@ -457,18 +467,38 @@ class TestBoundedCoarseSearch:
     # The least gap lies past the first round's least floors, above the tolerance.
     @example([(1.0, 0.0)] * 4 + [(0.5, 1.0)], 0.0)
     @settings(max_examples=200, deadline=None)
-    def test_rounds_keep_what_the_report_reads(self, rows, tolerance):
+    def test_rounds_keep_what_the_report_reads(self, c_minus_searched, rows, tolerance):
         # Drawn gaps, each with a floor no larger (NaN or 0 for a NaN gap):
         # the rounds leave every gap at or under the tolerance exact, and the
-        # first least gap where argmin finds it.
+        # first least gap where argmin finds it.  Where C^- is searched, the
+        # floor's own search gives the first posteriors their gaps, and it
+        # keeps C^- (here each posterior's index) for the rounds.
         gaps = np.array([gap for gap, _ in rows])
         floors = np.array(
             [(math.nan if share else 0.0) if math.isnan(gap) else gap * share if share else 0.0
              for gap, share in rows]
         )
-        with mock.patch.object(calibration, "_optima", lambda *args, **kwargs: floors), \
-                mock.patch.object(calibration, "h_alpha", lambda l, c, etas: gaps[np.asarray(etas).astype(int)]):
-            found = calibration._coarse_gaps(None, None, np.arange(len(gaps), dtype=float), tolerance)
+        etas = np.arange(len(gaps), dtype=float)
+        if c_minus_searched:
+            first = np.arange(len(gaps))[: calibration._FIRST_SEARCHED]
+            floors[first] = gaps[first]
+            found_floor = oracle._GapFloor(floors, etas.copy(), first)
+        else:
+            found_floor = oracle._GapFloor(floors, None, None)
+
+        def optima(loss, cost, etas, gap, floor=False, c_minus=None):
+            if floor:
+                return found_floor
+            assert c_minus_searched and (c_minus == etas).all()
+            return gaps[c_minus.astype(int)]
+
+        def h_alpha(loss, cost, etas):
+            assert not c_minus_searched
+            return gaps[np.asarray(etas).astype(int)]
+
+        with mock.patch.object(calibration, "_optima", optima), \
+                mock.patch.object(calibration, "h_alpha", h_alpha):
+            found = calibration._coarse_gaps(None, None, etas, tolerance)
         low = gaps <= tolerance
         assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
         i = gaps.argmin()
@@ -518,7 +548,7 @@ class TestBoundedCoarseSearch:
         request = loss, CostParam(calibrated_alpha(loss)), 1001, 1e-9
 
         def zero_floor(loss, cost, etas, **kwargs):  # the verdict reads only the floor
-            return np.zeros(etas.shape)
+            return oracle._GapFloor(np.zeros(etas.shape), None, None)
 
         monkeypatch.setattr(calibration, "_optima", zero_floor)
         calls, _, float_searches = self.searches(monkeypatch, *request[:2])
@@ -528,11 +558,44 @@ class TestBoundedCoarseSearch:
         with mock.patch.object(calibration, "_optima", zero_floor):
             assert verdict_outcome(*request) == full_search_outcome(*request)
 
-    def test_sigmoid_verdict_searches_every_coarse_posterior(self, monkeypatch):
-        # C^- is searched, so no floor bounds the gaps.
-        loss = untagged(uneven("sigmoid", gamma=3.0))
-        calls, _, float_searches = self.searches(monkeypatch, loss, CostParam(alpha_of_gamma(3.0)))
-        assert calls == [1000] and float_searches == []
+    @pytest.mark.parametrize("tagged, gamma", [(False, 3.0), (True, 0.5)])
+    def test_calibrated_sigmoid_verdict_is_one_row_search(self, monkeypatch, tagged, gamma):
+        # C^- is searched at every coarse posterior, and C* at the few
+        # nearest alpha in the same search; their gaps rule out the rest.
+        loss = uneven("sigmoid", gamma=gamma)
+        loss = loss if tagged else untagged(loss)
+        cost = CostParam(alpha_of_gamma(gamma))
+        calls, _, float_searches = self.searches(monkeypatch, loss, cost)
+        assert calls == [1000 + calibration._FIRST_SEARCHED] and float_searches == []
+
+    @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
+    def test_searched_c_minus_rounds_are_row_searches(
+        self, monkeypatch, family, gamma, beta, weight, alpha
+    ):
+        # Not calibrated: later rounds and the refinement pass search rows,
+        # never floats, since C^- comes from the floor's own search.
+        loss = untagged(uneven(family, gamma, beta, weight))
+        calls, _, float_searches = self.searches(monkeypatch, loss, CostParam(alpha))
+        assert calls[0] == 1000 + calibration._FIRST_SEARCHED and float_searches == []
+
+    @pytest.mark.parametrize("alpha", ["at", "below", "above", 0.3, 0.7])
+    @pytest.mark.parametrize("tagged", [False, True])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5, 3.0, 1e3])
+    def test_sigmoid_verdicts_as_the_full_search(self, gamma, tagged, alpha):
+        loss = uneven("sigmoid", gamma=gamma)
+        loss = loss if tagged else untagged(loss)
+        offset = {"at": 0.0, "below": -1e-4, "above": 1e-4}
+        alpha = alpha_of_gamma(gamma) + offset[alpha] if alpha in offset else alpha
+        request = loss, CostParam(alpha), 1001, 1e-9
+        assert verdict_outcome(*request) == full_search_outcome(*request)
+
+    @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
+    def test_not_calibrated_convex_verdicts_as_the_full_search(
+        self, family, gamma, beta, weight, alpha
+    ):
+        loss = untagged(uneven(family, gamma, beta, weight))
+        request = loss, CostParam(alpha), 1001, 1e-9
+        assert verdict_outcome(*request) == full_search_outcome(*request)
 
 
 class TestCheckCalibrated:

@@ -109,6 +109,13 @@ class TestPosteriorThatIsNoNumber:
         with pytest.raises(DomainError, match="NaN"):
             conditional_risk(loss, 0.3, t)
 
+    @pytest.mark.parametrize("t", [None, "0.3", [0.3]])
+    def test_score_that_is_no_number_raises_domain_error(self, t):
+        loss, cost = uneven("hinge", gamma=2.0), CostParam(0.3)
+        for request in (lambda: conditional_risk(loss, 0.3, t), lambda: cost_regret(cost, 0.2, t)):
+            with pytest.raises(DomainError, match="score must be a number"):
+                request()
+
     def test_undeclared_limit_raises(self):
         partial = PartialLoss(fn=lambda t: t * t, value_at_zero=0.0, is_convex=True)
         with pytest.raises(UnsupportedLimitError):
@@ -403,8 +410,9 @@ CHOOSER_BRANCHES = {
 
 
 class TestGapFloor:
-    """The chooser's floor on the gap: only where C^- is closed and C* is
-    searched, and never above the gap ``h_alpha`` returns."""
+    """The chooser's floor on the gap: only where C* is searched, never
+    above the gap ``h_alpha`` returns, and the gap itself at the
+    posteriors whose C* was searched with a searched C^-."""
 
     FLOORED = {
         "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4),
@@ -413,6 +421,8 @@ class TestGapFloor:
             untagged(uneven("exponential", gamma=0.25, beta=0.7, alpha_weight=0.3)),
             0.0525 / 0.7525,
         ),
+        "both searched": CHOOSER_BRANCHES["both searched"][:2],
+        "tagged sigmoid": (uneven("sigmoid", gamma=0.5), 0.6),
     }
 
     @settings(max_examples=30, deadline=None)
@@ -428,13 +438,34 @@ class TestGapFloor:
         loss, alpha = self.FLOORED[name]
         cost = CostParam(alpha)
         etas = np.array(etas + [alpha])
-        floor = _optima(loss, cost, etas, gap=True, floor=True)
-        assert (floor <= h_alpha(loss, cost, etas)).all()
+        found = _optima(loss, cost, etas, gap=True, floor=True)
+        gaps = h_alpha(loss, cost, etas)
+        assert (found.floor <= gaps).all()
+        if found.first is not None:
+            # The first posteriors are those nearest alpha, off it, with
+            # their gaps; C^- is kept as searched, and 0 at alpha.
+            off = np.flatnonzero(etas != alpha)
+            nearest = off[np.argsort(np.abs(etas[off] - alpha), kind="stable")]
+            nearest = nearest[: oracle._FIRST_SEARCHED]
+            assert found.first.tolist() == nearest.tolist()
+            assert found.floor[nearest].tobytes() == gaps[nearest].tobytes()
+            c_minus = np.where(etas == alpha, 0.0, constrained_optimal_risk(loss, cost, etas))
+            assert found.c_minus.tobytes() == c_minus.tobytes()
 
-    @pytest.mark.parametrize("branch", ["both closed", "C^- searched", "both searched"])
-    def test_none_unless_only_c_star_is_searched(self, branch):
+    @pytest.mark.parametrize("branch", ["both closed", "C^- searched"])
+    def test_none_where_c_star_is_closed(self, branch):
         loss, alpha, _, _ = CHOOSER_BRANCHES[branch]
         assert _optima(loss, CostParam(alpha), ETA_GRID, gap=True, floor=True) is None
+
+    @pytest.mark.parametrize("branch", ["C* searched", "both searched"])
+    def test_kept_c_minus_gives_the_gap(self, branch):
+        # The rounds' gaps: only C* searched, against the C^- the floor kept.
+        loss, alpha, _, _ = CHOOSER_BRANCHES[branch]
+        cost = CostParam(alpha)
+        etas = np.append(ETA_GRID, alpha)
+        kept = np.where(etas == alpha, 0.0, constrained_optimal_risk(loss, cost, etas))
+        gaps = _optima(loss, cost, etas, gap=True, c_minus=kept)
+        assert gaps.tobytes() == h_alpha(loss, cost, etas).tobytes()
 
 
 class TestFloatAndArrayRequests:

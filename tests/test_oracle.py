@@ -951,6 +951,13 @@ class TestFiniteDistribution:
         with pytest.raises(DomainError):
             FiniteDistribution(atoms)
 
+    @pytest.mark.parametrize(
+        "atoms", [((1.0, None),), ((None, 0.3),), (("1", 0.3),), ((0.5, 0.2), (0.5, "0.8"))]
+    )
+    def test_rejects_an_atom_that_is_no_number(self, atoms):
+        with pytest.raises(DomainError, match=r"atoms must be \(mass, eta\) numbers"):
+            FiniteDistribution(atoms)
+
 
 class TestEmpiricalRegrets:
     def test_single_atom_wrong_side(self):
@@ -981,6 +988,13 @@ class TestEmpiricalRegrets:
         loss = uneven("hinge", gamma=1.0, beta=1.0)
         with pytest.raises(DomainError):
             empirical_regrets(dist, DecisionAssignment((1.0, -1.0)), loss, CostParam(0.5))
+
+    @pytest.mark.parametrize("t", [None, "1.0"])
+    def test_score_that_is_no_number_rejected(self, t):
+        dist = FiniteDistribution(((0.5, 0.2), (0.5, 0.6)))
+        loss = uneven("hinge", gamma=1.0, beta=1.0)
+        with pytest.raises(DomainError, match="score must be a number"):
+            empirical_regrets(dist, DecisionAssignment((1.0, t)), loss, CostParam(0.3))
 
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.9])
     def test_nan_score_rejected(self, eta):
