@@ -19,7 +19,7 @@ import numpy as np
 from numpy import ndarray  # by name: looking up np.ndarray cost a fifth of a partial's float call
 
 from .errors import DomainError, UnsupportedFamilyError
-from .losses import CostParam, Loss, PartialLoss, _check_eta, theta_alpha
+from .losses import _GOLDEN_TOL, _INV_PHI, CostParam, Loss, PartialLoss, _check_eta, theta_alpha
 
 __all__ = [
     "FAMILIES",
@@ -112,12 +112,14 @@ def _partial(family: str, c: float, s: float | None):
     keeps numpy's rules.
 
     Each family's float arithmetic lives twice in this module: here, and
-    in its fused risk kernel (``_FUSED``), which repeats these operations
-    in their order.  The closure carries ``fused``, a descriptor ``(code,
-    kernel, c, s)``: the closure's own code, the kernel, and its c and s,
-    1.0 for None (1.0 * t is t, bit for bit).  By it the float search finds
-    the kernel from the partial itself; a wrapper around the closure has
-    other code, and is searched through its own calls."""
+    in its fused search (``_FUSED``), a golden section whose risk repeats
+    these operations in their order.  The closure carries ``fused``, a
+    descriptor ``(code, search, c, s)``: the closure's own code, the
+    family's fused search, and its c and s, 1.0 for None (1.0 * t is t,
+    bit for bit).  By it the oracle finds the search from the partials
+    themselves, once per loss, and keeps it with both partials' c and s;
+    a wrapper around the closure has other code, and is searched through
+    its own calls."""
     c = float(c)  # a numpy scalar or an int has the float's bits, not its rules
     s = None if s is None else float(s)
     if family == "hinge":
@@ -162,65 +164,151 @@ def _partial(family: str, c: float, s: float | None):
     return fn
 
 
-# The fused risk kernels: for a posterior 0 < eta < 1 and two partials'
-# (c, s), the closure t -> eta * (c1 * phi(s1 * t)) + (1 - eta) * (c2 *
-# phi(s2 * t)) on a Python float score, each partial's float path as in
-# ``_partial``, so the risk has the bits of the two partials mixed.
+# The fused searches: for a posterior 0 < eta < 1 and two partials' (c, s),
+# ``oracle._golden_section`` on the risk t -> eta * (c1 * phi(s1 * t)) +
+# (1 - eta) * (c2 * phi(s2 * t)) over the bracket [a, b], with that risk
+# written out at each point it evaluates, so no step makes a call.  Each
+# partial's float path is as in ``_partial``, so a risk has the bits of the
+# two partials mixed, and none warns.  Returns (arg, value).
 
 
-def _hinge_risk(eta, c1, s1, c2, s2):
+def _hinge_search(eta, c1, s1, c2, s2, a, b):
     w = 1.0 - eta
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    u, v = 1.0 - s1 * c, 1.0 - s2 * c
+    yc = eta * (c1 * (0.0 if u < 0.0 else u)) + w * (c2 * (0.0 if v < 0.0 else v))
+    u, v = 1.0 - s1 * d, 1.0 - s2 * d
+    yd = eta * (c1 * (0.0 if u < 0.0 else u)) + w * (c2 * (0.0 if v < 0.0 else v))
+    while h > _GOLDEN_TOL:
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = b - _INV_PHI * h
+            u, v = 1.0 - s1 * c, 1.0 - s2 * c
+            yc = eta * (c1 * (0.0 if u < 0.0 else u)) + w * (c2 * (0.0 if v < 0.0 else v))
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INV_PHI * h
+            u, v = 1.0 - s1 * d, 1.0 - s2 * d
+            yd = eta * (c1 * (0.0 if u < 0.0 else u)) + w * (c2 * (0.0 if v < 0.0 else v))
+    return (c if yc < yd else d), min(yc, yd)
 
-    def risk(t):
-        d, e = 1.0 - s1 * t, 1.0 - s2 * t
-        return eta * (c1 * (0.0 if d < 0.0 else d)) + w * (c2 * (0.0 if e < 0.0 else e))
 
-    return risk
-
-
-def _squared_risk(eta, c1, s1, c2, s2):
+def _squared_search(eta, c1, s1, c2, s2, a, b):
     w = 1.0 - eta
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    u, v = 1.0 - s1 * c, 1.0 - s2 * c
+    yc = eta * (c1 * (u * u)) + w * (c2 * (v * v))
+    u, v = 1.0 - s1 * d, 1.0 - s2 * d
+    yd = eta * (c1 * (u * u)) + w * (c2 * (v * v))
+    while h > _GOLDEN_TOL:
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = b - _INV_PHI * h
+            u, v = 1.0 - s1 * c, 1.0 - s2 * c
+            yc = eta * (c1 * (u * u)) + w * (c2 * (v * v))
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INV_PHI * h
+            u, v = 1.0 - s1 * d, 1.0 - s2 * d
+            yd = eta * (c1 * (u * u)) + w * (c2 * (v * v))
+    return (c if yc < yd else d), min(yc, yd)
 
-    def risk(t):
-        d, e = 1.0 - s1 * t, 1.0 - s2 * t
-        return eta * (c1 * (d * d)) + w * (c2 * (e * e))
 
-    return risk
-
-
-def _exponential_risk(eta, c1, s1, c2, s2, exp=np.exp, inf=math.inf, low=-_LOG_MAX):
+def _exponential_search(eta, c1, s1, c2, s2, a, b, exp=np.exp, inf=math.inf, low=-_LOG_MAX):
     w = 1.0 - eta
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    u, v = s1 * c, s2 * c
+    p = inf if u < low else c1 * float(exp(-u))
+    yc = eta * p + w * (inf if v < low else c2 * float(exp(-v)))
+    u, v = s1 * d, s2 * d
+    p = inf if u < low else c1 * float(exp(-u))
+    yd = eta * p + w * (inf if v < low else c2 * float(exp(-v)))
+    while h > _GOLDEN_TOL:
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = b - _INV_PHI * h
+            u, v = s1 * c, s2 * c
+            p = inf if u < low else c1 * float(exp(-u))
+            yc = eta * p + w * (inf if v < low else c2 * float(exp(-v)))
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INV_PHI * h
+            u, v = s1 * d, s2 * d
+            p = inf if u < low else c1 * float(exp(-u))
+            yd = eta * p + w * (inf if v < low else c2 * float(exp(-v)))
+    return (c if yc < yd else d), min(yc, yd)
 
-    def risk(t):
-        u, v = s1 * t, s2 * t
-        p = inf if u < low else c1 * float(exp(-u))
-        return eta * p + w * (inf if v < low else c2 * float(exp(-v)))
 
-    return risk
-
-
-def _sigmoid_risk(eta, c1, s1, c2, s2, exp=math.exp):
+def _sigmoid_search(eta, c1, s1, c2, s2, a, b, exp=math.exp):
     w = 1.0 - eta
-
-    def risk(t):
-        try:
-            p = c1 * (1.0 / (1.0 + exp(s1 * t)))
-        except OverflowError:
-            p = 0.0
-        try:
-            n = c2 * (1.0 / (1.0 + exp(s2 * t)))
-        except OverflowError:
-            n = 0.0
-        return eta * p + w * n
-
-    return risk
+    h = b - a
+    c = b - _INV_PHI * h
+    d = a + _INV_PHI * h
+    try:
+        p = c1 * (1.0 / (1.0 + exp(s1 * c)))
+    except OverflowError:
+        p = 0.0
+    try:
+        n = c2 * (1.0 / (1.0 + exp(s2 * c)))
+    except OverflowError:
+        n = 0.0
+    yc = eta * p + w * n
+    try:
+        p = c1 * (1.0 / (1.0 + exp(s1 * d)))
+    except OverflowError:
+        p = 0.0
+    try:
+        n = c2 * (1.0 / (1.0 + exp(s2 * d)))
+    except OverflowError:
+        n = 0.0
+    yd = eta * p + w * n
+    while h > _GOLDEN_TOL:
+        if yc < yd:
+            b, d, yd = d, c, yc
+            h = b - a
+            c = b - _INV_PHI * h
+            try:
+                p = c1 * (1.0 / (1.0 + exp(s1 * c)))
+            except OverflowError:
+                p = 0.0
+            try:
+                n = c2 * (1.0 / (1.0 + exp(s2 * c)))
+            except OverflowError:
+                n = 0.0
+            yc = eta * p + w * n
+        else:
+            a, c, yc = c, d, yd
+            h = b - a
+            d = a + _INV_PHI * h
+            try:
+                p = c1 * (1.0 / (1.0 + exp(s1 * d)))
+            except OverflowError:
+                p = 0.0
+            try:
+                n = c2 * (1.0 / (1.0 + exp(s2 * d)))
+            except OverflowError:
+                n = 0.0
+            yd = eta * p + w * n
+    return (c if yc < yd else d), min(yc, yd)
 
 
 _FUSED = {
-    "hinge": _hinge_risk,
-    "squared": _squared_risk,
-    "exponential": _exponential_risk,
-    "sigmoid": _sigmoid_risk,
+    "hinge": _hinge_search,
+    "squared": _squared_search,
+    "exponential": _exponential_search,
+    "sigmoid": _sigmoid_search,
 }
 
 _LOGISTIC = _partial("sigmoid", 1.0, None)  # 1.0 * phi has phi's bits

@@ -40,6 +40,12 @@ __all__ = [
 #: Relative tolerance of the derivative test's alpha-weighted combination.
 DERIVATIVE_TOL = 1e-12
 
+#: The golden section's ratio, and the bracket width at which it stops.
+#: Every golden section reads them here, the families' fused searches and
+#: the oracle's float and row loops, so each stops at the same bracket.
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_TOL = 1e-10
+
 
 def sign(x: float) -> float:
     """Sign with the conventions sign(0) = -1 and sign(+-inf) = +-1."""
@@ -100,9 +106,11 @@ class Loss:
     def _search_state(self) -> list:
         """``[tables, slots, plans]``: the partials' grid values, None until
         the first search makes them; the last float search per constraint
-        code, ``(posterior, SearchResult)`` or None; and what a float search
-        reads of the loss per code, None until its first one.  The last two
-        are indexed by the code."""
+        code, ``(posterior, SearchResult)`` or None; and per code, None until
+        its first float search, what a float search reads of the loss: the
+        tables' columns, their limits and, for two partials of one family,
+        the family's fused search with the partials' c and s, so a later
+        search sets none of it up.  The last two are indexed by the code."""
         return [None, [None, None, None], [None, None, None]]
 
 

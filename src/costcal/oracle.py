@@ -22,7 +22,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError
-from .losses import CostParam, Loss, _check_eta, conditional_risk, cost_regret, derivative_test
+from .losses import (
+    _GOLDEN_TOL,
+    _INV_PHI,
+    CostParam,
+    Loss,
+    _check_eta,
+    conditional_risk,
+    cost_regret,
+    derivative_test,
+)
 
 __all__ = [
     "FiniteDistribution",
@@ -41,10 +50,6 @@ _HALF_GRID = np.logspace(-6.0, math.log10(50.0), 400)
 _GRID = np.concatenate([-_HALF_GRID[::-1], [0.0], _HALF_GRID])
 #: The index of the score 0 in ``_GRID``.
 _ZERO = len(_HALF_GRID)
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-#: The golden section stops once its bracket is no wider than this.
-_GOLDEN_TOL = 1e-10
 
 #: A constraint is coded by the sign every admissible score keeps: 0 for
 #: none, +1 for nonnegative scores, -1 for nonpositive ones.  Its name is
@@ -136,9 +141,11 @@ def _mix(weights, pos, neg, out=None) -> np.ndarray:
 
 
 def _golden_section(risk, a: float, b: float):
-    """Minimize ``risk``, a callable of a float score (``_float_risk``),
-    unimodal on [a, b]; returns (arg, value).  The one float loop: every
-    search, of a family's partials or of any others, runs here."""
+    """Minimize ``risk``, a callable of a float score (``_float_risk``, or a
+    family partial alone), unimodal on [a, b]; returns (arg, value).  The
+    float loop of every search but a family pair's inside (0, 1), which
+    runs the family's fused search (``families._FUSED``), this loop with
+    its risk inlined."""
     h = b - a
     c = b - _INV_PHI * h
     d = a + _INV_PHI * h
@@ -159,36 +166,23 @@ def _golden_section(risk, a: float, b: float):
 
 
 def _float_risk(pos, neg, eta: float):
-    """The conditional risk at the float posterior ``eta`` as one callable
-    of a Python float score, and whether it is fused.  The partials ``pos``
-    and ``neg`` are ``fn``s, and the risk is ``conditional_risk``'s
-    arithmetic on their results: eta * pos(t) + (1 - eta) * neg(t), where a
-    partial of weight 0 is not evaluated (0 * inf = 0), so at eta = 0 or 1
-    the other is the risk.
-
-    Two partials of one uneven-margin family (``_fused``) get the family's
-    fused kernel: one call, the partials' own float operations in their
-    order, so the same bits, and no numpy warning.  Any other pair
-    (hand-built partials, scaled or wrapped ones) is composed from its two
-    calls, each result converted by ``float``; that may warn, so its
-    search runs under ``np.errstate``."""
-    one = neg if eta == 0.0 else pos if eta == 1.0 else None
-    if one is not None:
-        # A family partial gives a float score a Python float itself.
-        if _fused(one) is not None:
-            return one, True
-        return (lambda t: float(one(t))), False
-    mine, other = _fused(pos), _fused(neg)
-    if mine is not None and other is not None:
-        (_, kernel, c1, s1), (_, other_kernel, c2, s2) = mine, other
-        if kernel is other_kernel:
-            return kernel(eta, c1, s1, c2, s2), True
+    """The conditional risk at the float posterior ``eta`` of two partials
+    that are not one family's, as one callable of a Python float score.
+    The partials ``pos`` and ``neg`` are ``fn``s, and the risk is
+    ``conditional_risk``'s arithmetic on their results, each converted by
+    ``float``: eta * pos(t) + (1 - eta) * neg(t), where a partial of weight
+    0 is not evaluated (0 * inf = 0), so at eta = 0 or 1 the other is the
+    risk.  The calls may warn, so its search runs under ``np.errstate``."""
+    if eta == 0.0:
+        return lambda t: float(neg(t))
+    if eta == 1.0:
+        return lambda t: float(pos(t))
     w = 1.0 - eta
-    return (lambda t: eta * float(pos(t)) + w * float(neg(t))), False
+    return lambda t: eta * float(pos(t)) + w * float(neg(t))
 
 
 def _fused(fn):
-    """The descriptor ``(code, kernel, c, s)`` that ``families._partial``
+    """The descriptor ``(code, search, c, s)`` that ``families._partial``
     attaches to a family partial's ``fn`` as ``fused``, or None.  It names
     its closure's code, so a wrapper that copied the attribute (as
     ``functools.wraps`` does) gets None and keeps its own calls."""
@@ -256,10 +250,12 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     where the partials give a float score the bits it gets inside an
     array, as the convex family partials do, and else up to rounding.  A
     float search returns Python floats (an infinite
-    ``arg`` is ``math.inf``).  Its golden section calls one risk per step:
-    for two partials of one family, the family's fused kernel, whose float
-    arithmetic lives in ``families`` beside the partials' own and gives
-    their bits mixed; for any other pair, the two ``fn`` composed.
+    ``arg`` is ``math.inf``).  On two partials of one family, inside (0, 1),
+    its golden section is the family's fused search, which has the risk
+    written out in each step; its float arithmetic lives in ``families``
+    beside the partials' own and gives their bits mixed.  Any other pair,
+    and a family pair's partial alone at eta 0 or 1, runs
+    ``_golden_section``, which calls the risk once a step.
 
     Raises ``DomainError``, naming the posterior, where the risk is NaN at
     the grid argmin or the refined point (a partial of weight 0 is unread).
@@ -279,11 +275,12 @@ def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
     that holds a search at ``eta``.  ``eta`` must lie in [0, 1].
 
     The golden section runs on Python floats, whose arithmetic is numpy's
-    without its per-operation dispatch, through one risk callable
-    (``_float_risk``): a family's fused kernel, which gives the bits of its
-    two partials mixed, or any other pair's two calls composed.  The
-    constraint's columns, bracket scores and limits come from the loss's
-    plan (``_float_plan``)."""
+    without its per-operation dispatch.  The loss's plan for ``code``
+    (``_float_plan``) gives the constraint's columns and limits and, for
+    two partials of one family, the family's fused search with both
+    partials' c and s, so such a search sets nothing up but the posterior.
+    ``_golden_section`` searches the rest: any other pair's risk
+    (``_float_risk``), and a family pair's partial alone at eta 0 or 1."""
     eta = float(eta)
     # The loss's last search under this constraint, if at this posterior.
     # -0.0 shares 0.0's slot: their searches are the same, bit for bit.
@@ -291,17 +288,24 @@ def _search_float(loss: Loss, eta: float, code: int) -> SearchResult:
     last = slots[code]
     if last is not None and last[0] == eta:
         return last[1]
-    pos_vals, neg_vals, quiet, limits = _float_plan(loss, code)
-    risk, fused = _float_risk(loss.pos.fn, loss.neg.fn, eta)
+    pos_vals, neg_vals, quiet, limits, pair = _float_plan(loss, code)
+    if pair is None:
+        risk, quiet = _float_risk(loss.pos.fn, loss.neg.fn, eta), False
+    else:
+        # A family partial gives a float score a Python float and warns on
+        # nothing, so alone, at eta 0 or 1, it is the risk itself.
+        risk = loss.neg.fn if eta == 0.0 else loss.pos.fn if eta == 1.0 else None
     ts = _GRID_FLOATS[code]
-    if quiet and fused:
-        grid_t, grid_v, best_t, best_v = _grid_and_golden(risk, eta, pos_vals, neg_vals, ts)
+    if quiet:
+        grid_t, grid_v, best_t, best_v = _grid_and_golden(eta, pos_vals, neg_vals, ts, risk, pair)
     else:
         # A partial past the float range is +inf, its correctly rounded
         # value, which the search handles, and a NaN risk raises below:
         # numpy's overflow and invalid-value warnings add nothing.
         with np.errstate(over="ignore", invalid="ignore"):
-            grid_t, grid_v, best_t, best_v = _grid_and_golden(risk, eta, pos_vals, neg_vals, ts)
+            grid_t, grid_v, best_t, best_v = _grid_and_golden(
+                eta, pos_vals, neg_vals, ts, risk, pair
+            )
     if grid_v < best_v:
         best_t, best_v = grid_t, grid_v
     elif not best_v <= grid_v:  # one is NaN: argmin picks a NaN wherever the row holds one
@@ -336,9 +340,11 @@ def _float_plan(loss: Loss, code: int) -> tuple:
     made by its first such search and kept on the loss next to the grid
     tables (``Loss._search_state``): the tables' admissible columns;
     whether they mix quietly (every value finite and under ``_QUIET``, so
-    no NaN, infinity or overflow can warn); and the admissible infinite
-    scores with the partials' declared limits there, in the order they
-    compete."""
+    no NaN, infinity or overflow can warn); the admissible infinite scores
+    with the partials' declared limits there, in the order they compete;
+    and, where both partials are one family's (``_fused``), the pair
+    ``(search, c1, s1, c2, s2)``: the family's fused search and the
+    positive and negative partials' c and s, else None."""
     plans = loss._search_state[2]
     plan = plans[code]
     if plan is None:
@@ -347,15 +353,21 @@ def _float_plan(loss: Loss, code: int) -> tuple:
         quiet = all(bool((np.abs(table) < _QUIET).all()) for table in tables)
         admitted = ((-math.inf, code <= 0), (math.inf, code >= 0))
         limits = [(t, _limits(loss, t)) for t, ok in admitted if ok]
-        plan = plans[code] = (*tables, quiet, limits)
+        mine, other = _fused(loss.pos.fn), _fused(loss.neg.fn)
+        pair = None
+        if mine is not None and other is not None and mine[1] is other[1]:
+            pair = (mine[1], *mine[2:], *other[2:])
+        plan = plans[code] = (*tables, quiet, limits, pair)
     return plan
 
 
-def _grid_and_golden(risk, eta: float, pos_vals, neg_vals, ts: list):
+def _grid_and_golden(eta: float, pos_vals, neg_vals, ts: list, risk, pair):
     """The float search's grid pass over the admissible columns, mixed as
     in ``conditional_risk`` (a partial of weight 0 contributes 0, even
-    where it is infinite), and its golden section around the grid argmin.
-    Returns the grid's best score and risk, and the refined ones."""
+    where it is infinite), and its golden section around the grid argmin:
+    ``_golden_section`` on ``risk``, or where that is None, the plan's
+    fused search ``pair``.  Returns the grid's best score and risk, and
+    the refined ones."""
     if eta == 0.0:
         risks = neg_vals
     elif eta == 1.0:
@@ -363,7 +375,12 @@ def _grid_and_golden(risk, eta: float, pos_vals, neg_vals, ts: list):
     else:
         risks = eta * pos_vals + (1.0 - eta) * neg_vals
     i = int(risks.argmin())
-    best_t, best_v = _golden_section(risk, ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)])
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    if risk is None:
+        search, c1, s1, c2, s2 = pair
+        best_t, best_v = search(eta, c1, s1, c2, s2, a, b)
+    else:
+        best_t, best_v = _golden_section(risk, a, b)
     return ts[i], risks.item(i), best_t, best_v
 
 

@@ -51,6 +51,16 @@ def curve_of(domain_max: float, knots) -> SampledCurve:
     return SampledCurve(domain_max, eps, values, sides)
 
 
+def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
+    """``mu_curve``'s knots by a running minimum from the right end: the
+    suffix infimum of the curve's values."""
+    knots, low = [], math.inf
+    for k in reversed(curve.knots):
+        low = min(low, k.value)
+        knots.append(Knot(k.eps, low, k.side))
+    return tuple(reversed(knots))
+
+
 def curve_bits(curve: SampledCurve) -> tuple:
     """A curve's domain and columns, bit for bit: curves compare by identity."""
     return curve.domain_max, curve.eps.tobytes(), curve.values.tobytes(), tuple(curve.sides)

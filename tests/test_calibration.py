@@ -43,6 +43,7 @@ from conftest import (
     curve_bits,
     edge_nan_loss,
     knot_curves,
+    reference_mu,
     uneven,
     untagged,
 )
@@ -608,15 +609,6 @@ class TestCheckCalibrated:
         report = check_calibrated(loss, cost)
         assert report == check_calibrated_numeric(loss, cost)
         assert report.method == "numeric_grid"
-
-
-def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
-    """Suffix infimum by a running minimum from the right."""
-    out, running = [], math.inf
-    for knot in reversed(curve.knots):
-        running = min(running, knot.value)
-        out.append(knot._replace(value=running))
-    return tuple(reversed(out))
 
 
 class TestMuCurve:

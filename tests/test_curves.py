@@ -34,7 +34,15 @@ from costcal import (
     regret_bound,
 )
 
-from conftest import collinear_curves, curve_bits, curve_of, knot_curves, long_curves, uneven
+from conftest import (
+    collinear_curves,
+    curve_bits,
+    curve_of,
+    knot_curves,
+    long_curves,
+    reference_mu,
+    uneven,
+)
 
 
 def knot_value(curve: SampledCurve, eps: float, side: str = "both") -> float:
@@ -301,15 +309,6 @@ def assert_hull_is_reference(env: ConvexEnvelope, curve: SampledCurve) -> None:
     assert env.xs.tolist() == [x for x, _ in hull]
     assert env.ys.tolist() == [y for _, y in hull]
     assert env.hull_knots == hull
-
-
-def reference_mu(curve: SampledCurve) -> tuple[Knot, ...]:
-    """Suffix infimum by a running minimum from the right end."""
-    knots, low = [], math.inf
-    for k in reversed(curve.knots):
-        low = min(low, k.value)
-        knots.append(Knot(k.eps, low, k.side))
-    return tuple(reversed(knots))
 
 
 def knots_built_the_old_way(loss, cost, grid_size, extra_knots) -> tuple[Knot, ...]:

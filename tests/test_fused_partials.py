@@ -2,7 +2,8 @@
 results are bit-equal to the margin functions and wrapper closures it
 replaced, kept here as the reference (the squared one as ``d * d``).  The
 convex partials give a float score the bits that score gets inside an
-array."""
+array.  Each family's fused search gives the bits of a golden section on
+its two partials composed."""
 
 import math
 import sys
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from costcal import UnevenMarginSpec, make_uneven_loss
-from costcal.oracle import _GRID, _float_risk
+from costcal import Loss, UnevenMarginSpec, families, make_uneven_loss, oracle
+from costcal.oracle import _GRID
 
 _LOG_MAX = math.log(sys.float_info.max)
 
@@ -176,41 +177,43 @@ def test_drawn_float_scores_get_their_array_bits(family, gamma, scores):
         assert_float_gets_array_bits(spec, np.array(scores))
 
 
-#: Posteriors of the fused kernel tests: the edges, the least subnormal, a
-#: point inside each edge, and two inner posteriors.
-FUSED_ETAS = [0.0, 5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12, 1.0]
-FUSED_SCORES = np.concatenate([_GRID, DRAWN_SCORES]).tolist()
+#: Posteriors of the fused search tests: the least subnormal, a point inside
+#: each edge, and two inner posteriors.  At 0 and 1 the one partial of
+#: nonzero weight is the risk, and ``_golden_section`` searches it.
+FUSED_ETAS = [5e-324, 1e-12, 0.3, 0.5, 1.0 - 1e-12]
 
 
-def assert_fused_matches_composed(spec, etas, scores):
-    """The family's fused risk against its partials composed, bit for bit:
-    a Python float for each score, with no numpy warning.
-    The reference is the risk any pair that is not one family's gets: each
-    partial's float call converted by ``float``, then eta * pos + (1 - eta)
-    * neg, or the one partial of nonzero weight."""
-    loss = make_uneven_loss(spec)
+def assert_fused_search_matches_composed(loss, eta, code):
+    """The family's fused search, as the loss's float plan keeps it, against
+    ``_golden_section`` on the partials composed, bit for bit (named by
+    ``float.hex``), on the bracket the float search refines at ``eta``
+    under the constraint ``code``; it returns Python floats, with no numpy
+    warning.  The composed risk is the one any pair that is not one
+    family's gets: each partial's float call converted by ``float``, then
+    eta * pos + (1 - eta) * neg."""
+    pos_vals, neg_vals, _, _, (search, c1, s1, c2, s2) = oracle._float_plan(loss, code)
+    ts = oracle._GRID_FLOATS[code]
+    with np.errstate(over="ignore"):
+        i = int((eta * pos_vals + (1.0 - eta) * neg_vals).argmin())
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        got = search(eta, c1, s1, c2, s2, a, b)
+    pos, neg, w = loss.pos.fn, loss.neg.fn, 1.0 - eta
     with np.errstate(all="ignore"):
-        pos, neg = ([float(fn(t)) for t in scores] for fn in (loss.pos.fn, loss.neg.fn))
-    for eta in etas:
-        risk, fused = _float_risk(loss.pos.fn, loss.neg.fn, eta)
-        assert fused, (spec, eta)
-        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
-            warnings.simplefilter("error")
-            got = [risk(t) for t in scores]
-        assert all(type(v) is float for v in got), (spec, eta)
-        w = 1.0 - eta
-        want = neg if eta == 0.0 else pos if eta == 1.0 else [
-            eta * p + w * n for p, n in zip(pos, neg)
-        ]
-        if np.array(got).tobytes() != np.array(want).tobytes():  # named by float.hex
-            assert list(map(float.hex, got)) == list(map(float.hex, want)), (spec, eta)
+        want = oracle._golden_section(lambda t: eta * float(pos(t)) + w * float(neg(t)), a, b)
+    assert all(type(v) is float for v in got), (loss.family, eta, code)
+    assert list(map(float.hex, got)) == list(map(float.hex, want)), (loss.family, eta, code)
 
 
-@pytest.mark.parametrize("gamma", [1e-3, 0.25, 4.0, 1e3])
+@pytest.mark.parametrize("gamma", [1e-3, 0.25, 1.0, 4.0, 1e3])
 @pytest.mark.parametrize("family", FAMILIES)
-def test_fused_risk_has_the_composed_partials_bits(family, gamma):
+def test_fused_search_has_the_composed_partials_bits(family, gamma):
     for spec in specs(family, gamma):
-        assert_fused_matches_composed(spec, FUSED_ETAS, FUSED_SCORES)
+        loss = make_uneven_loss(spec)
+        for eta in FUSED_ETAS:
+            for code in (0, 1, -1):
+                assert_fused_search_matches_composed(loss, eta, code)
 
 
 @settings(max_examples=100, deadline=None)
@@ -219,17 +222,21 @@ def test_fused_risk_has_the_composed_partials_bits(family, gamma):
     st.floats(1e-3, 1e3),
     st.booleans(),
     st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
-    st.one_of(st.sampled_from(FUSED_ETAS), st.floats(0.0, 1.0)),
-    st.lists(st.floats(), min_size=1, max_size=20),
+    st.one_of(
+        st.sampled_from(FUSED_ETAS), st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    ),
+    st.sampled_from([0, 1, -1]),
 )
-def test_drawn_fused_risks_have_the_composed_partials_bits(
-    family, gamma, calibrated, alpha_weight, eta, scores
+def test_drawn_fused_searches_have_the_composed_partials_bits(
+    family, gamma, calibrated, alpha_weight, eta, code
 ):
     spec = UnevenMarginSpec(family, 1.0 / gamma if calibrated else 0.7, gamma, alpha_weight)
-    assert_fused_matches_composed(spec, [eta], scores)
+    assert_fused_search_matches_composed(make_uneven_loss(spec), eta, code)
 
 
 def test_partials_of_two_families_are_composed():
     hinge, squared = (make_uneven_loss(UnevenMarginSpec(f, 0.7, 2.0)) for f in ("hinge", "squared"))
-    assert not _float_risk(hinge.pos.fn, squared.neg.fn, 0.3)[1]
-    assert _float_risk(squared.neg.fn, squared.pos.fn, 0.3)[1]
+    assert oracle._float_plan(Loss(pos=hinge.pos, neg=squared.neg), 0)[-1] is None
+    # One family's partials, whichever side each takes, keep its search.
+    swapped = oracle._float_plan(Loss(pos=squared.neg, neg=squared.pos), 0)[-1]
+    assert swapped == (families._squared_search, 0.7, -2.0, 1.0, 1.0)

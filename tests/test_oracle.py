@@ -32,7 +32,7 @@ from costcal import (
     nu_curve,
     optimal_conditional_risk,
 )
-from costcal import calibration, oracle
+from costcal import calibration, families, oracle
 from costcal.families import UnevenMarginSpec
 
 from conftest import (
@@ -667,17 +667,19 @@ def cold_search(loss, eta, constraint):
     return bits(*brute_force_min(replace(loss), eta, constraint))
 
 
-def golden_section_runs(monkeypatch) -> list:
-    """A spy on the float golden section, the one loop every float search
-    runs: one entry per run, its bracket."""
+def float_search_runs(monkeypatch) -> list:
+    """A spy on the float search's grid pass and golden section, which every
+    cold float search runs once, whether its golden section is a family's
+    fused search or ``_golden_section``: one entry per run, its posterior
+    and whether it ran fused."""
     runs = []
-    golden = oracle._golden_section
+    grid_and_golden = oracle._grid_and_golden
 
-    def spy(risk, a, b):
-        runs.append((a, b))
-        return golden(risk, a, b)
+    def spy(eta, pos_vals, neg_vals, ts, risk, pair):
+        runs.append((eta, risk is None))
+        return grid_and_golden(eta, pos_vals, neg_vals, ts, risk, pair)
 
-    monkeypatch.setattr(oracle, "_golden_section", spy)
+    monkeypatch.setattr(oracle, "_grid_and_golden", spy)
     return runs
 
 
@@ -718,11 +720,13 @@ class TestLastSearch:
     def test_c_star_c_minus_and_gap_search_each_once(self, monkeypatch, eta, searches):
         # C^- at alpha is C*; the gap there is 0 and searches nothing.
         loss, cost = replace(SEARCHED["sigmoid-gamma3"]), CostParam(0.3)
-        runs = golden_section_runs(monkeypatch)
+        runs = float_search_runs(monkeypatch)
         c_star = optimal_conditional_risk(loss, eta)
         c_minus = constrained_optimal_risk(loss, cost, eta)
         gap = h_alpha(loss, cost, eta)
         assert len(runs) == searches
+        # An untagged family pair runs fused inside (0, 1), and alone at 0.
+        assert all(fused == (eta != 0.0) for _, fused in runs)
         assert gap == (0.0 if eta == 0.3 else max(c_minus - c_star, 0.0))
         # Asked again, in any order, nothing more is searched.
         h_alpha(loss, cost, eta)
@@ -732,7 +736,7 @@ class TestLastSearch:
 
     def test_one_slot_per_constraint(self, monkeypatch):
         loss = replace(SEARCHED["hinge"])
-        runs = golden_section_runs(monkeypatch)
+        runs = float_search_runs(monkeypatch)
         for eta in (0.2, 0.7, 0.2):
             for constraint in CONSTRAINTS:
                 brute_force_min(loss, eta, constraint)
@@ -800,15 +804,17 @@ class TestSearchStateIsNoField:
     def test_a_replaced_loss_remembers_nothing(self, monkeypatch, constraint):
         loss = replace(SEARCHED["exponential"])
         searched = bits(*brute_force_min(loss, 0.3, constraint))
-        runs = golden_section_runs(monkeypatch)
+        runs = float_search_runs(monkeypatch)
         copy = replace(loss)
         assert bits(*brute_force_min(copy, 0.3, constraint)) == searched
         assert len(runs) == 1
         assert copy._search_state[0][0] is not loss._search_state[0][0]
+        assert copy._search_state[2] is not loss._search_state[2]
 
 
-class TestFusedRisk:
-    """The fused kernel is found from the partials' ``fn`` alone."""
+class TestFusedSearch:
+    """The fused search is found from the partials' ``fn`` alone, once per
+    loss and constraint, and kept in the loss's float plan."""
 
     # A wrapper made by functools.wraps copies the partial's attributes.
     @pytest.mark.parametrize("copies_attributes", [False, True])
@@ -828,8 +834,9 @@ class TestFusedRisk:
             shifted = functools.wraps(loss.pos.fn)(shifted)
             assert shifted.fused is loss.pos.fn.fused
         copy = replace(loss, pos=replace(loss.pos, fn=shifted))
-        assert not oracle._float_risk(copy.pos.fn, copy.neg.fn, 0.3)[1]
+        code = oracle._SEARCH[constraint]
         result = brute_force_min(copy, eta, constraint)
+        assert copy._search_state[2][code][-1] is None
         # The grid table, then one call per golden-section step, except at
         # eta = 0, where the shifted partial has weight 0 and is not read.
         singles = [t for t in calls if not isinstance(t, np.ndarray)]
@@ -839,8 +846,22 @@ class TestFusedRisk:
             assert bits(*result) != bits(*brute_force_min(loss, eta, constraint))
 
     def test_a_family_pair_searched_untagged_is_fused(self):
-        loss = SEARCHED["sigmoid-gamma3"]
-        assert loss.family is None and oracle._float_risk(loss.pos.fn, loss.neg.fn, 0.3)[1]
+        loss = replace(SEARCHED["sigmoid-gamma3"])
+        assert loss.family is None
+        brute_force_min(loss, 0.3)
+        search, *params = loss._search_state[2][0][-1]
+        assert search is families._sigmoid_search
+        assert params == [*loss.pos.fn.fused[2:], *loss.neg.fn.fused[2:]]
+
+    @pytest.mark.parametrize("constraint", CONSTRAINTS)
+    def test_the_pair_is_set_up_once_per_constraint(self, monkeypatch, constraint):
+        loss, fused = replace(SEARCHED["hinge"]), oracle._fused
+        calls = []
+        monkeypatch.setattr(oracle, "_fused", lambda fn: calls.append(fn) or fused(fn))
+        monkeypatch.setattr(oracle, "_float_risk", None)  # never called on a family pair
+        for eta in (0.2, 0.7, 0.2, 1e-12):
+            brute_force_min(loss, eta, constraint)
+        assert calls == [loss.pos.fn, loss.neg.fn]
 
 
 def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
