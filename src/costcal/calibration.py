@@ -32,10 +32,9 @@ from .errors import DomainError, PreconditionError, VacuousBoundError
 from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
 from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test
 from .oracle import (
-    _FIRST_SEARCHED,
     DecisionAssignment,
     FiniteDistribution,
-    _optima,
+    _verdict_gaps,
     empirical_regrets,
     h_alpha,
 )
@@ -54,12 +53,6 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 DEFAULT_TOLERANCE = 1e-9
-#: The most posteriors a floored round searches as float searches, one
-#: each, where C^- is closed; a larger round is one row search.  A float
-#: gap took 40-80 us and a row search on 4-32 rows 1.6-2.1 ms, so floats
-#: were cheaper up to about 48 rows for the hinge and the squared loss and
-#: 25 for the exponential (shared 2-core x86-64, Python 3.11, numpy 2.4).
-_FLOAT_ROUND = 32
 
 
 @dataclass(frozen=True)
@@ -123,26 +116,9 @@ def check_calibrated_numeric(
 
     The report reads two things off the coarse grid: which gaps are at or
     under the tolerance, and the first least gap.  So only the posteriors
-    that can decide those are searched (``_coarse_gaps``).  Wherever C* is
-    searched and the search has a ceiling on it, the chooser gives each
-    posterior a floor on its gap, no larger than the gap itself, bit for
-    bit; a posterior whose floor lies above both the tolerance and a gap
-    already found has its C* never searched.  Where C^- is closed, a round
-    of at most ``_FLOAT_ROUND`` posteriors runs as float searches, a
-    larger one as one array call.  Where C^- is searched too (the
-    sigmoid, or a convex loss the derivative test does not call
-    calibrated), one array call searches C^- at every coarse posterior
-    and C* at the ``_FIRST_SEARCHED`` nearest alpha, and each later round
-    is one array call of C*.  Elsewhere one array call serves every coarse
-    posterior.  The report, and any error raised, are those of searching
-    them all: rows of an array search are independent, and the convex
-    family partials give a float score the bits that score gets inside an
-    array, so a float search returns the row search's result.  A
-    hand-built partial whose float and array results differ agrees only
-    to rounding.  One case differs: a partial that is NaN only strictly
-    between two grid scores, and is read only by C* searches the floor
-    rules out, is no longer read, so no error is raised.  A NaN at a grid
-    score still takes the full path.  A ``DomainError`` in the refinement
+    that can decide those are searched (``oracle._verdict_gaps``).  The
+    report, and any error raised, are those of searching them all, with
+    one exception named there.  A ``DomainError`` in the refinement
     pass first re-runs the search on every coarse posterior, so the error
     names the posterior the full search names.
     """
@@ -153,7 +129,7 @@ def check_calibrated_numeric(
     radius = 1.0 / (2.0 * grid_size)
     grid = _grid(1.0, grid_size)
     etas = grid[np.abs(grid - alpha) > radius]
-    gaps = _coarse_gaps(loss, cost, etas, tolerance)
+    gaps = _verdict_gaps(loss, cost, etas, tolerance)
 
     witnesses = ()
     bad = etas[gaps <= tolerance]
@@ -185,65 +161,6 @@ def check_calibrated_numeric(
         tolerance=tolerance,
         grid_size=grid_size,
     )
-
-
-def _coarse_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: float) -> np.ndarray:
-    """``h_alpha`` at each posterior of ``etas`` that can decide the
-    verdict, +inf at the rest: every gap at or under ``tolerance`` is
-    exact, and so is the first least gap.
-
-    Without a floor on the gaps (``_optima``'s ``_GapFloor``), one call
-    searches them all.  With one, a first round of ``_FIRST_SEARCHED``
-    posteriors is searched: where C^- is closed, those of least floor;
-    where it is searched, those nearest alpha, in the floor's own search.
-    Then, until none is left, every other posterior whose floor is not
-    above t = max(least gap found, tolerance) is searched.  A posterior
-    never searched has a gap at or above its floor, so above t: neither
-    under the tolerance nor least.  A NaN floor, or a NaN gap found,
-    searches all that are left.
-
-    Where C^- is searched, each round is one row search of C*, its gaps
-    taken against the C^- the floor kept: the sigmoid's float partial uses
-    libm's ``exp``, so a float search would not give the row search's
-    bits.  Where C^- is closed, a round of at most ``_FLOAT_ROUND``
-    posteriors, as the first always is, calls the float ``h_alpha`` once
-    per posterior, and a larger one makes one array call; both give the
-    gaps the array search gives where the partials' float and array
-    results agree bit for bit, as every convex family partial's do.  A
-    ``DomainError`` anywhere re-runs the array search on every posterior,
-    which names the first that reads a NaN.  A partial that is NaN only
-    strictly between two grid scores, read only by a C* search the floor
-    rules out, is no longer read, so no error is raised."""
-    try:
-        found = _optima(loss, cost, etas, gap=True, floor=True)
-    except DomainError:  # the full search names the first posterior that reads a NaN
-        found = None
-    if found is None:
-        return h_alpha(loss, cost, etas)
-    floor, c_minus, first = found
-    gaps = np.full(etas.shape, np.inf)
-    left = np.ones(etas.shape, dtype=bool)
-    if c_minus is None:
-        rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
-    else:  # searched with the floor, which is their gap
-        gaps[first], left[first] = floor[first], False
-        rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
-    try:
-        while rows.size:
-            if c_minus is not None:
-                gaps[rows] = _optima(loss, cost, etas[rows], gap=True, c_minus=c_minus[rows])
-            elif rows.size > _FLOAT_ROUND:
-                gaps[rows] = h_alpha(loss, cost, etas[rows])
-            else:
-                gaps[rows] = [h_alpha(loss, cost, eta) for eta in etas[rows].tolist()]
-            left[rows] = False
-            rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
-    except DomainError:
-        # A NaN risk off the grid scores: the full search names the first
-        # posterior that reads one.
-        h_alpha(loss, cost, etas)
-        raise
-    return gaps
 
 
 def _check_continuity(loss: Loss) -> None:

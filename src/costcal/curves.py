@@ -164,12 +164,15 @@ def nu_curve(
     Both one-sided values are recorded at min(a, 1-a), where nu may
     jump.  ``extra_knots`` adds exact sample locations (clipped to the
     domain), which callers use to evaluate the envelope without
-    interpolation error at specific points; a NaN one raises
-    ``DomainError``.
+    interpolation error at specific points; a NaN one, or one that is no
+    number, raises ``DomainError``.
     """
     _check_grid_size(grid_size)
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-    extras = [min(max(float(e), 0.0), big) for e in extra_knots]
+    try:
+        extras = [min(max(float(e), 0.0), big) for e in extra_knots]
+    except (TypeError, ValueError):  # None, a str: no float to take
+        raise DomainError(f"extra_knots must be numbers, got {extra_knots!r}") from None
     # np.union1d of the grid and the knots, built as it builds it (one
     # sort, then the first of each run), without its wrappers: the same
     # values, and the same one kept of 0.0 and -0.0.
@@ -306,11 +309,14 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     """sup{eps : env(eps) <= y}, clamped to the domain maximum.
 
     On an initial flat-at-zero segment the right endpoint is returned,
-    which keeps the regret bound conservative.
+    which keeps the regret bound conservative.  A ``y`` below the first
+    value has no such eps, and raises ``DomainError``.
     """
     if not y >= 0.0:
         raise DomainError(f"y must be nonnegative, got {y}")
     xs, ys = env.xs, env.ys
+    if y < ys[0]:
+        raise DomainError(f"y={y} lies below the envelope's first value {ys[0].item()}")
     if y >= ys[-1]:
         return float(xs[-1])
     i = int(np.searchsorted(ys, y, side="right")) - 1

@@ -51,12 +51,18 @@ class UnevenMarginSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if not (0.0 < self.beta < math.inf and 0.0 < self.gamma < math.inf):
+        try:
+            if not (0.0 < self.beta < math.inf and 0.0 < self.gamma < math.inf):
+                raise DomainError(
+                    f"beta and gamma must be positive and finite, got {self.beta}, {self.gamma}"
+                )
+            if self.alpha_weight is not None and not 0.0 < self.alpha_weight < 1.0:
+                raise DomainError("alpha_weight must lie in (0, 1)")
+        except TypeError:  # None, a str: no number to compare
             raise DomainError(
-                f"beta and gamma must be positive and finite, got {self.beta}, {self.gamma}"
-            )
-        if self.alpha_weight is not None and not 0.0 < self.alpha_weight < 1.0:
-            raise DomainError("alpha_weight must lie in (0, 1)")
+                f"beta, gamma and alpha_weight must be numbers, got "
+                f"{self.beta!r}, {self.gamma!r}, {self.alpha_weight!r}"
+            ) from None
 
     @property
     def has_closed_forms(self) -> bool:
@@ -563,8 +569,11 @@ def alpha_of_gamma(gamma: float) -> float:
     linear term in ln(gamma), exact to O(ln(gamma)^3).  Past about
     [1e-12, 1e12] the root leaves the bracket, and DomainError is raised.
     """
-    if not 0.0 < gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    try:
+        if not 0.0 < gamma < math.inf:
+            raise DomainError(f"gamma must be positive and finite, got {gamma}")
+    except TypeError:  # None, a str: no number to compare
+        raise DomainError(f"gamma must be a number, got {gamma!r}") from None
     gamma = float(gamma)  # a numpy scalar gets the float's answer, as a float
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)

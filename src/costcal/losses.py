@@ -125,8 +125,11 @@ class CostParam:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        try:
+            if not 0.0 < self.alpha < 1.0:
+                raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        except TypeError:  # None, a str: no number to compare
+            raise DomainError(f"alpha must be a number, got {self.alpha!r}") from None
 
     @property
     def b_max(self) -> float:

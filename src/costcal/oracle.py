@@ -6,10 +6,11 @@ chooser, ``_optima``.  It takes a loss's closed form where there is one,
 and otherwise runs the brute-force search (``brute_force_min``): a pass
 over a log-spaced score grid, then golden-section refinement, on a float
 posterior or on a whole array of them.  The chooser codes each search's
-sign constraint, and bounds the searched C* from above to give the
-numeric verdict a floor on the gaps.  The exact risk and regret of a
-score assignment on a finite distribution (``empirical_regrets``) are
-also here.
+sign constraint.  The numeric verdict's gaps come from one plan
+(``_verdict_gaps``), which bounds the searched C* from above to floor
+the gaps and searches only those that can decide the verdict.  The exact
+risk and regret of a score assignment on a finite distribution
+(``empirical_regrets``) are also here.
 """
 
 from __future__ import annotations
@@ -569,58 +570,12 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
     return None if loss.family is None else loss.family.c_minus(cost, eta)
 
 
-#: Posteriors whose gaps a floored numeric verdict searches first: those
-#: of least floor where C^- is closed, and where it is searched, those
-#: nearest alpha, in the floor's own search.  Their gaps set the
-#: threshold that rules out the rest.
-_FIRST_SEARCHED = 4
-
-
-class _GapFloor(NamedTuple):
-    """``_optima``'s floor on the gaps at an array of posteriors."""
-
-    #: At most each posterior's ``h_alpha``, bit for bit; the gap itself
-    #: at the posteriors of ``first``.
-    floor: np.ndarray
-    #: The searched C^- at each posterior, kept for the gaps (0 at alpha);
-    #: None where C^- is closed.
-    c_minus: np.ndarray | None
-    #: The posteriors whose C* was searched with C^-, or None where C^- is
-    #: closed.
-    first: np.ndarray | None
-
-
-def _optima(
-    loss: Loss,
-    cost: CostParam | None,
-    eta,
-    gap: bool = False,
-    floor: bool = False,
-    c_minus: np.ndarray | None = None,
-):
+def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
     """The one place that chooses closed form or search.
 
     Returns C*(eta) for ``cost`` None, and C^-(eta) for a cost, which is
     C* at alpha.  With ``gap``, returns ``h_alpha``: C^- - C* clamped at
-    0, and 0 at alpha.  ``c_minus``, for ``gap`` on an array, holds C^-
-    already searched at each posterior (a ``_GapFloor``'s), which the gap
-    takes in place of its own: only C* is then searched.
-
-    With ``gap`` and ``floor``, on a 1-D array and a cost, returns a
-    ``_GapFloor``, or None.  There is none where a closed C* serves (it
-    makes the gap itself cheaper than a floor), or where the search has
-    no ceiling on C* (``_c_star_ceiling``).  Otherwise the floor is the
-    gap's own arithmetic with that ceiling in the place of C*.  IEEE
-    subtraction and the clamp are monotone, so each floor is at most the
-    gap ``h_alpha`` returns, bit for bit, and a NaN gap's floor is NaN or
-    0.  Where C^- is searched, one ``_search_rows`` call serves C^- at
-    every posterior off alpha and C* at the ``_FIRST_SEARCHED``
-    posteriors nearest alpha (``first``), whose floors are then their
-    gaps.  Rows of a row search are independent, so each value is the one
-    the full search returns.  A NaN risk strictly between two grid
-    scores, read only by a C* search that a caller skips on this floor,
-    is no longer read; a NaN at a grid score leaves no ceiling, so the
-    full search runs.
+    0, and 0 at alpha.
 
     A float runs one float search for each quantity no closed form
     serves.  An array runs the closed forms on the whole of it; whatever
@@ -648,28 +603,8 @@ def _optima(
     if cost is None:
         c_star = _closed(loss, None, eta)
         return search(..., None)[0] if c_star is None else c_star
-    if floor and loss.family is not None and loss.family.has_closed_forms:
-        return None  # _closed serves C*
     at = eta == cost.alpha
-    if c_minus is None:
-        c_minus = _closed(loss, cost, eta)
-    if gap and floor:
-        c_star = _c_star_ceiling(loss, eta)
-        if c_star is None:
-            return None
-        first = None
-        if c_minus is None:
-            # One search: C^- off alpha, then C* at the posteriors nearest alpha.
-            off = np.flatnonzero(~at)
-            nearest = np.argsort(np.abs(eta[off] - cost.alpha), kind="stable")
-            first = off[nearest[:_FIRST_SEARCHED]]
-            codes = np.concatenate([np.sign(cost.alpha - eta[off]), np.zeros(first.size)])
-            found = _search_rows(loss, eta[np.concatenate([off, first])], codes)[0].value
-            c_minus = np.zeros(eta.shape)
-            c_minus[off], c_star[first] = found[: off.size], found[off.size :]
-        h = c_minus - c_star
-        h = np.where((0.0 > h) | at, 0.0, h)
-        return _GapFloor(h, None if first is None else c_minus, first)
+    c_minus = _closed(loss, cost, eta)
     if gap:
         c_star = _closed(loss, None, eta)
         if c_minus is None or c_star is None:
@@ -692,6 +627,94 @@ def _optima(
         if rows.any():
             value[rows] = search(rows, cost)[0]
     return value
+
+
+#: Posteriors whose gaps a floored verdict (``_verdict_gaps``) searches
+#: first: those of least floor where C^- is closed, and where it is
+#: searched, those nearest alpha, in C^-'s own search.  Their gaps set the
+#: threshold that rules out the rest.
+_FIRST_SEARCHED = 4
+#: The most posteriors a floored round searches as float searches, one
+#: each, where C^- is closed; a larger round is one row search.  A float
+#: gap took 40-80 us and a row search on 4-32 rows 1.6-2.1 ms, so floats
+#: were cheaper up to about 48 rows for the hinge and the squared loss and
+#: 25 for the exponential (shared 2-core x86-64, Python 3.11, numpy 2.4).
+_FLOAT_ROUND = 32
+
+
+def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: float) -> np.ndarray:
+    """``h_alpha`` at each posterior of the 1-D array ``etas``, none of them
+    alpha, that can decide the numeric verdict, and +inf at the rest: every
+    gap at or under ``tolerance`` is exact, and so is the first least gap.
+
+    Where a closed C* serves (the gap is then cheaper than a floor), or the
+    search has no ceiling on C* (``_c_star_ceiling``), one call searches
+    every gap.  Otherwise each posterior gets a floor on its gap: the gap's
+    arithmetic with the ceiling in the place of C*.  IEEE subtraction and
+    the clamp are monotone, so each floor is at most the gap, bit for bit,
+    and a NaN gap's floor is NaN or 0.
+
+    A first round searches ``_FIRST_SEARCHED`` posteriors: where C^- is
+    closed, those of least floor; where it is searched (the sigmoid, or a
+    convex loss the derivative test does not call calibrated), those
+    nearest alpha, in the one row search that finds C^- at every
+    posterior, so their floors are their gaps.  Then, until none is left,
+    every other posterior whose floor is not above t = max(least gap
+    found, tolerance) is searched.  A posterior never searched has a gap at
+    or above its floor, so above t: neither under the tolerance nor least.
+    A NaN floor, or a NaN gap found, searches all that are left.
+
+    Where C^- is closed, a round of at most ``_FLOAT_ROUND`` posteriors, as
+    the first always is, runs one float ``h_alpha`` per posterior.  Any
+    other round is one row search of C*, its gaps taken against the C^-
+    found: the sigmoid's float partial uses libm's ``exp``, so where C^- is
+    searched a float search would not give the row search's bits.
+
+    The gaps are those of searching every posterior: rows of a row search
+    are independent, and the convex family partials give a float score the
+    bits that score gets inside an array, so a float search returns the
+    row search's result.  A hand-built partial whose float and array
+    results differ agrees only to rounding.  A ``DomainError`` anywhere
+    re-runs the search on every posterior, which names the first that
+    reads a NaN.  One case differs: a partial that is NaN only strictly
+    between two grid scores, read only by C* searches the floors rule out,
+    is no longer read, so no error is raised.  A NaN at a grid score leaves
+    no ceiling, so every posterior is searched.
+    """
+    if loss.family is not None and loss.family.has_closed_forms:
+        return h_alpha(loss, cost, etas)
+    c_minus = _closed(loss, cost, etas)
+    ceiling = _c_star_ceiling(loss, etas)
+    if ceiling is None:
+        return h_alpha(loss, cost, etas)
+    c_minus_searched = c_minus is None
+    gaps = np.full(etas.shape, np.inf)
+    left = np.ones(etas.shape, dtype=bool)
+    try:
+        if c_minus_searched:
+            first = np.argsort(np.abs(etas - cost.alpha), kind="stable")[:_FIRST_SEARCHED]
+            codes = np.concatenate([np.sign(cost.alpha - etas), np.zeros(first.size)])
+            found = _search_rows(loss, np.concatenate([etas, etas[first]]), codes)[0].value
+            c_minus, ceiling[first] = found[: etas.size], found[etas.size :]
+        floor = c_minus - ceiling
+        floor[0.0 > floor] = 0.0
+        if c_minus_searched:  # their floors are their gaps
+            gaps[first], left[first] = floor[first], False
+            rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
+        else:
+            rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
+        while rows.size:
+            if c_minus_searched or rows.size > _FLOAT_ROUND:
+                h = c_minus[rows] - _search_rows(loss, etas[rows], np.zeros(rows.size))[0].value
+                gaps[rows] = np.where(0.0 > h, 0.0, h)
+            else:
+                gaps[rows] = [h_alpha(loss, cost, eta) for eta in etas[rows].tolist()]
+            left[rows] = False
+            rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
+    except DomainError:
+        h_alpha(loss, cost, etas)  # names the first posterior that reads a NaN
+        raise
+    return gaps
 
 
 def h_cc(loss: Loss, eta):

@@ -338,14 +338,15 @@ class TestNumericFallbackWitness:
                 check_calibrated_numeric(loss, CostParam(0.3), 11)
             return
 
-        def gaps(loss, cost, etas):
+        def gaps(loss, cost, etas, tolerance):
             values = 1.0 + (etas - 0.5) ** 2
             values[np.argmin(values) + 2] = values.min()  # a tie after the minimum
             return values
 
-        monkeypatch.setattr(calibration, "h_alpha", gaps)
+        monkeypatch.setattr(calibration, "_verdict_gaps", gaps)
         report = check_calibrated_numeric(uneven("hinge", gamma=1.0), CostParam(0.3), 11)
-        expected = min(zip(etas, gaps(None, None, np.array(etas)).tolist()), key=lambda ev: ev[1])
+        values = gaps(None, None, np.array(etas), 0.0).tolist()
+        expected = min(zip(etas, values), key=lambda ev: ev[1])
         assert report.verdict == "calibrated"
         assert repr(report.witnesses) == repr((expected,))
         assert [type(x) for x in report.witnesses[0]] == [float, float]
@@ -366,7 +367,7 @@ def full_search_outcome(loss, cost, grid_size, tolerance):
     def every_gap(loss, cost, etas, tolerance):
         return h_alpha(loss, cost, etas)
 
-    with mock.patch.object(calibration, "_coarse_gaps", every_gap):
+    with mock.patch.object(calibration, "_verdict_gaps", every_gap):
         return verdict_outcome(loss, cost, grid_size, tolerance)
 
 
@@ -458,52 +459,57 @@ class TestBoundedCoarseSearch:
         st.lists(
             st.tuples(
                 st.one_of(st.sampled_from([0.0, 1e-9, 1.0, math.inf, math.nan]), st.floats(0.0, 2.0)),
-                st.sampled_from([0.0, 0.5, 1.0]),
+                st.sampled_from([0.0, 1e-9, 0.5, 4.0]),
             ),
             min_size=1,
-            max_size=30,
+            max_size=40,
         ),
         st.sampled_from([0.0, 1e-9, 0.5]),
     )
     # The least gap lies past the first round's least floors, above the tolerance.
-    @example([(1.0, 0.0)] * 4 + [(0.5, 1.0)], 0.0)
+    @example([(1.0, 4.0)] * 4 + [(0.5, 0.0)], 0.0)
     @settings(max_examples=200, deadline=None)
     def test_rounds_keep_what_the_report_reads(self, c_minus_searched, rows, tolerance):
-        # Drawn gaps, each with a floor no larger (NaN or 0 for a NaN gap):
-        # the rounds leave every gap at or under the tolerance exact, and the
-        # first least gap where argmin finds it.  Where C^- is searched, the
-        # floor's own search gives the first posteriors their gaps, and it
-        # keeps C^- (here each posterior's index) for the rounds.
+        # Drawn gaps, each as C^- with C* 0, and a ceiling at least 0, so
+        # each floor is the gap less its ceiling, clamped at 0 (NaN for a
+        # NaN gap; a ceiling of 4 floors any finite gap at 0): the rounds
+        # leave every gap at or under the tolerance exact, and the first
+        # least gap where argmin finds it.  Posterior i is (i + 1) / 64, in
+        # order of nearness to alpha = 2^-10.
         gaps = np.array([gap for gap, _ in rows])
-        floors = np.array(
-            [(math.nan if share else 0.0) if math.isnan(gap) else gap * share if share else 0.0
-             for gap, share in rows]
-        )
-        etas = np.arange(len(gaps), dtype=float)
-        if c_minus_searched:
-            first = np.arange(len(gaps))[: calibration._FIRST_SEARCHED]
-            floors[first] = gaps[first]
-            found_floor = oracle._GapFloor(floors, etas.copy(), first)
-        else:
-            found_floor = oracle._GapFloor(floors, None, None)
+        ceiling = np.array([ceiling for _, ceiling in rows])
 
-        def optima(loss, cost, etas, gap, floor=False, c_minus=None):
-            if floor:
-                return found_floor
-            assert c_minus_searched and (c_minus == etas).all()
-            return gaps[c_minus.astype(int)]
+        def gap_at(eta):
+            return gaps[(np.asarray(eta) * 64.0).astype(int) - 1]
 
-        def h_alpha(loss, cost, etas):
-            assert not c_minus_searched
-            return gaps[np.asarray(etas).astype(int)]
+        def closed(loss, cost, eta):  # C^-, unless searched; C* is searched
+            if cost is None or c_minus_searched:
+                return None
+            return gap_at(eta) if isinstance(eta, np.ndarray) else gap_at(eta).item()
 
-        with mock.patch.object(calibration, "_optima", optima), \
-                mock.patch.object(calibration, "h_alpha", h_alpha):
-            found = calibration._coarse_gaps(None, None, etas, tolerance)
+        def search_rows(loss, eta, code):  # C^- where the code is nonzero, C* = 0
+            assert c_minus_searched or not code.any()
+            value = np.where(code != 0, gap_at(eta), 0.0)
+            return [oracle.SearchResult(np.zeros(eta.shape), value)]
+
+        def search_float(loss, eta, code):
+            assert code == 0 and not c_minus_searched
+            return oracle.SearchResult(0.0, 0.0)
+
+        with mock.patch.object(oracle, "_closed", closed), \
+                mock.patch.object(oracle, "_c_star_ceiling", lambda loss, etas: ceiling.copy()), \
+                mock.patch.object(oracle, "_search_rows", search_rows), \
+                mock.patch.object(oracle, "_search_float", search_float):
+            etas = np.arange(1.0, len(gaps) + 1.0) / 64.0
+            cost = CostParam(2.0**-10)
+            found = oracle._verdict_gaps(untagged(uneven("hinge", 2.0)), cost, etas, tolerance)
         low = gaps <= tolerance
         assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
         i = gaps.argmin()
         assert found.argmin() == i and repr(found[i]) == repr(gaps[i])
+        if c_minus_searched:  # the first posteriors get their gaps with C^-
+            first = slice(oracle._FIRST_SEARCHED)
+            assert found[first].tobytes() == gaps[first].tobytes()
 
     @staticmethod
     def searches(monkeypatch, loss, cost):
@@ -539,7 +545,7 @@ class TestBoundedCoarseSearch:
             monkeypatch, loss, CostParam(calibrated_alpha(loss))
         )
         assert calls == [] and row_sections == []
-        assert 0 < len(float_searches) <= 8
+        assert len(float_searches) == oracle._FIRST_SEARCHED
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
     def test_a_round_past_the_crossover_is_one_row_search(self, monkeypatch, family):
@@ -548,15 +554,15 @@ class TestBoundedCoarseSearch:
         loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
         request = loss, CostParam(calibrated_alpha(loss)), 1001, 1e-9
 
-        def zero_floor(loss, cost, etas, **kwargs):  # the verdict reads only the floor
-            return oracle._GapFloor(np.zeros(etas.shape), None, None)
+        def zero_floor(loss, etas):  # an infinite ceiling floors every gap at 0
+            return np.full(etas.shape, np.inf)
 
-        monkeypatch.setattr(calibration, "_optima", zero_floor)
+        monkeypatch.setattr(oracle, "_c_star_ceiling", zero_floor)
         calls, _, float_searches = self.searches(monkeypatch, *request[:2])
-        assert calls == [1000 - calibration._FIRST_SEARCHED] and calls[0] > calibration._FLOAT_ROUND
-        assert len(float_searches) == calibration._FIRST_SEARCHED
+        assert calls == [1000 - oracle._FIRST_SEARCHED] and calls[0] > oracle._FLOAT_ROUND
+        assert len(float_searches) == oracle._FIRST_SEARCHED
         monkeypatch.undo()
-        with mock.patch.object(calibration, "_optima", zero_floor):
+        with mock.patch.object(oracle, "_c_star_ceiling", zero_floor):
             assert verdict_outcome(*request) == full_search_outcome(*request)
 
     @pytest.mark.parametrize("tagged, gamma", [(False, 3.0), (True, 0.5)])
@@ -567,7 +573,7 @@ class TestBoundedCoarseSearch:
         loss = loss if tagged else untagged(loss)
         cost = CostParam(alpha_of_gamma(gamma))
         calls, _, float_searches = self.searches(monkeypatch, loss, cost)
-        assert calls == [1000 + calibration._FIRST_SEARCHED] and float_searches == []
+        assert calls == [1000 + oracle._FIRST_SEARCHED] and float_searches == []
 
     @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
     def test_searched_c_minus_rounds_are_row_searches(
@@ -577,7 +583,7 @@ class TestBoundedCoarseSearch:
         # never floats, since C^- comes from the floor's own search.
         loss = untagged(uneven(family, gamma, beta, weight))
         calls, _, float_searches = self.searches(monkeypatch, loss, CostParam(alpha))
-        assert calls[0] == 1000 + calibration._FIRST_SEARCHED and float_searches == []
+        assert calls[0] == 1000 + oracle._FIRST_SEARCHED and float_searches == []
 
     @pytest.mark.parametrize("alpha", ["at", "below", "above", 0.3, 0.7])
     @pytest.mark.parametrize("tagged", [False, True])

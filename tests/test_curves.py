@@ -140,6 +140,12 @@ class TestNuCurve:
             with pytest.raises(DomainError, match="extra_knots.*nan"):
                 nu_curve(loss, CostParam(0.3), 5, extra_knots=extra)
 
+    @pytest.mark.parametrize("extra", [("a",), (0.1, None), ([0.2],)])
+    def test_extra_knots_that_are_no_numbers_rejected(self, extra):
+        loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
+        with pytest.raises(DomainError, match="extra_knots must be numbers"):
+            nu_curve(loss, CostParam(0.3), 5, extra_knots=extra)
+
     def test_infinite_extra_knots_clip_to_the_ends(self):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
         plain = nu_curve(loss, CostParam(0.3), 5)
@@ -542,6 +548,15 @@ class TestEnvelopeInvert:
     def test_negative_target_rejected(self):
         with pytest.raises(DomainError):
             envelope_invert(HULL_EXAMPLE, -0.01)
+
+    @pytest.mark.parametrize(
+        "env", [ConvexEnvelope([0.0, 1.0], [0.5, 1.0]), ConvexEnvelope([0.0], [0.3])]
+    )
+    def test_target_below_the_first_value_rejected(self, env):
+        # No eps has env(eps) <= y: neither extrapolated (-0.8) nor NaN.
+        with pytest.raises(DomainError, match="below the envelope's first value"):
+            envelope_invert(env, 0.1)
+        assert envelope_invert(env, env.ys[0].item()) == 0.0
 
     def test_invert_of_eval_does_not_shrink(self):
         for eps in np.linspace(0.0, 0.7, 15):

@@ -73,6 +73,13 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             UnevenMarginSpec("hinge", beta=1.0, gamma=1.0, alpha_weight=1.0)
 
+    @pytest.mark.parametrize(
+        "beta, gamma, weight", [(None, 2.0, None), (1.0, "2", None), (1.0, 2.0, "0.3")]
+    )
+    def test_rejects_parameters_that_are_no_numbers(self, beta, gamma, weight):
+        with pytest.raises(DomainError, match="must be numbers"):
+            UnevenMarginSpec("hinge", beta, gamma, weight)
+
 
 class TestMakeUnevenLoss:
     def test_hinge_negative_partial(self):
@@ -330,6 +337,11 @@ class TestAlphaOfGamma:
     def test_domain(self, scalar):
         with pytest.raises(DomainError):
             alpha_of_gamma(scalar(0.0))
+
+    @pytest.mark.parametrize("gamma", [None, "2"])
+    def test_rejects_a_gamma_that_is_no_number(self, gamma):
+        with pytest.raises(DomainError, match="gamma must be a number"):
+            alpha_of_gamma(gamma)
 
     @pytest.mark.parametrize("scalar", [float, np.float64])
     @pytest.mark.parametrize("gamma", [math.inf, math.nan, 1e12, 1e-12, 1e300, 1e-300])

@@ -26,7 +26,7 @@ from costcal import (
 )
 from costcal import oracle
 from costcal.losses import sign
-from costcal.oracle import _optima, brute_force_min
+from costcal.oracle import brute_force_min
 
 from conftest import counted, uneven, untagged
 
@@ -43,6 +43,11 @@ class TestCostParam:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.1, 1.5])
     def test_rejects_degenerate_alpha(self, alpha):
         with pytest.raises(DomainError):
+            CostParam(alpha)
+
+    @pytest.mark.parametrize("alpha", [None, "0.3", [0.3]])
+    def test_rejects_an_alpha_that_is_no_number(self, alpha):
+        with pytest.raises(DomainError, match="alpha must be a number"):
             CostParam(alpha)
 
 
@@ -409,10 +414,11 @@ CHOOSER_BRANCHES = {
 }
 
 
-class TestGapFloor:
-    """The chooser's floor on the gap: only where C* is searched, never
-    above the gap ``h_alpha`` returns, and the gap itself at the
-    posteriors whose C* was searched with a searched C^-."""
+class TestVerdictGaps:
+    """The numeric verdict's gaps (``oracle._verdict_gaps``): where C* is
+    searched, a floor never above the gap rules posteriors out; every gap
+    searched is ``h_alpha``'s, bit for bit, and every gap ruled out lies
+    above both the tolerance and the least gap found."""
 
     FLOORED = {
         "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4),
@@ -424,48 +430,52 @@ class TestGapFloor:
         "both searched": CHOOSER_BRANCHES["both searched"][:2],
         "tagged sigmoid": (uneven("sigmoid", gamma=0.5), 0.6),
     }
+    #: The cases whose C^- is searched, with C* at the posteriors nearest alpha.
+    C_MINUS_SEARCHED = {"both searched", "tagged sigmoid"}
+    DRAWN_ETAS = st.lists(
+        st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)),
+        min_size=1,
+        max_size=40,
+    )
 
     @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(
-            st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)),
-            min_size=1,
-            max_size=40,
-        ),
-        st.sampled_from(sorted(FLOORED)),
-    )
-    def test_at_most_the_gap(self, etas, name):
+    @given(DRAWN_ETAS, st.sampled_from(sorted(FLOORED)))
+    def test_the_floor_is_at_most_the_gap(self, etas, name):
+        # The floor is the gap's arithmetic with the ceiling in C*'s place:
+        # a ceiling at least the searched C* keeps it at most the gap.
         loss, alpha = self.FLOORED[name]
         cost = CostParam(alpha)
-        etas = np.array(etas + [alpha])
-        found = _optima(loss, cost, etas, gap=True, floor=True)
+        etas = np.array([eta for eta in etas if eta != alpha] or [0.0])
+        ceiling = oracle._c_star_ceiling(loss, etas)
+        assert (ceiling >= optimal_conditional_risk(loss, etas)).all()
+        floor = constrained_optimal_risk(loss, cost, etas) - ceiling
+        assert (np.where(0.0 > floor, 0.0, floor) <= h_alpha(loss, cost, etas)).all()
+
+    @settings(max_examples=30, deadline=None)
+    @given(DRAWN_ETAS, st.sampled_from(sorted(FLOORED)), st.sampled_from([0.0, 1e-9, 0.05]))
+    def test_searched_gaps_are_exact_and_the_rest_above_the_threshold(self, etas, name, tolerance):
+        loss, alpha = self.FLOORED[name]
+        cost = CostParam(alpha)
+        etas = np.array([eta for eta in etas if eta != alpha] or [0.0])
+        found = oracle._verdict_gaps(loss, cost, etas, tolerance)
         gaps = h_alpha(loss, cost, etas)
-        assert (found.floor <= gaps).all()
-        if found.first is not None:
-            # The first posteriors are those nearest alpha, off it, with
-            # their gaps; C^- is kept as searched, and 0 at alpha.
-            off = np.flatnonzero(etas != alpha)
-            nearest = off[np.argsort(np.abs(etas[off] - alpha), kind="stable")]
-            nearest = nearest[: oracle._FIRST_SEARCHED]
-            assert found.first.tolist() == nearest.tolist()
-            assert found.floor[nearest].tobytes() == gaps[nearest].tobytes()
-            c_minus = np.where(etas == alpha, 0.0, constrained_optimal_risk(loss, cost, etas))
-            assert found.c_minus.tobytes() == c_minus.tobytes()
+        searched = found != np.inf
+        assert found[searched].tobytes() == gaps[searched].tobytes()
+        assert (gaps[~searched] > max(found.min(), tolerance)).all()
+        i = int(gaps.argmin())  # the first least gap
+        assert int(found.argmin()) == i and found[i].tobytes() == gaps[i].tobytes()
+        if name in self.C_MINUS_SEARCHED:
+            # The posteriors nearest alpha get their gaps in C^-'s search.
+            nearest = np.argsort(np.abs(etas - alpha), kind="stable")[: oracle._FIRST_SEARCHED]
+            assert searched[nearest].all()
 
     @pytest.mark.parametrize("branch", ["both closed", "C^- searched"])
-    def test_none_where_c_star_is_closed(self, branch):
-        loss, alpha, _, _ = CHOOSER_BRANCHES[branch]
-        assert _optima(loss, CostParam(alpha), ETA_GRID, gap=True, floor=True) is None
-
-    @pytest.mark.parametrize("branch", ["C* searched", "both searched"])
-    def test_kept_c_minus_gives_the_gap(self, branch):
-        # The rounds' gaps: only C* searched, against the C^- the floor kept.
+    def test_every_gap_where_c_star_is_closed(self, branch):
         loss, alpha, _, _ = CHOOSER_BRANCHES[branch]
         cost = CostParam(alpha)
-        etas = np.append(ETA_GRID, alpha)
-        kept = np.where(etas == alpha, 0.0, constrained_optimal_risk(loss, cost, etas))
-        gaps = _optima(loss, cost, etas, gap=True, c_minus=kept)
-        assert gaps.tobytes() == h_alpha(loss, cost, etas).tobytes()
+        etas = ETA_GRID[ETA_GRID != alpha]
+        found = oracle._verdict_gaps(loss, cost, etas, 0.0)
+        assert found.tobytes() == h_alpha(loss, cost, etas).tobytes()
 
 
 class TestFloatAndArrayRequests:
