@@ -546,16 +546,30 @@ def h_alpha(loss: Loss, cost: CostParam, eta):
     """Calibration gap: constrained minus unconstrained optimal risk.
 
     At eta == alpha the constraint is vacuous, so the gap is 0 there by
-    definition and nothing is evaluated for it.  Negative gaps (rounding
-    in the searches) are clamped to 0.  Takes a float or an ndarray of
-    posteriors; on an array, whichever of C^- and C* no closed form
-    serves comes from one search, which runs both together when neither
-    is closed.
+    definition and nothing is evaluated for it.  A negative gap (rounding
+    in the searches) reads 0; a NaN one (C^- = C* = inf) raises
+    ``DomainError``.  Takes a float or an ndarray of posteriors; on an
+    array, whichever of C^- and C* no closed form serves comes from one
+    search, which runs both together when neither is closed.
     """
     _check_eta(eta)
     if not isinstance(eta, np.ndarray) and eta == cost.alpha:
         return 0.0
     return _optima(loss, cost, eta, gap=True)
+
+
+def _gap(c_minus, c_star, eta):
+    """C^- - C* clamped at 0 as ``max(h, 0.0)`` clamps it, elementwise.  A NaN gap (both
+    infinite) raises ``DomainError`` naming its first posterior; a floor (``eta`` None) keeps it."""
+    if isinstance(c_minus, np.ndarray):
+        with np.errstate(invalid="ignore"):  # inf - inf: raised below
+            h = c_minus - c_star
+        if eta is None or not (nan := np.isnan(h)).any():
+            return np.where(0.0 > h, 0.0, h)
+        eta = eta[nan].flat[0].item()
+    elif (h := c_minus - c_star) == h:
+        return max(h, 0.0)
+    raise DomainError(f"the calibration gap is NaN (C^- and C* infinite) at eta={eta!r}")
 
 
 def _closed(loss: Loss, cost: CostParam | None, eta):
@@ -591,7 +605,7 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
             # The array branch's code, sign(alpha - eta), or 0 for C*.
             code = 0 if cost is None else (-1 if eta > cost.alpha else 1)
             value = _search_float(loss, eta, code).value
-        return max(value - _optima(loss, None, eta), 0.0) if gap else value
+        return _gap(value, _optima(loss, None, eta), eta) if gap else value
 
     def search(rows, *kinds):
         """One ``_search_rows`` call on ``eta[rows]``, a column of values per
@@ -614,10 +628,11 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
             c_minus = found.pop(0) if c_minus is None else c_minus[off]
             c_star = found.pop(0) if c_star is None else c_star[off]
             h = np.zeros(eta.shape)
-            h[off] = c_minus - c_star
-        else:
-            h = c_minus - c_star
-        return np.where((0.0 > h) | at, 0.0, h)
+            h[off] = _gap(c_minus, c_star, eta[off])
+            return h
+        h = _gap(c_minus, c_star, eta)
+        h[at] = 0.0
+        return h
     # C^- off alpha and C* at alpha: one search serves the rows of either
     # that no closed form serves, its code 0 at alpha.
     c_star = _closed(loss, None, eta) if at.any() else 0.0
@@ -651,8 +666,7 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     search has no ceiling on C* (``_c_star_ceiling``), one call searches
     every gap.  Otherwise each posterior gets a floor on its gap: the gap's
     arithmetic with the ceiling in the place of C*.  IEEE subtraction and
-    the clamp are monotone, so each floor is at most the gap, bit for bit,
-    and a NaN gap's floor is NaN or 0.
+    the clamp are monotone, so each floor is at most the gap, bit for bit.
 
     A first round searches ``_FIRST_SEARCHED`` posteriors: where C^- is
     closed, those of least floor; where it is searched (the sigmoid, or a
@@ -662,7 +676,6 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     every other posterior whose floor is not above t = max(least gap
     found, tolerance) is searched.  A posterior never searched has a gap at
     or above its floor, so above t: neither under the tolerance nor least.
-    A NaN floor, or a NaN gap found, searches all that are left.
 
     Where C^- is closed, a round of at most ``_FLOAT_ROUND`` posteriors, as
     the first always is, runs one float ``h_alpha`` per posterior.  Any
@@ -696,17 +709,16 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
             codes = np.concatenate([np.sign(cost.alpha - etas), np.zeros(first.size)])
             found = _search_rows(loss, np.concatenate([etas, etas[first]]), codes)[0].value
             c_minus, ceiling[first] = found[: etas.size], found[etas.size :]
-        floor = c_minus - ceiling
-        floor[0.0 > floor] = 0.0
+        floor = _gap(c_minus, ceiling, None)  # a NaN floor rules nothing out
         if c_minus_searched:  # their floors are their gaps
-            gaps[first], left[first] = floor[first], False
+            gaps[first], left[first] = _gap(c_minus[first], ceiling[first], etas[first]), False
             rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
         else:
             rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
         while rows.size:
             if c_minus_searched or rows.size > _FLOAT_ROUND:
-                h = c_minus[rows] - _search_rows(loss, etas[rows], np.zeros(rows.size))[0].value
-                gaps[rows] = np.where(0.0 > h, 0.0, h)
+                c_star = _search_rows(loss, etas[rows], np.zeros(rows.size))[0].value
+                gaps[rows] = _gap(c_minus[rows], c_star, etas[rows])
             else:
                 gaps[rows] = [h_alpha(loss, cost, eta) for eta in etas[rows].tolist()]
             left[rows] = False

@@ -474,8 +474,10 @@ class TestBoundedCoarseSearch:
         # each floor is the gap less its ceiling, clamped at 0 (NaN for a
         # NaN gap; a ceiling of 4 floors any finite gap at 0): the rounds
         # leave every gap at or under the tolerance exact, and the first
-        # least gap where argmin finds it.  Posterior i is (i + 1) / 64, in
-        # order of nearness to alpha = 2^-10.
+        # least gap where argmin finds it.  A NaN floor rules nothing out,
+        # so a NaN gap is searched and raises, naming the first NaN
+        # posterior as the full search does.  Posterior i is (i + 1) / 64,
+        # in order of nearness to alpha = 2^-10.
         gaps = np.array([gap for gap, _ in rows])
         ceiling = np.array([ceiling for _, ceiling in rows])
 
@@ -487,10 +489,10 @@ class TestBoundedCoarseSearch:
                 return None
             return gap_at(eta) if isinstance(eta, np.ndarray) else gap_at(eta).item()
 
-        def search_rows(loss, eta, code):  # C^- where the code is nonzero, C* = 0
-            assert c_minus_searched or not code.any()
-            value = np.where(code != 0, gap_at(eta), 0.0)
-            return [oracle.SearchResult(np.zeros(eta.shape), value)]
+        def search_rows(loss, eta, *codes):  # C^- where a code is nonzero, C* = 0
+            assert c_minus_searched or not any(code.any() for code in codes)
+            values = (np.where(code != 0, gap_at(eta), 0.0) for code in codes)
+            return [oracle.SearchResult(np.zeros(eta.shape), value) for value in values]
 
         def search_float(loss, eta, code):
             assert code == 0 and not c_minus_searched
@@ -501,8 +503,13 @@ class TestBoundedCoarseSearch:
                 mock.patch.object(oracle, "_search_rows", search_rows), \
                 mock.patch.object(oracle, "_search_float", search_float):
             etas = np.arange(1.0, len(gaps) + 1.0) / 64.0
-            cost = CostParam(2.0**-10)
-            found = oracle._verdict_gaps(untagged(uneven("hinge", 2.0)), cost, etas, tolerance)
+            request = untagged(uneven("hinge", 2.0)), CostParam(2.0**-10), etas, tolerance
+            if np.isnan(gaps).any():
+                first_nan = etas[np.isnan(gaps)][0].item()
+                with pytest.raises(DomainError, match=re.escape(f"at eta={first_nan!r}")):
+                    oracle._verdict_gaps(*request)
+                return
+            found = oracle._verdict_gaps(*request)
         low = gaps <= tolerance
         assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
         i = gaps.argmin()

@@ -6,7 +6,6 @@ import io
 import json
 import math
 import os
-import random
 import struct
 
 import numpy as np
@@ -15,22 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import costcal.cli
-from costcal import (
-    ALPHA_SIGMOID_GAMMA2,
-    FAMILIES,
-    BoundTrialRecord,
-    CostParam,
-    SampledCurve,
-    biconjugate,
-    constrained_optimal_risk,
-    h_alpha,
-    mu_curve,
-    nu_curve,
-    optimal_conditional_risk,
-)
+from costcal import ALPHA_SIGMOID_GAMMA2, BoundTrialRecord, SampledCurve, biconjugate
 from costcal.cli import QUANTITIES, _curve_csv, build_parser, main
-
-from conftest import uneven
 
 
 def run(capsys, *argv):
@@ -152,53 +137,8 @@ class TestCurve:
         assert not out.exists()
 
 
-def reference_curve_csv(loss, cost, quantities, grid) -> bytes:
-    """The curve CSV as the sorting writer made it: every row built, then
-    sorted by (quantity, x, side != "left"), one ``.17g`` per field."""
-    rows = []
-    if any(q in quantities for q in ("H", "C_star", "C_minus")):
-        etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
-        columns = []
-        if "H" in quantities:
-            columns.append(("H", h_alpha(loss, cost, etas)))
-        if "C_star" in quantities:
-            columns.append(("C_star", optimal_conditional_risk(loss, etas)))
-        if "C_minus" in quantities:
-            columns.append(("C_minus", constrained_optimal_risk(loss, cost, etas)))
-        for q, values in columns:
-            rows.extend((q, x, v, "both") for x, v in zip(etas.tolist(), values.tolist()))
-    if any(q in quantities for q in ("nu", "mu", "psi")):
-        nu = nu_curve(loss, cost, grid)
-        if "nu" in quantities:
-            rows.extend(("nu", k.eps, k.value, k.side) for k in nu.knots)
-        if "mu" in quantities:
-            rows.extend(("mu", k.eps, k.value, k.side) for k in mu_curve(nu).knots)
-        if "psi" in quantities:
-            rows.extend(("psi", x, v, "both") for x, v in biconjugate(nu).hull_knots)
-    rows.sort(key=lambda r: (r[0], r[1], r[3] != "left"))
-    text = "x,quantity,value,side\n" + "".join(
-        f"{format(x, '.17g')},{q},{format(v, '.17g')},{side}\n" for q, x, v, side in rows
-    )
-    return text.encode()
-
-
 class TestCurveWriter:
-    """The CSV rows keep the sorting writer's bytes without the sort."""
-
-    # alpha = 0.5 puts the left/right pair on the last knot (b_min == B).
-    @pytest.mark.parametrize("alpha", [0.3, 0.5])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_bytes_equal_the_sorting_writer(self, tmp_path, family, alpha):
-        quantities = list(QUANTITIES)
-        random.Random(f"{family}{alpha}").shuffle(quantities)
-        out = tmp_path / "curve.csv"
-        argv = [
-            "curve", "--family", family, "--gamma", "2", "--alpha", repr(alpha),
-            "--quantities", ",".join(quantities), "--grid", "201", "--output", str(out),
-        ]
-        assert main(argv) == 0
-        expected = reference_curve_csv(uneven(family, 2.0), CostParam(alpha), quantities, 201)
-        assert out.read_bytes() == expected
+    """The CSV rows: blocks by quantity name, each in its column order."""
 
     def test_signed_zeros_in_one_block(self):
         columns = {"nu": ((-0.0, 0.0, 0.5, 0.5), (0.0, -0.0, -0.0, 0.0), ("both",) * 4)}
@@ -213,24 +153,13 @@ class TestCurveWriter:
         assert names == ["C_minus", "C_star", "H", "mu", "nu", "psi"]
 
 
-class Formatted(dict):
-    """The ``.17g`` string of each float, formatted on first lookup only
-    (zeros are never stored: -0.0 and 0.0 are equal keys)."""
-
-    def __missing__(self, x: float) -> str:
-        text = format(x, ".17g")
-        if x:
-            self[x] = text
-        return text
-
-
 def formatted_curve_csv(columns: dict) -> str:
-    """The curve CSV writer that looked each field up in ``Formatted``."""
-    fmt = Formatted()
+    """The curve CSV by its definition: each field's ``.17g`` string, rows
+    by quantity name, then in column order."""
     lines = ["x,quantity,value,side\n"]
     for q in sorted(columns):
         xs, values, sides = columns[q]
-        lines += [f"{fmt[x]},{q},{fmt[v]},{side}\n" for x, v, side in zip(xs, values, sides)]
+        lines += [f"{x:.17g},{q},{v:.17g},{side}\n" for x, v, side in zip(xs, values, sides)]
     return "".join(lines)
 
 
@@ -260,12 +189,12 @@ def curve_columns(draw) -> dict:
 
 
 class TestCurveWriterOnDrawnColumns:
-    """The column writer keeps the bytes of the writer that formatted each
-    field through a lookup, on any floats."""
+    """The column writer writes each field as its own ``.17g`` string, on
+    any floats: signed zeros, NaN payloads and repeats included."""
 
     @given(curve_columns())
     @settings(max_examples=300, deadline=None)
-    def test_equals_the_formatted_lookup_writer(self, columns):
+    def test_equals_per_field_formatting(self, columns):
         expected = formatted_curve_csv(columns)
         assert _curve_csv(columns) == expected
         arrays = {

@@ -26,7 +26,6 @@ from costcal import (
     check_calibrated_analytic,
     envelope_eval,
     envelope_invert,
-    h_alpha,
     jump_at_bmin,
     mu_curve,
     nu_curve,
@@ -57,43 +56,6 @@ def hand_curve(points, domain_max=None) -> SampledCurve:
 
 
 HULL_EXAMPLE = ConvexEnvelope([0.0, 0.3, 0.7], [0.0, 0.15, 0.7])
-
-
-@st.composite
-def nu_curve_args(draw):
-    """(alpha, grid_size, extra_knots) for ``nu_curve``.  The extra knots
-    include 0.0, -0.0, repeats, points past B and below 0, infinities, and
-    the knots the grid already has (0, B, min(a, 1 - a) and grid points)."""
-    alpha = draw(st.one_of(st.sampled_from([0.1, 0.25, 0.3, 0.5, 0.75]), st.floats(0.01, 0.99)))
-    grid_size = draw(st.integers(3, 300))
-    big, small = max(alpha, 1.0 - alpha), min(alpha, 1.0 - alpha)
-    grid = np.linspace(0.0, big, grid_size).tolist()
-    fixed = [0.0, -0.0, 0.5, 1.0, 2.0, -1.0, math.inf, -math.inf, big, small, -small]
-    knot = st.one_of(st.sampled_from(fixed), st.sampled_from(grid), st.floats(-2.0, 2.0))
-    extra = draw(st.lists(knot, max_size=8))
-    return alpha, grid_size, extra + draw(st.lists(st.sampled_from(extra or [0.0]), max_size=3))
-
-
-def columns_built_with_union1d(loss, cost, grid_size, extra_knots):
-    """nu_curve's (eps, values, sides) as np.union1d, np.split and
-    np.insert built them."""
-    alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-    eps_values = np.union1d(
-        np.linspace(0.0, big, grid_size),
-        np.array([0.0, small, big] + [min(max(float(e), 0.0), big) for e in extra_knots]),
-    )
-    lo = np.maximum(alpha - eps_values, 0.0)
-    hi = np.minimum(alpha + eps_values, 1.0)
-    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
-    far = h_hi if alpha <= 0.5 else h_lo
-    values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
-    i = int(np.searchsorted(eps_values, small))
-    right = far[i] if small < big else values[i]
-    sides = np.full(len(eps_values) + 1, "both", object)
-    sides[i : i + 2] = "left", "right"
-    eps = np.insert(eps_values, i + 1, small)
-    return eps, np.insert(values, i + 1, right), sides
 
 
 class TestNuCurve:
@@ -152,41 +114,6 @@ class TestNuCurve:
         clipped = nu_curve(loss, CostParam(0.3), 5, extra_knots=(math.inf, -math.inf))
         assert curve_bits(clipped) == curve_bits(plain)
         assert len(clipped.eps) == 7 and clipped.eps[[0, -1]].tolist() == [0.0, 0.7]
-
-    @settings(max_examples=100, deadline=None)
-    @given(nu_curve_args())
-    def test_distinct_posteriors_equal_np_unique(self, args):
-        # Extra knots at 0 and beyond B clip onto the grid's ends.
-        alpha, grid_size, extra = args
-        seen = []
-        distinct = curves._distinct_posteriors
-
-        def spy(lo, hi):
-            found = distinct(lo, hi)
-            seen.append((lo, hi, *found))
-            return found
-
-        loss = uneven("squared", gamma=2.0, alpha_weight=alpha)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(curves, "_distinct_posteriors", spy)
-            nu_curve(loss, CostParam(alpha), grid_size, extra_knots=extra)
-        [(lo, hi, etas, where)] = seen
-        ref_etas, ref_where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-        assert [e.hex() for e in etas.tolist()] == [e.hex() for e in ref_etas.tolist()]
-        assert where.tolist() == ref_where.tolist()
-
-    @settings(max_examples=150, deadline=None)
-    @given(nu_curve_args())
-    def test_columns_equal_union1d_split_insert_construction(self, args):
-        # The weighted hinge jumps at min(a, 1 - a), so left and right differ.
-        alpha, grid_size, extra = args
-        loss, cost = uneven("hinge", gamma=2.0, alpha_weight=alpha), CostParam(alpha)
-        curve = nu_curve(loss, cost, grid_size, extra_knots=extra)
-        eps, values, sides = columns_built_with_union1d(loss, cost, grid_size, extra)
-        # Hex strings tell 0.0 from -0.0.
-        assert [e.hex() for e in curve.eps.tolist()] == [e.hex() for e in eps.tolist()]
-        assert [v.hex() for v in curve.values.tolist()] == [v.hex() for v in values.tolist()]
-        assert curve.sides.tolist() == sides.tolist()
 
 
 class TestJumpAtBmin:
@@ -317,25 +244,6 @@ def assert_hull_is_reference(env: ConvexEnvelope, curve: SampledCurve) -> None:
     assert env.hull_knots == hull
 
 
-def knots_built_the_old_way(loss, cost, grid_size, extra_knots) -> tuple[Knot, ...]:
-    """nu_curve's knots as the list-building code made them: the same
-    samples, one Knot per eps, the b_min one split into left and right."""
-    alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-    extra = [min(max(float(e), 0.0), big) for e in extra_knots]
-    eps_values = np.union1d(np.linspace(0.0, big, grid_size), np.array([0.0, small, big] + extra))
-    lo, hi = np.maximum(alpha - eps_values, 0.0), np.minimum(alpha + eps_values, 1.0)
-    etas, where = np.unique(np.concatenate([lo, hi]), return_inverse=True)
-    h_lo, h_hi = np.split(h_alpha(loss, cost, etas)[where], 2)
-    far = h_hi if alpha <= 0.5 else h_lo
-    values = np.where(eps_values <= small, np.where(h_lo < h_hi, h_lo, h_hi), far)
-    eps_list = eps_values.tolist()
-    knots = [Knot(e, v, "both") for e, v in zip(eps_list, values.tolist())]
-    i = eps_list.index(small)
-    right = float(far[i]) if small < big else knots[i].value
-    knots[i : i + 1] = [knots[i]._replace(side="left"), Knot(small, right, "right")]
-    return tuple(knots)
-
-
 class TestBiconjugateReference:
     @given(knot_curves())
     @settings(max_examples=200, deadline=None)
@@ -362,7 +270,6 @@ class TestBiconjugateReference:
         nu = nu_curve(loss, cost, grid, extra_knots=extra)
         assert_hull_is_reference(biconjugate(nu), nu)
         assert mu_curve(nu).knots == reference_mu(nu)
-        assert nu.knots == knots_built_the_old_way(loss, cost, grid, extra)
 
     def test_equals_reference_on_family_curves(self):
         for family in ("hinge", "squared", "exponential"):

@@ -16,6 +16,8 @@ from costcal import (
     CostcalError,
     CostParam,
     DomainError,
+    Loss,
+    PartialLoss,
     SampledCurve,
     brute_force_min,
     calibration_fn,
@@ -204,3 +206,31 @@ def test_a_nan_at_the_refined_point_alone_raises():
         with pytest.raises(DomainError, match=r"NaN at eta=0\.5$"):
             brute_force_min(loss, eta)
     assert math.isfinite(brute_force_min(loss, 0.5, "nonpositive_scores").value)
+
+
+#: Each partial is +inf at 0 and on the half-line where the other is finite,
+#: with limit 0 at its own infinity: the conditional risk is +inf at every
+#: finite score, so inside (0, 1) C^- = C* = +inf and the gap inf - inf is NaN.
+INFINITE_RISK = Loss(
+    pos=PartialLoss(lambda t: np.where(t > 0.0, np.exp(-t), np.inf), math.inf, False, limit_pos_inf=0.0),
+    neg=PartialLoss(lambda t: np.where(t < 0.0, np.exp(t), np.inf), math.inf, False, limit_neg_inf=0.0),
+)
+
+
+@pytest.mark.parametrize("strict", [False, True], ids=["warnings-recorded", "warnings-as-errors"])
+@pytest.mark.parametrize("grid", [11, 1001])
+def test_a_nan_gap_is_a_domain_error(grid, strict):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("error" if strict else "always")
+        assert optimal_conditional_risk(INFINITE_RISK, 0.5) == math.inf
+        assert h_alpha(INFINITE_RISK, COST, 0.0) == math.inf
+        with pytest.raises(DomainError, match=r"gap is NaN .* at eta=0\.5$"):
+            h_alpha(INFINITE_RISK, COST, 0.5)
+        with pytest.raises(DomainError, match=r"gap is NaN .* at eta=0\.1$"):
+            h_alpha(INFINITE_RISK, COST, np.array([0.0, 0.1, 0.5]))
+        first = "0.1" if grid == 11 else "0.001"
+        with pytest.raises(DomainError, match=rf"gap is NaN .* at eta={first}$"):
+            check_calibrated_numeric(INFINITE_RISK, COST, grid)
+        with pytest.raises(DomainError, match=r"gap is NaN .* at eta=0\.001$"):
+            regret_bound(INFINITE_RISK, COST, 0.01, grid)
+    assert caught == []

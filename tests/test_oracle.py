@@ -372,73 +372,9 @@ class TestBatchedSearch:
             brute_force_min(loss, np.array([np.nan]))
 
 
-def mix(w, pos, neg):
-    """w * pos + (1 - w) * neg, where a partial of weight 0 contributes 0."""
-    with np.errstate(invalid="ignore"):
-        risks = w * pos + (1.0 - w) * neg
-    zero, one = w == 0.0, w == 1.0
-    np.copyto(risks, neg, where=zero)
-    np.copyto(risks, pos, where=one)
-    return risks
-
-
-def gathering_golden_section(f, a, b):
-    """The batched golden section as one run per constraint had it: every
-    step gathers the running rows' state and scatters it back."""
-    a, b = a.copy(), b.copy()
-    h = b - a
-    c = b - oracle._INV_PHI * h
-    d = a + oracle._INV_PHI * h
-    rows = np.arange(len(a))
-    yc, yd = f(rows, c), f(rows, d)
-    while rows.size:
-        left = yc[rows] < yd[rows]
-        lo, hi = np.where(left, a[rows], c[rows]), np.where(left, d[rows], b[rows])
-        hr = hi - lo
-        mid = np.where(left, c[rows], d[rows])
-        new_c = np.where(left, hi - oracle._INV_PHI * hr, mid)
-        new_d = np.where(left, mid, lo + oracle._INV_PHI * hr)
-        kept = np.where(left, yc[rows], yd[rows])
-        y_new = f(rows, np.where(left, new_c, new_d))
-        a[rows], b[rows], c[rows], d[rows] = lo, hi, new_c, new_d
-        yc[rows] = np.where(left, y_new, kept)
-        yd[rows] = np.where(left, kept, y_new)
-        rows = rows[hr > oracle._GOLDEN_TOL]
-    return np.where(yc < yd, c, d), np.where(yd < yc, yd, yc)
-
-
-@np.errstate(over="ignore")
-def constraint_search(loss, eta, constraint):
-    """The batched search for one constraint, with its own grid evaluation
-    and its own golden section: the reference for the row search."""
-    _, columns, limits = REFERENCE_CONSTRAINTS[constraint]
-    ts = oracle._GRID[columns]
-    eta = np.asarray(eta, dtype=float)
-    risks = mix(eta[:, None], loss.pos.fn(ts), loss.neg.fn(ts))
-    idx = np.argmin(risks, axis=1)
-    grid_v = risks[np.arange(len(eta)), idx]
-
-    def risk_at(rows, t):
-        return mix(eta[rows], loss.pos.fn(t), loss.neg.fn(t))
-
-    lo, hi = ts[np.maximum(idx - 1, 0)], ts[np.minimum(idx + 1, len(ts) - 1)]
-    best_t, best_v = gathering_golden_section(risk_at, lo, hi)
-    on_grid = grid_v < best_v
-    best_t[on_grid], best_v[on_grid] = ts[idx[on_grid]], grid_v[on_grid]
-    for t in limits:
-        lim_pos = loss.pos.limit_pos_inf if t > 0 else loss.pos.limit_neg_inf
-        lim_neg = loss.neg.limit_pos_inf if t > 0 else loss.neg.limit_neg_inf
-        v = mix(
-            eta, np.nan if lim_pos is None else lim_pos, np.nan if lim_neg is None else lim_neg
-        )
-        wins = v <= best_v
-        best_t[wins], best_v[wins] = t, v[wins]
-    return best_t, best_v
-
-
 def assert_rows_match_reference(loss, etas, *codes):
-    """Every row of one ``_search_rows`` call is bit-equal to the search
-    for its constraint alone."""
+    """Every row of one ``_search_rows`` call of mixed constraints is
+    bit-equal to the array search for its constraint alone."""
     etas = np.array(etas, dtype=float)
     results = oracle._search_rows(loss, etas, *(np.array(c) for c in codes))
     assert len(results) == len(codes)
@@ -447,17 +383,17 @@ def assert_rows_match_reference(loss, etas, *codes):
         for constraint, (k, _, _) in REFERENCE_CONSTRAINTS.items():
             rows = code == k
             if rows.any():
-                ref_t, ref_v = constraint_search(loss, etas[rows], constraint)
+                ref = brute_force_min(loss, etas[rows], constraint)
                 got = zip(result.arg[rows].tolist(), result.value[rows].tolist())
-                assert [bits(*r) for r in got] == [bits(*r) for r in zip(ref_t, ref_v)]
+                assert [bits(*r) for r in got] == [bits(*r) for r in zip(ref.arg, ref.value)]
 
 
 ROW_ETAS = [0.0, 1.0, 0.3, 1e-12, 1.0 - 1e-12]
 
 
 class TestRowSearch:
-    """One search over rows of mixed constraints against the per-constraint
-    batched search, and the requests that make one such search."""
+    """One search over rows of mixed constraints against the search for each
+    constraint alone, and the requests that make one such search."""
 
     @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
     def test_mixed_constraints_at_the_edges(self, name):
@@ -503,10 +439,10 @@ class TestRowSearch:
         monkeypatch.setattr(oracle, "_golden_section_rows", spy)
         values = request_fn(loss, CostParam(alpha), etas)
         assert len(runs) == 1 and runs[0] > 1
-        # Against the per-constraint search: C^- on each side, C* at alpha.
-        _, below = constraint_search(loss, etas[:3], "nonnegative_scores")
-        _, above = constraint_search(loss, etas[4:], "nonpositive_scores")
-        _, c_star = constraint_search(loss, etas, "none")
+        # Against each constraint's search alone: C^- on each side, C* at alpha.
+        below = brute_force_min(loss, etas[:3], "nonnegative_scores").value
+        above = brute_force_min(loss, etas[4:], "nonpositive_scores").value
+        c_star = brute_force_min(loss, etas, "none").value
         c_minus = np.concatenate([below, c_star[3:4], above])
         gap = c_minus - c_star
         expected = np.where(0.0 > gap, 0.0, gap) if request_fn is h_alpha else c_minus
@@ -577,14 +513,22 @@ MIX_CASES = {
 }
 
 
+def mix(w, pos, neg):
+    """The definition: w * pos + (1 - w) * neg, broadcast, where a partial of
+    weight 0 contributes 0, so at w = 0 the risk is neg and at w = 1 pos."""
+    w, pos, neg = np.broadcast_arrays(w, pos, neg)
+    with np.errstate(invalid="ignore"):
+        return np.where(w == 0.0, neg, np.where(w == 1.0, pos, w * pos + (1.0 - w) * neg))
+
+
 class TestMix:
     """``_mix`` on each of its callers' shapes, into a new array or an
-    ``out=`` buffer, equals ``mix`` bit for bit: a partial of weight 0
-    contributes nothing, even an ``inf`` or NaN one."""
+    ``out=`` buffer, equals its definition (``mix``) bit for bit: a partial
+    of weight 0 contributes nothing, even an ``inf`` or NaN one."""
 
     @pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize("case", sorted(MIX_CASES))
-    def test_equals_the_copyto_form(self, case, into_out):
+    def test_equals_the_definition(self, case, into_out):
         w, pos, neg = MIX_CASES[case]
         expected = mix(w, pos, neg)
         out = np.full((2, *expected.shape), 7.0) if into_out else None
@@ -1035,46 +979,7 @@ class TestEmpiricalRegrets:
         assert s_reg >= 0.0
 
 
-def trial_inputs_drawn_per_atom(rng, family):
-    """The fuzz trial's inputs as drawn with one rng.uniform call per
-    choice and per finite score."""
-    if family == "sigmoid":
-        gamma, alpha = 2.0, ALPHA_SIGMOID_GAMMA2
-        spec = UnevenMarginSpec("sigmoid", beta=0.5, gamma=2.0)
-    else:
-        gamma = math.exp(rng.uniform(math.log(0.25), math.log(4.0)))
-        alpha = rng.uniform(0.1, 0.9)
-        spec = UnevenMarginSpec(family, beta=1.0 / gamma, gamma=gamma, alpha_weight=alpha)
-    n_atoms = int(rng.integers(1, 21))
-    masses = rng.dirichlet(np.ones(n_atoms))
-    etas = rng.uniform(0.0, 1.0, n_atoms)
-    scores = []
-    for _ in range(n_atoms):
-        u = rng.uniform()
-        if u < 0.05:
-            scores.append(-math.inf)
-        elif u < 0.10:
-            scores.append(math.inf)
-        else:
-            scores.append(float(rng.uniform(-3.0, 3.0)))
-    dist = FiniteDistribution(tuple((float(m), float(e)) for m, e in zip(masses, etas)))
-    return spec, alpha, gamma, dist, DecisionAssignment(tuple(scores))
-
-
 class TestFuzzBound:
-    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
-    def test_trial_inputs_equal_per_atom_draws(self, family):
-        # repr tells 0.0 from -0.0 and prints each float exactly.
-        for seed in range(500):
-            got = calibration._random_trial_inputs(np.random.default_rng(seed), family)
-            want = trial_inputs_drawn_per_atom(np.random.default_rng(seed), family)
-            assert repr(got) == repr(want), seed
-
-    def test_records_equal_those_of_per_atom_draws(self, monkeypatch):
-        records = fuzz_bound(4, "exponential", 40)
-        monkeypatch.setattr(calibration, "_random_trial_inputs", trial_inputs_drawn_per_atom)
-        assert repr(fuzz_bound(4, "exponential", 40)) == repr(records)
-
     @pytest.mark.parametrize("grid_size", [2, 5.0, True, "201", None])
     def test_rejects_bad_grid_size_before_any_trial(self, monkeypatch, grid_size):
         def no_trials(*args):
