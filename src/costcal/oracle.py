@@ -559,12 +559,11 @@ def h_alpha(loss: Loss, cost: CostParam, eta):
 
 
 def _gap(c_minus, c_star, eta):
-    """C^- - C* clamped at 0 as ``max(h, 0.0)`` clamps it, elementwise.  A NaN gap (both
-    infinite) raises ``DomainError`` naming its first posterior; a floor (``eta`` None) keeps it."""
+    """C^- - C* clamped at 0 by ``max(h, 0.0)``; a NaN one raises, naming its first posterior."""
     if isinstance(c_minus, np.ndarray):
         with np.errstate(invalid="ignore"):  # inf - inf: raised below
             h = c_minus - c_star
-        if eta is None or not (nan := np.isnan(h)).any():
+        if not (nan := np.isnan(h)).any():
             return np.where(0.0 > h, 0.0, h)
         eta = eta[nan].flat[0].item()
     elif (h := c_minus - c_star) == h:
@@ -709,7 +708,8 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
             codes = np.concatenate([np.sign(cost.alpha - etas), np.zeros(first.size)])
             found = _search_rows(loss, np.concatenate([etas, etas[first]]), codes)[0].value
             c_minus, ceiling[first] = found[: etas.size], found[etas.size :]
-        floor = _gap(c_minus, ceiling, None)  # a NaN floor rules nothing out
+        with np.errstate(invalid="ignore"):  # a NaN floor rules nothing out
+            floor = np.maximum(c_minus - ceiling, 0.0)
         if c_minus_searched:  # their floors are their gaps
             gaps[first], left[first] = _gap(c_minus[first], ceiling[first], etas[first]), False
             rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import struct
 
 import numpy as np
@@ -14,8 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import costcal.cli
-from costcal import ALPHA_SIGMOID_GAMMA2, BoundTrialRecord, SampledCurve, biconjugate
+from costcal import (
+    ALPHA_SIGMOID_GAMMA2, FAMILIES, BoundTrialRecord, CostParam, SampledCurve, biconjugate,
+    constrained_optimal_risk, h_alpha, mu_curve, nu_curve, optimal_conditional_risk,
+)
 from costcal.cli import QUANTITIES, _curve_csv, build_parser, main
+
+from conftest import uneven
 
 
 def run(capsys, *argv):
@@ -137,8 +143,41 @@ class TestCurve:
         assert not out.exists()
 
 
+def reference_curve_csv(loss, cost, grid) -> bytes:
+    """The curve CSV of all six quantities as the sorting writer made it:
+    every row built, then sorted by (quantity, x, side != "left"), one
+    ``.17g`` per field."""
+    etas = np.union1d(np.linspace(0.0, 1.0, grid), [cost.alpha])
+    columns = {
+        "H": h_alpha(loss, cost, etas),
+        "C_star": optimal_conditional_risk(loss, etas),
+        "C_minus": constrained_optimal_risk(loss, cost, etas),
+    }
+    rows = [(q, x, v, "both") for q, col in columns.items() for x, v in zip(etas.tolist(), col.tolist())]
+    nu = nu_curve(loss, cost, grid)
+    rows += [(q, k.eps, k.value, k.side) for q, c in (("nu", nu), ("mu", mu_curve(nu))) for k in c.knots]
+    rows += [("psi", x, v, "both") for x, v in biconjugate(nu).hull_knots]
+    rows.sort(key=lambda r: (r[0], r[1], r[3] != "left"))
+    text = "".join(f"{format(x, '.17g')},{q},{format(v, '.17g')},{side}\n" for q, x, v, side in rows)
+    return ("x,quantity,value,side\n" + text).encode()
+
+
 class TestCurveWriter:
-    """The CSV rows: blocks by quantity name, each in its column order."""
+    """The CSV rows keep the sorting writer's bytes without the sort."""
+
+    # alpha = 0.5 puts the left/right pair on the last knot (b_min == B).
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bytes_equal_the_sorting_writer(self, tmp_path, family, alpha):
+        quantities = list(QUANTITIES)
+        random.Random(f"{family}{alpha}").shuffle(quantities)
+        out = tmp_path / "curve.csv"
+        argv = [
+            "curve", "--family", family, "--gamma", "2", "--alpha", repr(alpha),
+            "--quantities", ",".join(quantities), "--grid", "201", "--output", str(out),
+        ]
+        assert main(argv) == 0
+        assert out.read_bytes() == reference_curve_csv(uneven(family, 2.0), CostParam(alpha), 201)
 
     def test_signed_zeros_in_one_block(self):
         columns = {"nu": ((-0.0, 0.0, 0.5, 0.5), (0.0, -0.0, -0.0, 0.0), ("both",) * 4)}
