@@ -14,23 +14,22 @@ distributions, against their exact regrets.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import (
+    _MAX_LEN,
     DEFAULT_GRID,
-    _check_grid_size,
     _grid,
     biconjugate,
     envelope_eval,
     envelope_invert,
     nu_curve,
 )
-from .errors import DomainError, PreconditionError, VacuousBoundError
+from .errors import DomainError, PreconditionError, VacuousBoundError, _check_int, _check_real
 from .families import ALPHA_SIGMOID_GAMMA2, FAMILIES, UnevenMarginSpec, make_uneven_loss
-from .losses import DERIVATIVE_TOL, CostParam, Loss, _check_eta, derivative_test
+from .losses import DERIVATIVE_TOL, CostParam, Loss, derivative_test
 from .oracle import (
     DecisionAssignment,
     FiniteDistribution,
@@ -122,9 +121,8 @@ def check_calibrated_numeric(
     pass first re-runs the search on every coarse posterior, so the error
     names the posterior the full search names.
     """
-    _check_grid_size(grid_size)
-    if not 0.0 <= tolerance < math.inf:
-        raise DomainError(f"tolerance must lie in [0, inf), got {tolerance}")
+    _check_int("grid_size", grid_size, 3, _MAX_LEN)
+    _check_real("tolerance", tolerance, 0.0, ends="[)")
     alpha = cost.alpha
     radius = 1.0 / (2.0 * grid_size)
     grid = _grid(1.0, grid_size)
@@ -172,9 +170,8 @@ def calibration_fn(loss: Loss, cost: CostParam, eps: float, eta: float) -> float
     """Largest surrogate precision delta guaranteeing cost precision eps
     at posterior eta; infinite when eps exceeds |eta - alpha|."""
     _check_continuity(loss)
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
-    _check_eta(eta)
+    _check_real("eps", eps, 0.0, ends="(]")
+    _check_real("eta", eta, 0.0, 1.0)
     if eps > abs(eta - cost.alpha):
         return math.inf
     return h_alpha(loss, cost, eta)
@@ -189,9 +186,8 @@ def uniform_calibration_fn(
     infimum of nu over [eps, B], sampled with eps as an exact knot.
     """
     _check_continuity(loss)
-    _check_grid_size(grid_size)
-    if not eps > 0.0:
-        raise DomainError(f"eps must be positive, got {eps}")
+    _check_int("grid_size", grid_size, 3, _MAX_LEN)
+    _check_real("eps", eps, 0.0, ends="(]")
     if eps > cost.b_max:
         return math.inf
     nu = nu_curve(loss, cost, grid_size, extra_knots=(eps,))
@@ -207,11 +203,8 @@ def regret_bound(
     Raises VacuousBoundError when the loss is not calibrated at this
     cost parameter (the transfer function is then not invertible).
     """
-    if not 0.0 <= surrogate_regret < math.inf:
-        raise DomainError(
-            f"surrogate_regret must be nonnegative and finite, got {surrogate_regret}"
-        )
-    _check_grid_size(grid_size)
+    _check_real("surrogate_regret", surrogate_regret, 0.0, ends="[)")
+    _check_int("grid_size", grid_size, 3, _MAX_LEN)
     if check_calibrated(loss, cost).verdict != "calibrated":
         raise VacuousBoundError(
             f"loss is not calibrated at alpha={cost.alpha}; the bound is vacuous"
@@ -278,14 +271,9 @@ def fuzz_bound(
     """
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}")
-    for name, value in (("seed", seed), ("n_trials", n_trials)):
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-    if n_trials <= 0:
-        raise DomainError("n_trials must be positive")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
-    _check_grid_size(grid_size)
+    _check_int("seed", seed, 0, ends="[)")
+    _check_int("n_trials", n_trials, 1, ends="[)")
+    _check_int("grid_size", grid_size, 3, _MAX_LEN)
     seed = int(seed)  # a numpy integer would overflow in the trial seeds
 
     records = []

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from .calibration import check_calibrated, fuzz_bound, regret_bound
-from .curves import _MAX_LEN, _check_grid_size, _grid, biconjugate, mu_curve, nu_curve
-from .errors import CostcalError, DomainError, VacuousBoundError
+from .curves import _MAX_LEN, _grid, biconjugate, mu_curve, nu_curve
+from .errors import CostcalError, VacuousBoundError, _check_int, _check_real
 from .families import FAMILIES, UnevenMarginSpec, alpha_of_gamma, make_uneven_loss
 from .losses import CostParam, Loss, theta_alpha
 from .oracle import (
@@ -38,8 +38,7 @@ QUANTITIES = ("H", "nu", "mu", "psi", "C_star", "C_minus")
 
 
 def _build_loss(args) -> tuple[Loss, CostParam]:
-    if not 0.0 < args.gamma < math.inf:
-        raise DomainError(f"gamma must be positive and finite, got {args.gamma}")
+    _check_real("gamma", args.gamma, 0.0, ends="()")
     beta = args.beta if args.beta is not None else 1.0 / args.gamma
     weighted = getattr(args, "weighted", False)
     spec = UnevenMarginSpec(
@@ -125,7 +124,7 @@ def cmd_curve(args) -> int:
             raise CostcalError(f"unknown quantity {q!r}; choose from {','.join(QUANTITIES)}")
     if not quantities:
         raise CostcalError("at least one quantity is required")
-    _check_grid_size(args.grid)
+    _check_int("grid_size", args.grid, 3, _MAX_LEN)
     text = _curve_csv(_curve_columns(loss, cost, quantities, args.grid))
     with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -135,10 +134,7 @@ def cmd_curve(args) -> int:
 def cmd_alpha_gamma(args) -> int:
     if not 0.0 < args.gamma_min <= args.gamma_max < math.inf:
         raise CostcalError("need 0 < gamma-min <= gamma-max < inf")
-    if args.points < 1:
-        raise CostcalError("points must be >= 1")
-    if args.points > _MAX_LEN:
-        raise CostcalError(f"points must be <= {_MAX_LEN}, got {args.points}")
+    _check_int("points", args.points, 1, _MAX_LEN)
     gammas = np.geomspace(args.gamma_min, args.gamma_max, args.points)
     gammas[np.abs(gammas - 1.0) < 1e-9] = 1.0
     if args.gamma_min <= 1.0 <= args.gamma_max:

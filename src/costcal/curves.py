@@ -10,7 +10,6 @@ regret into a cost-regret bound (``calibration.regret_bound``).
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -18,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int, _check_real
 from .losses import CostParam, Loss
 from .oracle import h_alpha
 
@@ -114,15 +113,6 @@ class ConvexEnvelope:
 _MAX_LEN = np.iinfo(np.intp).max // 8
 
 
-def _check_grid_size(grid_size) -> None:
-    if not isinstance(grid_size, numbers.Integral):
-        raise DomainError(f"grid_size must be an integer, got {grid_size!r}")
-    if grid_size < 3:
-        raise DomainError(f"grid_size must be >= 3, got {grid_size}")
-    if grid_size > _MAX_LEN:
-        raise DomainError(f"grid_size must be <= {_MAX_LEN}, got {grid_size}")
-
-
 def _grid(stop: float, grid_size: int) -> np.ndarray:
     """``np.linspace(0, stop, grid_size)``; a grid too large to allocate
     raises ``DomainError`` naming ``grid_size``."""
@@ -167,19 +157,17 @@ def nu_curve(
     interpolation error at specific points; a NaN one, or one that is no
     number, raises ``DomainError``.
     """
-    _check_grid_size(grid_size)
+    _check_int("grid_size", grid_size, 3, _MAX_LEN)
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
-    try:
-        extras = [min(max(float(e), 0.0), big) for e in extra_knots]
-    except (TypeError, ValueError):  # None, a str: no float to take
-        raise DomainError(f"extra_knots must be numbers, got {extra_knots!r}") from None
+    extras = []
+    for e in extra_knots:
+        _check_real("extra_knots", e)
+        extras.append(min(max(float(e), 0.0), big))
     # np.union1d of the grid and the knots, built as it builds it (one
     # sort, then the first of each run), without its wrappers: the same
     # values, and the same one kept of 0.0 and -0.0.
     eps_values = np.concatenate([_grid(big, grid_size), [0.0, small, big, *extras]])
     eps_values.sort()
-    if eps_values[-1] != eps_values[-1]:  # NaN sorts last; only an extra knot can be NaN
-        raise DomainError(f"extra_knots must not contain NaN, got {extras}")
     eps_values = eps_values[_run_starts(eps_values)]
     n = len(eps_values)
     # Gaps at both alpha - eps and alpha + eps (clipped to [0, 1]), in one call.
@@ -216,7 +204,9 @@ def mu_curve(nu: SampledCurve) -> SampledCurve:
 
 
 def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, float]:
-    """Detect a jump at the curve's left/right-valued knot."""
+    """Detect a jump at the curve's left/right-valued knot: one where the
+    two values differ by more than ``tol``, in [0, inf)."""
+    _check_real("tol", tol, 0.0, ends="[)")
     eps, sides = curve.eps, curve.sides
     pairs = np.flatnonzero((sides[:-1] == "left") & (sides[1:] == "right") & (eps[:-1] == eps[1:]))
     if not pairs.size:
@@ -299,8 +289,7 @@ def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
 
 def envelope_eval(env: ConvexEnvelope, eps: float) -> float:
     """Piecewise-linear interpolation on the hull knots."""
-    if not -1e-12 <= eps <= env.domain_max + 1e-12:
-        raise DomainError(f"eps={eps} outside [0, {env.domain_max}]")
+    _check_real("eps", eps, -1e-12, env.domain_max + 1e-12)
     xs, ys = env.xs, env.ys
     return float(np.interp(min(max(eps, xs[0]), xs[-1]), xs, ys))
 
@@ -312,8 +301,7 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     which keeps the regret bound conservative.  A ``y`` below the first
     value has no such eps, and raises ``DomainError``.
     """
-    if not y >= 0.0:
-        raise DomainError(f"y must be nonnegative, got {y}")
+    _check_real("y", y, 0.0)
     xs, ys = env.xs, env.ys
     if y < ys[0]:
         raise DomainError(f"y={y} lies below the envelope's first value {ys[0].item()}")
@@ -327,8 +315,7 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
 def psi_costinsensitive(loss: Loss, eps: float, grid_size: int = DEFAULT_GRID) -> float:
     """Cost-insensitive transfer function, via the alpha = 1/2 envelope
     evaluated at eps / 2."""
-    if not 0.0 <= eps <= 1.0:
-        raise DomainError(f"eps must lie in [0, 1], got {eps}")
+    _check_real("eps", eps, 0.0, 1.0)
     cost = CostParam(0.5)
     env = biconjugate(nu_curve(loss, cost, grid_size, extra_knots=(eps / 2.0,)))
     return envelope_eval(env, eps / 2.0)

@@ -18,14 +18,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy import ndarray  # by name: looking up np.ndarray cost a fifth of a partial's float call
 
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError, UnsupportedFamilyError, _check_real
 from .losses import _GOLDEN_TOL, _INV_PHI, CostParam, Loss, PartialLoss, _check_eta, theta_alpha
 
 __all__ = [
     "FAMILIES",
     "ALPHA_SIGMOID_GAMMA2",
     "UnevenMarginSpec",
-    "ClosedForms",
     "make_uneven_loss",
     "alpha_transform",
     "closed_forms",
@@ -51,18 +50,10 @@ class UnevenMarginSpec:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        try:
-            if not (0.0 < self.beta < math.inf and 0.0 < self.gamma < math.inf):
-                raise DomainError(
-                    f"beta and gamma must be positive and finite, got {self.beta}, {self.gamma}"
-                )
-            if self.alpha_weight is not None and not 0.0 < self.alpha_weight < 1.0:
-                raise DomainError("alpha_weight must lie in (0, 1)")
-        except TypeError:  # None, a str: no number to compare
-            raise DomainError(
-                f"beta, gamma and alpha_weight must be numbers, got "
-                f"{self.beta!r}, {self.gamma!r}, {self.alpha_weight!r}"
-            ) from None
+        _check_real("beta", self.beta, 0.0, ends="()")
+        _check_real("gamma", self.gamma, 0.0, ends="()")
+        if self.alpha_weight is not None:
+            _check_real("alpha_weight", self.alpha_weight, 0.0, 1.0, "()")
 
     @property
     def has_closed_forms(self) -> bool:
@@ -417,11 +408,12 @@ def sigmoid_t_minus(eta):
     overflows at any posterior, as w^2 would at tiny ones.
     """
     if isinstance(eta, np.ndarray):
-        xp, inside = np, np.all((0.0 < eta) & (eta < 0.5))
+        if not np.all((0.0 < eta) & (eta < 0.5)):
+            raise DomainError(f"eta must lie in (0, 0.5), got {eta}")
+        xp = np
     else:
-        xp, inside = math, 0.0 < eta < 0.5
-    if not inside:
-        raise DomainError(f"eta must lie in (0, 1/2), got {eta}")
+        _check_real("eta", eta, 0.0, 0.5, "()")
+        xp = math
     num = (1.0 - eta) + xp.sqrt((1.0 - eta) ** 2 + 8.0 * eta * (1.0 - eta))
     r = 4.0 * eta / num
     return xp.log(r) - xp.log1p(xp.sqrt(1.0 - r * r))
@@ -500,9 +492,10 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     """Closed-form minimizer, optimal risk, and calibration gap.
 
     Available for the calibrated configuration beta = 1/gamma (convex
-    families) and the gamma = 2 sigmoid, unweighted.
+    families) and the gamma = 2 sigmoid, unweighted.  ``eta`` is one
+    posterior: an array raises ``DomainError`` (``spec.c_star`` takes arrays).
     """
-    _check_eta(eta)
+    _check_real("eta", eta, 0.0, 1.0)
     if spec.alpha_weight is not None or not spec.has_closed_forms:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
@@ -569,11 +562,7 @@ def alpha_of_gamma(gamma: float) -> float:
     linear term in ln(gamma), exact to O(ln(gamma)^3).  Past about
     [1e-12, 1e12] the root leaves the bracket, and DomainError is raised.
     """
-    try:
-        if not 0.0 < gamma < math.inf:
-            raise DomainError(f"gamma must be positive and finite, got {gamma}")
-    except TypeError:  # None, a str: no number to compare
-        raise DomainError(f"gamma must be a number, got {gamma!r}") from None
+    _check_real("gamma", gamma, 0.0, ends="()")
     gamma = float(gamma)  # a numpy scalar gets the float's answer, as a float
     if abs(gamma - 1.0) <= _LINEAR_NEAR_1:
         return 0.5 + _ALPHA_SLOPE_AT_1 * math.log1p(gamma - 1.0)

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedLimitError
+from .errors import DomainError, UnsupportedLimitError, _check_real
 
 if TYPE_CHECKING:
     from .families import UnevenMarginSpec
@@ -125,11 +125,9 @@ class CostParam:
     alpha: float
 
     def __post_init__(self) -> None:
-        try:
-            if not 0.0 < self.alpha < 1.0:
-                raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
-        except TypeError:  # None, a str: no number to compare
-            raise DomainError(f"alpha must be a number, got {self.alpha!r}") from None
+        # A float passes on one comparison; anything else is the check's.
+        if not (isinstance(self.alpha, float) and 0.0 < self.alpha < 1.0):
+            _check_real("alpha", self.alpha, 0.0, 1.0, "()")
 
     @property
     def b_max(self) -> float:
@@ -147,22 +145,20 @@ class ThetaWeight(NamedTuple):
 
 def _check_eta(eta) -> None:
     if isinstance(eta, np.ndarray):
+        if eta.dtype.kind not in "biuf":  # str, object, complex: no order to compare
+            raise DomainError(f"eta must be an array of real numbers, got dtype {eta.dtype}")
         if not np.all((eta >= 0.0) & (eta <= 1.0)):
             raise DomainError("eta must lie in [0, 1]")
-        return
-    try:
-        if not 0.0 <= eta <= 1.0:
-            raise DomainError(f"eta must lie in [0, 1], got {eta}")
-    except TypeError:  # a list, a str, None: no number to compare
-        raise DomainError(f"eta must be a number or an ndarray, got {eta!r}") from None
+    elif not (isinstance(eta, float) and 0.0 <= eta <= 1.0):
+        _check_real("eta", eta, 0.0, 1.0)
 
 
-def _check_score(t: float) -> None:
-    try:
-        if math.isnan(t):
-            raise DomainError("score must not be NaN")
-    except TypeError:  # None, a str: no number to test
-        raise DomainError(f"score must be a number, got {t!r}") from None
+def _check_eta_and_score(eta: float, t: float) -> None:
+    """A posterior in [0, 1], a float (an array has no one risk), and a
+    score that is not NaN, the float unequal to itself."""
+    if not (isinstance(eta, float) and isinstance(t, float) and 0.0 <= eta <= 1.0 and t == t):
+        _check_real("eta", eta, 0.0, 1.0)
+        _check_real("score", t)
 
 
 def conditional_risk(loss: Loss, eta: float, t: float) -> float:
@@ -171,8 +167,7 @@ def conditional_risk(loss: Loss, eta: float, t: float) -> float:
     Infinite scores use the declared limits of the partial losses; a
     value of +inf propagates.  A NaN score raises ``DomainError``.
     """
-    _check_eta(eta)
-    _check_score(t)
+    _check_eta_and_score(eta, t)
     total = 0.0
     for weight, partial in ((eta, loss.pos), (1.0 - eta, loss.neg)):
         if weight == 0.0:
@@ -206,8 +201,7 @@ def cost_regret(cost: CostParam, eta: float, t: float) -> float:
     Equals |eta - alpha| exactly when the sign of t disagrees with the
     sign of eta - alpha, else 0.  A NaN score raises ``DomainError``.
     """
-    _check_eta(eta)
-    _check_score(t)
+    _check_eta_and_score(eta, t)
     if sign(t) != sign(eta - cost.alpha):
         return abs(eta - cost.alpha)
     return 0.0

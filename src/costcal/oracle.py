@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_real
 from .losses import (
     _GOLDEN_TOL,
     _INV_PHI,
@@ -89,14 +89,18 @@ class FiniteDistribution:
             raise DomainError("distribution needs at least one atom")
         total = 0.0
         for atom in self.atoms:
-            try:
-                mass, eta = atom
-                if not mass > 0.0:  # NaN too
-                    raise DomainError(f"masses must be positive, got {mass}")
-                if not 0.0 <= eta <= 1.0:
-                    raise DomainError(f"eta must lie in [0, 1], got {eta}")
-            except TypeError:  # None, a str: no number to compare
-                raise DomainError(f"atoms must be (mass, eta) numbers, got {atom!r}") from None
+            if not (
+                isinstance(atom, (tuple, list)) and len(atom) == 2
+                or isinstance(atom, np.ndarray) and atom.shape == (2,)
+            ):
+                raise DomainError(f"atoms must be (mass, eta) pairs, got {atom!r}")
+            mass, eta = atom
+            # Floats pass on their comparisons; anything else is the check's.
+            if not (
+                isinstance(mass, float) and isinstance(eta, float) and mass > 0.0 and 0.0 <= eta <= 1.0
+            ):
+                _check_real("mass", mass, 0.0, ends="(]")
+                _check_real("eta", eta, 0.0, 1.0)
             total += mass
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"masses must sum to 1, got {total}")
@@ -261,7 +265,7 @@ def brute_force_min(loss: Loss, eta, constraint: str = "none") -> SearchResult:
     Raises ``DomainError``, naming the posterior, where the risk is NaN at
     the grid argmin or the refined point (a partial of weight 0 is unread).
     """
-    code = _SEARCH.get(constraint)
+    code = _SEARCH.get(constraint) if isinstance(constraint, str) else None
     if code is None:
         raise DomainError(f"unknown constraint {constraint!r}")
     _check_eta(eta)
@@ -629,9 +633,8 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
             h = np.zeros(eta.shape)
             h[off] = _gap(c_minus, c_star, eta[off])
             return h
-        h = _gap(c_minus, c_star, eta)
-        h[at] = 0.0
-        return h
+        # np.where, not an assignment: a 0-d eta's gap is a numpy scalar.
+        return np.where(at, 0.0, _gap(c_minus, c_star, eta))
     # C^- off alpha and C* at alpha: one search serves the rows of either
     # that no closed form serves, its code 0 at alpha.
     c_star = _closed(loss, None, eta) if at.any() else 0.0

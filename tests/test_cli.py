@@ -227,29 +227,48 @@ def curve_columns(draw) -> dict:
     return columns
 
 
+def assert_per_field_formatting(columns) -> str:
+    """``_curve_csv`` on the columns, as given and as ndarrays, against
+    ``formatted_curve_csv``; returns the text."""
+    expected = formatted_curve_csv(columns)
+    assert _curve_csv(columns) == expected
+    arrays = {
+        q: (np.array(xs, float), np.array(values, float), np.array(sides, object))
+        for q, (xs, values, sides) in columns.items()
+    }
+    assert _curve_csv(arrays) == expected
+    return expected
+
+
 class TestCurveWriterOnDrawnColumns:
     """The column writer writes each field as its own ``.17g`` string, on
     any floats: signed zeros, NaN payloads and repeats included."""
 
     @given(curve_columns())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=30, deadline=None)
     def test_equals_per_field_formatting(self, columns):
-        expected = formatted_curve_csv(columns)
-        assert _curve_csv(columns) == expected
-        arrays = {
-            q: (np.array(xs, float), np.array(values, float), np.array(sides, object))
-            for q, (xs, values, sides) in columns.items()
-        }
-        assert _curve_csv(arrays) == expected
+        assert_per_field_formatting(columns)
 
     def test_special_floats_each_once_per_bit_pattern(self):
+        # Every special float (NaN payloads, -0 beside 0, +-inf, subnormals)
+        # in x and value columns of four quantities: repeated across
+        # quantities, between x and value and within a column, with mixed
+        # sides, and one empty column.
         floats = SPECIAL_FLOATS
-        columns = {"nu": (floats, floats[::-1], ["both"] * len(floats))}
-        text = _curve_csv(columns)
-        assert text == formatted_curve_csv(columns)
-        assert text.splitlines()[1:3] == ["0,nu,1.2345678901234568e+17,both", "-0,nu,10000000000000000,both"]
-        assert "nan,nu,-1.7976931348623157e+308,both" in text
-        assert "4.9406564584124654e-324,nu," in text
+        n = len(floats)
+        mixed = (["left", "right", "both"] * n)[:n]
+        columns = {
+            "nu": (floats, floats[::-1], ["both"] * n),
+            "mu": (floats[::-1], floats, mixed),
+            "psi": (floats[:6] * 2, floats[6:12] * 2, mixed[:12]),
+            "H": ((), (), ()),
+        }
+        text = assert_per_field_formatting(columns)
+        nu = [line for line in text.splitlines() if ",nu," in line]
+        assert nu[:2] == ["0,nu,1.2345678901234568e+17,both", "-0,nu,10000000000000000,both"]
+        assert "nan,nu,-1.7976931348623157e+308,both" in nu
+        assert "-4.9406564584124654e-324,mu,9.9999999999999694e-311,left" in text
+        assert not any(",H," in line for line in text.splitlines())
 
 
 class TestCachedParser:

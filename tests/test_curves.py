@@ -105,7 +105,7 @@ class TestNuCurve:
     @pytest.mark.parametrize("extra", [("a",), (0.1, None), ([0.2],)])
     def test_extra_knots_that_are_no_numbers_rejected(self, extra):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
-        with pytest.raises(DomainError, match="extra_knots must be numbers"):
+        with pytest.raises(DomainError, match="extra_knots must be a number"):
             nu_curve(loss, CostParam(0.3), 5, extra_knots=extra)
 
     def test_infinite_extra_knots_clip_to_the_ends(self):

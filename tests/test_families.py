@@ -77,7 +77,7 @@ class TestSpecValidation:
         "beta, gamma, weight", [(None, 2.0, None), (1.0, "2", None), (1.0, 2.0, "0.3")]
     )
     def test_rejects_parameters_that_are_no_numbers(self, beta, gamma, weight):
-        with pytest.raises(DomainError, match="must be numbers"):
+        with pytest.raises(DomainError, match="must be a number"):
             UnevenMarginSpec("hinge", beta, gamma, weight)
 
 

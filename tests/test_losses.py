@@ -105,13 +105,13 @@ class TestPosteriorThatIsNoNumber:
             lambda: h_alpha(loss, cost, eta),
         )
         for request in requests:
-            with pytest.raises(DomainError, match="must be a number or an ndarray"):
+            with pytest.raises(DomainError, match="eta must be a number"):
                 request()
 
     @pytest.mark.parametrize("t", [math.nan, np.float64(math.nan)])
     def test_rejects_nan_score(self, t):
         loss = uneven("hinge", gamma=1.0)
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match="score must lie in .*, got nan"):
             conditional_risk(loss, 0.3, t)
 
     @pytest.mark.parametrize("t", [None, "0.3", [0.3]])
@@ -318,7 +318,7 @@ class TestCostRegret:
     @pytest.mark.parametrize("eta", [0.1, 0.3, 0.8])
     def test_rejects_nan_score(self, eta):
         # sign(nan) is -1, so a NaN score would read as the negative decision.
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match="score must lie in .*, got nan"):
             cost_regret(CostParam(0.3), eta, math.nan)
 
 

@@ -920,7 +920,7 @@ class TestFiniteDistribution:
         "atoms", [((1.0, None),), ((None, 0.3),), (("1", 0.3),), ((0.5, 0.2), (0.5, "0.8"))]
     )
     def test_rejects_an_atom_that_is_no_number(self, atoms):
-        with pytest.raises(DomainError, match=r"atoms must be \(mass, eta\) numbers"):
+        with pytest.raises(DomainError, match="(mass|eta) must be a number"):
             FiniteDistribution(atoms)
 
 
@@ -965,7 +965,7 @@ class TestEmpiricalRegrets:
     def test_nan_score_rejected(self, eta):
         dist = FiniteDistribution(((0.5, eta), (0.5, 0.6)))
         loss = uneven("hinge", gamma=1.0, beta=1.0)
-        with pytest.raises(DomainError, match="NaN"):
+        with pytest.raises(DomainError, match="score must lie in .*, got nan"):
             empirical_regrets(dist, DecisionAssignment((math.nan, 1.0)), loss, CostParam(0.3))
 
     def test_infinite_scores_use_declared_limits(self):
