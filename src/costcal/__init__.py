@@ -1,109 +1,22 @@
 """Calibration diagnostics and surrogate regret bounds for binary
 classification with label-dependent costs."""
 
-from .calibration import (
-    BoundTrialRecord,
-    CalibrationReport,
-    calibration_fn,
-    check_calibrated,
-    check_calibrated_analytic,
-    check_calibrated_numeric,
-    fuzz_bound,
-    regret_bound,
-    uniform_calibration_fn,
-)
-from .curves import (
-    ConvexEnvelope,
-    Knot,
-    SampledCurve,
-    biconjugate,
-    envelope_eval,
-    envelope_invert,
-    jump_at_bmin,
-    mu_curve,
-    nu_curve,
-    psi_costinsensitive,
-)
-from .errors import (
-    CostcalError,
-    DomainError,
-    PreconditionError,
-    UnsupportedFamilyError,
-    UnsupportedLimitError,
-    VacuousBoundError,
-)
-from .families import (
-    ALPHA_SIGMOID_GAMMA2,
-    FAMILIES,
-    UnevenMarginSpec,
-    alpha_of_gamma,
-    alpha_transform,
-    closed_forms,
-    make_uneven_loss,
-    sigmoid_c_minus,
-    sigmoid_t_minus,
-)
-from .losses import CostParam, Loss, PartialLoss, conditional_risk, cost_regret, theta_alpha
-from .oracle import (
-    DecisionAssignment,
-    FiniteDistribution,
-    brute_force_min,
-    constrained_optimal_risk,
-    empirical_regrets,
-    h_alpha,
-    h_cc,
-    optimal_conditional_risk,
-)
+from . import calibration, curves, errors, families, losses, oracle
+from .calibration import *
+from .curves import *
+from .errors import *
+from .families import *
+from .losses import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALPHA_SIGMOID_GAMMA2",
-    "FAMILIES",
-    "BoundTrialRecord",
-    "CalibrationReport",
-    "ConvexEnvelope",
-    "CostParam",
-    "CostcalError",
-    "DecisionAssignment",
-    "DomainError",
-    "FiniteDistribution",
-    "Knot",
-    "Loss",
-    "PartialLoss",
-    "PreconditionError",
-    "SampledCurve",
-    "UnevenMarginSpec",
-    "UnsupportedFamilyError",
-    "UnsupportedLimitError",
-    "VacuousBoundError",
-    "alpha_of_gamma",
-    "alpha_transform",
-    "biconjugate",
-    "brute_force_min",
-    "calibration_fn",
-    "check_calibrated",
-    "check_calibrated_analytic",
-    "check_calibrated_numeric",
-    "closed_forms",
-    "conditional_risk",
-    "constrained_optimal_risk",
-    "cost_regret",
-    "empirical_regrets",
-    "envelope_eval",
-    "envelope_invert",
-    "fuzz_bound",
-    "h_alpha",
-    "h_cc",
-    "jump_at_bmin",
-    "make_uneven_loss",
-    "mu_curve",
-    "nu_curve",
-    "optimal_conditional_risk",
-    "psi_costinsensitive",
-    "regret_bound",
-    "sigmoid_c_minus",
-    "sigmoid_t_minus",
-    "theta_alpha",
-    "uniform_calibration_fn",
-]
+# Each module lists its public names once, in its own ``__all__``.
+__all__ = (
+    calibration.__all__
+    + curves.__all__
+    + errors.__all__
+    + families.__all__
+    + losses.__all__
+    + oracle.__all__
+)

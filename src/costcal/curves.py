@@ -17,7 +17,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_int, _check_real
+from .errors import DomainError, _check_int, _check_real, _check_sequence
 from .losses import CostParam, Loss
 from .oracle import h_alpha
 
@@ -154,10 +154,11 @@ def nu_curve(
     Both one-sided values are recorded at min(a, 1-a), where nu may
     jump.  ``extra_knots`` adds exact sample locations (clipped to the
     domain), which callers use to evaluate the envelope without
-    interpolation error at specific points; a NaN one, or one that is no
-    number, raises ``DomainError``.
+    interpolation error at specific points; a NaN one, one that is no
+    number, or ``extra_knots`` that is no sequence, raises ``DomainError``.
     """
     _check_int("grid_size", grid_size, 3, _MAX_LEN)
+    _check_sequence("extra_knots", extra_knots)
     alpha, big, small = cost.alpha, cost.b_max, cost.b_min
     extras = []
     for e in extra_knots:

@@ -4,6 +4,15 @@ numeric parameter that raises them."""
 import math
 import numbers
 
+__all__ = [
+    "CostcalError",
+    "DomainError",
+    "UnsupportedLimitError",
+    "PreconditionError",
+    "UnsupportedFamilyError",
+    "VacuousBoundError",
+]
+
 
 class CostcalError(Exception):
     """Base class for all package errors."""
@@ -58,3 +67,11 @@ def _check_int(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "[]") ->
     if not isinstance(value, numbers.Integral):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     _check_real(name, value, lo, hi, ends)
+
+
+def _check_sequence(name: str, value) -> None:
+    """Raise ``DomainError`` where ``value`` cannot be iterated (None, a number)."""
+    try:
+        iter(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a sequence, got {value!r}") from None

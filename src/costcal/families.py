@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,22 @@ class UnevenMarginSpec:
         _check_real("gamma", self.gamma, 0.0, ends="()")
         if self.alpha_weight is not None:
             _check_real("alpha_weight", self.alpha_weight, 0.0, 1.0, "()")
+
+    @property
+    def weights(self) -> tuple[float, float]:
+        """The outer weights of the positive and the negative partial: (1,
+        beta), or (1 - a, a * beta) for ``alpha_weight`` a."""
+        if self.alpha_weight is None:
+            return 1.0, self.beta
+        return 1.0 - self.alpha_weight, self.alpha_weight * self.beta
+
+    @cached_property
+    def values_at_zero(self) -> tuple[float, float]:
+        """The positive and the negative partial's value at the score 0, as
+        their ``fn`` gives it, read from the spec as the closed forms are."""
+        at0 = _PHI[self.family][0]
+        w_pos, w_neg = self.weights
+        return w_pos * at0, w_neg * at0
 
     @property
     def has_closed_forms(self) -> bool:
@@ -321,29 +338,23 @@ _PHI = {
 
 def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     """Build the Loss for a family spec, metadata populated from phi."""
-    at0, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
-    beta, gamma = spec.beta, spec.gamma
-    if spec.alpha_weight is None:
-        w_pos, w_neg = 1.0, beta
-    else:
-        w_pos, w_neg = 1.0 - spec.alpha_weight, spec.alpha_weight * beta
-        if w_neg == 0.0:
-            # 0 * phi would be 0, or NaN where phi overflows, not the loss.
-            raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {beta}")
+    _, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
+    w_pos, w_neg = spec.weights
+    if w_neg == 0.0:
+        # 0 * phi would be 0, or NaN where phi overflows, not the loss.
+        raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {spec.beta}")
 
     pos = PartialLoss(
-        fn=_partial(spec.family, w_pos, None),
-        value_at_zero=w_pos * at0,
+        _partial(spec.family, w_pos, None),
         is_convex=convex,
         deriv_at_zero=w_pos * d0,
         limit_neg_inf=w_pos * lim_neg,
         limit_pos_inf=w_pos * lim_pos,
     )
     neg = PartialLoss(
-        fn=_partial(spec.family, w_neg, -gamma),  # s * t is -gamma * t
-        value_at_zero=w_neg * at0,
+        _partial(spec.family, w_neg, -spec.gamma),  # s * t is -gamma * t
         is_convex=convex,
-        deriv_at_zero=-w_neg * gamma * d0,
+        deriv_at_zero=-w_neg * spec.gamma * d0,
         limit_neg_inf=w_neg * lim_pos,
         limit_pos_inf=w_neg * lim_neg,
     )
@@ -372,8 +383,7 @@ def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
         return None if v is None else c * v
 
     return PartialLoss(
-        fn=scaled,
-        value_at_zero=c * partial.value_at_zero,
+        scaled,
         is_convex=partial.is_convex,
         deriv_at_zero=None if partial.deriv_at_zero is None else c * partial.deriv_at_zero,
         is_continuous_at_zero=partial.is_continuous_at_zero,

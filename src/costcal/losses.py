@@ -15,7 +15,7 @@ are resolved through the partial losses' declared limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -31,7 +31,6 @@ __all__ = [
     "Loss",
     "CostParam",
     "ThetaWeight",
-    "sign",
     "conditional_risk",
     "cost_regret",
     "theta_alpha",
@@ -58,18 +57,47 @@ class PartialLoss:
 
     ``fn`` must accept an ndarray of finite scores and return the losses
     elementwise (numpy ufuncs do); the oracle evaluates it on whole grids.
-    ``limit_neg_inf`` / ``limit_pos_inf`` declare the (extended real)
-    limits of ``fn`` at -inf / +inf; ``None`` means undeclared, and
-    evaluating at an infinite score then raises ``UnsupportedLimitError``.
+    Every other field is keyword-only, and declares what ``fn`` cannot
+    tell: ``is_convex`` and ``is_continuous_at_zero`` are bools;
+    ``deriv_at_zero`` is the derivative at 0, and ``limit_neg_inf`` /
+    ``limit_pos_inf`` the (extended real) limits of ``fn`` at -inf / +inf,
+    each a number or ``None`` for undeclared (evaluating at an infinite
+    score then raises ``UnsupportedLimitError``).  A field of another type,
+    a NaN, or an ``fn`` that is not callable raises ``DomainError``.
     """
 
     fn: Callable[[float], float]
-    value_at_zero: float
+    _: KW_ONLY
     is_convex: bool
     deriv_at_zero: float | None = None
     is_continuous_at_zero: bool = True
     limit_neg_inf: float | None = None
     limit_pos_inf: float | None = None
+
+    def __post_init__(self) -> None:
+        d, lo, hi = self.deriv_at_zero, self.limit_neg_inf, self.limit_pos_inf
+        # A family member's bools and floats, none NaN, pass on this one test.
+        if (
+            type(self.is_convex) is bool
+            and type(self.is_continuous_at_zero) is bool
+            and type(d) is float and type(lo) is float and type(hi) is float
+            and d == d and lo == lo and hi == hi
+            and callable(self.fn)
+        ):
+            return
+        if not callable(self.fn):
+            raise DomainError(f"fn must be callable, got {self.fn!r}")
+        for name in ("is_convex", "is_continuous_at_zero"):
+            if not isinstance(flag := getattr(self, name), (bool, np.bool_)):
+                raise DomainError(f"{name} must be a bool, got {flag!r}")
+        for name in ("deriv_at_zero", "limit_neg_inf", "limit_pos_inf"):
+            if (value := getattr(self, name)) is not None:
+                _check_real(name, value)
+
+    @cached_property
+    def value_at_zero(self) -> float:
+        """``fn`` at the score 0, evaluated on first read."""
+        return self(0.0)
 
     def __call__(self, t: float) -> float:
         if t == math.inf:

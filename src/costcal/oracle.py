@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, _check_real
+from .errors import DomainError, _check_real, _check_sequence
 from .losses import (
     _GOLDEN_TOL,
     _INV_PHI,
@@ -85,6 +85,7 @@ class FiniteDistribution:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
+        _check_sequence("atoms", self.atoms)
         if not self.atoms:
             raise DomainError("distribution needs at least one atom")
         total = 0.0
@@ -111,6 +112,9 @@ class DecisionAssignment:
     """One score per atom of a FiniteDistribution."""
 
     scores: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        _check_sequence("scores", self.scores)
 
 
 class SearchResult(NamedTuple):
@@ -582,8 +586,15 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
     if cost is None:
         return None if loss.family is None else loss.family.c_star(eta)
     test = derivative_test(loss, cost)
-    if test is not None and test[3]:
-        return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
+    if test is not None and test[3]:  # the risk at the score 0
+        # A tagged loss reads its partials' values there from its spec, so
+        # a closed form evaluates no partial.
+        pos, neg = (
+            (loss.pos.value_at_zero, loss.neg.value_at_zero)
+            if loss.family is None
+            else loss.family.values_at_zero
+        )
+        return eta * pos + (1.0 - eta) * neg
     return None if loss.family is None else loss.family.c_minus(cost, eta)
 
 

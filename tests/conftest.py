@@ -71,9 +71,17 @@ def untagged(loss: Loss) -> Loss:
     return Loss(pos=loss.pos, neg=loss.neg, family=None)
 
 
+#: The search grid by its own definition, apart from the oracle's: 400
+#: log-spaced scores each side, from 1e-6 to 50, and the score 0.
+_HALF_GRID = np.logspace(-6.0, math.log10(50.0), 400)
+SEARCH_GRID = np.concatenate([-_HALF_GRID[::-1], [0.0], _HALF_GRID])
+
+
 def counted(loss: Loss) -> tuple[Loss, list]:
     """The same loss (family tag kept) whose partials append the scores of
-    each call to the returned list."""
+    each call to the returned list.  A request's cost is what its partials
+    see (``evaluations``): the wrappers carry no family's fused search, so
+    every float search calls them once a step."""
     calls: list = []
 
     def wrap(fn):
@@ -87,16 +95,23 @@ def counted(loss: Loss) -> tuple[Loss, list]:
     return replace(loss, pos=pos, neg=neg), calls
 
 
+def evaluations(calls: list) -> tuple[list, int]:
+    """What ``counted`` recorded: the size of each array evaluation, in
+    order, and the number of float evaluations."""
+    sizes = [t.size for t in calls if isinstance(t, np.ndarray)]
+    return sizes, len(calls) - len(sizes)
+
+
 #: Partials defined on the nonnegative scores only, NaN on the negative ones.
 HALF_LINE = Loss(
-    pos=PartialLoss(fn=np.sqrt, value_at_zero=0.0, is_convex=False, limit_pos_inf=math.inf),
+    pos=PartialLoss(fn=np.sqrt, is_convex=False, limit_pos_inf=math.inf),
     neg=PartialLoss(
-        fn=lambda t: 1.0 / (1.0 + np.sqrt(t)), value_at_zero=1.0, is_convex=False, limit_pos_inf=0.0
+        fn=lambda t: 1.0 / (1.0 + np.sqrt(t)), is_convex=False, limit_pos_inf=0.0
     ),
 )
 
 
-_DECREASING = dict(fn=lambda t: np.exp(-t), value_at_zero=1.0, is_convex=True)
+_DECREASING = dict(fn=lambda t: np.exp(-t), is_convex=True)
 #: L1 declares no limit at +inf.
 UNDECLARED_LIMIT = Loss(
     pos=PartialLoss(**_DECREASING, limit_neg_inf=math.inf),
@@ -106,14 +121,12 @@ UNDECLARED_LIMIT = Loss(
 INFINITE_ON_NEGATIVES = Loss(
     pos=PartialLoss(
         fn=lambda t: np.where(t < 0.0, np.inf, np.exp(-t)),
-        value_at_zero=1.0,
         is_convex=True,
         limit_neg_inf=math.inf,
         limit_pos_inf=0.0,
     ),
     neg=PartialLoss(
         fn=lambda t: (1.0 + t) ** 2,
-        value_at_zero=1.0,
         is_convex=True,
         limit_neg_inf=math.inf,
         limit_pos_inf=math.inf,
@@ -127,9 +140,9 @@ def _nan_far(fn):
 
 #: Squared hinge partials, NaN past |t| = 30.
 NAN_FAR = Loss(
-    pos=PartialLoss(_nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), 1.0, False,
+    pos=PartialLoss(_nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), is_convex=False,
                     limit_neg_inf=math.inf, limit_pos_inf=0.0),
-    neg=PartialLoss(_nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), 1.0, False,
+    neg=PartialLoss(_nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), is_convex=False,
                     limit_neg_inf=0.0, limit_pos_inf=math.inf),
 )
 
@@ -141,7 +154,8 @@ def edge_nan_loss(threshold: float, edge: str) -> Loss:
     NaN strictly between the two outermost scores of the grid at ``edge``,
     which only a golden section bracketed there reads: L1 on the right,
     read at every posterior above ``threshold``, or L-1 on the left, read
-    at every posterior below it."""
+    at every posterior below it.  The scores are the oracle's own grid's
+    (``_GRID``): no public call gives them, and the NaN must follow them."""
     a, b = (_GRID[-2], _GRID[-1]) if edge == "right" else (_GRID[0], _GRID[1])
 
     def nan_inside(fn):
@@ -158,8 +172,8 @@ def edge_nan_loss(threshold: float, edge: str) -> Loss:
     else:
         neg = nan_inside(neg)
     return Loss(
-        pos=PartialLoss(pos, 50.0 * (1.0 - threshold), False),
-        neg=PartialLoss(neg, 50.0 * threshold, False),
+        pos=PartialLoss(pos, is_convex=False),
+        neg=PartialLoss(neg, is_convex=False),
     )
 
 
@@ -171,7 +185,6 @@ def cost_sensitive_loss(alpha: float) -> Loss:
     """
     pos = PartialLoss(
         fn=lambda t: (1.0 - alpha) * (t <= 0),
-        value_at_zero=1.0 - alpha,
         is_convex=False,
         is_continuous_at_zero=False,
         limit_neg_inf=1.0 - alpha,
@@ -179,7 +192,6 @@ def cost_sensitive_loss(alpha: float) -> Loss:
     )
     neg = PartialLoss(
         fn=lambda t: alpha * (t > 0),
-        value_at_zero=0.0,
         is_convex=False,
         is_continuous_at_zero=False,
         limit_neg_inf=0.0,

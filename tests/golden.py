@@ -96,6 +96,17 @@ def losses(family, gamma, beta, weight=None) -> dict:
     return {"tagged": loss, "untagged": Loss(pos=loss.pos, neg=loss.neg, family=None)}
 
 
+#: A partial's metadata, by name: ``value_at_zero`` is read from its ``fn``
+#: where it is no field, so the record stays the same either way.
+DECLARED = (
+    "value_at_zero", "is_convex", "deriv_at_zero", "is_continuous_at_zero", "limit_neg_inf", "limit_pos_inf"
+)
+
+
+def declared(p) -> str:
+    return "PartialLoss(fn=None," + ",".join(f"{name}={show(getattr(p, name))}" for name in DECLARED) + ")"
+
+
 def partials_group(family):
     """Each partial's fields, and its ``fn`` on float, numpy-scalar and array scores."""
     scores = [*SCORES, *map(np.float64, SCORES), np.array(SCORES + tuple(np.linspace(-60, 60, 241)))]
@@ -106,7 +117,7 @@ def partials_group(family):
                 loss = losses(family, gamma, beta, weight)["tagged"]
                 for side, p in (("pos", loss.pos), ("neg", loss.neg)):
                     head = f"{gamma!r} {beta!r} {weight!r} {side}"
-                    out.append(record(f"{head} declared", lambda p=p: dataclasses.replace(p, fn=None)))
+                    out.append(f"{head} declared {declared(p)}")
                     out += [record(f"{head} fn({show(t)})", p.fn, t) for t in scores]
     return out
 

@@ -40,8 +40,10 @@ from conftest import (
     NAN_FAR,
     UNDECLARED_LIMIT,
     cost_sensitive_loss,
+    counted,
     curve_bits,
     edge_nan_loss,
+    evaluations,
     knot_curves,
     reference_mu,
     uneven,
@@ -75,7 +77,7 @@ class TestAnalyticCheck:
             check_calibrated_analytic(loss, CostParam(0.5))
 
     def test_missing_derivative_refused(self):
-        partial = PartialLoss(fn=lambda t: abs(t), value_at_zero=0.0, is_convex=True)
+        partial = PartialLoss(fn=lambda t: abs(t), is_convex=True)
         loss = Loss(pos=partial, neg=partial)
         with pytest.raises(PreconditionError):
             check_calibrated_analytic(loss, CostParam(0.5))
@@ -474,6 +476,7 @@ class TestBoundedCoarseSearch:
     @example([(math.nan, 4.0)] + [(0.5, 0.5)] * 38 + [(math.nan, 0.0)], 0.0)
     @settings(max_examples=200, deadline=None)
     def test_rounds_keep_what_the_report_reads(self, c_minus_searched, rows, tolerance):
+        # Private by need: no public loss gives drawn gaps and ceilings.
         # Drawn gaps, each as C^- with C* 0, and a ceiling at least 0, so
         # each floor is the gap less its ceiling, clamped at 0 (a ceiling
         # of 4 floors any finite gap at 0): the rounds leave every gap at
@@ -523,45 +526,30 @@ class TestBoundedCoarseSearch:
             assert found[first].tobytes() == gaps[first].tobytes()
 
     @staticmethod
-    def searches(monkeypatch, loss, cost):
-        """The posteriors each row search of the verdict searches, the
-        number of its golden sections on rows, and its float searches."""
-        calls, float_searches, row_sections = [], [], []
-        search, search_float, section = (
-            oracle._search_rows, oracle._search_float, oracle._golden_section_rows
-        )
+    def evaluations(loss, cost, *request) -> tuple[list, int]:
+        """The verdict's partial evaluations: the size of each array one
+        after the two grid tables, and the number of float ones."""
+        loss, calls = counted(loss)
+        check_calibrated_numeric(loss, cost, *request)
+        sizes, floats = evaluations(calls)
+        assert sizes[:2] == [801, 801]
+        return sizes[2:], floats
 
-        def spy(loss, eta, *codes):
-            calls.append(eta.size)
-            return search(loss, eta, *codes)
-
-        def spy_float(loss, eta, code):
-            float_searches.append(eta)
-            return search_float(loss, eta, code)
-
-        def spy_section(*args):
-            row_sections.append(len(args[2]))
-            return section(*args)
-
-        monkeypatch.setattr(oracle, "_search_rows", spy)
-        monkeypatch.setattr(oracle, "_search_float", spy_float)
-        monkeypatch.setattr(oracle, "_golden_section_rows", spy_section)
-        check_calibrated_numeric(loss, cost)
-        return calls, row_sections, float_searches
+    #: A calibrated convex verdict's float evaluations: each partial at the
+    #: score 0 once, for C^-'s shortcut, and four float gap searches.
+    CALIBRATED_FLOATS = {"hinge": 346, "squared": 256, "exponential": 256}
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
-    def test_calibrated_convex_verdict_runs_a_handful_of_float_searches(self, monkeypatch, family):
+    def test_calibrated_convex_verdict_runs_a_handful_of_float_searches(self, family):
         loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
-        calls, row_sections, float_searches = self.searches(
-            monkeypatch, loss, CostParam(calibrated_alpha(loss))
-        )
-        assert calls == [] and row_sections == []
-        assert len(float_searches) == oracle._FIRST_SEARCHED
+        rows, floats = self.evaluations(loss, CostParam(calibrated_alpha(loss)))
+        assert rows == [] and floats == self.CALIBRATED_FLOATS[family]
 
-    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
-    def test_a_round_past_the_crossover_is_one_row_search(self, monkeypatch, family):
-        # A floor of 0 rules nothing out: after the first round of floats,
-        # every posterior left is searched in one round, as rows.
+    @pytest.mark.parametrize("family, floats", [("hinge", 312), ("squared", 303), ("exponential", 330)])
+    def test_a_round_past_the_crossover_is_one_row_search(self, monkeypatch, family, floats):
+        # A floor of 0 rules nothing out: after the first round's four float
+        # searches, the 996 posteriors left are searched in one round, as
+        # rows.  Private by need: no public loss has a ceiling of +inf.
         loss = untagged(uneven(family, gamma=3.0, beta=0.7, alpha_weight=0.3))
         request = loss, CostParam(calibrated_alpha(loss)), 1001, 1e-9
 
@@ -569,32 +557,29 @@ class TestBoundedCoarseSearch:
             return np.full(etas.shape, np.inf)
 
         monkeypatch.setattr(oracle, "_c_star_ceiling", zero_floor)
-        calls, _, float_searches = self.searches(monkeypatch, *request[:2])
-        assert calls == [1000 - oracle._FIRST_SEARCHED] and calls[0] > oracle._FLOAT_ROUND
-        assert len(float_searches) == oracle._FIRST_SEARCHED
+        rows, float_evaluations = self.evaluations(*request)
+        assert rows[0] == 996 == max(rows) and float_evaluations == floats
         monkeypatch.undo()
         with mock.patch.object(oracle, "_c_star_ceiling", zero_floor):
             assert verdict_outcome(*request) == full_search_outcome(*request)
 
     @pytest.mark.parametrize("tagged, gamma", [(False, 3.0), (True, 0.5)])
-    def test_calibrated_sigmoid_verdict_is_one_row_search(self, monkeypatch, tagged, gamma):
-        # C^- is searched at every coarse posterior, and C* at the few
-        # nearest alpha in the same search; their gaps rule out the rest.
+    def test_calibrated_sigmoid_verdict_is_one_row_search(self, tagged, gamma):
+        # C^- is searched at every coarse posterior, and C* at the four
+        # nearest alpha in the same search (1004 rows); their gaps rule out
+        # the rest.
         loss = uneven("sigmoid", gamma=gamma)
         loss = loss if tagged else untagged(loss)
-        cost = CostParam(alpha_of_gamma(gamma))
-        calls, _, float_searches = self.searches(monkeypatch, loss, cost)
-        assert calls == [1000 + oracle._FIRST_SEARCHED] and float_searches == []
+        rows, floats = self.evaluations(loss, CostParam(alpha_of_gamma(gamma)))
+        assert rows[0] == 1004 == max(rows) and floats == 0
 
     @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
-    def test_searched_c_minus_rounds_are_row_searches(
-        self, monkeypatch, family, gamma, beta, weight, alpha
-    ):
+    def test_searched_c_minus_rounds_are_row_searches(self, family, gamma, beta, weight, alpha):
         # Not calibrated: later rounds and the refinement pass search rows,
         # never floats, since C^- comes from the floor's own search.
         loss = untagged(uneven(family, gamma, beta, weight))
-        calls, _, float_searches = self.searches(monkeypatch, loss, CostParam(alpha))
-        assert calls[0] == 1000 + oracle._FIRST_SEARCHED and float_searches == []
+        rows, floats = self.evaluations(loss, CostParam(alpha))
+        assert rows[0] == 1004 and floats == 0
 
     @pytest.mark.parametrize("alpha", ["at", "below", "above", 0.3, 0.7])
     @pytest.mark.parametrize("tagged", [False, True])

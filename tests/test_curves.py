@@ -1,6 +1,7 @@
 """Gap curves, lower convex envelopes, and the regret-bound transfer."""
 
 import ast
+import importlib
 import math
 from pathlib import Path
 
@@ -586,9 +587,9 @@ class TestRegretBound:
             return lambda t: np.where(np.abs(t) > 30.0, np.nan, fn(t))
 
         loss = Loss(
-            pos=PartialLoss(nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), 1.0, False,
+            pos=PartialLoss(nan_far(lambda t: np.maximum(1.0 - t, 0.0) ** 2), is_convex=False,
                             limit_neg_inf=math.inf, limit_pos_inf=0.0),
-            neg=PartialLoss(nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), 1.0, False,
+            neg=PartialLoss(nan_far(lambda t: np.maximum(1.0 + t, 0.0) ** 2), is_convex=False,
                             limit_neg_inf=0.0, limit_pos_inf=math.inf),
         )
         cost = CostParam(0.5)
@@ -758,7 +759,7 @@ class TestLayering:
         assert readers <= {"curves"}
 
     def test_only_oracle_names_the_search_layout(self):
-        # ``Loss._search_state`` is defined in losses and read in oracle alone.
+        # The search state on a loss is defined in losses and read in oracle alone.
         layout = {"_SEARCH", "_START", "_STOP", "_grid_tables", "_search_state"}
         assert modules_naming(layout) == {"oracle"}
 
@@ -773,3 +774,125 @@ class TestLayering:
             if isinstance(node, ast.Constant) and node.value in names
         }
         assert naming == {("oracle", "_SEARCH"), ("oracle", "brute_force_min")}
+
+
+class TestPackageNames:
+    """``costcal`` exports each module's ``__all__``, and nothing else."""
+
+    MODULES = ("calibration", "curves", "errors", "families", "losses", "oracle")
+
+    def test_all_holds_each_modules_names_once(self):
+        names = [name for module in self.MODULES for name in importlib.import_module(f"costcal.{module}").__all__]
+        assert sorted(costcal.__all__) == sorted(names) and len(set(names)) == len(names)
+
+    def test_every_name_resolves(self):
+        assert all(hasattr(costcal, name) for name in costcal.__all__)
+        assert {"SearchResult", "ThetaWeight"} <= set(costcal.__all__) and "sign" not in costcal.__all__
+
+
+#: The only places a test names a private name of ``oracle`` or
+#: ``families``, or reads a loss's search state: (file, test) -> (the names,
+#: why no public call states the fact).  Every other test states a request's
+#: cost through ``conftest.counted`` and its results through public calls.
+PRIVATE_NAMES_ALLOWED = {
+    ("conftest", "<module>"): (
+        {"_GRID"},
+        "edge_nan_loss puts its NaN between the oracle's own outermost grid scores, wherever they move",
+    ),
+    ("test_calibration", "TestBoundedCoarseSearch.test_rounds_keep_what_the_report_reads"): (
+        {"_closed", "_c_star_ceiling", "_search_rows", "_search_float", "_verdict_gaps", "_FIRST_SEARCHED"},
+        "drawn gaps and ceilings, which no loss gives, injected into the verdict's rounds",
+    ),
+    ("test_calibration", "TestBoundedCoarseSearch.test_a_round_past_the_crossover_is_one_row_search"): (
+        {"_c_star_ceiling"},
+        "a ceiling of +inf, which no loss gives, so that no floor rules a posterior out",
+    ),
+    ("test_losses", "TestVerdictGaps.test_the_floor_is_at_most_the_gap"): (
+        {"_c_star_ceiling"},
+        "no public call returns the ceiling the verdict's floors are made of",
+    ),
+    ("test_losses", "TestVerdictGaps.test_searched_gaps_are_exact_and_the_rest_above_the_threshold"): (
+        {"_verdict_gaps", "_FIRST_SEARCHED"},
+        "no public call returns the gaps the verdict searched and those it ruled out",
+    ),
+    ("test_losses", "TestVerdictGaps.test_every_gap_where_c_star_is_closed"): (
+        {"_verdict_gaps"},
+        "no public call returns the gaps the verdict searched",
+    ),
+    **{
+        ("test_oracle", f"TestCStarCeiling.{test}"): (
+            names,
+            "the ceiling is no public value, and a search that grows its window (ROADMAP item 3) must keep it",
+        )
+        for test, names in {
+            "test_each_row_at_least_the_searched_c_star": {"_c_star_ceiling"},
+            "test_the_grid_minimum_at_its_columns_is_its_value": {"_c_star_ceiling"},
+            "test_blocks_give_the_one_matrix_ceiling": {"_c_star_ceiling", "_grid_tables", "_mix", "_weights"},
+            "test_none_where_a_grid_table_holds_a_nan": {"_c_star_ceiling"},
+        }.items()
+    },
+    ("test_oracle", "TestMix.test_equals_the_definition"): (
+        {"_mix", "_weights"},
+        "no public input reaches each of the mix's shapes and out= buffers, or a NaN partial of weight 0",
+    ),
+}
+
+
+def private_uses(tree: ast.Module):
+    """(scope, name) for each private name of ``oracle`` or ``families`` that
+    the module names (an attribute, an import, or a patch's target string),
+    and each read of ``_search_state``.  The scope is the test, as
+    ``Class.method`` or ``function``, or ``<module>``."""
+    searched = {"oracle", "families"}
+
+    def private(name) -> bool:
+        return isinstance(name, str) and name.startswith("_") and not name.startswith("__")
+
+    def uses(node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and (
+                sub.attr == "_search_state"
+                or isinstance(sub.value, ast.Name) and sub.value.id in searched and private(sub.attr)
+            ):
+                yield sub.attr
+            elif isinstance(sub, ast.ImportFrom) and (sub.module or "").removeprefix("costcal.") in searched:
+                yield from (alias.name for alias in sub.names if private(alias.name))
+            elif (
+                isinstance(sub, ast.Call)
+                and len(sub.args) >= 2
+                and isinstance(sub.args[0], ast.Name)
+                and sub.args[0].id in searched
+                and isinstance(sub.args[1], ast.Constant)
+                and private(sub.args[1].value)
+            ):
+                yield sub.args[1].value
+
+    for statement in tree.body:
+        members = statement.body if isinstance(statement, ast.ClassDef) else [statement]
+        for member in members:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scope = member.name if member is statement else f"{statement.name}.{member.name}"
+            else:
+                scope = statement.name if member is not statement else "<module>"
+            yield from ((scope, name) for name in uses(member))
+
+
+class TestTestsUsePublicCalls:
+    def test_private_search_names_only_where_allowed(self):
+        found: dict = {}
+        for path in sorted(Path(__file__).parent.glob("*.py")):
+            for scope, name in private_uses(ast.parse(path.read_text(encoding="utf-8"))):
+                found.setdefault((path.stem, scope), set()).add(name)
+        assert found == {place: names for place, (names, _) in PRIVATE_NAMES_ALLOWED.items()}
+
+    def test_a_spy_is_found(self):
+        spy = """
+class TestSpy:
+    def test_counts(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_search_float", None)
+        assert oracle._FLOAT_ROUND and loss._search_state
+"""
+        found = set(private_uses(ast.parse(spy + "from costcal.families import _LOG_MAX\n")))
+        counts = "TestSpy.test_counts"
+        assert found == {(counts, "_search_float"), (counts, "_FLOAT_ROUND"), (counts, "_search_state"),
+                         ("<module>", "_LOG_MAX")}

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import costcal
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
+    alpha_transform,
     CostParam,
     DomainError,
     UnevenMarginSpec,
@@ -31,10 +32,9 @@ from costcal import (
     sigmoid_t_minus,
     theta_alpha,
 )
-from costcal.families import _LOG_MAX
 from costcal.oracle import brute_force_min
 
-from conftest import counted, finite_diff_check, uneven
+from conftest import counted, finite_diff_check, uneven, untagged
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
 # Each family's phi, as its unweighted positive partial 1.0 * phi(t).
@@ -113,11 +113,26 @@ class TestMakeUnevenLoss:
     def test_metadata_consistency(self, family, gamma):
         loss = uneven(family, gamma=gamma)
         for partial in (loss.pos, loss.neg):
-            assert partial.value_at_zero == pytest.approx(partial(0.0), abs=1e-15)
             assert finite_diff_check(partial, 0.0) == pytest.approx(
                 partial.deriv_at_zero, abs=1e-5
             )
             assert partial.is_convex == (family != "sigmoid")
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_spec_values_at_zero_are_the_partials(self, family):
+        # A tagged loss's C^- shortcut reads its values at 0 from its spec:
+        # bit for bit what its partials' fn gives there, plain and through
+        # alpha_transform's scaled partials.
+        cost = CostParam(0.4)
+        for gamma in (1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 1e3):
+            for beta in (1.0 / gamma, 0.3, 0.7, 2.0):
+                for weight in (None, 0.05, 0.3, 0.9):
+                    loss = uneven(family, gamma, beta, weight)
+                    scaled = alpha_transform(untagged(loss), cost)
+                    at0 = loss.family.values_at_zero
+                    assert [p.value_at_zero.hex() for p in (loss.pos, loss.neg)] == [v.hex() for v in at0]
+                    want = [(1.0 - cost.alpha) * at0[0], cost.alpha * at0[1]]
+                    assert [p.value_at_zero.hex() for p in (scaled.pos, scaled.neg)] == [v.hex() for v in want]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_partials_nonnegative_and_convexity_flag_honest(self, family):
@@ -725,6 +740,7 @@ def mp_phi(family, t):
 
 #: The largest magnitude whose square is finite.
 _SQRT_MAX = math.sqrt(sys.float_info.max)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class TestScoresPastTheFloatRange:

@@ -22,13 +22,14 @@ from costcal import (
     h_alpha,
     h_cc,
     optimal_conditional_risk,
+    regret_bound,
     theta_alpha,
 )
 from costcal import oracle
 from costcal.losses import sign
 from costcal.oracle import brute_force_min
 
-from conftest import counted, uneven, untagged
+from conftest import counted, evaluations, uneven, untagged
 
 ETA_GRID = np.linspace(0.0, 1.0, 21)
 
@@ -122,13 +123,13 @@ class TestPosteriorThatIsNoNumber:
                 request()
 
     def test_undeclared_limit_raises(self):
-        partial = PartialLoss(fn=lambda t: t * t, value_at_zero=0.0, is_convex=True)
+        partial = PartialLoss(fn=lambda t: t * t, is_convex=True)
         with pytest.raises(UnsupportedLimitError):
             partial(math.inf)
 
     def test_undeclared_limit_at_minus_inf_raises(self):
         partial = PartialLoss(
-            fn=lambda t: t * t, value_at_zero=0.0, is_convex=True, limit_pos_inf=math.inf
+            fn=lambda t: t * t, is_convex=True, limit_pos_inf=math.inf
         )
         with pytest.raises(UnsupportedLimitError, match="no declared limit at -inf"):
             partial(-math.inf)
@@ -193,9 +194,7 @@ class TestConstrainedOptimalRisk:
 
 def quadratic_partial(d: float) -> PartialLoss:
     """1 + d*t + t^2: convex, with derivative d at 0."""
-    return PartialLoss(
-        fn=lambda t: 1.0 + d * t + t * t, value_at_zero=1.0, is_convex=True, deriv_at_zero=d
-    )
+    return PartialLoss(fn=lambda t: 1.0 + d * t + t * t, is_convex=True, deriv_at_zero=d)
 
 
 #: Derivatives at 0 of either sign: zero, subnormal or tiny, and moderate.
@@ -228,14 +227,29 @@ class TestDerivativeTest:
         for posteriors in (eta, np.array([eta])):
             calls.clear()
             constrained_optimal_risk(loss, cost, posteriors)
-            assert (not calls) == calibrated
+            # The shortcut reads each partial at the score 0 alone, once.
+            searched = any(isinstance(t, np.ndarray) or t != 0.0 for t in calls)
+            assert searched != calibrated
+
+    def test_the_shortcut_reads_the_partials_at_zero(self):
+        # A hand-built squared loss (beta = gamma = 1), calibrated at 1/2: C^-
+        # is the risk at 0, from fn.  A declared value of 0.5 there, once
+        # trusted, gave C^- 0.5 below C* 0.64, a gap of 0 and a bound of 0.357.
+        loss = Loss(
+            pos=PartialLoss(lambda t: (1.0 - t) ** 2, is_convex=True, deriv_at_zero=-2.0),
+            neg=PartialLoss(lambda t: (1.0 + t) ** 2, is_convex=True, deriv_at_zero=2.0),
+        )
+        cost = CostParam(0.5)
+        assert constrained_optimal_risk(loss, cost, 0.2) == 1.0
+        assert h_alpha(loss, cost, 0.2) == pytest.approx(0.36, abs=1e-9)
+        assert regret_bound(loss, cost, 0.01) == pytest.approx(0.05, rel=1e-9)
 
     def test_subnormal_tangent_takes_the_shortcut(self):
         loss, calls = counted(Loss(quadratic_partial(-1e-305), quadratic_partial(1.0000001e-305)))
         cost = CostParam(0.5)
         assert check_calibrated_analytic(loss, cost).verdict == "calibrated"
         assert constrained_optimal_risk(loss, cost, 0.3) == 1.0
-        assert calls == []
+        assert calls == [0.0, 0.0]
 
 
 class TestHAlpha:
@@ -367,7 +381,8 @@ class TestAlphaTransform:
         assert got.family == want.family
         scores = np.linspace(-50.0, 50.0, 2001)
         for mine, theirs in ((got.pos, want.pos), (got.neg, want.neg)):
-            assert replace(mine, fn=None) == replace(theirs, fn=None)
+            assert replace(mine, fn=theirs.fn) == theirs
+            assert mine.value_at_zero.hex() == theirs.value_at_zero.hex()
             assert np.array_equal(mine.fn(scores), theirs.fn(scores))
             assert [mine(t) for t in scores.tolist()] == [theirs(t) for t in scores.tolist()]
         etas = np.linspace(0.0, 1.0, 101)
@@ -418,7 +433,10 @@ class TestVerdictGaps:
     """The numeric verdict's gaps (``oracle._verdict_gaps``): where C* is
     searched, a floor never above the gap rules posteriors out; every gap
     searched is ``h_alpha``'s, bit for bit, and every gap ruled out lies
-    above both the tolerance and the least gap found."""
+    above both the tolerance and the least gap found.
+
+    Private by need: the verdict reports its witnesses, and no public call
+    returns the gaps it searched, ruled out or floored."""
 
     FLOORED = {
         "C* searched": (uneven("squared", gamma=2.0, beta=0.7), 1.4 / 2.4),
@@ -483,43 +501,48 @@ class TestFloatAndArrayRequests:
     same requests one float at a time, on each branch of the chooser."""
 
     @pytest.mark.parametrize("branch", sorted(CHOOSER_BRANCHES))
-    def test_array_matches_floats(self, monkeypatch, branch):
+    def test_array_matches_floats(self, branch):
         loss, alpha, star_closed, minus_closed = CHOOSER_BRANCHES[branch]
         cost = CostParam(alpha)
         etas = np.array([0.0, 1e-12, 0.1, alpha, 0.5, 0.9, 1.0 - 1e-12, 1.0])
-        searches = {"float": 0, "rows": []}
-        float_search, row_search = oracle._search_float, oracle._search_rows
 
-        def float_spy(loss, eta, code):
-            searches["float"] += 1
-            return float_search(loss, eta, code)
+        def cold(request, eta):
+            """``request`` at ``eta`` on a fresh counted copy of the loss, and
+            what its partials saw (``evaluations``)."""
+            fresh, calls = counted(loss)
+            return request(fresh, eta), evaluations(calls)
 
-        def row_spy(loss, eta, *codes):
-            searches["rows"].append(eta.tolist())
-            return row_search(loss, eta, *codes)
+        def side(eta):
+            return "nonnegative_scores" if eta < alpha else "nonpositive_scores"
 
-        monkeypatch.setattr(oracle, "_search_float", float_spy)
-        monkeypatch.setattr(oracle, "_search_rows", row_spy)
-        off = len(etas) - 1
-        star, minus = (0 if star_closed else 1), (0 if minus_closed else 1)
-        # Per request: the function, the float searches over all posteriors
-        # (H searches nothing at alpha), and whether an array must search.
+        # Per request: the function, and the searches it needs at a posterior.
+        star = [] if star_closed else ["none"]
         requests = {
-            "C*": (lambda e: optimal_conditional_risk(loss, e), star * len(etas), star),
+            "C*": (optimal_conditional_risk, lambda e: star),
             "C^-": (
-                lambda e: constrained_optimal_risk(loss, cost, e), minus * off + star, star | minus
+                lambda l, e: constrained_optimal_risk(l, cost, e),
+                lambda e: star if e == alpha else [] if minus_closed else [side(e)],
             ),
-            "H": (lambda e: h_alpha(loss, cost, e), (minus + star) * off, star | minus),
+            "H": (
+                lambda l, e: h_alpha(l, cost, e),
+                lambda e: [] if e == alpha else ([] if minus_closed else [side(e)]) + star,
+            ),
         }
-        for name, (request, float_searches, array_searches) in requests.items():
-            searches["float"], searches["rows"] = 0, []
-            values = request(etas)
-            assert len(searches["rows"]) == array_searches, name
-            floats = [request(float(e)) for e in etas]
-            assert searches["float"] == float_searches, name
-            np.testing.assert_allclose(values, floats, rtol=0.0, atol=1e-12, err_msg=name)
-        # The last request, H, searched no row at alpha.
-        assert alpha not in sum(searches["rows"], [])
+        for name, (request, needs) in requests.items():
+            values, (sizes, floats) = cold(request, etas)
+            # An array makes no float evaluation, and searches where any
+            # posterior needs a search.
+            searched = any(needs(e) for e in etas.tolist())
+            assert floats == 0 and bool(sizes) == searched, name
+            for eta in etas.tolist():
+                # A float makes the float evaluations of the searches it needs.
+                value, (sizes, floats) = cold(request, eta)
+                searches = [cold(lambda l, e: brute_force_min(l, e, c), eta)[1][1] for c in needs(eta)]
+                assert floats == sum(searches) and bool(sizes) == bool(searches), (name, eta)
+                np.testing.assert_allclose(values[etas == eta], value, rtol=0.0, atol=1e-12, err_msg=name)
+        # H searches no row at alpha: alpha costs it nothing.
+        off = cold(lambda l, e: h_alpha(l, cost, e), etas[etas != alpha])[1]
+        assert cold(lambda l, e: h_alpha(l, cost, e), etas)[1] == off
 
     @pytest.mark.parametrize("alpha", [0.05, 0.2, 0.8])
     def test_zero_dimensional_c_minus_at_alpha_is_c_star(self, alpha):

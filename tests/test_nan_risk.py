@@ -212,8 +212,8 @@ def test_a_nan_at_the_refined_point_alone_raises():
 #: with limit 0 at its own infinity: the conditional risk is +inf at every
 #: finite score, so inside (0, 1) C^- = C* = +inf and the gap inf - inf is NaN.
 INFINITE_RISK = Loss(
-    pos=PartialLoss(lambda t: np.where(t > 0.0, np.exp(-t), np.inf), math.inf, False, limit_pos_inf=0.0),
-    neg=PartialLoss(lambda t: np.where(t < 0.0, np.exp(t), np.inf), math.inf, False, limit_neg_inf=0.0),
+    pos=PartialLoss(lambda t: np.where(t > 0.0, np.exp(-t), np.inf), is_convex=False, limit_pos_inf=0.0),
+    neg=PartialLoss(lambda t: np.where(t < 0.0, np.exp(t), np.inf), is_convex=False, limit_neg_inf=0.0),
 )
 
 

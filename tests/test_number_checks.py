@@ -17,8 +17,10 @@ import pytest
 
 from costcal import (
     CostParam,
+    DecisionAssignment,
     DomainError,
     FiniteDistribution,
+    PartialLoss,
     UnevenMarginSpec,
     alpha_of_gamma,
     biconjugate,
@@ -26,6 +28,7 @@ from costcal import (
     check_calibrated_numeric,
     conditional_risk,
     cost_regret,
+    empirical_regrets,
     envelope_eval,
     envelope_invert,
     fuzz_bound,
@@ -78,7 +81,14 @@ REALS = [
     ("jump_at_bmin.tol", "tol", lambda v: jump_at_bmin(NU, v), 1e-9),
     ("nu_curve.extra_knots", "extra_knots", lambda v: nu_curve(LOSS, COST, 11, (v,)), 0.15),
     ("cli --gamma", "gamma", lambda v: cli._build_loss(loss_flags(gamma=v))[0].family, 2.0),
+    ("PartialLoss.deriv_at_zero", "deriv_at_zero", lambda v: PartialLoss(np.exp, is_convex=True, deriv_at_zero=v), -1.0),
+    ("PartialLoss.limit_neg_inf", "limit_neg_inf", lambda v: PartialLoss(np.exp, is_convex=True, limit_neg_inf=v), 1.0),
+    ("PartialLoss.limit_pos_inf", "limit_pos_inf", lambda v: PartialLoss(np.exp, is_convex=True, limit_pos_inf=v), 0.0),
 ]
+# Parameters that may be None: unweighted, or undeclared.
+NONE_ALLOWED = {
+    "UnevenMarginSpec.alpha_weight", "PartialLoss.deriv_at_zero", "PartialLoss.limit_neg_inf", "PartialLoss.limit_pos_inf"
+}
 # Posteriors that may also be an ndarray: a list of two stands for the array.
 ARRAY_POSTERIORS = [
     ("h_alpha.eta", "eta", lambda v: h_alpha(LOSS, COST, v), 0.2),
@@ -100,13 +110,22 @@ INTEGERS = [
 ]
 
 BAD = {"str": "0.3", "None": None, "two": np.array([0.2, 0.4]), "nan": math.nan}
+# Parameters that take a sequence, each with a call on a value that is none.
+DIST = FiniteDistribution(((0.5, 0.2), (0.5, 0.6)))
+SEQUENCES = [
+    ("empirical_regrets.assignment", "scores", lambda: empirical_regrets(DIST, DecisionAssignment(None), LOSS, COST)),
+    ("DecisionAssignment.scores", "scores", lambda: DecisionAssignment(5)),
+    ("FiniteDistribution.atoms", "atoms", lambda: FiniteDistribution(5)),
+    ("nu_curve.extra_knots-None", "extra_knots", lambda: nu_curve(LOSS, COST, 11, extra_knots=None)),
+    ("nu_curve.extra_knots-float", "extra_knots", lambda: nu_curve(LOSS, COST, 11, extra_knots=0.3)),
+]
 
 
 def bad_cases():
     for rows, array in ((REALS, BAD["two"]), (ARRAY_POSTERIORS, [0.2, 0.4]), (INTEGERS, BAD["two"])):
         for param, name, call, _ in rows:
             for kind, value in {**BAD, "two": array}.items():
-                if (param, kind) != ("UnevenMarginSpec.alpha_weight", "None"):  # None: unweighted
+                if not (param in NONE_ALLOWED and kind == "None"):
                     yield pytest.param(name, call, value, id=f"{param}-{kind}")
 
 
@@ -143,6 +162,12 @@ def test_rejected_with_a_domain_error_naming_the_parameter(name, call, value):
         quietly(call, value)
 
 
+@pytest.mark.parametrize("name, call", [pytest.param(name, call, id=param) for param, name, call in SEQUENCES])
+def test_a_sequence_that_is_none_raises_a_domain_error_naming_it(name, call):
+    with pytest.raises(DomainError, match=rf"^{name} must be a sequence, got "):
+        quietly(lambda _: call(), None)
+
+
 @pytest.mark.parametrize("call, value, kind", good_cases())
 def test_a_numpy_scalar_or_0d_array_gives_the_float_result(call, value, kind):
     assert bits(quietly(call, kind(value))) == bits(call(value))
@@ -175,3 +200,17 @@ class TestMalformedInput:
     def test_list_and_array_pairs_as_tuples(self):
         atoms = (((0.25, 0.3),), ([0.25, 0.3],), (np.array([0.25, 0.3]),))
         assert {bits(FiniteDistribution(a * 4).atoms) for a in atoms} == {bits(((0.25, 0.3),) * 4)}
+
+    @pytest.mark.parametrize("value", ["no", None, 1, 0.0])
+    @pytest.mark.parametrize("flag", ["is_convex", "is_continuous_at_zero"])
+    def test_partial_loss_flags_are_bools(self, flag, value):
+        # Unchecked, is_convex="no" is truthy and the verdict is analytic.
+        with pytest.raises(DomainError, match=rf"^{flag} must be a bool"):
+            PartialLoss(np.exp, **{"is_convex": True, flag: value})
+
+    def test_partial_loss_takes_a_callable_and_keyword_metadata(self):
+        with pytest.raises(DomainError, match="^fn must be callable"):
+            PartialLoss(5, is_convex=True)
+        with pytest.raises(TypeError):  # once (fn, value_at_zero, is_convex)
+            PartialLoss(np.exp, 1.0, True)
+        assert PartialLoss(np.exp, is_convex=np.bool_(False)).value_at_zero == 1.0

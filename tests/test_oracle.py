@@ -3,9 +3,10 @@
 import functools
 import gc
 import math
+import sys
 import warnings
 import weakref
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import pytest
@@ -32,15 +33,17 @@ from costcal import (
     nu_curve,
     optimal_conditional_risk,
 )
-from costcal import calibration, families, oracle
+from costcal import calibration, oracle
 from costcal.families import UnevenMarginSpec
 
 from conftest import (
     HALF_LINE,
     INFINITE_ON_NEGATIVES,
     NAN_FAR,
+    SEARCH_GRID,
     UNDECLARED_LIMIT,
     counted,
+    evaluations,
     finite_diff_check,
     uneven,
     untagged,
@@ -48,13 +51,12 @@ from conftest import (
 
 CONSTRAINTS = ("none", "nonpositive_scores", "nonnegative_scores")
 #: The references' own reading of each constraint, apart from the oracle's
-#: layout: its code (the sign every admissible score keeps), its admissible
-#: scores of the grid, and its admissible infinite scores in the order they
-#: compete.
+#: layout: its admissible scores of the grid, and its admissible infinite
+#: scores in the order they compete.
 REFERENCE_CONSTRAINTS = {
-    "none": (0, slice(None), (-math.inf, math.inf)),
-    "nonnegative_scores": (1, oracle._GRID >= 0.0, (math.inf,)),
-    "nonpositive_scores": (-1, oracle._GRID <= 0.0, (-math.inf,)),
+    "none": (slice(None), (-math.inf, math.inf)),
+    "nonnegative_scores": (SEARCH_GRID >= 0.0, (math.inf,)),
+    "nonpositive_scores": (SEARCH_GRID <= 0.0, (-math.inf,)),
 }
 #: Untagged family members, so every optimum comes from the search.
 SEARCHED = {
@@ -139,22 +141,27 @@ class TestScoreWindow:
         assert [as_float, as_array] == pytest.approx([exact, exact], rel=1e-9)
 
 
+#: The golden section's ratio, 1 / phi, and the bracket width it stops at.
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-10
+
+
 def golden_section(f, a, b):
     """Minimize a unimodal f on [a, b], in the arithmetic of a and b."""
     h = b - a
-    c = b - oracle._INV_PHI * h
-    d = a + oracle._INV_PHI * h
+    c = b - INV_PHI * h
+    d = a + INV_PHI * h
     yc, yd = f(c), f(d)
-    while h > oracle._GOLDEN_TOL:
+    while h > GOLDEN_TOL:
         if yc < yd:
             b, d, yd = d, c, yc
             h = b - a
-            c = b - oracle._INV_PHI * h
+            c = b - INV_PHI * h
             yc = f(c)
         else:
             a, c, yc = c, d, yd
             h = b - a
-            d = a + oracle._INV_PHI * h
+            d = a + INV_PHI * h
             yd = f(d)
     x = c if yc < yd else d
     return x, min(yc, yd)
@@ -179,12 +186,12 @@ def mixed_partials(loss, eta):
 @np.errstate(over="ignore")
 def loop_search(loss, eta, constraint, objective=risk_at_score):
     """The float search a step at a time, with its bracket ends taken from
-    ``_GRID`` as numpy scalars, so every step of the golden section is numpy
-    scalar arithmetic.  The golden section minimizes ``objective(loss,
+    ``SEARCH_GRID`` as numpy scalars, so every step of the golden section is
+    numpy scalar arithmetic.  The golden section minimizes ``objective(loss,
     eta)``, by default ``conditional_risk`` itself.  The reference for
     ``brute_force_min``'s Python-float search."""
-    _, columns, limits = REFERENCE_CONSTRAINTS[constraint]
-    ts = oracle._GRID[columns]
+    columns, limits = REFERENCE_CONSTRAINTS[constraint]
+    ts = SEARCH_GRID[columns]
     pos_vals, neg_vals = loss.pos.fn(ts), loss.neg.fn(ts)
     if eta == 0.0:
         risks = neg_vals
@@ -299,7 +306,7 @@ class TestPythonFloatSearch:
         # Each partial's grid table is one array; every other call is one score.
         arrays = [t for t in scores if isinstance(t, np.ndarray)]
         singles = [t for t in scores if not isinstance(t, np.ndarray)]
-        assert [t.size for t in arrays] == [len(oracle._GRID)] * 2
+        assert [t.size for t in arrays] == [len(SEARCH_GRID)] * 2
         assert singles and all(type(t) is float for t in singles)
 
 
@@ -347,19 +354,20 @@ class TestBatchedSearch:
         assert batch.value[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("name", ["hinge", "exponential", "sigmoid-gamma3"])
-    def test_nu_curve_hands_the_batched_search_no_lone_row(self, monkeypatch, name):
-        # h_alpha is 0 at alpha by definition, so no posterior is searched
-        # alone there (a lone row costs the batched search about 10x the float one).
-        rows_seen = []
-        batched = oracle._golden_section_rows
-
-        def spy(pos, neg, a, b, w):
-            rows_seen.append(len(a))
-            return batched(pos, neg, a, b, w)
-
-        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
-        nu_curve(SEARCHED[name], CostParam(0.3), 51)
-        assert rows_seen and min(rows_seen) > 1
+    def test_nu_curve_searches_as_h_alpha_off_alpha(self, name):
+        # h_alpha is 0 at alpha by definition, so nu_curve's one request
+        # searches no row there, alone or not (a lone row costs the batched
+        # search about 10x the float one): its partials see what h_alpha's
+        # on its other posteriors see.
+        cost = CostParam(0.3)
+        loss, calls = counted(SEARCHED[name])
+        eps = nu_curve(loss, cost, 51).eps
+        etas = np.unique(np.concatenate([np.maximum(0.3 - eps, 0.0), np.minimum(0.3 + eps, 1.0)]))
+        assert 0.3 in etas
+        off, off_calls = counted(SEARCHED[name])
+        h_alpha(off, cost, etas[etas != 0.3])
+        assert evaluations(calls) == evaluations(off_calls)
+        assert evaluations(calls)[0][2] == 2 * (len(etas) - 1)  # C^- and C* in one search
 
     def test_array_shape_is_kept_and_domain_checked(self):
         loss = SEARCHED["hinge"]
@@ -372,50 +380,50 @@ class TestBatchedSearch:
             brute_force_min(loss, np.array([np.nan]))
 
 
-def assert_rows_match_reference(loss, etas, *codes):
-    """Every row of one ``_search_rows`` call of mixed constraints is
-    bit-equal to the array search for its constraint alone."""
-    etas = np.array(etas, dtype=float)
-    results = oracle._search_rows(loss, etas, *(np.array(c) for c in codes))
-    assert len(results) == len(codes)
-    for code, result in zip(codes, results):
-        code = np.array(code)
-        for constraint, (k, _, _) in REFERENCE_CONSTRAINTS.items():
-            rows = code == k
-            if rows.any():
-                ref = brute_force_min(loss, etas[rows], constraint)
-                got = zip(result.arg[rows].tolist(), result.value[rows].tolist())
-                assert [bits(*r) for r in got] == [bits(*r) for r in zip(ref.arg, ref.value)]
+def assert_requests_match_constraint_searches(loss, etas, alpha):
+    """Array C^- and H, each one search of rows of mixed constraints, against
+    the array search of each constraint alone, bit for bit: C^- is searched
+    on nonnegative scores below alpha and nonpositive ones above it, and is
+    C* at alpha, where the gap is 0."""
+    cost, etas = CostParam(alpha), np.array(etas, dtype=float)
+    c_star = brute_force_min(loss, etas, "none").value
+    c_minus = c_star.copy()
+    for constraint, rows in (("nonnegative_scores", etas < alpha), ("nonpositive_scores", etas > alpha)):
+        if rows.any():
+            c_minus[rows] = brute_force_min(loss, etas[rows], constraint).value
+    assert bits(*constrained_optimal_risk(loss, cost, etas)) == bits(*c_minus)
+    with np.errstate(invalid="ignore"):  # inf - inf: a NaN gap raises
+        gap = np.where(etas == alpha, 0.0, c_minus - c_star)
+    if np.isnan(gap).any():
+        with pytest.raises(DomainError, match="gap is NaN"):
+            h_alpha(loss, cost, etas)
+    else:
+        assert bits(*h_alpha(loss, cost, etas)) == bits(*np.where(0.0 > gap, 0.0, gap))
 
 
 ROW_ETAS = [0.0, 1.0, 0.3, 1e-12, 1.0 - 1e-12]
+#: Cost asymmetries at which no searched member's C^- takes the derivative
+#: test's shortcut, so C^- is searched.
+ROW_ALPHAS = [0.2, 0.7]
 
 
 class TestRowSearch:
-    """One search over rows of mixed constraints against the search for each
-    constraint alone, and the requests that make one such search."""
+    """Array requests that search rows of mixed constraints in one search,
+    against the search for each constraint alone."""
 
+    @pytest.mark.parametrize("alpha", ROW_ALPHAS)
     @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
-    def test_mixed_constraints_at_the_edges(self, name):
-        etas = ROW_ETAS * 3
-        # Each posterior under every constraint, in both columns.
-        first = [k for k in (-1, 0, 1) for _ in ROW_ETAS]
-        second = [(k + 2) % 3 - 1 for k in first]
-        assert_rows_match_reference(ROW_LOSSES[name], etas, first, second)
-        assert_rows_match_reference(ROW_LOSSES[name], etas, second)
+    def test_mixed_constraints_at_the_edges(self, name, alpha):
+        assert_requests_match_constraint_searches(ROW_LOSSES[name], ROW_ETAS + [alpha], alpha)
 
     @settings(max_examples=30, deadline=None)
     @given(
-        st.lists(
-            st.tuples(st.floats(0.0, 1.0), st.integers(-1, 1), st.integers(-1, 1)),
-            min_size=1,
-            max_size=40,
-        ),
+        st.lists(st.one_of(st.sampled_from(ROW_ETAS + ROW_ALPHAS), st.floats(0.0, 1.0)), min_size=1, max_size=40),
         st.sampled_from(sorted(ROW_LOSSES)),
+        st.sampled_from(ROW_ALPHAS),
     )
-    def test_drawn_posteriors_and_constraints(self, rows, name):
-        etas, first, second = zip(*rows)
-        assert_rows_match_reference(ROW_LOSSES[name], etas, first, second)
+    def test_drawn_posteriors(self, etas, name, alpha):
+        assert_requests_match_constraint_searches(ROW_LOSSES[name], etas, alpha)
 
     def test_no_posteriors(self):
         loss, cost, none = SEARCHED["hinge"], CostParam(0.3), np.array([])
@@ -425,33 +433,27 @@ class TestRowSearch:
         assert h_alpha(loss, cost, none).shape == (0,)
         assert constrained_optimal_risk(loss, cost, none).shape == (0,)
 
-    @pytest.mark.parametrize("request_fn", [h_alpha, constrained_optimal_risk])
-    def test_one_golden_section_run_with_alpha_among_the_posteriors(self, monkeypatch, request_fn):
+    @pytest.mark.parametrize("request_fn, rows", [(h_alpha, 12), (constrained_optimal_risk, 7)])
+    def test_one_row_search_with_alpha_among_the_posteriors(self, request_fn, rows):
+        # After the two grid tables, one golden section on every row: H's C^-
+        # and C* off alpha (12 rows), or C^-'s 6 rows and C* at alpha.  Its
+        # first step evaluates every row, and no later step more.
         loss, alpha = SEARCHED["sigmoid-gamma3"], 0.3
         etas = np.array([0.0, 1e-12, 0.1, alpha, 0.5, 0.9, 1.0])
-        runs = []
-        golden = oracle._golden_section_rows
-
-        def spy(pos, neg, a, b, w):
-            runs.append(len(a))
-            return golden(pos, neg, a, b, w)
-
-        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
-        values = request_fn(loss, CostParam(alpha), etas)
-        assert len(runs) == 1 and runs[0] > 1
-        # Against each constraint's search alone: C^- on each side, C* at alpha.
-        below = brute_force_min(loss, etas[:3], "nonnegative_scores").value
-        above = brute_force_min(loss, etas[4:], "nonpositive_scores").value
-        c_star = brute_force_min(loss, etas, "none").value
-        c_minus = np.concatenate([below, c_star[3:4], above])
-        gap = c_minus - c_star
-        expected = np.where(0.0 > gap, 0.0, gap) if request_fn is h_alpha else c_minus
-        assert bits(*values) == bits(*expected)
+        counted_loss, calls = counted(loss)
+        request_fn(counted_loss, CostParam(alpha), etas)
+        sizes, floats = evaluations(calls)
+        assert floats == 0 and sizes[:3] == [801, 801, rows]
+        assert sizes[2:] == sorted(sizes[2:], reverse=True)
+        assert_requests_match_constraint_searches(loss, etas, alpha)
 
 
 class TestCStarCeiling:
     """The ceiling on the searched C*: each row at least the C* the row
-    search returns, bit for bit, or None where a mix could be NaN."""
+    search returns, bit for bit, or None where a mix could be NaN.
+
+    Private by need: no public call returns the ceiling, and a search that
+    grows its window (ROADMAP item 3) must keep it a ceiling."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -524,7 +526,10 @@ def mix(w, pos, neg):
 class TestMix:
     """``_mix`` on each of its callers' shapes, into a new array or an
     ``out=`` buffer, equals its definition (``mix``) bit for bit: a partial
-    of weight 0 contributes nothing, even an ``inf`` or NaN one."""
+    of weight 0 contributes nothing, even an ``inf`` or NaN one.
+
+    Private by need: no public input reaches the ``out=`` buffers' shapes
+    one at a time, or a NaN partial under weight 0."""
 
     @pytest.mark.parametrize("into_out", [False, True], ids=["new", "out"])
     @pytest.mark.parametrize("case", sorted(MIX_CASES))
@@ -541,18 +546,23 @@ class TestMix:
 
 @dataclass
 class ScaledExp:
-    """e^-t times c: a callable that equality makes unhashable."""
+    """e^-t times c: a callable that equality makes unhashable.  It keeps
+    each array call's scores and a weak reference to the values it gave."""
 
     c: float
+    arrays: list = field(default_factory=list, compare=False)
 
     def __call__(self, t):
-        return self.c * np.exp(-t)
+        values = self.c * np.exp(-t)
+        if isinstance(t, np.ndarray):
+            self.arrays.append((t, weakref.ref(values)))
+        return values
 
 
-#: e^-t as a partial whose ``fn`` is unhashable.
-SCALED_EXP = PartialLoss(
-    fn=ScaledExp(1.0), value_at_zero=1.0, is_convex=True, limit_neg_inf=math.inf, limit_pos_inf=0.0
-)
+def scaled_exp_loss() -> Loss:
+    """e^-t and 2 e^-t as partials whose ``fn`` is unhashable."""
+    partial = PartialLoss(ScaledExp(1.0), is_convex=True, limit_neg_inf=math.inf, limit_pos_inf=0.0)
+    return Loss(pos=partial, neg=replace(partial, fn=ScaledExp(2.0)))
 
 
 class TestGridTable:
@@ -564,18 +574,17 @@ class TestGridTable:
             brute_force_min(loss, etas, constraint)
         h_alpha(loss, cost, etas)
         constrained_optimal_risk(loss, cost, etas)
-        assert [np.size(t) for t in scores if np.size(t) > len(etas)] == [len(oracle._GRID)] * 2
+        assert [np.size(t) for t in scores if np.size(t) > len(etas)] == [len(SEARCH_GRID)] * 2
 
     def test_half_line_partials_do_not_warn(self):
         # NaN off the nonnegative scores: the table holds it, and no search
         # under the nonnegative constraint reads it.
         loss = Loss(
             pos=PartialLoss(
-                fn=np.sqrt, value_at_zero=0.0, is_convex=False, limit_pos_inf=math.inf
+                fn=np.sqrt, is_convex=False, limit_pos_inf=math.inf
             ),
             neg=PartialLoss(
                 fn=lambda t: 1.0 / (1.0 + np.sqrt(t)),
-                value_at_zero=1.0,
                 is_convex=False,
                 limit_pos_inf=0.0,
             ),
@@ -587,14 +596,15 @@ class TestGridTable:
         assert (batch.arg.tolist(), batch.value.tolist()) == ([0.0], [0.5])
 
     def test_kept_on_the_loss_with_an_unhashable_fn(self):
-        loss = Loss(pos=SCALED_EXP, neg=replace(SCALED_EXP, fn=ScaledExp(2.0)))
+        # Each partial is called on the grid once, and a float search and a
+        # search of two rows both read it; no search writes to what it gave.
+        loss = scaled_exp_loss()
         brute_force_min(loss, 0.3)
-        tables = loss._search_state[0]
         brute_force_min(loss, np.array([0.2, 0.7]))
-        assert loss._search_state[0] is tables
-        for table, c in zip(tables, (1.0, 2.0)):
-            assert not table.flags.writeable
-            assert bits(*table) == bits(*(c * np.exp(-oracle._GRID)))
+        for fn in (loss.pos.fn, loss.neg.fn):
+            ((scores, table),) = [(t, values) for t, values in fn.arrays if t.size > 2]
+            assert bits(*scores) == bits(*SEARCH_GRID)
+            assert bits(*table()) == bits(*(fn.c * np.exp(-SEARCH_GRID)))
 
 
 #: Posteriors a request order draws from: the edges, -0.0, a point each
@@ -611,25 +621,10 @@ def cold_search(loss, eta, constraint):
     return bits(*brute_force_min(replace(loss), eta, constraint))
 
 
-def float_search_runs(monkeypatch) -> list:
-    """A spy on the float search's grid pass and golden section, which every
-    cold float search runs once, whether its golden section is a family's
-    fused search or ``_golden_section``: one entry per run, its posterior
-    and whether it ran fused."""
-    runs = []
-    grid_and_golden = oracle._grid_and_golden
-
-    def spy(eta, pos_vals, neg_vals, ts, risk, pair):
-        runs.append((eta, risk is None))
-        return grid_and_golden(eta, pos_vals, neg_vals, ts, risk, pair)
-
-    monkeypatch.setattr(oracle, "_grid_and_golden", spy)
-    return runs
-
-
 class TestLastSearch:
     """Each loss remembers its last float search per constraint; a repeated
-    request returns it, bit-equal to a cold search."""
+    request returns it, bit-equal to a cold search, and evaluates no
+    partial."""
 
     @pytest.mark.parametrize("name", sorted(ROW_LOSSES))
     def test_every_request_matches_a_cold_search(self, name):
@@ -660,81 +655,84 @@ class TestLastSearch:
                 loss, eta, constraint
             ), (eta, constraint)
 
-    @pytest.mark.parametrize("eta, searches", [(0.2, 2), (0.3, 1), (0.0, 2), (-0.0, 2)])
-    def test_c_star_c_minus_and_gap_search_each_once(self, monkeypatch, eta, searches):
+    @pytest.mark.parametrize("eta", [0.2, 0.3, 0.0, -0.0])
+    def test_c_star_c_minus_and_gap_search_each_once(self, eta):
         # C^- at alpha is C*; the gap there is 0 and searches nothing.
-        loss, cost = replace(SEARCHED["sigmoid-gamma3"]), CostParam(0.3)
-        runs = float_search_runs(monkeypatch)
+        loss, calls = counted(SEARCHED["sigmoid-gamma3"])
+        cost = CostParam(0.3)
         c_star = optimal_conditional_risk(loss, eta)
+        sizes, floats = evaluations(calls)
+        assert sizes == [801, 801] and floats > 0  # the grid tables and one search
+        calls.clear()
         c_minus = constrained_optimal_risk(loss, cost, eta)
+        sizes, floats = evaluations(calls)
+        assert sizes == [] and (floats > 0) == (eta != 0.3)
+        calls.clear()
         gap = h_alpha(loss, cost, eta)
-        assert len(runs) == searches
-        # An untagged family pair runs fused inside (0, 1), and alone at 0.
-        assert all(fused == (eta != 0.0) for _, fused in runs)
         assert gap == (0.0 if eta == 0.3 else max(c_minus - c_star, 0.0))
-        # Asked again, in any order, nothing more is searched.
+        # Asked again, in any order, nothing more is evaluated.
         h_alpha(loss, cost, eta)
         constrained_optimal_risk(loss, cost, eta)
         optimal_conditional_risk(loss, np.float64(eta))
-        assert len(runs) == searches
+        assert calls == []
 
-    def test_one_slot_per_constraint(self, monkeypatch):
-        loss = replace(SEARCHED["hinge"])
-        runs = float_search_runs(monkeypatch)
+    def test_one_slot_per_constraint(self):
+        loss, calls = counted(SEARCHED["hinge"])
         for eta in (0.2, 0.7, 0.2):
             for constraint in CONSTRAINTS:
+                calls.clear()
                 brute_force_min(loss, eta, constraint)
+                assert evaluations(calls)[1] > 0, (eta, constraint)
         # Each constraint's slot holds the last posterior only.
-        assert len(runs) == 9
-        slots = loss._search_state[1]
-        assert len(slots) == 3 and all(eta == 0.2 for eta, _ in slots)
+        calls.clear()
+        for constraint in CONSTRAINTS:
+            brute_force_min(loss, 0.2, constraint)
+        assert calls == []
 
-    def test_array_searches_are_not_remembered(self, monkeypatch):
-        loss = replace(SEARCHED["hinge"])
+    def test_array_searches_are_not_remembered(self):
+        loss, calls = counted(SEARCHED["hinge"])
         brute_force_min(loss, np.array([0.2, 0.7]))
-        assert loss._search_state[1] == [None, None, None]
+        calls.clear()
         brute_force_min(loss, 0.2)
-        runs = []
-        rows = oracle._golden_section_rows
-
-        def spy(pos, neg, a, b, w):
-            runs.append(len(a))
-            return rows(pos, neg, a, b, w)
-
-        monkeypatch.setattr(oracle, "_golden_section_rows", spy)
-        brute_force_min(loss, np.array([0.2]))
-        assert runs == [1]
+        sizes, floats = evaluations(calls)
+        assert sizes == [] and floats > 0
+        calls.clear()
+        brute_force_min(loss, np.array([0.2]))  # a row search on one row
+        sizes, floats = evaluations(calls)
+        assert floats == 0 and sizes and set(sizes) == {1}
 
     @pytest.mark.parametrize("eta", [math.nan, np.float64(math.nan), -1e-300, 1.5])
-    def test_bad_posterior_raises_before_any_lookup(self, eta):
-        loss = replace(SEARCHED["hinge"])
+    def test_bad_posterior_raises_before_any_evaluation(self, eta):
+        loss, calls = counted(SEARCHED["hinge"])
         with pytest.raises(DomainError):
             brute_force_min(loss, eta)
-        assert "_search_state" not in vars(loss)
+        assert calls == []
         result = brute_force_min(loss, 0.3)
         with pytest.raises(DomainError):
             brute_force_min(loss, eta)
-        assert loss._search_state[1] == [(0.3, result), None, None]
+        calls.clear()
+        assert brute_force_min(loss, 0.3) is result and calls == []
 
     def test_unhashable_fn_and_freed_with_its_loss(self):
-        loss = Loss(pos=SCALED_EXP, neg=replace(SCALED_EXP, fn=ScaledExp(2.0)))
+        loss = scaled_exp_loss()
+        fns = loss.pos.fn, loss.neg.fn
         result = brute_force_min(loss, 0.3)
-        assert loss._search_state[1][0] == (0.3, result)
-        refs = [weakref.ref(x) for x in (loss, *loss._search_state[0])]
+        assert brute_force_min(loss, 0.3) is result
+        refs = [weakref.ref(loss)] + [table for fn in fns for _, table in fn.arrays]
+        assert len(refs) == 3 and all(ref() is not None for ref in refs)
         del loss, result
         gc.collect()
         assert all(ref() is None for ref in refs)
 
 
 class TestSearchStateIsNoField:
-    """The search state sits in the loss's ``__dict__`` and in no field."""
+    """The search state is in no field of the loss."""
 
     def test_a_searched_loss_compares_hashes_and_prints_as_a_fresh_copy(self):
         loss = replace(SEARCHED["hinge"])
         brute_force_min(loss, 0.3)
         brute_force_min(loss, np.array([0.2, 0.7]))
         fresh = replace(loss)
-        assert "_search_state" in vars(loss) and "_search_state" not in vars(fresh)
         assert loss == fresh and hash(loss) == hash(fresh) and repr(loss) == repr(fresh)
 
     def test_fields_and_asdict_are_unchanged(self):
@@ -745,20 +743,54 @@ class TestSearchStateIsNoField:
         assert asdict(loss) == fresh and set(fresh) == {"pos", "neg", "family"}
 
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
-    def test_a_replaced_loss_remembers_nothing(self, monkeypatch, constraint):
-        loss = replace(SEARCHED["exponential"])
+    def test_a_replaced_loss_remembers_nothing(self, constraint):
+        loss, calls = counted(SEARCHED["exponential"])
         searched = bits(*brute_force_min(loss, 0.3, constraint))
-        runs = float_search_runs(monkeypatch)
+        calls.clear()
         copy = replace(loss)
         assert bits(*brute_force_min(copy, 0.3, constraint)) == searched
-        assert len(runs) == 1
-        assert copy._search_state[0][0] is not loss._search_state[0][0]
-        assert copy._search_state[2] is not loss._search_state[2]
+        # Its own grid tables and its own search.
+        sizes, floats = evaluations(calls)
+        assert sizes == [801, 801] and floats > 0
+
+
+def family_calls(fn, request) -> list:
+    """The types of the scores that a family partial's ``fn`` is called on
+    while ``request()`` runs, seen by ``sys.setprofile``.  Every partial of
+    one family shares ``fn``'s code, so this counts both of a pair."""
+    code, seen = fn.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            seen.append(type(frame.f_locals["t"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        request()
+    finally:
+        sys.setprofile(previous)
+    return seen
+
+
+class ReadsFused:
+    """A partial's ``fn`` that counts the lookups of its ``fused`` attribute,
+    which a loss's float searches read to set themselves up."""
+
+    def __init__(self, fn):
+        self.fn, self.reads = fn, 0
+
+    def __call__(self, t):
+        return self.fn(t)
+
+    def __getattr__(self, name):
+        self.reads += name == "fused"
+        raise AttributeError(name)
 
 
 class TestFusedSearch:
     """The fused search is found from the partials' ``fn`` alone, once per
-    loss and constraint, and kept in the loss's float plan."""
+    loss and constraint."""
 
     # A wrapper made by functools.wraps copies the partial's attributes.
     @pytest.mark.parametrize("copies_attributes", [False, True])
@@ -778,9 +810,7 @@ class TestFusedSearch:
             shifted = functools.wraps(loss.pos.fn)(shifted)
             assert shifted.fused is loss.pos.fn.fused
         copy = replace(loss, pos=replace(loss.pos, fn=shifted))
-        code = oracle._SEARCH[constraint]
         result = brute_force_min(copy, eta, constraint)
-        assert copy._search_state[2][code][-1] is None
         # The grid table, then one call per golden-section step, except at
         # eta = 0, where the shifted partial has weight 0 and is not read.
         singles = [t for t in calls if not isinstance(t, np.ndarray)]
@@ -789,23 +819,37 @@ class TestFusedSearch:
         if eta == 0.3:  # inside, where the shift moves the optimum
             assert bits(*result) != bits(*brute_force_min(loss, eta, constraint))
 
-    def test_a_family_pair_searched_untagged_is_fused(self):
-        loss = replace(SEARCHED["sigmoid-gamma3"])
-        assert loss.family is None
-        brute_force_min(loss, 0.3)
-        search, *params = loss._search_state[2][0][-1]
-        assert search is families._sigmoid_search
-        assert params == [*loss.pos.fn.fused[2:], *loss.neg.fn.fused[2:]]
+    @pytest.mark.parametrize("name", ["hinge", "squared-weighted", "exponential", "sigmoid-gamma3", "swapped"])
+    def test_a_family_pair_searched_untagged_is_fused(self, name):
+        # Its partials are called on the grid alone: each golden-section
+        # step is the family's fused search, whichever side each partial takes.
+        if name == "swapped":
+            squared = uneven("squared", 2.0, 0.7)
+            loss = Loss(pos=squared.neg, neg=squared.pos)
+        else:
+            loss = replace(SEARCHED[name])
+
+        def request():
+            for eta in (0.3, 0.7, 1e-12):
+                for constraint in CONSTRAINTS:
+                    brute_force_min(loss, eta, constraint)
+
+        assert family_calls(loss.pos.fn, request) == [np.ndarray, np.ndarray]
+
+    def test_two_families_partials_are_called_each_step(self):
+        hinge, squared = (uneven(f, 2.0, 0.7) for f in ("hinge", "squared"))
+        loss = Loss(pos=hinge.pos, neg=squared.neg)
+        seen = family_calls(hinge.pos.fn, lambda: brute_force_min(loss, 0.3))
+        assert seen[0] is np.ndarray and len(seen) > 2 and set(seen[1:]) == {float}
 
     @pytest.mark.parametrize("constraint", CONSTRAINTS)
-    def test_the_pair_is_set_up_once_per_constraint(self, monkeypatch, constraint):
-        loss, fused = replace(SEARCHED["hinge"]), oracle._fused
-        calls = []
-        monkeypatch.setattr(oracle, "_fused", lambda fn: calls.append(fn) or fused(fn))
-        monkeypatch.setattr(oracle, "_float_risk", None)  # never called on a family pair
+    def test_the_pair_is_set_up_once_per_constraint(self, constraint):
+        hinge = SEARCHED["hinge"]
+        pos, neg = ReadsFused(hinge.pos.fn), ReadsFused(hinge.neg.fn)
+        loss = Loss(pos=replace(hinge.pos, fn=pos), neg=replace(hinge.neg, fn=neg))
         for eta in (0.2, 0.7, 0.2, 1e-12):
             brute_force_min(loss, eta, constraint)
-        assert calls == [loss.pos.fn, loss.neg.fn]
+        assert (pos.reads, neg.reads) == (1, 1)
 
 
 def scalar_numeric_verdict(loss, cost, grid_size, tolerance):
