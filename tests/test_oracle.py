@@ -579,16 +579,7 @@ class TestGridTable:
     def test_half_line_partials_do_not_warn(self):
         # NaN off the nonnegative scores: the table holds it, and no search
         # under the nonnegative constraint reads it.
-        loss = Loss(
-            pos=PartialLoss(
-                fn=np.sqrt, is_convex=False, limit_pos_inf=math.inf
-            ),
-            neg=PartialLoss(
-                fn=lambda t: 1.0 / (1.0 + np.sqrt(t)),
-                is_convex=False,
-                limit_pos_inf=0.0,
-            ),
-        )
+        loss = replace(HALF_LINE)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert tuple(brute_force_min(loss, 0.5, "nonnegative_scores")) == (0.0, 0.5)
