@@ -69,9 +69,11 @@ def _check_int(name: str, value, lo=-math.inf, hi=math.inf, ends: str = "[]") ->
     _check_real(name, value, lo, hi, ends)
 
 
-def _check_sequence(name: str, value) -> None:
-    """Raise ``DomainError`` where ``value`` cannot be iterated (None, a number)."""
+def _check_sequence(name: str, value, probe=iter) -> None:
+    """Raise ``DomainError`` where ``probe(value)`` raises ``TypeError``:
+    with ``iter``, where ``value`` cannot be iterated (None, a number); with
+    ``len``, also where it has no length (a generator, used up by one pass)."""
     try:
-        iter(value)
+        probe(value)
     except TypeError:
         raise DomainError(f"{name} must be a sequence, got {value!r}") from None

@@ -57,7 +57,7 @@ class UnevenMarginSpec:
             _check_real("alpha_weight", self.alpha_weight, 0.0, 1.0, "()")
 
     @property
-    def weights(self) -> tuple[float, float]:
+    def _weights(self) -> tuple[float, float]:
         """The outer weights of the positive and the negative partial: (1,
         beta), or (1 - a, a * beta) for ``alpha_weight`` a."""
         if self.alpha_weight is None:
@@ -65,11 +65,11 @@ class UnevenMarginSpec:
         return 1.0 - self.alpha_weight, self.alpha_weight * self.beta
 
     @cached_property
-    def values_at_zero(self) -> tuple[float, float]:
+    def _values_at_zero(self) -> tuple[float, float]:
         """The positive and the negative partial's value at the score 0, as
         their ``fn`` gives it, read from the spec as the closed forms are."""
         at0 = _PHI[self.family][0]
-        w_pos, w_neg = self.weights
+        w_pos, w_neg = self._weights
         return w_pos * at0, w_neg * at0
 
     @property
@@ -339,7 +339,7 @@ _PHI = {
 def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     """Build the Loss for a family spec, metadata populated from phi."""
     _, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
-    w_pos, w_neg = spec.weights
+    w_pos, w_neg = spec._weights
     if w_neg == 0.0:
         # 0 * phi would be 0, or NaN where phi overflows, not the loss.
         raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {spec.beta}")

@@ -75,16 +75,6 @@ class PartialLoss:
     limit_pos_inf: float | None = None
 
     def __post_init__(self) -> None:
-        d, lo, hi = self.deriv_at_zero, self.limit_neg_inf, self.limit_pos_inf
-        # A family member's bools and floats, none NaN, pass on this one test.
-        if (
-            type(self.is_convex) is bool
-            and type(self.is_continuous_at_zero) is bool
-            and type(d) is float and type(lo) is float and type(hi) is float
-            and d == d and lo == lo and hi == hi
-            and callable(self.fn)
-        ):
-            return
         if not callable(self.fn):
             raise DomainError(f"fn must be callable, got {self.fn!r}")
         for name in ("is_convex", "is_continuous_at_zero"):

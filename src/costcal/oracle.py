@@ -85,7 +85,7 @@ class FiniteDistribution:
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        _check_sequence("atoms", self.atoms)
+        _check_sequence("atoms", self.atoms, len)
         if not self.atoms:
             raise DomainError("distribution needs at least one atom")
         total = 0.0
@@ -114,7 +114,7 @@ class DecisionAssignment:
     scores: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _check_sequence("scores", self.scores)
+        _check_sequence("scores", self.scores, len)
 
 
 class SearchResult(NamedTuple):
@@ -592,7 +592,7 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
         pos, neg = (
             (loss.pos.value_at_zero, loss.neg.value_at_zero)
             if loss.family is None
-            else loss.family.values_at_zero
+            else loss.family._values_at_zero
         )
         return eta * pos + (1.0 - eta) * neg
     return None if loss.family is None else loss.family.c_minus(cost, eta)

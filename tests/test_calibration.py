@@ -3,6 +3,7 @@
 import math
 import re
 from dataclasses import replace
+from itertools import zip_longest
 from unittest import mock
 
 import numpy as np
@@ -23,10 +24,12 @@ from costcal import (
     alpha_of_gamma,
     alpha_transform,
     biconjugate,
+    brute_force_min,
     calibration_fn,
     check_calibrated,
     check_calibrated_analytic,
     check_calibrated_numeric,
+    constrained_optimal_risk,
     envelope_eval,
     h_alpha,
     mu_curve,
@@ -535,6 +538,29 @@ class TestBoundedCoarseSearch:
         assert sizes[:2] == [801, 801]
         return sizes[2:], floats
 
+    @staticmethod
+    def coarse(alpha, grid_size=1001) -> np.ndarray:
+        """The verdict's coarse posteriors: the uniform grid outside half a
+        step of alpha."""
+        grid = np.linspace(0.0, 1.0, grid_size)
+        return grid[np.abs(grid - alpha) > 1.0 / (2.0 * grid_size)]
+
+    @staticmethod
+    def one_row_search(loss, *requests) -> list:
+        """The array evaluations of one row search on the rows of every
+        request together, each request a public array call on a loss.  A
+        row's golden section takes the same steps whatever rows run beside
+        it, so each evaluation of the one search is the sum of the rows the
+        requests' own searches have running at that step."""
+        sizes = []
+        for request in requests:
+            counted_loss, calls = counted(loss)
+            request(counted_loss)
+            request_sizes, floats = evaluations(calls)
+            assert request_sizes[:2] == [801, 801] and floats == 0
+            sizes.append(request_sizes[2:])
+        return [sum(step) for step in zip_longest(*sizes, fillvalue=0)]
+
     #: A calibrated convex verdict's float evaluations: each partial at the
     #: score 0 once, for C^-'s shortcut, and four float gap searches.
     CALIBRATED_FLOATS = {"hinge": 346, "squared": 256, "exponential": 256}
@@ -558,7 +584,10 @@ class TestBoundedCoarseSearch:
 
         monkeypatch.setattr(oracle, "_c_star_ceiling", zero_floor)
         rows, float_evaluations = self.evaluations(*request)
-        assert rows[0] == 996 == max(rows) and float_evaluations == floats
+        # Every floor is 0, so the first round takes the first four.
+        rest = self.coarse(request[1].alpha)[4:]
+        assert rows == self.one_row_search(loss, lambda loss: brute_force_min(loss, rest))
+        assert float_evaluations == floats
         monkeypatch.undo()
         with mock.patch.object(oracle, "_c_star_ceiling", zero_floor):
             assert verdict_outcome(*request) == full_search_outcome(*request)
@@ -570,8 +599,16 @@ class TestBoundedCoarseSearch:
         # the rest.
         loss = uneven("sigmoid", gamma=gamma)
         loss = loss if tagged else untagged(loss)
-        rows, floats = self.evaluations(loss, CostParam(alpha_of_gamma(gamma)))
-        assert rows[0] == 1004 == max(rows) and floats == 0
+        cost = CostParam(alpha_of_gamma(gamma))
+        rows, floats = self.evaluations(loss, cost)
+        etas = self.coarse(cost.alpha)
+        nearest = etas[np.argsort(np.abs(etas - cost.alpha), kind="stable")[:4]]
+        assert floats == 0 and rows[0] == 1004
+        assert rows == self.one_row_search(
+            loss,
+            lambda loss: constrained_optimal_risk(loss, cost, etas),
+            lambda loss: brute_force_min(loss, nearest),
+        )
 
     @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
     def test_searched_c_minus_rounds_are_row_searches(self, family, gamma, beta, weight, alpha):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import costcal
 from costcal import (
     ALPHA_SIGMOID_GAMMA2,
-    alpha_transform,
     CostParam,
     DomainError,
     UnevenMarginSpec,
@@ -34,7 +33,7 @@ from costcal import (
 )
 from costcal.oracle import brute_force_min
 
-from conftest import counted, finite_diff_check, uneven, untagged
+from conftest import counted, finite_diff_check, uneven
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
 # Each family's phi, as its unweighted positive partial 1.0 * phi(t).
@@ -118,21 +117,20 @@ class TestMakeUnevenLoss:
             )
             assert partial.is_convex == (family != "sigmoid")
 
-    @pytest.mark.parametrize("family", ALL_FAMILIES)
-    def test_spec_values_at_zero_are_the_partials(self, family):
-        # A tagged loss's C^- shortcut reads its values at 0 from its spec:
-        # bit for bit what its partials' fn gives there, plain and through
-        # alpha_transform's scaled partials.
-        cost = CostParam(0.4)
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    def test_the_c_minus_shortcut_reads_the_partials_at_zero(self, family):
+        # Where the derivative test calls a convex member calibrated, C^-
+        # off alpha is the risk at the score 0, which a tagged loss reads
+        # from its spec: at eta 0 and 1 it is one partial's value there, bit
+        # for bit what that partial's fn gives.
         for gamma in (1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 1e3):
             for beta in (1.0 / gamma, 0.3, 0.7, 2.0):
                 for weight in (None, 0.05, 0.3, 0.9):
                     loss = uneven(family, gamma, beta, weight)
-                    scaled = alpha_transform(untagged(loss), cost)
-                    at0 = loss.family.values_at_zero
-                    assert [p.value_at_zero.hex() for p in (loss.pos, loss.neg)] == [v.hex() for v in at0]
-                    want = [(1.0 - cost.alpha) * at0[0], cost.alpha * at0[1]]
-                    assert [p.value_at_zero.hex() for p in (scaled.pos, scaled.neg)] == [v.hex() for v in want]
+                    d1, d2 = loss.pos.deriv_at_zero, loss.neg.deriv_at_zero
+                    cost = CostParam(d2 / (d2 - d1))
+                    found = [constrained_optimal_risk(loss, cost, eta) for eta in (1.0, 0.0)]
+                    assert [v.hex() for v in found] == [loss.pos(0.0).hex(), loss.neg(0.0).hex()]
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_partials_nonnegative_and_convexity_flag_honest(self, family):

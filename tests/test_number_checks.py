@@ -115,7 +115,9 @@ DIST = FiniteDistribution(((0.5, 0.2), (0.5, 0.6)))
 SEQUENCES = [
     ("empirical_regrets.assignment", "scores", lambda: empirical_regrets(DIST, DecisionAssignment(None), LOSS, COST)),
     ("DecisionAssignment.scores", "scores", lambda: DecisionAssignment(5)),
+    ("DecisionAssignment.scores-generator", "scores", lambda: DecisionAssignment(t for t in (0.0,))),
     ("FiniteDistribution.atoms", "atoms", lambda: FiniteDistribution(5)),
+    ("FiniteDistribution.atoms-generator", "atoms", lambda: FiniteDistribution(a for a in ((1.0, 0.5),))),
     ("nu_curve.extra_knots-None", "extra_knots", lambda: nu_curve(LOSS, COST, 11, extra_knots=None)),
     ("nu_curve.extra_knots-float", "extra_knots", lambda: nu_curve(LOSS, COST, 11, extra_knots=0.3)),
 ]
