@@ -3,9 +3,9 @@
 An uneven margin loss scales and rescales the negative-class margin:
 L(y, t) = 1{y=1} phi(t) + 1{y=-1} beta * phi(-gamma * t), optionally with
 an outer (1 - a, a) weighting of the two partials.  Closed forms for the
-minimizer, the optimal conditional risk, and the cost-insensitive
-calibration gap are available in the calibrated configuration
-beta = 1/gamma (convex families) and gamma = 2 (sigmoid).
+minimizer, the optimal conditional risk C*, the constrained optimum C^-
+and the cost-insensitive calibration gap serve every convex member, at
+every beta and gamma, and the sigmoid at beta = 1/2 and gamma = 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ import numpy as np
 from numpy import ndarray  # by name: looking up np.ndarray cost a fifth of a partial's float call
 
 from .errors import DomainError, UnsupportedFamilyError, _check_real
-from .losses import _GOLDEN_TOL, _INV_PHI, CostParam, Loss, PartialLoss, _check_eta, theta_alpha
+from .losses import (
+    _GOLDEN_TOL, _INV_PHI, CostParam, Loss, PartialLoss, _check_eta, _derivative_verdict, theta_alpha
+)
 
 __all__ = [
     "FAMILIES",
@@ -64,21 +66,31 @@ class UnevenMarginSpec:
             return 1.0, self.beta
         return 1.0 - self.alpha_weight, self.alpha_weight * self.beta
 
-    @cached_property
-    def _values_at_zero(self) -> tuple[float, float]:
-        """The positive and the negative partial's value at the score 0, as
-        their ``fn`` gives it, read from the spec as the closed forms are."""
-        at0 = _PHI[self.family][0]
-        w_pos, w_neg = self._weights
-        return w_pos * at0, w_neg * at0
-
     @property
-    def has_closed_forms(self) -> bool:
-        """Whether closed forms serve this spec: beta = 1/gamma for the
-        convex families, beta = 1/2 and gamma = 2 for the sigmoid."""
-        if self.family == "sigmoid":
-            return self.gamma == 2.0 and math.isclose(self.beta, 0.5, rel_tol=1e-12)
-        return math.isclose(self.beta * self.gamma, 1.0, rel_tol=1e-12)
+    def _c_star_searched(self) -> bool:
+        """Whether C* is searched: for a sigmoid but beta = 1/2, gamma = 2."""
+        return self.family == "sigmoid" and not (
+            self.gamma == 2.0 and math.isclose(self.beta, 0.5, rel_tol=1e-12)
+        )
+
+    @cached_property
+    def _form(self) -> tuple:
+        """What the closed forms read of the spec, as Python floats, once:
+        (beta, gamma, k, near, slopes).  k = beta * gamma, and ``near`` is
+        whether ``_c_star``'s forms in k keep inside the float range.
+        ``slopes`` is (w1, w2, d1, d2, g1, g2) for ``c_minus``: the outer
+        weights, the partials' derivatives at 0 (their ``deriv_at_zero``,
+        bit for bit), and the sign test's divisor and factor: eta * w1 / g1
+        is compared with (1 - eta) * w2 * g2, divided through by gamma < 1
+        so that no side underflows alone."""
+        beta, gamma = float(self.beta), float(self.gamma)
+        k = beta * gamma  # near, (1 - eta) * k is normal at every eta < 1, k * gamma too
+        near = 2.0 * sys.float_info.min / sys.float_info.epsilon <= k
+        near = near and k * gamma >= sys.float_info.min and _squared_scale(gamma) * k < math.inf
+        (w_pos, w_neg), d0 = map(float, self._weights), _PHI[self.family][0]
+        g_pos, g_neg = (1.0, gamma) if gamma >= 1.0 else (gamma, 1.0)
+        slopes = w_pos, w_neg, w_pos * d0, -w_neg * gamma * d0, g_pos, g_neg
+        return beta, gamma, k, near, slopes
 
     def c_star(self, eta):
         """The closed optimal conditional risk C*(eta), or None when no
@@ -88,24 +100,36 @@ class UnevenMarginSpec:
         Outer (1 - a, a) weighting reduces to the unweighted form through
         the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
         """
-        if not self.has_closed_forms:
+        if self._c_star_searched:
             return None
         if self.alpha_weight is None:
-            return _c_star(self.family, self.gamma, eta)
+            return _c_star(self.family, self._form, eta)
         theta, w = theta_alpha(CostParam(self.alpha_weight), eta)
-        return w * _c_star(self.family, self.gamma, theta)
+        return w * _c_star(self.family, self._form, theta)
 
     def c_minus(self, cost: CostParam, eta):
-        """The closed constrained optimum C^-(eta) of the calibrated sigmoid
-        at its calibrating alpha, or None for any other spec or cost."""
-        if (
-            self.family != "sigmoid"
-            or self.alpha_weight is not None
-            or not self.has_closed_forms
-            or abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12
-        ):
-            return None
-        return sigmoid_c_minus(cost, eta)
+        """The closed constrained optimum C^-(eta) off alpha, or None where
+        the search serves it: a sigmoid but the gamma = 2 one, unweighted, at
+        its calibrating alpha.  A convex member's minimizer has the sign of
+        eta * w1 - (1 - eta) * w2 * gamma (w1, w2 the outer weights), so C^-
+        is the risk at the score 0 where that sign is inadmissible, and C*
+        elsewhere, a gap of exactly 0.  Where the derivative test calls the
+        member calibrated, every posterior off alpha takes the risk at 0."""
+        if self.family == "sigmoid":
+            at_alpha = abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) <= 1e-12 and self.alpha_weight is None
+            return sigmoid_c_minus(cost, eta) if at_alpha and not self._c_star_searched else None
+        w_pos, w_neg, d1, d2, g_pos, g_neg = self._form[4]
+        at0 = eta * w_pos + (1.0 - eta) * w_neg  # phi(0) = 1
+        alpha = cost.alpha
+        if _derivative_verdict(d1, d2, alpha)[3]:
+            return at0
+        if isinstance(eta, ndarray):
+            with np.errstate(over="ignore"):
+                pos, neg = eta * w_pos / g_pos, (1.0 - eta) * w_neg * g_neg
+            return np.where(np.where(eta > alpha, pos <= neg, pos >= neg), self.c_star(eta), at0)
+        e = float(eta)  # a numpy scalar would warn where a product overflows
+        pos, neg = e * w_pos / g_pos, (1.0 - e) * w_neg * g_neg
+        return self.c_star(eta) if ((pos <= neg) if e > alpha else (pos >= neg)) else at0
 
 
 class ClosedForms(NamedTuple):
@@ -327,18 +351,18 @@ _FUSED = {
 
 _LOGISTIC = _partial("sigmoid", 1.0, None)  # 1.0 * phi has phi's bits
 
-# Per family: phi's value and derivative at 0, convexity, limits at -/+inf.
+# Per family: phi's derivative at 0, convexity, limits at -/+inf.
 _PHI = {
-    "hinge": (1.0, -1.0, True, math.inf, 0.0),
-    "squared": (1.0, -2.0, True, math.inf, math.inf),
-    "exponential": (1.0, -1.0, True, math.inf, 0.0),
-    "sigmoid": (0.5, -0.25, False, 1.0, 0.0),
+    "hinge": (-1.0, True, math.inf, 0.0),
+    "squared": (-2.0, True, math.inf, math.inf),
+    "exponential": (-1.0, True, math.inf, 0.0),
+    "sigmoid": (-0.25, False, 1.0, 0.0),
 }
 
 
 def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     """Build the Loss for a family spec, metadata populated from phi."""
-    _, d0, convex, lim_neg, lim_pos = _PHI[spec.family]
+    d0, convex, lim_neg, lim_pos = _PHI[spec.family]
     w_pos, w_neg = spec._weights
     if w_neg == 0.0:
         # 0 * phi would be 0, or NaN where phi overflows, not the loss.
@@ -430,33 +454,79 @@ def sigmoid_t_minus(eta):
 
 
 def _squared_scale(gamma: float) -> float:
-    """(1 + gamma)^2 / gamma, finite for every finite gamma: squaring first
-    overflows for gamma above about 1.3e154."""
+    """(1 + gamma)^2 / gamma, finite for every gamma whose reciprocal is:
+    squaring first overflows for gamma above about 1.3e154."""
     return (1.0 + gamma) / gamma * (1.0 + gamma)
 
 
-def _c_star(family: str, gamma: float, eta):
-    """The unweighted closed C*(eta), for a float or an ndarray."""
-    if isinstance(eta, np.ndarray):
-        return _c_star_rows(family, gamma, eta)
-    # A numpy scalar would bring numpy's overflow rules onto this float path.
-    gamma, eta = float(gamma), float(eta)
+def _c_star(family: str, form: tuple, eta):
+    """The unweighted closed C*(eta), for a float or an ndarray: the gamma = 2
+    sigmoid's, or a convex family's from ``UnevenMarginSpec._form``, (beta,
+    gamma, k, near, _) (Bartlett, Jordan and McAuliffe 2006).
+
+    Where ``near``, in m = (1 - eta) k: the hinge's least kink risk, and
+    the risk at t* = (eta - m) / (eta + m gamma) (squared) or log(eta / m) /
+    (1 + gamma) (exponential).  So k = 1.0 gives what beta = 1/gamma gave,
+    bit for bit.  Elsewhere, the far forms, in numpy, of terms finite or
+    +inf: the least of the hinge's kink risks a = eta (1 + gamma) / gamma
+    and b = (1 - eta) beta (1 + gamma), a b / (a + b) of the squared loss's
+    (capped), and (1 + gamma) gamma^-q |eta|^q (1 - eta)^p beta^p with
+    p = 1 / (1 + gamma) and q = 1 - p.
+    """
+    if family == "sigmoid":  # gamma = 2; below _SIGMOID_TINY, C* rounds to eta
+        if not isinstance(eta, ndarray):
+            return _sigmoid_optimum(float(eta))[1]
+        out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
+        inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
+        out[inner] = _sigmoid_local_min(eta[inner])
+        return out
+    beta, gamma, k, near, _ = form
+    rows = isinstance(eta, ndarray)
+    if not near:
+        e, r = np.asarray(eta, dtype=float), gamma / (1.0 + gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a, b = e / r, (1.0 - e) * beta * (1.0 + gamma)
+            if family == "hinge":
+                c_star = np.minimum(a, b)
+            elif family == "squared":
+                a, b = (np.minimum(x, sys.float_info.max) for x in (a / r, b * (1.0 + gamma)))
+                lo, hi = np.minimum(a, b), np.maximum(a, b)
+                c_star = np.where(lo > 0.0, lo / (1.0 + lo / hi), 0.0)
+            else:
+                p, q = 1.0 / (1.0 + gamma), gamma / (1.0 + gamma)
+                # |eta|: numpy takes a power 1/2 as a square root, which keeps -0.0.
+                c_star = (1.0 + gamma) * gamma**-q * np.abs(e) ** q * (1.0 - e) ** p * beta**p
+        return c_star if rows else float(c_star)
+    if not rows:
+        eta = float(eta)  # a numpy scalar would bring numpy's overflow rules
+    m = 1.0 - eta
+    m *= k  # in place on an array: the one temporary 1 - eta had
     if family == "hinge":
-        return (1.0 + gamma) / gamma * min(eta, 1.0 - eta)
+        return (1.0 + gamma) / gamma * (np.minimum(eta, m) if rows else min(eta, m))
     if family == "squared":
-        return _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
-    if family == "exponential":
-        if eta == 0.0 or eta == 1.0:
+        return _squared_scale(gamma) * eta * m / (eta + m * gamma)
+    # The exponential takes the far form where its ratio eta / m fell below
+    # the normal range, and so lost digits (or all of them) its powers need.
+    far = (family, (beta, gamma, k, False, None))
+    p, q = 1.0 / (1.0 + gamma), gamma / (1.0 + gamma)
+    if not rows:  # the exponential's minimizer is infinite at eta 0 and 1, where C* is 0
+        if not 0.0 < eta < 1.0:
             return 0.0
-        ratio = eta / (1.0 - eta)
-        try:
-            low = eta * ratio ** (-1.0 / (1.0 + gamma))
-        except OverflowError:
-            # As in _c_star_rows: a subnormal ratio with gamma below about 0.05.
-            low = eta ** (gamma / (1.0 + gamma)) * (1.0 - eta) ** (1.0 / (1.0 + gamma))
-        return low + (1.0 - eta) / gamma * ratio ** (gamma / (1.0 + gamma))
-    # sigmoid, gamma == 2
-    return _sigmoid_optimum(eta)[1]
+        ratio = eta / m
+        if ratio < sys.float_info.min:
+            return _c_star(*far, eta)
+        return eta * ratio**-p + m / gamma * ratio**q
+    out = np.zeros(eta.shape)
+    inner = (eta > 0.0) & (eta < 1.0)
+    e, m = eta[inner], m[inner]
+    ratio = e / m
+    with np.errstate(over="ignore", divide="ignore"):  # where ratio is lost
+        c_star = e * ratio**-p + m / gamma * ratio**q
+    lost = ratio < sys.float_info.min
+    if lost.any():
+        c_star[lost] = _c_star(*far, e[lost])
+    out[inner] = c_star
+    return out
 
 
 def _sigmoid_optimum(eta: float) -> tuple[float, float]:
@@ -471,66 +541,44 @@ def _sigmoid_optimum(eta: float) -> tuple[float, float]:
     return t, eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta, t)
 
 
-def _c_star_rows(family: str, gamma: float, eta: np.ndarray) -> np.ndarray:
-    """``_c_star`` on an ndarray of posteriors, with the float path's
-    arithmetic; each branch sees only the posteriors it serves."""
-    if family == "hinge":
-        return (1.0 + gamma) / gamma * np.minimum(eta, 1.0 - eta)
-    if family == "squared":
-        return _squared_scale(gamma) * eta * (1.0 - eta) / (eta + gamma * (1.0 - eta))
-    if family == "exponential":
-        out = np.zeros(eta.shape)
-        inner = (eta > 0.0) & (eta < 1.0)
-        e = eta[inner]
-        ratio = e / (1.0 - e)
-        with np.errstate(over="ignore"):
-            low = e * ratio ** (-1.0 / (1.0 + gamma))
-        # The power overflows for a subnormal ratio and gamma below about 0.05,
-        # where the term is e^(gamma / (1 + gamma)) * (1 - e)^(1 / (1 + gamma)).
-        far = low == np.inf
-        low[far] = e[far] ** (gamma / (1.0 + gamma)) * (1.0 - e[far]) ** (1.0 / (1.0 + gamma))
-        out[inner] = low + (1.0 - e) / gamma * ratio ** (gamma / (1.0 + gamma))
-        return out
-    # sigmoid, gamma == 2; below _SIGMOID_TINY, C* rounds to eta.
-    out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
-    inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
-    out[inner] = _sigmoid_local_min(eta[inner])
-    return out
-
-
 def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
-    """Closed-form minimizer, optimal risk, and calibration gap.
+    """Closed-form minimizer, optimal risk, and calibration gap at alpha = 1/2.
 
-    Available for the calibrated configuration beta = 1/gamma (convex
-    families) and the gamma = 2 sigmoid, unweighted.  ``eta`` is one
-    posterior: an array raises ``DomainError`` (``spec.c_star`` takes arrays).
+    Available for every unweighted convex member and for the gamma = 2
+    sigmoid at beta = 1/2.  ``eta`` is one posterior: an array raises
+    ``DomainError`` (``spec.c_star`` takes arrays).  A convex member's gap
+    is ``h_alpha``'s: the spec's C^- less its C*, 0 at eta = 1/2.
     """
     _check_real("eta", eta, 0.0, 1.0)
-    if spec.alpha_weight is not None or not spec.has_closed_forms:
+    if spec.alpha_weight is not None or spec._c_star_searched:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
-    family, gamma, eta = spec.family, float(spec.gamma), float(eta)
+    family, eta = spec.family, float(eta)
     if family == "sigmoid":
         t_star, c_star = _sigmoid_optimum(eta)
         # C^- at alpha = 1/2: below eta = 1/2 the admissible scores t >= 0
         # have their least risk at an endpoint; above it t = 0 is best.
         c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0) if eta < 0.5 else (1.0 + eta) / 4.0
         return ClosedForms(t_star, c_star, max(c_minus - c_star, 0.0))
-    c_star = _c_star(family, gamma, eta)
+    beta, gamma = spec._form[:2]
+    c_star = spec.c_star(eta)
+    h = 0.0 if eta == 0.5 else max(spec.c_minus(CostParam(0.5), eta) - c_star, 0.0)
+    # t* has the sign of a - c; the squared loss's (a - c) / (a + c gamma)
+    # is divided through by the larger of a and c, so nothing overflows.
+    a, c = eta, (1.0 - eta) * beta * gamma
+    r = min(a, c) / max(a, c, 5e-324)
     if family == "hinge":
-        t_star = -1.0 / gamma if eta <= 0.5 else 1.0
-        h = 2.0 * eta - 1.0 if eta >= 0.5 else (1.0 - 2.0 * eta) / gamma
-        return ClosedForms(t_star, c_star, h)
-    if family == "squared":
-        t_star = (2.0 * eta - 1.0) / (eta + gamma * (1.0 - eta))
+        t_star = -1.0 / gamma if a <= c else 1.0
+    elif family == "squared":
+        t_star = (1.0 - r) / (1.0 + r * gamma) if a > c else (r - 1.0) / (r + gamma)
     elif 0.0 < eta < 1.0:  # exponential; its minimizer is infinite at eta = 0 and 1
-        t_star = math.log(eta / (1.0 - eta)) / (1.0 + gamma)
+        t_star = math.log(eta) - math.log1p(-eta) - math.log(beta) - math.log(gamma)
+        t_star /= 1.0 + gamma
     else:
         t_star = math.inf if eta else -math.inf
-    # C^- at alpha = 1/2 is the risk at t = 0, eta + (1 - eta) / gamma.
-    return ClosedForms(t_star, c_star, eta + (1.0 - eta) / gamma - c_star)
+    return ClosedForms(t_star, c_star, h)
 
 
 def sigmoid_c_minus(cost: CostParam, eta):

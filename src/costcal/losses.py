@@ -208,9 +208,16 @@ def derivative_test(loss: Loss, cost: CostParam) -> tuple[float, float, float, b
     d1, d2 = pos.deriv_at_zero, neg.deriv_at_zero
     if not (pos.is_convex and neg.is_convex) or d1 is None or d2 is None:
         return None
-    combo = cost.alpha * d1 + (1.0 - cost.alpha) * d2
+    return _derivative_verdict(d1, d2, cost.alpha)
+
+
+def _derivative_verdict(d1: float, d2: float, alpha: float) -> tuple[float, float, float, bool]:
+    """``derivative_test``'s result from the two derivatives at 0; a family
+    spec reads it from its own, which are its partials' bit for bit.  An
+    infinite derivative (one that overflowed) is never calibrated."""
+    combo = alpha * d1 + (1.0 - alpha) * d2
     scale = max(abs(d1), abs(d2), 1e-300)
-    return d1, d2, combo, d1 < 0.0 and d2 > 0.0 and abs(combo) <= DERIVATIVE_TOL * scale
+    return d1, d2, combo, d1 < 0.0 < d2 and abs(combo) <= DERIVATIVE_TOL * scale < math.inf
 
 
 def cost_regret(cost: CostParam, eta: float, t: float) -> float:

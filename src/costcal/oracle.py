@@ -580,22 +580,17 @@ def _gap(c_minus, c_star, eta):
 
 
 def _closed(loss: Loss, cost: CostParam | None, eta):
-    """From a closed form: C^-(eta) off alpha for a cost, by the derivative
-    test's shortcut first, or C*(eta) for ``cost`` None.  None when the
-    search must serve the value."""
-    if cost is None:
-        return None if loss.family is None else loss.family.c_star(eta)
-    test = derivative_test(loss, cost)
-    if test is not None and test[3]:  # the risk at the score 0
-        # A tagged loss reads its partials' values there from its spec, so
-        # a closed form evaluates no partial.
-        pos, neg = (
-            (loss.pos.value_at_zero, loss.neg.value_at_zero)
-            if loss.family is None
-            else loss.family._values_at_zero
-        )
-        return eta * pos + (1.0 - eta) * neg
-    return None if loss.family is None else loss.family.c_minus(cost, eta)
+    """From a closed form: C^-(eta) off alpha for a cost, or C*(eta) for
+    ``cost`` None.  A tagged loss asks its spec alone, so no closed form
+    evaluates a partial; an untagged one has C^- where the derivative test
+    calls it calibrated, the risk at the score 0.  None when the search
+    must serve the value."""
+    if loss.family is not None:
+        return loss.family.c_star(eta) if cost is None else loss.family.c_minus(cost, eta)
+    test = None if cost is None else derivative_test(loss, cost)
+    if test is None or not test[3]:
+        return None
+    return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
 
 
 def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
@@ -675,15 +670,16 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     alpha, that can decide the numeric verdict, and +inf at the rest: every
     gap at or under ``tolerance`` is exact, and so is the first least gap.
 
-    Where a closed C* serves (the gap is then cheaper than a floor), or the
-    search has no ceiling on C* (``_c_star_ceiling``), one call searches
+    Where a tagged loss's C* is closed (the gap is then cheaper than a
+    floor; its C^- is closed too, but off the gamma = 2 sigmoid's alpha), or
+    the search has no ceiling on C* (``_c_star_ceiling``), one call searches
     every gap.  Otherwise each posterior gets a floor on its gap: the gap's
     arithmetic with the ceiling in the place of C*.  IEEE subtraction and
     the clamp are monotone, so each floor is at most the gap, bit for bit.
 
     A first round searches ``_FIRST_SEARCHED`` posteriors: where C^- is
-    closed, those of least floor; where it is searched (the sigmoid, or a
-    convex loss the derivative test does not call calibrated), those
+    closed, those of least floor; where it is searched (a sigmoid, or an
+    untagged convex loss the derivative test does not call calibrated), those
     nearest alpha, in the one row search that finds C^- at every
     posterior, so their floors are their gaps.  Then, until none is left,
     every other posterior whose floor is not above t = max(least gap
@@ -707,7 +703,7 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     is no longer read, so no error is raised.  A NaN at a grid score leaves
     no ceiling, so every posterior is searched.
     """
-    if loss.family is not None and loss.family.has_closed_forms:
+    if loss.family is not None and not loss.family._c_star_searched:
         return h_alpha(loss, cost, etas)
     c_minus = _closed(loss, cost, etas)
     ceiling = _c_star_ceiling(loss, etas)

@@ -70,6 +70,14 @@ class TestAnalyticCheck:
         report = check_calibrated_analytic(loss, CostParam(0.5))
         assert report.verdict == "not_calibrated"
 
+    def test_an_overflowed_derivative_is_not_calibrated(self):
+        # beta * gamma overflows, so L-1'(0) is inf and the weighted sum of
+        # the derivatives is inf; it once passed the tolerance, inf <= inf.
+        loss = uneven("hinge", gamma=1e300, beta=1e300)
+        report = check_calibrated_analytic(loss, CostParam(1e-3))
+        assert report.derivative_checks[1] == math.inf
+        assert report.verdict == "not_calibrated"
+
     def test_symmetric_margin_hinge_calibrated_at_half(self):
         loss = uneven("hinge", gamma=1.0, beta=1.0)
         assert check_calibrated_analytic(loss, CostParam(0.5)).verdict == "calibrated"
@@ -141,6 +149,21 @@ class TestNumericCheck:
         assert check_calibrated_numeric(loss, cost, 201, 0.0).verdict == "not_calibrated"
         with pytest.raises(DomainError, match="tolerance"):
             check_calibrated_numeric(loss, cost, 201, tolerance)
+
+    def test_a_zero_gap_reads_exactly_zero(self):
+        # Between this member's calibrating alpha, 0.3, and alpha = 0.98 the
+        # minimizer is admissible, so C^- is C* and the gap is 0: once the
+        # search's 8.2e-13, which read calibrated at tolerance 0.
+        loss, cost = uneven("hinge", 1.0, 1.0, 0.3), CostParam(0.98)
+        assert h_alpha(loss, cost, 0.5) == 0.0
+        report = check_calibrated_numeric(loss, cost, 3, 0.0)
+        assert report.verdict == check_calibrated_analytic(loss, cost).verdict == "not_calibrated"
+        assert (0.5, 0.0) in report.witnesses
+        # Where the minimizer's sign turns, eta = 1/2 for this hinge (beta *
+        # gamma is 1.0), the minimizer is 0, so C^- is C* there too.
+        loss, cost = uneven("hinge", 1e-3), CostParam(0.02)
+        assert h_alpha(loss, cost, 0.5) == h_alpha(loss, cost, np.array([0.5]))[0] == 0.0
+        assert check_calibrated_numeric(loss, cost, 3, 0.0).verdict == "not_calibrated"
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])

@@ -401,7 +401,7 @@ class TestVerify:
         summary = json.loads(out)
         assert summary["all_passed"]
         assert summary["checks"] == [
-            {"name": "closed_forms_vs_oracle", "passed": 84, "failed": 0}
+            {"name": "closed_forms_vs_oracle", "passed": 147, "failed": 0}
         ]
 
     def test_failing_check_exits_three(self, capsys, monkeypatch):
@@ -559,7 +559,9 @@ class TestExitCodeProperty:
          "--grid=3", f"--output={os.devnull}"]
     )
     # The oracle path once printed numpy overflow warnings at gamma = 1e300,
-    # and alpha-gamma once warned on an infinite --gamma-max before exiting 2.
+    # and the closed form in k = beta * gamma, serving it since, once
+    # divided inf by inf there; alpha-gamma once warned on an infinite
+    # --gamma-max before exiting 2.
     @example(
         ["curve", "--family=squared", "--gamma=1e300", "--beta=1", "--alpha=0.5",
          "--quantities=C_star", "--grid=3", f"--output={os.devnull}"]
@@ -591,6 +593,16 @@ class TestExitCodeProperty:
         code, err = run_cli(argv)
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("family", CONVEX)
+    @pytest.mark.parametrize("gamma", ["1e-300", "1", "1e300"])
+    @pytest.mark.parametrize("beta", ["1e-300", "1", "1e300"])
+    def test_closed_forms_at_the_ends_of_the_float_range(self, family, gamma, beta, tmp_path):
+        # Where beta * gamma overflows or underflows, every value is finite.
+        out = tmp_path / "curve.csv"
+        argv = [f"--family={family}", f"--gamma={gamma}", f"--beta={beta}", "--alpha=0.3"]
+        assert run_cli(["curve", *argv, "--quantities=H,C_star,C_minus", "--grid=5", f"--output={out}"]) == (0, "")
+        assert all(math.isfinite(float(row["value"])) for row in read_rows(out))
 
     # Counts past any address space: numpy once raised MemoryError at 10**15,
     # IndexError at 2**63 - 1 and ValueError at 10**19.  Every allocation

@@ -122,7 +122,8 @@ class TestMakeUnevenLoss:
         # Where the derivative test calls a convex member calibrated, C^-
         # off alpha is the risk at the score 0, which a tagged loss reads
         # from its spec: at eta 0 and 1 it is one partial's value there, bit
-        # for bit what that partial's fn gives.
+        # for bit what that partial's fn gives, and between them the two
+        # mixed, at posteriors either side of alpha and within an ulp of it.
         for gamma in (1e-3, 0.25, 0.5, 1.0, 2.0, 4.0, 1e3):
             for beta in (1.0 / gamma, 0.3, 0.7, 2.0):
                 for weight in (None, 0.05, 0.3, 0.9):
@@ -131,6 +132,11 @@ class TestMakeUnevenLoss:
                     cost = CostParam(d2 / (d2 - d1))
                     found = [constrained_optimal_risk(loss, cost, eta) for eta in (1.0, 0.0)]
                     assert [v.hex() for v in found] == [loss.pos(0.0).hex(), loss.neg(0.0).hex()]
+                    near = [math.nextafter(cost.alpha, 0.0), math.nextafter(cost.alpha, 1.0)]
+                    etas = np.array([1e-12, 0.25, 0.75, 1.0 - 1e-12] + near)
+                    at0 = etas * loss.pos(0.0) + (1.0 - etas) * loss.neg(0.0)
+                    assert constrained_optimal_risk(loss, cost, etas).tobytes() == at0.tobytes()
+                    assert [constrained_optimal_risk(loss, cost, e) for e in etas.tolist()] == at0.tolist()
 
     @pytest.mark.parametrize("family", ALL_FAMILIES)
     def test_partials_nonnegative_and_convexity_flag_honest(self, family):
@@ -201,9 +207,17 @@ class TestClosedForms:
                 brute_force_min(loss, eta, "none").value, abs=1e-6
             )
 
-    def test_uncalibrated_configuration_unsupported(self):
-        with pytest.raises(UnsupportedFamilyError):
-            closed_forms(UnevenMarginSpec("hinge", beta=1.0, gamma=2.0), 0.5)
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    @pytest.mark.parametrize("beta,gamma", [(1.0, 2.0), (0.7, 2.0), (1e3, 1e-3), (1e-3, 1e3)])
+    def test_every_unweighted_convex_member_is_served(self, family, beta, gamma):
+        # Its minimizer attains its C*, and its gap is h_alpha's at 1/2.
+        spec = UnevenMarginSpec(family, beta, gamma)
+        loss = make_uneven_loss(spec)
+        for eta in (0.1, 0.3, 0.5, 0.9):
+            forms = closed_forms(spec, eta)
+            assert forms.c_star == spec.c_star(eta)
+            assert conditional_risk(loss, eta, forms.t_star) == pytest.approx(forms.c_star, rel=1e-12)
+            assert forms.h_cc == h_alpha(loss, CostParam(0.5), eta)
 
     def test_sigmoid_needs_gamma_two(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -583,11 +597,13 @@ class TestSigmoidCMinus:
 
 
 SUPPORTED_SPECS = [
-    UnevenMarginSpec(family, 1.0 / gamma, gamma, weight)
+    UnevenMarginSpec(family, beta, gamma, weight)
     for family in ("hinge", "squared", "exponential")
     for gamma in (0.25, 1.0, 4.0)
+    for beta in (1.0 / gamma, 0.7)
     for weight in (None, 0.3)
 ] + [UnevenMarginSpec("sigmoid", 0.5, 2.0), UnevenMarginSpec("sigmoid", 0.5, 2.0, 0.3)]
+#: Convex ones are searched as untagged copies; the sigmoid as it is.
 UNSUPPORTED_SPECS = [
     UnevenMarginSpec("hinge", 1.0, 2.0),
     UnevenMarginSpec("exponential", 1.0, 4.0, 0.3),
@@ -609,7 +625,6 @@ class TestSpecRouting:
 
     @pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=repr)
     def test_supported_specs_evaluate_no_partial(self, spec):
-        assert spec.has_closed_forms
         loss, calls = counted(make_uneven_loss(spec))
         expected = [reference_c_star(spec, eta) for eta in ROUTING_ETAS]
         floats = [optimal_conditional_risk(loss, eta) for eta in ROUTING_ETAS]
@@ -620,10 +635,13 @@ class TestSpecRouting:
 
     @pytest.mark.parametrize("spec", UNSUPPORTED_SPECS, ids=repr)
     def test_unsupported_specs_run_the_oracle(self, spec):
-        assert not spec.has_closed_forms
-        assert spec.c_star(0.3) is None
+        loss = make_uneven_loss(spec)
+        if spec.family == "sigmoid":
+            assert spec.c_star(0.3) is None
+        else:
+            loss = replace(loss, family=None)
         for eta in (0.3, np.array([0.3, 0.7])):
-            loss, calls = counted(make_uneven_loss(spec))
+            loss, calls = counted(loss)
             optimal_conditional_risk(loss, eta)
             assert calls
 
@@ -643,6 +661,110 @@ class TestSpecRouting:
             calls.clear()
             constrained_optimal_risk(loss, other, eta)
             assert calls
+
+
+#: (beta, gamma) of the convex reference grid: gamma from 1e-3 to 1e3,
+#: beta at both ends, 0.7, 3 and 1/gamma; and every pair of 1e-300, 1 and
+#: 1e300, where gamma or beta * gamma lies at an end of the float range.
+REFERENCE_PARAMS = [
+    (beta, gamma)
+    for gamma in (1e-3, 0.02, 0.5, 1.0, 2.0, 50.0, 1e3)
+    for beta in (1e-3, 0.7, 3.0, 1.0 / gamma, 1e3)
+] + [(beta, gamma) for beta in (1e-300, 1.0, 1e300) for gamma in (1e-300, 1.0, 1e300)]
+REFERENCE_ETAS = [0.0, 1e-300, 1e-12, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0 - 1e-12, 1.0]
+
+
+def reference_optima(family, w_pos, w_neg, gamma, eta, alpha):
+    """(C*, C^-) at 50 digits of the risk a phi(t) + b phi(-gamma t), with
+    a = eta w_pos and b = (1 - eta) w_neg.  C* is the least risk at the
+    hinge's kinks, a b (1 + gamma)^2 / (a + b gamma^2) for the squared loss
+    and (1 + gamma) gamma^-q a^q b^p for the exponential (p = 1 / (1 +
+    gamma), q = 1 - p), each the risk at its stationary point.  The risk is
+    convex with its minimizer of the sign of a - b gamma, so C^- is C*
+    where that sign is admissible at alpha, and else the risk at 0, a + b."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a, b, g = mpmath.mpf(eta) * w_pos, (1 - mpmath.mpf(eta)) * w_neg, mpmath.mpf(gamma)
+        if family == "hinge":
+            c_star = min(a * (1 + 1 / g), b * (1 + g))
+        elif family == "squared":
+            c_star = a * b * (1 + g) ** 2 / (a + b * g**2)
+        else:
+            c_star = (1 + g) * g ** (-g / (1 + g)) * a ** (g / (1 + g)) * b ** (1 / (1 + g))
+        sign = mpmath.sign(a - b * g)
+        admissible = sign <= 0 if eta > alpha else sign >= 0 if eta < alpha else True
+        return c_star, c_star if admissible else a + b
+
+
+class TestConvexClosedForms:
+    """Every tagged convex member is served by its closed forms, against a
+    50-digit reference, at every alpha, with no partial evaluated."""
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    @pytest.mark.parametrize("weight", [None, 0.3])
+    def test_against_mpmath(self, family, weight):
+        # Within 1e-15 relative, and absolute below the least normal float.
+        # A weighted member's C* is w * C*(theta), whose 1 - theta cancels,
+        # so it is held to 1e-15 / (1 - theta).
+        floor = sys.float_info.min
+        for beta, gamma in REFERENCE_PARAMS:
+            spec = UnevenMarginSpec(family, beta, gamma, weight)
+            w_pos, w_neg = (1.0, beta) if weight is None else (1.0 - weight, weight * beta)
+            loss, calls = counted(make_uneven_loss(spec))
+            for alpha in (1e-3, 0.3, 0.98):
+                cost = CostParam(alpha)
+                rows = [
+                    optimal_conditional_risk(loss, np.array(REFERENCE_ETAS)),
+                    constrained_optimal_risk(loss, cost, np.array(REFERENCE_ETAS)),
+                ]
+                for i, eta in enumerate(REFERENCE_ETAS):
+                    refs = reference_optima(family, w_pos, w_neg, gamma, eta, alpha)
+                    floats = optimal_conditional_risk(loss, eta), constrained_optimal_risk(loss, cost, eta)
+                    spread = 1.0 if weight is None else 1.0 + w_pos * eta / max(weight * (1.0 - eta), 1e-300)
+                    for value, row, ref in zip(floats, rows, refs):
+                        for v in (value, row[i]):
+                            assert abs(v - ref) <= 1e-15 * spread * max(ref, floor), (spec, alpha, eta, v)
+            assert calls == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.sampled_from(["hinge", "squared", "exponential"]),
+        *[st.floats(-300.0, 300.0).map(lambda x: 10.0**x)] * 2,
+        st.one_of(st.none(), st.floats(1e-6, 1.0 - 1e-6)),
+        st.floats(1e-9, 1.0 - 1e-9),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_any_member_at_any_alpha_is_closed(self, family, beta, gamma, weight, alpha, etas):
+        loss, calls = counted(make_uneven_loss(UnevenMarginSpec(family, beta, gamma, weight)))
+        cost = CostParam(alpha)
+        for request in (optimal_conditional_risk, lambda l, e: h_alpha(l, cost, e)):
+            values = [no_warnings(request, loss, np.array(etas))]
+            values += [no_warnings(request, loss, eta) for eta in etas]
+            assert np.isfinite(np.concatenate(values, axis=None)).all()
+        assert calls == []
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    def test_no_partial_is_evaluated_and_nothing_warns(self, family):
+        # C*, C^- and H, float and array, at the calibrating alpha and off
+        # it, finite everywhere: at the ends of the range too, where k =
+        # beta * gamma overflows or underflows.
+        etas = np.array(REFERENCE_ETAS + [0.5 + 1e-12])
+        for beta, gamma in REFERENCE_PARAMS:
+            for weight in (None, 1e-3, 0.3, 0.999):
+                loss, calls = counted(make_uneven_loss(UnevenMarginSpec(family, beta, gamma, weight)))
+                d1, d2 = loss.pos.deriv_at_zero, loss.neg.deriv_at_zero
+                calibrating = d2 / (d2 - d1) if d2 < math.inf else 1.0
+                for alpha in {0.5, 1e-3, 0.98, min(max(calibrating, 1e-300), 1.0 - 1e-16)}:
+                    cost = CostParam(alpha)
+                    for request in (
+                        lambda e: optimal_conditional_risk(loss, e),
+                        lambda e: constrained_optimal_risk(loss, cost, e),
+                        lambda e: h_alpha(loss, cost, e),
+                    ):
+                        values = [no_warnings(request, etas)]
+                        values += [no_warnings(request, eta) for eta in etas.tolist()]
+                        assert np.isfinite(np.concatenate(values, axis=None)).all()
+                assert calls == []
 
 
 class TestLogistic:

@@ -1,5 +1,6 @@
 """Brute-force search, finite differences, empirical regrets, and fuzzing."""
 
+import csv
 import functools
 import gc
 import math
@@ -34,6 +35,7 @@ from costcal import (
     optimal_conditional_risk,
 )
 from costcal import calibration, oracle
+from costcal.cli import main
 from costcal.families import UnevenMarginSpec
 
 from conftest import (
@@ -126,19 +128,36 @@ class TestBruteForceMin:
 
 
 class TestScoreWindow:
+    """A hinge whose C* minimizer, -1/gamma = -1000, lies past the search's
+    score window [-50, 50]: exactly 0.1 * (1 + 1/gamma) = 100.1 at eta 0.1."""
+
+    ETA, BETA, GAMMA = 0.1, 500.0, 1e-3
+    EXACT = min(ETA * (1.0 + 1.0 / GAMMA), (1.0 - ETA) * BETA * (1.0 + GAMMA))
+
+    def test_tagged_hinge_minimized_beyond_the_window(self, tmp_path):
+        # Its closed form serves the float, the array and the CLI request.
+        loss = uneven("hinge", gamma=self.GAMMA, beta=self.BETA)
+        as_float = optimal_conditional_risk(loss, self.ETA)
+        (as_array,) = optimal_conditional_risk(loss, np.array([self.ETA]))
+        out = tmp_path / "c_star.csv"
+        argv = "curve --family hinge --gamma 0.001 --beta 500 --alpha 0.3333333333333333"
+        assert main([*argv.split(), "--quantities", "C_star", "--grid", "11", "--output", str(out)]) == 0
+        with open(out, newline="") as fh:
+            (row,) = [r for r in csv.DictReader(fh) if float(r["x"]) == self.ETA]
+        found = [as_float, as_array, float(row["value"])]
+        assert found == pytest.approx([self.EXACT] * 3, rel=1e-15)
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 3: the oracle searches scores in [-50, 50] only, and this "
         "hinge's C* minimizer is at -1/gamma = -1000",
     )
-    def test_tagged_hinge_minimized_beyond_the_window(self):
-        # No closed form serves beta = 500, gamma = 1e-3: C* is searched.
-        eta, beta, gamma = 0.1, 500.0, 1e-3
-        loss = uneven("hinge", gamma=gamma, beta=beta)
-        exact = min(eta * (1.0 + 1.0 / gamma), (1.0 - eta) * beta * (1.0 + gamma))
-        as_float = optimal_conditional_risk(loss, eta)
-        (as_array,) = optimal_conditional_risk(loss, np.array([eta]))
-        assert [as_float, as_array] == pytest.approx([exact, exact], rel=1e-9)
+    def test_untagged_hinge_minimized_beyond_the_window(self):
+        # The untagged copy is searched: 432.6, not 100.1.
+        loss = untagged(uneven("hinge", gamma=self.GAMMA, beta=self.BETA))
+        as_float = optimal_conditional_risk(loss, self.ETA)
+        (as_array,) = optimal_conditional_risk(loss, np.array([self.ETA]))
+        assert [as_float, as_array] == pytest.approx([self.EXACT] * 2, rel=1e-9)
 
 
 #: The golden section's ratio, 1 / phi, and the bracket width it stops at.
