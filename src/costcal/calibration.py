@@ -115,7 +115,9 @@ def check_calibrated_numeric(
 
     The report reads two things off the coarse grid: which gaps are at or
     under the tolerance, and the first least gap.  So only the posteriors
-    that can decide those are searched (``oracle._verdict_gaps``).  The
+    that can decide those are searched (``oracle._verdict_gaps``), each
+    gap floored by a ceiling on C* and, where C^- is searched, by its
+    chords between a few posteriors where it is searched.  The
     report, and any error raised, are those of searching them all, with
     one exception named there.  A ``DomainError`` in the refinement
     pass first re-runs the search on every coarse posterior, so the error

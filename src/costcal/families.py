@@ -61,10 +61,13 @@ class UnevenMarginSpec:
     @property
     def _weights(self) -> tuple[float, float]:
         """The outer weights of the positive and the negative partial: (1,
-        beta), or (1 - a, a * beta) for ``alpha_weight`` a."""
+        beta), or (1 - a, a * beta) for ``alpha_weight`` a, as Python floats
+        (a numpy scalar's product would warn where it overflows)."""
+        beta = float(self.beta)
         if self.alpha_weight is None:
-            return 1.0, self.beta
-        return 1.0 - self.alpha_weight, self.alpha_weight * self.beta
+            return 1.0, beta
+        a = float(self.alpha_weight)
+        return 1.0 - a, a * beta
 
     @property
     def _c_star_searched(self) -> bool:
@@ -87,7 +90,7 @@ class UnevenMarginSpec:
         k = beta * gamma  # near, (1 - eta) * k is normal at every eta < 1, k * gamma too
         near = 2.0 * sys.float_info.min / sys.float_info.epsilon <= k
         near = near and k * gamma >= sys.float_info.min and _squared_scale(gamma) * k < math.inf
-        (w_pos, w_neg), d0 = map(float, self._weights), _PHI[self.family][0]
+        (w_pos, w_neg), d0 = self._weights, _PHI[self.family][0]
         g_pos, g_neg = (1.0, gamma) if gamma >= 1.0 else (gamma, 1.0)
         slopes = w_pos, w_neg, w_pos * d0, -w_neg * gamma * d0, g_pos, g_neg
         return beta, gamma, k, near, slopes
@@ -363,7 +366,8 @@ _PHI = {
 def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
     """Build the Loss for a family spec, metadata populated from phi."""
     d0, convex, lim_neg, lim_pos = _PHI[spec.family]
-    w_pos, w_neg = spec._weights
+    # Python floats: a numpy scalar's product warns where it overflows.
+    (w_pos, w_neg), gamma = spec._weights, float(spec.gamma)
     if w_neg == 0.0:
         # 0 * phi would be 0, or NaN where phi overflows, not the loss.
         raise DomainError(f"alpha_weight * beta underflows to 0: {spec.alpha_weight} * {spec.beta}")
@@ -376,9 +380,9 @@ def make_uneven_loss(spec: UnevenMarginSpec) -> Loss:
         limit_pos_inf=w_pos * lim_pos,
     )
     neg = PartialLoss(
-        _partial(spec.family, w_neg, -spec.gamma),  # s * t is -gamma * t
+        _partial(spec.family, w_neg, -gamma),  # s * t is -gamma * t
         is_convex=convex,
-        deriv_at_zero=-w_neg * spec.gamma * d0,
+        deriv_at_zero=-w_neg * gamma * d0,
         limit_neg_inf=w_neg * lim_pos,
         limit_pos_inf=w_neg * lim_neg,
     )

@@ -7,8 +7,9 @@ and otherwise runs the brute-force search (``brute_force_min``): a pass
 over a log-spaced score grid, then golden-section refinement, on a float
 posterior or on a whole array of them.  The chooser codes each search's
 sign constraint.  The numeric verdict's gaps come from one plan
-(``_verdict_gaps``), which bounds the searched C* from above to floor
-the gaps and searches only those that can decide the verdict.  The exact
+(``_verdict_gaps``), which bounds the searched C* from above and a
+searched C^- from below by its chords to floor the gaps, and searches
+only those that can decide the verdict.  The exact
 risk and regret of a score assignment on a finite distribution
 (``empirical_regrets``) are also here.
 """
@@ -654,8 +655,8 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
 
 #: Posteriors whose gaps a floored verdict (``_verdict_gaps``) searches
 #: first: those of least floor where C^- is closed, and where it is
-#: searched, those nearest alpha, in C^-'s own search.  Their gaps set the
-#: threshold that rules out the rest.
+#: searched, those nearest alpha.  Their gaps set the threshold that rules
+#: out the rest.
 _FIRST_SEARCHED = 4
 #: The most posteriors a floored round searches as float searches, one
 #: each, where C^- is closed; a larger round is one row search.  A float
@@ -663,6 +664,75 @@ _FIRST_SEARCHED = 4
 #: were cheaper up to about 48 rows for the hinge and the squared loss and
 #: 25 for the exponential (shared 2-core x86-64, Python 3.11, numpy 2.4).
 _FLOAT_ROUND = 32
+#: Where C^- is searched, the verdict's first search finds it at every
+#: ``_CHORD_STEP``-th posterior of each side of alpha, in order of eta, and
+#: at both ends of the side: the chords' knots (``_chord_knots``).
+_CHORD_STEP = 32
+#: The share of the knots' magnitudes taken off a chord of C^-
+#: (``_chord_floor``): it covers the rounding of the risks and of the
+#: interpolation, a few ulps where no partial is negative, and a knot's
+#: search ending above the least risk, its golden section stopping within
+#: 1e-10 of a minimizer.  Without it the chords rose above the searched
+#: C^- by up to 6.8e-12 relative (untagged hinges at the kink; the four
+#: families, gamma 1e-8 to 1e8, beta 1/gamma to 1e3, grids 101 and 1001).
+_CHORD_MARGIN = 1e-9
+
+
+def _chord_knots(etas: np.ndarray, alpha: float) -> np.ndarray:
+    """Which posteriors of the 1-D array ``etas`` floor C^- at the rest, as
+    a mask: on each side of alpha, in order of eta, every
+    ``_CHORD_STEP``-th posterior and the last, so both ends of the side.
+    A mask, not ``np.unique``'s indices: ``np.unique`` imports ``numpy.ma``,
+    0.6 MB more resident memory in a process that has no other use for it."""
+    knot = np.zeros(etas.shape, dtype=bool)
+    for side in (etas < alpha, etas > alpha):
+        order = np.flatnonzero(side)[np.argsort(etas[side], kind="stable")]
+        knot[order[::_CHORD_STEP]] = knot[order[-1:]] = True
+    return knot
+
+
+@np.errstate(over="ignore")  # a sum past the float range is capped, or -inf: it rules nothing out
+def _chord_floor(etas: np.ndarray, alpha: float, knot: np.ndarray, c_minus: np.ndarray) -> np.ndarray:
+    """A floor on the C^- that ``_search_rows`` returns at each posterior of
+    the 1-D array ``etas``, off alpha, from its values in ``c_minus`` at the
+    knots, the posteriors of the mask ``knot``, which holds both ends of
+    each side (``_chord_knots``): the value itself at a knot; between two
+    knots of one side, their chord less ``_CHORD_MARGIN`` of the chord of
+    their magnitudes; and -inf on an interval with a knot whose C^- is not
+    finite, so that no warning is raised and no floor there rules anything
+    out.
+
+    Why it is a floor.  On one side of alpha the search's C^- at eta is one
+    risk r(eta, t) = eta * pos(t) + (1 - eta) * neg(t), at a score t of that
+    side's half-line or a limit, and r is affine in eta.  At each knot a of
+    the side r(a, t) is at least the least risk over every score the search
+    can return on the side, so the chord of those least risks lies under
+    r(eta, t).  The searched C^- at a knot exceeds that least risk by its
+    search's error, and r(eta, t) is itself rounded; the margin covers both.
+    So a change to the search must keep each search of C^- within a
+    relative 1e-9 of the least risk over the scores and limits it admits on
+    its side, or this floor breaks: a grown window (ROADMAP item 3) must
+    find its minimum as well at every posterior."""
+    floor = np.full(etas.shape, -np.inf)
+    finite = knot & np.isfinite(c_minus)
+    for side in (etas < alpha, etas > alpha):
+        at = np.flatnonzero(side & knot)
+        if at.size < 2:  # a side of one posterior is its own knot
+            continue
+        at = at[np.argsort(etas[at], kind="stable")]
+        q = etas[side]
+        # The knots' interval [x0, x1] holding each posterior of the side.
+        j = np.minimum(np.searchsorted(etas[at], q, side="right"), at.size - 1)
+        a, b = at[j - 1], at[j]
+        x0, x1 = etas[a], etas[b]
+        weight = (q - x0) / np.where(x1 > x0, x1 - x0, 1.0)  # 0 where x1 = x0 = q
+        y0, y1 = (np.where(finite[k], c_minus[k], 0.0) for k in (a, b))
+        # Never above its larger end, even where the sum rounds past it.
+        chord = np.minimum((1.0 - weight) * y0 + weight * y1, np.maximum(y0, y1))
+        margin = _CHORD_MARGIN * ((1.0 - weight) * np.abs(y0) + weight * np.abs(y1))
+        floor[side] = np.where(finite[a] & finite[b], chord - margin, -np.inf)
+    floor[knot] = c_minus[knot]
+    return floor
 
 
 def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: float) -> np.ndarray:
@@ -674,23 +744,28 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     floor; its C^- is closed too, but off the gamma = 2 sigmoid's alpha), or
     the search has no ceiling on C* (``_c_star_ceiling``), one call searches
     every gap.  Otherwise each posterior gets a floor on its gap: the gap's
-    arithmetic with the ceiling in the place of C*.  IEEE subtraction and
-    the clamp are monotone, so each floor is at most the gap, bit for bit.
+    arithmetic with a floor on C^- in its place and the ceiling in the
+    place of C*.  IEEE subtraction and the clamp are monotone, so each
+    floor is at most the gap, bit for bit.  Where C^- is closed, it is its
+    own floor.  Where it is searched (a sigmoid, or an untagged convex loss
+    the derivative test does not call calibrated), it is floored by its
+    chords (``_chord_floor``): C^- is concave on each side of alpha.
 
     A first round searches ``_FIRST_SEARCHED`` posteriors: where C^- is
-    closed, those of least floor; where it is searched (a sigmoid, or an
-    untagged convex loss the derivative test does not call calibrated), those
-    nearest alpha, in the one row search that finds C^- at every
-    posterior, so their floors are their gaps.  Then, until none is left,
-    every other posterior whose floor is not above t = max(least gap
-    found, tolerance) is searched.  A posterior never searched has a gap at
-    or above its floor, so above t: neither under the tolerance nor least.
+    closed, those of least floor; where it is searched, those nearest
+    alpha, in the one row search that also finds C^- at the chords' knots
+    (``_chord_knots``).  Then, until none is left, every other posterior
+    whose floor is not above t = max(least gap found, tolerance) is
+    searched.  A posterior never searched has a gap at or above its floor,
+    so above t: neither under the tolerance nor least.
 
     Where C^- is closed, a round of at most ``_FLOAT_ROUND`` posteriors, as
     the first always is, runs one float ``h_alpha`` per posterior.  Any
-    other round is one row search of C*, its gaps taken against the C^-
-    found: the sigmoid's float partial uses libm's ``exp``, so where C^- is
-    searched a float search would not give the row search's bits.
+    other round is one row search: of C* where C^- is closed, its gaps
+    taken against the closed C^-, and else of C^- and C* together, with two
+    code arrays (a knot's C^- is searched again, to the same bits).  The
+    sigmoid's float partial uses libm's ``exp``, so where C^- is searched a
+    float search would not give the row search's bits.
 
     The gaps are those of searching every posterior: rows of a row search
     are independent, and the convex family partials give a float score the
@@ -699,9 +774,9 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     results differ agrees only to rounding.  A ``DomainError`` anywhere
     re-runs the search on every posterior, which names the first that
     reads a NaN.  One case differs: a partial that is NaN only strictly
-    between two grid scores, read only by C* searches the floors rule out,
-    is no longer read, so no error is raised.  A NaN at a grid score leaves
-    no ceiling, so every posterior is searched.
+    between two grid scores, read only by searches the floors rule out (of
+    C*, or of C^- between knots), is no longer read, so no error is raised.
+    A NaN at a grid score leaves no ceiling, so every posterior is searched.
     """
     if loss.family is not None and not loss.family._c_star_searched:
         return h_alpha(loss, cost, etas)
@@ -710,27 +785,40 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     if ceiling is None:
         return h_alpha(loss, cost, etas)
     c_minus_searched = c_minus is None
+    alpha = cost.alpha
     gaps = np.full(etas.shape, np.inf)
     left = np.ones(etas.shape, dtype=bool)
     try:
         if c_minus_searched:
-            first = np.argsort(np.abs(etas - cost.alpha), kind="stable")[:_FIRST_SEARCHED]
-            codes = np.concatenate([np.sign(cost.alpha - etas), np.zeros(first.size)])
-            found = _search_rows(loss, np.concatenate([etas, etas[first]]), codes)[0].value
-            c_minus, ceiling[first] = found[: etas.size], found[etas.size :]
+            first = np.argsort(np.abs(etas - alpha), kind="stable")[:_FIRST_SEARCHED]
+            knot = _chord_knots(etas, alpha)
+            knot[first] = True
+            knots = np.flatnonzero(knot)
+            # One row search: C^- at the knots, then C* at the first posteriors.
+            codes = np.concatenate([np.sign(alpha - etas[knots]), np.zeros(first.size)])
+            found = _search_rows(loss, np.concatenate([etas[knots], etas[first]]), codes)[0].value
+            c_minus = np.zeros(etas.shape)  # read at the knots only
+            c_minus[knots] = found[: knots.size]
+            gaps[first] = _gap(c_minus[first], found[knots.size :], etas[first])
+            left[first] = False
+            lower = _chord_floor(etas, alpha, knot, c_minus)
+        else:
+            lower = c_minus
         with np.errstate(invalid="ignore"):  # a NaN floor rules nothing out
-            floor = np.maximum(c_minus - ceiling, 0.0)
-        if c_minus_searched:  # their floors are their gaps
-            gaps[first], left[first] = _gap(c_minus[first], ceiling[first], etas[first]), False
+            floor = np.maximum(lower - ceiling, 0.0)
+        if c_minus_searched:
             rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
         else:
             rows = np.sort(np.argsort(floor, kind="stable")[:_FIRST_SEARCHED])
         while rows.size:
-            if c_minus_searched or rows.size > _FLOAT_ROUND:
-                c_star = _search_rows(loss, etas[rows], np.zeros(rows.size))[0].value
-                gaps[rows] = _gap(c_minus[rows], c_star, etas[rows])
+            e = etas[rows]
+            if c_minus_searched:
+                minus, star = _search_rows(loss, e, np.sign(alpha - e), np.zeros(rows.size))
+                gaps[rows] = _gap(minus.value, star.value, e)
+            elif rows.size > _FLOAT_ROUND:
+                gaps[rows] = _gap(c_minus[rows], _search_rows(loss, e, np.zeros(rows.size))[0].value, e)
             else:
-                gaps[rows] = [h_alpha(loss, cost, eta) for eta in etas[rows].tolist()]
+                gaps[rows] = [h_alpha(loss, cost, eta) for eta in e.tolist()]
             left[rows] = False
             rows = np.flatnonzero(left & ~(floor > max(gaps.min(), tolerance)))
     except DomainError:

@@ -488,6 +488,7 @@ class TestBoundedCoarseSearch:
             st.tuples(
                 st.one_of(st.sampled_from([0.0, 1e-9, 1.0, math.inf]), st.floats(0.0, 2.0)),
                 st.sampled_from([0.0, 1e-9, 0.5, 4.0]),
+                st.sampled_from([-4.0, -0.5, 0.0, 0.5, 4.0]),
             ),
             min_size=1,
             max_size=40,
@@ -495,24 +496,34 @@ class TestBoundedCoarseSearch:
         st.sampled_from([0.0, 1e-9, 0.5]),
     )
     # The least gap lies past the first round's least floors, above the tolerance.
-    @example([(1.0, 4.0)] * 4 + [(0.5, 0.0)], 0.0)
+    @example([(1.0, 4.0, 0.0)] * 4 + [(0.5, 0.0, 0.0)], 0.0)
     # NaN gaps, in a float round and in row rounds of more than _FLOAT_ROUND.
-    @example([(math.nan, 4.0), (0.0, 0.0)], 0.0)
-    @example([(0.5, 4.0)] * 36 + [(math.nan, 0.0)] + [(1e-9, 0.0)] * 3, 1e-9)
-    @example([(math.nan, 4.0)] + [(0.5, 0.5)] * 38 + [(math.nan, 0.0)], 0.0)
+    @example([(math.nan, 4.0, 0.0), (0.0, 0.0, 0.0)], 0.0)
+    @example([(0.5, 4.0, 0.0)] * 36 + [(math.nan, 0.0, 0.0)] + [(1e-9, 0.0, 0.0)] * 3, 1e-9)
+    @example([(math.nan, 4.0, 0.0)] + [(0.5, 0.5, 0.0)] * 38 + [(math.nan, 0.0, 0.0)], 0.0)
+    # Searched C^-: a tent, 0 at both ends, with gaps under the tolerance
+    # inside the chords' intervals next to each end.
+    @example([(0.0, 0.0, 4.0)] + [(math.inf, 0.0, 0.0)] * 38 + [(0.0, 0.0, -4.0)], 0.5)
     @settings(max_examples=200, deadline=None)
     def test_rounds_keep_what_the_report_reads(self, c_minus_searched, rows, tolerance):
         # Private by need: no public loss gives drawn gaps and ceilings.
         # Drawn gaps, each as C^- with C* 0, and a ceiling at least 0, so
-        # each floor is the gap less its ceiling, clamped at 0 (a ceiling
-        # of 4 floors any finite gap at 0): the rounds leave every gap at
-        # or under the tolerance exact, and the first least gap where
-        # argmin finds it.  An example's NaN floor rules nothing out, so a
-        # NaN gap is searched and raises, naming the first NaN posterior
-        # as the full search does.  Posterior i is (i + 1) / 64, in order
-        # of nearness to alpha = 2^-10.
-        gaps = np.array([gap for gap, _ in rows])
-        ceiling = np.array([ceiling for _, ceiling in rows])
+        # each floor is at most the gap (a ceiling of 4 floors any finite
+        # gap at 0): the rounds leave every gap at or under the tolerance
+        # exact, and the first least gap where argmin finds it.  An
+        # example's NaN floor rules nothing out, so a NaN gap is searched
+        # and raises, naming the first NaN posterior as the full search
+        # does.  Posterior i is (i + 1) / 64, in order of nearness to alpha
+        # = 2^-10.  Where C^- is searched, it is concave on alpha's side, as
+        # every loss's is, for its chords to floor it: the least of the
+        # drawn affine functions of eta, row i's through its gap at its own
+        # posterior with its drawn slope (a NaN one drops out, unless all do).
+        gaps = np.array([gap for gap, _, _ in rows])
+        ceiling = np.array([ceiling for _, ceiling, _ in rows])
+        etas = np.arange(1.0, len(gaps) + 1.0) / 64.0
+        if c_minus_searched:
+            slopes = np.array([slope for _, _, slope in rows])
+            gaps = np.fmin.reduce(gaps[:, None] + slopes[:, None] * (etas - etas[:, None]), axis=0)
 
         def gap_at(eta):
             return gaps[(np.asarray(eta) * 64.0).astype(int) - 1]
@@ -535,7 +546,6 @@ class TestBoundedCoarseSearch:
                 mock.patch.object(oracle, "_c_star_ceiling", lambda loss, etas: ceiling.copy()), \
                 mock.patch.object(oracle, "_search_rows", search_rows), \
                 mock.patch.object(oracle, "_search_float", search_float):
-            etas = np.arange(1.0, len(gaps) + 1.0) / 64.0
             request = untagged(uneven("hinge", 2.0)), CostParam(2.0**-10), etas, tolerance
             if np.isnan(gaps).any():
                 first_nan = etas[np.isnan(gaps)][0].item()
@@ -543,6 +553,7 @@ class TestBoundedCoarseSearch:
                     oracle._verdict_gaps(*request)
                 return
             found = oracle._verdict_gaps(*request)
+        gaps = np.where(0.0 > gaps, 0.0, gaps)  # a negative C^- less C* = 0 is a gap of 0
         low = gaps <= tolerance
         assert ((found <= tolerance) == low).all() and (found[low] == gaps[low]).all()
         i = gaps.argmin()
@@ -615,31 +626,66 @@ class TestBoundedCoarseSearch:
         with mock.patch.object(oracle, "_c_star_ceiling", zero_floor):
             assert verdict_outcome(*request) == full_search_outcome(*request)
 
+    @staticmethod
+    def first_search(loss, cost) -> tuple[list, np.ndarray]:
+        """Where C^- is searched, the array evaluations of the verdict's
+        first row search, and the coarse posteriors whose C* it finds.  It
+        searches C^- at every ``_CHORD_STEP``-th posterior of each side of
+        alpha and at both ends of the side, whose chords floor C^- between
+        them, and at the four posteriors nearest alpha; and C* at those
+        four.  Private by need: no public call gives the chords' step."""
+        etas = TestBoundedCoarseSearch.coarse(cost.alpha)
+        nearest = etas[np.argsort(np.abs(etas - cost.alpha), kind="stable")[:4]]
+        below, above = etas[etas < cost.alpha], etas[etas > cost.alpha]
+        step = oracle._CHORD_STEP
+        knots = np.union1d(np.concatenate([below[::step], below[-1:], above[::step], above[-1:]]), nearest)
+        sizes = TestBoundedCoarseSearch.one_row_search(
+            loss,
+            lambda loss: constrained_optimal_risk(loss, cost, knots),
+            lambda loss: brute_force_min(loss, nearest),
+        )
+        assert sizes[0] == knots.size + nearest.size
+        return sizes, nearest
+
     @pytest.mark.parametrize("tagged, gamma", [(False, 3.0), (True, 0.5)])
     def test_calibrated_sigmoid_verdict_is_one_row_search(self, tagged, gamma):
-        # C^- is searched at every coarse posterior, and C* at the four
-        # nearest alpha in the same search (1004 rows); their gaps rule out
-        # the rest.
+        # C^- is searched at the chords' knots and C* at the four nearest
+        # alpha, in one search of 40 rows, not the 1004 of C^- at every
+        # coarse posterior; their gaps and the chords rule out the rest.
         loss = uneven("sigmoid", gamma=gamma)
         loss = loss if tagged else untagged(loss)
         cost = CostParam(alpha_of_gamma(gamma))
         rows, floats = self.evaluations(loss, cost)
-        etas = self.coarse(cost.alpha)
-        nearest = etas[np.argsort(np.abs(etas - cost.alpha), kind="stable")[:4]]
-        assert floats == 0 and rows[0] == 1004
-        assert rows == self.one_row_search(
-            loss,
-            lambda loss: constrained_optimal_risk(loss, cost, etas),
-            lambda loss: brute_force_min(loss, nearest),
-        )
+        assert floats == 0 and rows[0] == 40
+        assert rows == self.first_search(loss, cost)[0]
 
     @pytest.mark.parametrize("family, gamma, beta, weight, alpha", NOT_CALIBRATED_CONVEX)
     def test_searched_c_minus_rounds_are_row_searches(self, family, gamma, beta, weight, alpha):
-        # Not calibrated: later rounds and the refinement pass search rows,
-        # never floats, since C^- comes from the floor's own search.
+        # Not calibrated, so the gap is 0 on a stretch of posteriors.  After
+        # the first search, whose least gap is 0, one round searches C^- and
+        # C* together, as ``h_alpha`` on an array does, at every posterior
+        # the floors leave: those of least gap, each gap at or under the
+        # tolerance and a few more.  Then the refinement pass searches rows
+        # within a coarse step of each gap under the tolerance, alpha's
+        # tenth of a half step left out.  No other round follows, and no
+        # search is a float search: C^- comes from the floors' own search.
         loss = untagged(uneven(family, gamma, beta, weight))
-        rows, floats = self.evaluations(loss, CostParam(alpha))
-        assert rows[0] == 1004 and floats == 0
+        cost = CostParam(alpha)
+        rows, floats = self.evaluations(loss, cost)
+        first, nearest = self.first_search(loss, cost)
+        assert floats == 0 and rows[: len(first)] == first
+        etas = self.coarse(alpha)
+        gaps = h_alpha(loss, cost, etas)
+        rest = ~np.isin(etas, nearest)
+        searched = rows[len(first)] // 2  # its first step evaluates C^- and C* at each
+        assert (gaps[rest] <= 1e-9).sum() <= searched <= (gaps[rest] <= 1e-9).sum() + 8
+        least = np.sort(etas[rest][np.argsort(gaps[rest], kind="stable")[:searched]])
+        bad = etas[gaps <= 1e-9]
+        near = np.linspace(np.maximum(bad - 1e-3, 0.0), np.minimum(bad + 1e-3, 1.0), 21, axis=1)
+        near = near[np.abs(near - alpha) > 1.0 / 20020.0]
+        later = self.one_row_search(loss, lambda loss: h_alpha(loss, cost, least))
+        refinement = self.one_row_search(loss, lambda loss: h_alpha(loss, cost, near))
+        assert rows == first + later + refinement
 
     @pytest.mark.parametrize("alpha", ["at", "below", "above", 0.3, 0.7])
     @pytest.mark.parametrize("tagged", [False, True])

@@ -797,6 +797,10 @@ PRIVATE_NAMES_ALLOWED = {
         {"_closed", "_c_star_ceiling", "_search_rows", "_search_float", "_verdict_gaps", "_FIRST_SEARCHED"},
         "drawn gaps and ceilings, which no loss gives, injected into the verdict's rounds",
     ),
+    ("test_calibration", "TestBoundedCoarseSearch.first_search"): (
+        {"_CHORD_STEP"},
+        "the verdict's first search finds C^- at every _CHORD_STEP-th posterior of a side, which no public call gives",
+    ),
     ("test_calibration", "TestBoundedCoarseSearch.test_a_round_past_the_crossover_is_one_row_search"): (
         {"_c_star_ceiling"},
         "a ceiling of +inf, which no loss gives, so that no floor rules a posterior out",
@@ -805,9 +809,13 @@ PRIVATE_NAMES_ALLOWED = {
         {"_c_star_ceiling"},
         "no public call returns the ceiling the verdict's floors are made of",
     ),
-    ("test_losses", "TestVerdictGaps.test_searched_gaps_are_exact_and_the_rest_above_the_threshold"): (
-        {"_verdict_gaps", "_FIRST_SEARCHED"},
-        "no public call returns the gaps the verdict searched and those it ruled out",
+    ("test_losses", "TestVerdictGaps.check_gaps"): (
+        {"_verdict_gaps", "_FIRST_SEARCHED", "_chord_knots", "_chord_floor"},
+        "no public call returns the gaps the verdict searched and those it ruled out, or the chords that floor C^-",
+    ),
+    ("test_losses", "TestVerdictGaps.test_a_knot_not_finite_floors_nothing_on_its_chords"): (
+        {"_chord_knots", "_chord_floor"},
+        "no search returns a NaN C^-, and no public call returns the chords that floor it",
     ),
     ("test_losses", "TestVerdictGaps.test_every_gap_where_c_star_is_closed"): (
         {"_verdict_gaps"},

@@ -149,6 +149,25 @@ class TestMakeUnevenLoss:
                 for i in range(1, len(values) - 1):
                     assert values[i] <= 0.5 * (values[i - 1] + values[i + 1]) + 1e-12
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize(
+        "beta, gamma, weight", [(1e300, 1e300, None), (1e300, 1e300, 0.3), (0.7, 2.0, 0.3), (1e-300, 1e-300, None)]
+    )
+    def test_numpy_scalar_specs_build_the_python_float_loss(self, family, beta, gamma, weight):
+        # A spec of numpy scalars (what iterating an ndarray yields) builds
+        # the partials' metadata of the same spec of Python floats, bit for
+        # bit, with no warning where beta * gamma overflows.
+        def metadata(spec):
+            loss = make_uneven_loss(spec)
+            fields = ("deriv_at_zero", "limit_neg_inf", "limit_pos_inf", "is_convex", "value_at_zero")
+            return [repr(getattr(partial, field)) for partial in (loss.pos, loss.neg) for field in fields]
+
+        floats = metadata(UnevenMarginSpec(family, beta, gamma, weight))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weight = None if weight is None else np.float64(weight)
+            assert metadata(UnevenMarginSpec(family, np.float64(beta), np.float64(gamma), weight)) == floats
+
     def test_declared_limits(self):
         loss = uneven("exponential", gamma=2.0)
         assert loss.pos(math.inf) == 0.0

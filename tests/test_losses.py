@@ -14,6 +14,7 @@ from costcal import (
     Loss,
     PartialLoss,
     UnsupportedLimitError,
+    alpha_of_gamma,
     alpha_transform,
     check_calibrated_analytic,
     conditional_risk,
@@ -29,7 +30,15 @@ from costcal import oracle
 from costcal.losses import sign
 from costcal.oracle import brute_force_min
 
-from conftest import counted, evaluations, uneven, untagged
+from conftest import (
+    HALF_LINE,
+    INFINITE_ON_NEGATIVES,
+    cost_sensitive_loss,
+    counted,
+    evaluations,
+    uneven,
+    untagged,
+)
 
 ETA_GRID = np.linspace(0.0, 1.0, 21)
 
@@ -449,9 +458,15 @@ class TestVerdictGaps:
         ),
         "both searched": CHOOSER_BRANCHES["both searched"][:2],
         "tagged sigmoid": (uneven("sigmoid", gamma=0.5), 0.6),
+        "untagged sigmoid at alpha(3)": (untagged(uneven("sigmoid", gamma=3.0)), alpha_of_gamma(3.0)),
+        "untagged sigmoid off alpha(3)": (untagged(uneven("sigmoid", gamma=3.0)), alpha_of_gamma(3.0) - 1e-4),
+        "untagged squared, not calibrated": (untagged(uneven("squared", gamma=2.0)), 0.98),
+        "half-line partials": (HALF_LINE, 0.3),
+        "infinite on negatives": (INFINITE_ON_NEGATIVES, 0.3),
+        "cost-sensitive 0-1": (cost_sensitive_loss(0.3), 0.3),
     }
     #: The cases whose C^- is searched, with C* at the posteriors nearest alpha.
-    C_MINUS_SEARCHED = {"both searched", "tagged sigmoid"}
+    C_MINUS_SEARCHED = set(FLOORED) - {"C* searched", "untagged hinge", "untagged exponential"}
     DRAWN_ETAS = st.lists(
         st.one_of(st.sampled_from([0.0, 1e-12, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0)),
         min_size=1,
@@ -467,6 +482,7 @@ class TestVerdictGaps:
         cost = CostParam(alpha)
         etas = np.array([eta for eta in etas if eta != alpha] or [0.0])
         ceiling = oracle._c_star_ceiling(loss, etas)
+        assume(ceiling is not None)  # none where a grid table holds a NaN
         assert (ceiling >= optimal_conditional_risk(loss, etas)).all()
         floor = constrained_optimal_risk(loss, cost, etas) - ceiling
         assert (np.where(0.0 > floor, 0.0, floor) <= h_alpha(loss, cost, etas)).all()
@@ -474,11 +490,35 @@ class TestVerdictGaps:
     @settings(max_examples=30, deadline=None)
     @given(DRAWN_ETAS, st.sampled_from(sorted(FLOORED)), st.sampled_from([0.0, 1e-9, 0.05]))
     def test_searched_gaps_are_exact_and_the_rest_above_the_threshold(self, etas, name, tolerance):
+        alpha = self.FLOORED[name][1]
+        self.check_gaps(name, np.array([eta for eta in etas if eta != alpha] or [0.0]), tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-9, 0.05])
+    @pytest.mark.parametrize("name", sorted(FLOORED))
+    def test_on_the_verdict_s_coarse_grid(self, name, tolerance):
+        # The posteriors of a verdict at grid 1001: alpha's neighbourhood
+        # removed, as ``check_calibrated_numeric`` does, so that C^-'s chords
+        # span 32 posteriors each.
+        alpha = self.FLOORED[name][1]
+        grid = np.linspace(0.0, 1.0, 1001)
+        self.check_gaps(name, grid[np.abs(grid - alpha) > 1.0 / 2002], tolerance)
+
+    def check_gaps(self, name, etas, tolerance):
+        """The verdict's gaps on ``etas`` against ``h_alpha``'s: the searched
+        ones bit for bit, the rest above the threshold, the first least gap
+        found, and where C^- is searched, the posteriors nearest alpha
+        searched and its chords under the searched C^-.  Where ``h_alpha``
+        raises, the verdict raises the same error."""
         loss, alpha = self.FLOORED[name]
         cost = CostParam(alpha)
-        etas = np.array([eta for eta in etas if eta != alpha] or [0.0])
+        try:
+            gaps = h_alpha(loss, cost, etas)
+        except DomainError as error:
+            with pytest.raises(DomainError) as raised:
+                oracle._verdict_gaps(loss, cost, etas, tolerance)
+            assert str(raised.value) == str(error)
+            return
         found = oracle._verdict_gaps(loss, cost, etas, tolerance)
-        gaps = h_alpha(loss, cost, etas)
         searched = found != np.inf
         assert found[searched].tobytes() == gaps[searched].tobytes()
         assert (gaps[~searched] > max(found.min(), tolerance)).all()
@@ -488,6 +528,27 @@ class TestVerdictGaps:
             # The posteriors nearest alpha get their gaps in C^-'s search.
             nearest = np.argsort(np.abs(etas - alpha), kind="stable")[: oracle._FIRST_SEARCHED]
             assert searched[nearest].all()
+            c_minus = constrained_optimal_risk(loss, cost, etas)
+            knot = oracle._chord_knots(etas, alpha)
+            chords = oracle._chord_floor(etas, alpha, knot, c_minus)
+            assert (chords <= c_minus).all() and chords[knot].tobytes() == c_minus[knot].tobytes()
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_a_knot_not_finite_floors_nothing_on_its_chords(self, value):
+        # A C^- at a knot that is not finite gives floors of -inf between
+        # it and its neighbouring knots, with no warning, and the chords of
+        # finite knots elsewhere.  Private by need: no search returns a NaN.
+        etas = np.arange(1.0, 100.0) / 100.0
+        knot = oracle._chord_knots(etas, 0.5)
+        assert etas[knot].tolist() == [0.01, 0.33, 0.49, 0.51, 0.83, 0.99]
+        c_minus = np.ones(etas.shape)
+        c_minus[etas == 0.33] = value
+        with np.errstate(all="raise"):
+            floor = oracle._chord_floor(etas, 0.5, knot, c_minus)
+        assert floor[knot].tobytes() == c_minus[knot].tobytes()
+        assert (floor[~knot & (etas < 0.5)] == -np.inf).all()
+        above = floor[~knot & (etas > 0.5)]
+        assert ((1.0 - 2e-9 < above) & (above < 1.0)).all()
 
     @pytest.mark.parametrize("branch", ["both closed", "C^- searched"])
     def test_every_gap_where_c_star_is_closed(self, branch):
