@@ -26,7 +26,6 @@ from .oracle import (
     brute_force_min,
     constrained_optimal_risk,
     h_alpha,
-    h_cc,
     optimal_conditional_risk,
 )
 
@@ -165,14 +164,14 @@ def _verify_closed_forms() -> dict:
 
 
 def _verify_identities() -> dict:
-    etas, ok = np.linspace(0.0, 1.0, 21), []
+    etas, ok, half = np.linspace(0.0, 1.0, 21), [], CostParam(0.5)
     for family in ("hinge", "squared", "exponential"):
         base = make_uneven_loss(UnevenMarginSpec(family, 0.5, 2.0))
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
             weighted = make_uneven_loss(UnevenMarginSpec(family, 0.5, 2.0, alpha_weight=alpha))
             cost = CostParam(alpha)
             theta, w = theta_alpha(cost, etas)
-            ok.append(np.abs(h_alpha(weighted, cost, etas) - w * h_cc(base, theta)) <= 1e-10)
+            ok.append(np.abs(h_alpha(weighted, cost, etas) - w * h_alpha(base, half, theta)) <= 1e-10)
     return _tally("alpha_transform_identity", np.concatenate(ok))
 
 

@@ -27,11 +27,9 @@ __all__ = [
     "ConvexEnvelope",
     "nu_curve",
     "mu_curve",
-    "jump_at_bmin",
     "biconjugate",
     "envelope_eval",
     "envelope_invert",
-    "psi_costinsensitive",
 ]
 
 DEFAULT_GRID = 2001
@@ -204,18 +202,6 @@ def mu_curve(nu: SampledCurve) -> SampledCurve:
     return SampledCurve(nu.domain_max, nu.eps, suffix_min, nu.sides)
 
 
-def jump_at_bmin(curve: SampledCurve, tol: float = 1e-9) -> tuple[bool, float, float]:
-    """Detect a jump at the curve's left/right-valued knot: one where the
-    two values differ by more than ``tol``, in [0, inf)."""
-    _check_real("tol", tol, 0.0, ends="[)")
-    eps, sides = curve.eps, curve.sides
-    pairs = np.flatnonzero((sides[:-1] == "left") & (sides[1:] == "right") & (eps[:-1] == eps[1:]))
-    if not pairs.size:
-        raise DomainError("curve has no left/right knot pair")
-    left, right = curve.values[pairs[0] : pairs[0] + 2].tolist()
-    return abs(right - left) > tol, left, right
-
-
 def biconjugate(curve: SampledCurve) -> ConvexEnvelope:
     """Lower convex hull of the sampled knots (monotone-chain sweep).
 
@@ -311,12 +297,3 @@ def envelope_invert(env: ConvexEnvelope, y: float) -> float:
     i = int(np.searchsorted(ys, y, side="right")) - 1
     slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
     return float(xs[i] + (y - ys[i]) / slope)
-
-
-def psi_costinsensitive(loss: Loss, eps: float, grid_size: int = DEFAULT_GRID) -> float:
-    """Cost-insensitive transfer function, via the alpha = 1/2 envelope
-    evaluated at eps / 2."""
-    _check_real("eps", eps, 0.0, 1.0)
-    cost = CostParam(0.5)
-    env = biconjugate(nu_curve(loss, cost, grid_size, extra_knots=(eps / 2.0,)))
-    return envelope_eval(env, eps / 2.0)

@@ -2,10 +2,11 @@
 
 An uneven margin loss scales and rescales the negative-class margin:
 L(y, t) = 1{y=1} phi(t) + 1{y=-1} beta * phi(-gamma * t), optionally with
-an outer (1 - a, a) weighting of the two partials.  Closed forms for the
-minimizer, the optimal conditional risk C*, the constrained optimum C^-
-and the cost-insensitive calibration gap serve every convex member, at
-every beta and gamma, and the sigmoid at beta = 1/2 and gamma = 2.
+an outer (1 - a, a) weighting of the two partials.  ``UnevenMarginSpec``
+is the one closed-form route: its minimizer t*, optimal conditional risk
+C* and constrained optimum C^- serve every convex member, at every beta
+and gamma, and the sigmoid at beta = 1/2 and gamma = 2 (C^- unweighted,
+at every alpha).  ``closed_forms`` and ``sigmoid_c_minus`` are views of it.
 """
 
 from __future__ import annotations
@@ -112,15 +113,16 @@ class UnevenMarginSpec:
 
     def c_minus(self, cost: CostParam, eta):
         """The closed constrained optimum C^-(eta) off alpha, or None where
-        the search serves it: a sigmoid but the gamma = 2 one, unweighted, at
-        its calibrating alpha.  A convex member's minimizer has the sign of
-        eta * w1 - (1 - eta) * w2 * gamma (w1, w2 the outer weights), so C^-
-        is the risk at the score 0 where that sign is inadmissible, and C*
-        elsewhere, a gap of exactly 0.  Where the derivative test calls the
-        member calibrated, every posterior off alpha takes the risk at 0."""
+        the search serves it: a sigmoid but the unweighted gamma = 2 one.  A
+        convex member's minimizer has the sign of eta * w1 - (1 - eta) * w2 *
+        gamma (w1, w2 the outer weights), so C^- is the risk at the score 0
+        where that sign is inadmissible, and C* elsewhere, a gap of exactly
+        0.  Where the derivative test calls the member calibrated, every
+        posterior off alpha takes the risk at 0."""
         if self.family == "sigmoid":
-            at_alpha = abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) <= 1e-12 and self.alpha_weight is None
-            return sigmoid_c_minus(cost, eta) if at_alpha and not self._c_star_searched else None
+            if self.alpha_weight is not None or self._c_star_searched:
+                return None
+            return _sigmoid_c_minus(cost.alpha, eta)
         w_pos, w_neg, d1, d2, g_pos, g_neg = self._form[4]
         at0 = eta * w_pos + (1.0 - eta) * w_neg  # phi(0) = 1
         alpha = cost.alpha
@@ -133,6 +135,32 @@ class UnevenMarginSpec:
         e = float(eta)  # a numpy scalar would warn where a product overflows
         pos, neg = e * w_pos / g_pos, (1.0 - e) * w_neg * g_neg
         return self.c_star(eta) if ((pos <= neg) if e > alpha else (pos >= neg)) else at0
+
+    def t_star(self, eta: float) -> float | None:
+        """The minimizer t*(eta) at the float posterior ``eta``, infinite
+        where a limit attains C*, or None where C* is searched.  A convex
+        member's has the sign of a - c, a = w1 eta and c = w2 (1 - eta) gamma;
+        the squared loss's (a - c) / (a + c gamma) is divided through by the
+        larger, so nothing overflows."""
+        _check_real("eta", eta, 0.0, 1.0)
+        if self._c_star_searched:
+            return None
+        eta = float(eta)
+        if self.family == "sigmoid":  # the weighted member's through theta, as its C*
+            if self.alpha_weight is not None:
+                eta = theta_alpha(CostParam(self.alpha_weight), eta).theta
+            return math.inf if eta >= ALPHA_SIGMOID_GAMMA2 else -math.inf if eta == 0.0 else sigmoid_t_minus(eta)
+        (w_pos, w_neg), gamma = self._weights, float(self.gamma)
+        a, c = w_pos * eta, (1.0 - eta) * w_neg * gamma
+        r = min(a, c) / max(a, c, 5e-324)
+        if self.family == "hinge":
+            return -1.0 / gamma if a <= c else 1.0
+        if self.family == "squared":
+            return (1.0 - r) / (1.0 + r * gamma) if a > c else (r - 1.0) / (r + gamma)
+        if not 0.0 < eta < 1.0:  # the exponential's minimizer is infinite at eta = 0 and 1
+            return math.inf if eta else -math.inf
+        t = math.log(eta) + math.log(w_pos) - math.log1p(-eta) - math.log(w_neg) - math.log(gamma)
+        return t / (1.0 + gamma)
 
 
 class ClosedForms(NamedTuple):
@@ -427,12 +455,10 @@ def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
 _SIGMOID_TINY = 1e-150
 
 
-def _sigmoid_local_min(eta, t=None):
+def _sigmoid_local_min(eta):
     """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
-    minimizer ``t``, solved here unless given, for a float or an ndarray
-    of posteriors in (0, 1/2)."""
-    if t is None:
-        t = sigmoid_t_minus(eta)
+    minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
+    t = sigmoid_t_minus(eta)
     return eta * _LOGISTIC(t) + 0.5 * (1.0 - eta) * _LOGISTIC(-2.0 * t)
 
 
@@ -479,7 +505,10 @@ def _c_star(family: str, form: tuple, eta):
     """
     if family == "sigmoid":  # gamma = 2; below _SIGMOID_TINY, C* rounds to eta
         if not isinstance(eta, ndarray):
-            return _sigmoid_optimum(float(eta))[1]
+            eta = float(eta)
+            if eta >= ALPHA_SIGMOID_GAMMA2:
+                return (1.0 - eta) / 2.0
+            return eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta)
         out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
         inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
         out[inner] = _sigmoid_local_min(eta[inner])
@@ -533,74 +562,45 @@ def _c_star(family: str, form: tuple, eta):
     return out
 
 
-def _sigmoid_optimum(eta: float) -> tuple[float, float]:
-    """(t*, C*(eta)) of the gamma = 2 sigmoid at a float posterior.  Below
-    alpha the minimizer is the negative local one, solved once for both;
-    below _SIGMOID_TINY, C* is eta, to which the local minimum rounds."""
-    if eta >= ALPHA_SIGMOID_GAMMA2:
-        return math.inf, (1.0 - eta) / 2.0
-    if eta == 0.0:
-        return -math.inf, eta
-    t = sigmoid_t_minus(eta)
-    return t, eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta, t)
-
-
 def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
-    """Closed-form minimizer, optimal risk, and calibration gap at alpha = 1/2.
-
-    Available for every unweighted convex member and for the gamma = 2
-    sigmoid at beta = 1/2.  ``eta`` is one posterior: an array raises
-    ``DomainError`` (``spec.c_star`` takes arrays).  A convex member's gap
-    is ``h_alpha``'s: the spec's C^- less its C*, 0 at eta = 1/2.
-    """
-    _check_real("eta", eta, 0.0, 1.0)
-    if spec.alpha_weight is not None or spec._c_star_searched:
+    """An unweighted spec's ``t_star``, ``c_star`` and gap at alpha = 1/2
+    (its ``c_minus`` less ``c_star``, 0 at 1/2, so ``h_alpha``'s) at one
+    posterior; ``UnsupportedFamilyError`` where a closed form is missing."""
+    t_star = spec.t_star(eta)
+    if t_star is None or spec.alpha_weight is not None:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
-    family, eta = spec.family, float(eta)
-    if family == "sigmoid":
-        t_star, c_star = _sigmoid_optimum(eta)
-        # C^- at alpha = 1/2: below eta = 1/2 the admissible scores t >= 0
-        # have their least risk at an endpoint; above it t = 0 is best.
-        c_minus = min((1.0 + eta) / 4.0, (1.0 - eta) / 2.0) if eta < 0.5 else (1.0 + eta) / 4.0
-        return ClosedForms(t_star, c_star, max(c_minus - c_star, 0.0))
-    beta, gamma = spec._form[:2]
+    eta = float(eta)
     c_star = spec.c_star(eta)
     h = 0.0 if eta == 0.5 else max(spec.c_minus(CostParam(0.5), eta) - c_star, 0.0)
-    # t* has the sign of a - c; the squared loss's (a - c) / (a + c gamma)
-    # is divided through by the larger of a and c, so nothing overflows.
-    a, c = eta, (1.0 - eta) * beta * gamma
-    r = min(a, c) / max(a, c, 5e-324)
-    if family == "hinge":
-        t_star = -1.0 / gamma if a <= c else 1.0
-    elif family == "squared":
-        t_star = (1.0 - r) / (1.0 + r * gamma) if a > c else (r - 1.0) / (r + gamma)
-    elif 0.0 < eta < 1.0:  # exponential; its minimizer is infinite at eta = 0 and 1
-        t_star = math.log(eta) - math.log1p(-eta) - math.log(beta) - math.log(gamma)
-        t_star /= 1.0 + gamma
-    else:
-        t_star = math.inf if eta else -math.inf
     return ClosedForms(t_star, c_star, h)
 
 
-def sigmoid_c_minus(cost: CostParam, eta):
-    """Constrained optimal risk of the gamma = 2 sigmoid at its calibrating alpha.
+def _sigmoid_c_minus(alpha: float, eta):
+    """The gamma = 2 sigmoid's C^-(eta) (beta = 1/2), in numpy for a float
+    too.  Below alpha the scores t >= 0 have their least risk at an end:
+    (1 + eta)/4 at 0 for eta <= 1/3, else (1 - eta)/2 at +inf.  From alpha
+    on, t <= 0 has it at the local minimizer for eta < 1/2 (below
+    ``_SIGMOID_TINY`` eta, as in C*), else at 0."""
+    e = np.asarray(eta, dtype=float)
+    out = np.where((e < alpha) & (1.0 / 3.0 < e), (1.0 - e) / 2.0, (1.0 + e) / 4.0)
+    local = (e >= alpha) & (e < 0.5)
+    out[local] = e[local]
+    local &= e >= _SIGMOID_TINY
+    if local.any():
+        out[local] = _sigmoid_local_min(e[local])
+    return out if isinstance(eta, ndarray) else float(out)
 
-    Piecewise: (1 + eta)/4 for eta <= 1/3 or eta >= 1/2; (1 - eta)/2 for
-    1/3 < eta < alpha; the local-minimum value in between.  Adjacent
-    branches agree at the breakpoints.  ``eta`` is a float or an ndarray;
-    a float is computed as a 0-d array and returned as a float.
-    """
+
+def sigmoid_c_minus(cost: CostParam, eta):
+    """The gamma = 2 sigmoid's C^- at its calibrating alpha, the spec's
+    (at alpha, the local minimum), for a float or an ndarray ``eta``."""
     if abs(cost.alpha - ALPHA_SIGMOID_GAMMA2) > 1e-12:
         raise DomainError("sigmoid_c_minus is specific to the calibrating alpha")
     _check_eta(eta)
-    e = np.asarray(eta, dtype=float)
-    out = np.where((1.0 / 3.0 < e) & (e < 0.5), (1.0 - e) / 2.0, (1.0 + e) / 4.0)
-    local = (e >= ALPHA_SIGMOID_GAMMA2) & (e < 0.5)
-    out[local] = _sigmoid_local_min(e[local])
-    return out if isinstance(eta, np.ndarray) else float(out)
+    return _sigmoid_c_minus(cost.alpha, eta)
 
 
 #: d alpha / d ln(gamma) at gamma = 1: (x - 1)/4, where x = W(1/e) solves

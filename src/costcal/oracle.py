@@ -43,7 +43,6 @@ __all__ = [
     "optimal_conditional_risk",
     "constrained_optimal_risk",
     "h_alpha",
-    "h_cc",
     "empirical_regrets",
 ]
 
@@ -740,10 +739,11 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     alpha, that can decide the numeric verdict, and +inf at the rest: every
     gap at or under ``tolerance`` is exact, and so is the first least gap.
 
-    Where a tagged loss's C* is closed (the gap is then cheaper than a
-    floor; its C^- is closed too, but off the gamma = 2 sigmoid's alpha), or
-    the search has no ceiling on C* (``_c_star_ceiling``), one call searches
-    every gap.  Otherwise each posterior gets a floor on its gap: the gap's
+    Where C* is closed (``_closed``; the gap is then cheaper than a floor),
+    every gap is taken against it, with C^- closed too or from one row
+    search (the weighted gamma = 2 sigmoid).  Where the search has no
+    ceiling on C* (``_c_star_ceiling``), one call searches every gap.
+    Otherwise each posterior gets a floor on its gap: the gap's
     arithmetic with a floor on C^- in its place and the ceiling in the
     place of C*.  IEEE subtraction and the clamp are monotone, so each
     floor is at most the gap, bit for bit.  Where C^- is closed, it is its
@@ -778,9 +778,11 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     C*, or of C^- between knots), is no longer read, so no error is raised.
     A NaN at a grid score leaves no ceiling, so every posterior is searched.
     """
-    if loss.family is not None and not loss.family._c_star_searched:
-        return h_alpha(loss, cost, etas)
-    c_minus = _closed(loss, cost, etas)
+    c_minus, c_star = _closed(loss, cost, etas), _closed(loss, None, etas)
+    if c_star is not None:
+        if c_minus is None:
+            c_minus = _search_rows(loss, etas, np.sign(cost.alpha - etas))[0].value
+        return _gap(c_minus, c_star, etas)
     ceiling = _c_star_ceiling(loss, etas)
     if ceiling is None:
         return h_alpha(loss, cost, etas)
@@ -825,11 +827,6 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
         h_alpha(loss, cost, etas)  # names the first posterior that reads a NaN
         raise
     return gaps
-
-
-def h_cc(loss: Loss, eta):
-    """Cost-insensitive calibration gap; identical to the alpha = 1/2 gap."""
-    return h_alpha(loss, CostParam(0.5), eta)
 
 
 def empirical_regrets(

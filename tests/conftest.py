@@ -66,6 +66,15 @@ def curve_bits(curve: SampledCurve) -> tuple:
     return curve.domain_max, curve.eps.tobytes(), curve.values.tobytes(), tuple(curve.sides)
 
 
+def bmin_pair(curve: SampledCurve) -> tuple[float, float]:
+    """The values of a nu curve's left/right knot pair, at b_min: nu jumps
+    there where they differ."""
+    eps, sides = curve.eps, curve.sides
+    pairs = np.flatnonzero((sides[:-1] == "left") & (sides[1:] == "right") & (eps[:-1] == eps[1:]))
+    assert pairs.size, "a nu curve has a left/right knot pair"
+    return tuple(curve.values[pairs[0] : pairs[0] + 2].tolist())
+
+
 def untagged(loss: Loss) -> Loss:
     """Same partials without the family tag, forcing the numeric paths."""
     return Loss(pos=loss.pos, neg=loss.neg, family=None)

@@ -22,20 +22,17 @@ from costcal import (
     envelope_eval,
     fuzz_bound,
     h_alpha,
-    h_cc,
-    jump_at_bmin,
     make_uneven_loss,
     mu_curve,
     nu_curve,
     optimal_conditional_risk,
-    psi_costinsensitive,
     sigmoid_t_minus,
     theta_alpha,
 )
 from costcal.curves import SampledCurve
 from costcal.oracle import brute_force_min
 
-from conftest import uneven
+from conftest import bmin_pair, uneven
 
 CONVEX_FAMILIES = ("hinge", "squared", "exponential")
 ALL_FAMILIES = CONVEX_FAMILIES + ("sigmoid",)
@@ -92,7 +89,7 @@ def test_criterion_04_reweighting_identity():
             for eta in ETA_GRID_101:
                 eta = float(eta)
                 theta, w = theta_alpha(cost, eta)
-                diff = abs(h_alpha(weighted, cost, eta) - w * h_cc(base, theta))
+                diff = abs(h_alpha(weighted, cost, eta) - w * h_alpha(base, CostParam(0.5), theta))
                 worst = max(worst, diff)
     report(4, f"weighted-gap identity, worst residual {worst:.2e}", worst <= 1e-10)
 
@@ -117,16 +114,17 @@ def test_criterion_06_jump_characterization():
             if alpha == 0.5 and gamma == 1.0:
                 continue  # excluded edge: both sides of the predicate vanish
             loss = uneven("hinge", gamma=gamma, alpha_weight=alpha)
-            has_jump, _, _ = jump_at_bmin(nu_curve(loss, CostParam(alpha), 101))
-            ok = ok and has_jump == ((alpha - 0.5) * (gamma - 1.0) < 0.0)
+            left, right = bmin_pair(nu_curve(loss, CostParam(alpha), 101))
+            ok = ok and (abs(right - left) > 1e-9) == ((alpha - 0.5) * (gamma - 1.0) < 0.0)
     report(6, "nu-jump iff (alpha - 1/2)(gamma - 1) < 0 for hinge", ok)
 
 
 def test_criterion_07_classic_squared_bound():
-    loss = uneven("squared", gamma=1.0, beta=1.0)
+    # The cost-insensitive psi(eps) is the alpha = 1/2 envelope at eps / 2.
+    loss, half = uneven("squared", gamma=1.0, beta=1.0), CostParam(0.5)
     worst = max(
-        abs(psi_costinsensitive(loss, float(e)) - float(e) ** 2)
-        for e in np.linspace(0.0, 1.0, 101)
+        abs(envelope_eval(biconjugate(nu_curve(loss, half, 2001, (e / 2.0,))), e / 2.0) - e**2)
+        for e in np.linspace(0.0, 1.0, 101).tolist()
     )
     report(7, f"squared-loss psi(eps) = eps^2, worst residual {worst:.2e}", worst <= 1e-6)
 

@@ -26,14 +26,13 @@ from costcal import (
     check_calibrated_analytic,
     envelope_eval,
     envelope_invert,
-    jump_at_bmin,
     mu_curve,
     nu_curve,
-    psi_costinsensitive,
     regret_bound,
 )
 
 from conftest import (
+    bmin_pair,
     collinear_curves,
     curve_bits,
     curve_of,
@@ -117,27 +116,23 @@ class TestNuCurve:
 
 
 class TestJumpAtBmin:
+    """nu jumps at b_min where its left/right knot pair differs."""
+
     def test_hinge_jump_below_half(self):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.3)
-        has_jump, left, right = jump_at_bmin(nu_curve(loss, CostParam(0.3), 101))
-        assert has_jump
+        left, right = bmin_pair(nu_curve(loss, CostParam(0.3), 101))
         assert left == pytest.approx(0.15, abs=1e-10)
         assert right == pytest.approx(0.3, abs=1e-10)
 
     def test_hinge_no_jump_above_half(self):
         loss = uneven("hinge", gamma=2.0, alpha_weight=0.7)
-        has_jump, left, right = jump_at_bmin(nu_curve(loss, CostParam(0.7), 101))
-        assert not has_jump
+        left, right = bmin_pair(nu_curve(loss, CostParam(0.7), 101))
         assert left == pytest.approx(right, abs=1e-10)
 
     def test_no_jump_at_symmetric_cost(self):
         loss = uneven("hinge", gamma=1.0, alpha_weight=0.5)
-        has_jump, _, _ = jump_at_bmin(nu_curve(loss, CostParam(0.5), 101))
-        assert not has_jump
-
-    def test_missing_pair_raises(self):
-        with pytest.raises(DomainError):
-            jump_at_bmin(hand_curve([(0.0, 0.0), (0.5, 0.5)]))
+        left, right = bmin_pair(nu_curve(loss, CostParam(0.5), 101))
+        assert abs(right - left) <= 1e-9
 
 
 class TestBiconjugate:
@@ -622,23 +617,23 @@ class TestRegretBound:
 
 
 class TestPsiCostInsensitive:
+    """The cost-insensitive psi(eps): the alpha = 1/2 envelope at eps / 2."""
+
+    @staticmethod
+    def psi(loss, eps):
+        return envelope_eval(biconjugate(nu_curve(loss, CostParam(0.5), 2001, (eps / 2.0,))), eps / 2.0)
+
     def test_squared_margin_classic_bound(self):
         loss = uneven("squared", gamma=1.0, beta=1.0)
-        assert psi_costinsensitive(loss, 0.5) == pytest.approx(0.25, abs=1e-6)
+        assert self.psi(loss, 0.5) == pytest.approx(0.25, abs=1e-6)
 
     def test_hinge_margin_linear(self):
         loss = uneven("hinge", gamma=1.0, beta=1.0)
-        assert psi_costinsensitive(loss, 0.5) == pytest.approx(0.5, abs=1e-6)
+        assert self.psi(loss, 0.5) == pytest.approx(0.5, abs=1e-6)
 
     def test_zero_at_zero(self):
         loss = uneven("exponential", gamma=1.0, beta=1.0)
-        assert psi_costinsensitive(loss, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    @pytest.mark.parametrize("eps", [-0.1, 1.1])
-    def test_domain(self, eps):
-        loss = uneven("squared", gamma=1.0, beta=1.0)
-        with pytest.raises(DomainError):
-            psi_costinsensitive(loss, eps)
+        assert self.psi(loss, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInvertibilityMatchesCalibration:

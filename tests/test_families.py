@@ -33,7 +33,7 @@ from costcal import (
 )
 from costcal.oracle import brute_force_min
 
-from conftest import counted, finite_diff_check, uneven
+from conftest import counted, finite_diff_check, uneven, untagged
 
 ALL_FAMILIES = ("hinge", "squared", "exponential", "sigmoid")
 # Each family's phi, as its unweighted positive partial 1.0 * phi(t).
@@ -238,6 +238,14 @@ class TestClosedForms:
             assert conditional_risk(loss, eta, forms.t_star) == pytest.approx(forms.c_star, rel=1e-12)
             assert forms.h_cc == h_alpha(loss, CostParam(0.5), eta)
 
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    def test_gap_is_h_alpha_at_half(self, family):
+        # The gamma = 2 sigmoid's too: at eta = 1/2 it had read 0.125.
+        spec = UnevenMarginSpec(family, 0.5, 2.0)
+        loss = make_uneven_loss(spec)
+        for eta in np.linspace(0.0, 1.0, 101).tolist() + [0.5]:
+            assert closed_forms(spec, eta).h_cc == h_alpha(loss, CostParam(0.5), eta)
+
     def test_sigmoid_needs_gamma_two(self):
         with pytest.raises(UnsupportedFamilyError):
             closed_forms(UnevenMarginSpec("sigmoid", beta=1.0, gamma=1.0), 0.5)
@@ -332,15 +340,17 @@ class TestSigmoidTMinus:
 
         monkeypatch.setattr(costcal.families, "sigmoid_t_minus", spy)
         loss = uneven("sigmoid", gamma=2.0)
-        for c_star in (
-            SIGMOID_GAMMA2.c_star,
-            lambda eta: optimal_conditional_risk(loss, eta),
-            lambda eta: closed_forms(SIGMOID_GAMMA2, eta),
+        # closed_forms is a view of t_star and c_star: one solve for each.
+        for request, solves in (
+            (SIGMOID_GAMMA2.c_star, 1),
+            (lambda eta: optimal_conditional_risk(loss, eta), 1),
+            (SIGMOID_GAMMA2.t_star, 1),
+            (lambda eta: closed_forms(SIGMOID_GAMMA2, eta), 2),
         ):
             for eta in (1e-9, 0.05, 0.2, 0.3):
                 del calls[:]
-                c_star(eta)
-                assert calls == [eta]
+                request(eta)
+                assert calls == [eta] * solves
 
     @pytest.mark.parametrize("eta", [3e-9, 1e-8, 1e-300, 1e-320])
     def test_stationary_at_tiny_posteriors(self, eta):
@@ -664,7 +674,8 @@ class TestSpecRouting:
             optimal_conditional_risk(loss, eta)
             assert calls
 
-    def test_sigmoid_c_minus_closed_only_at_its_alpha(self):
+    def test_gamma_two_sigmoid_c_minus_closed_at_every_alpha(self):
+        # At its own alpha it is sigmoid_c_minus; weighted, it is searched.
         spec = UnevenMarginSpec("sigmoid", 0.5, 2.0)
         loss, calls = counted(make_uneven_loss(spec))
         cost = CostParam(ALPHA_SIGMOID_GAMMA2)
@@ -673,13 +684,65 @@ class TestSpecRouting:
             np.testing.assert_array_equal(
                 constrained_optimal_risk(loss, cost, eta), sigmoid_c_minus(cost, eta)
             )
+            for alpha in (0.02, 0.3, 0.7):
+                constrained_optimal_risk(loss, CostParam(alpha), eta)
         assert calls == []
-        other = CostParam(0.3)
-        assert spec.c_minus(other, 0.2) is None
+        weighted = replace(spec, alpha_weight=0.3)
+        assert weighted.c_minus(CostParam(0.3), 0.2) is None
+        loss, calls = counted(make_uneven_loss(weighted))
         for eta in (0.2, np.array(etas)):
             calls.clear()
-            constrained_optimal_risk(loss, other, eta)
+            constrained_optimal_risk(loss, CostParam(0.3), eta)
             assert calls
+
+    @pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=repr)
+    def test_t_star_attains_c_star(self, spec):
+        loss = make_uneven_loss(spec)
+        for eta in ROUTING_ETAS + [1e-12, 0.35]:
+            risk = conditional_risk(loss, eta, spec.t_star(eta))
+            assert risk == pytest.approx(spec.c_star(eta), rel=1e-12, abs=1e-300), eta
+        assert UNSUPPORTED_SPECS[-1].t_star(0.3) is None
+
+
+class TestSigmoidCMinusAtEveryAlpha:
+    """The gamma = 2 sigmoid's closed C^- off its own alpha, from its two
+    half-line optima."""
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.3, 0.5, 0.7, 0.98])
+    def test_matches_the_search(self, alpha):
+        loss, cost = make_uneven_loss(SIGMOID_GAMMA2), CostParam(alpha)
+        etas = np.linspace(0.0, 1.0, 101)
+        rows = no_warnings(constrained_optimal_risk, loss, cost, etas)
+        for eta, row in zip(etas.tolist(), rows.tolist()):
+            side = "nonnegative_scores" if eta < alpha else "nonpositive_scores"
+            ref = brute_force_min(untagged(loss), eta, "none" if eta == alpha else side).value
+            for value in (row, constrained_optimal_risk(loss, cost, eta)):
+                assert abs(value - ref) <= 1e-9 * ref, (eta, value, ref)
+
+    def test_keeps_its_bits_at_its_own_alpha(self):
+        # sigmoid_c_minus's form: (1 - eta)/2 on (1/3, 1/2), else (1 + eta)/4,
+        # and the local minimum from alpha to 1/2, in numpy.
+        a = ALPHA_SIGMOID_GAMMA2
+        etas = np.append(np.linspace(0.0, 1.0, 101), a)
+        expected = np.where((1.0 / 3.0 < etas) & (etas < 0.5), (1.0 - etas) / 2.0, (1.0 + etas) / 4.0)
+        local = (etas >= a) & (etas < 0.5)
+        e = etas[local]
+        t = sigmoid_t_minus(e)
+        expected[local] = e * _phi_sigmoid(t) + 0.5 * (1.0 - e) * _phi_sigmoid(-2.0 * t)
+        cost = CostParam(a)
+        for values in (sigmoid_c_minus(cost, etas), SIGMOID_GAMMA2.c_minus(cost, etas)):
+            assert values.tobytes() == expected.tobytes()
+        assert [sigmoid_c_minus(cost, eta) for eta in etas.tolist()] == expected.tolist()
+
+    def test_local_minimum_rounds_to_eta_below_1e_150(self):
+        # As C* does: there the array logistic clips its scores, which would
+        # add about 5.6e-309 to the local minimum.
+        loss, cost = make_uneven_loss(SIGMOID_GAMMA2), CostParam(5e-324)
+        etas = np.array([1e-320, 1e-300, 1e-200, 1e-151, 1e-150, 1e-100, 0.1])
+        rows = no_warnings(constrained_optimal_risk, loss, cost, etas)
+        assert rows.tobytes() == no_warnings(optimal_conditional_risk, loss, etas).tobytes()
+        assert rows[:4].tolist() == etas[:4].tolist()
+        assert [constrained_optimal_risk(loss, cost, eta) for eta in etas.tolist()] == rows.tolist()
 
 
 #: (beta, gamma) of the convex reference grid: gamma from 1e-3 to 1e3,

@@ -21,7 +21,6 @@ from costcal import (
     constrained_optimal_risk,
     cost_regret,
     h_alpha,
-    h_cc,
     optimal_conditional_risk,
     regret_bound,
     theta_alpha,
@@ -41,6 +40,7 @@ from conftest import (
 )
 
 ETA_GRID = np.linspace(0.0, 1.0, 21)
+HALF = CostParam(0.5)
 
 
 class TestCostParam:
@@ -297,24 +297,20 @@ class TestHAlpha:
             assert h_alpha(loss, cost, float(eta)) >= 0.0
 
 
-class TestHCc:
+class TestGapAtHalf:
+    """The cost-insensitive gap: H at alpha = 1/2."""
+
     def test_uneven_hinge(self):
         loss = uneven("hinge", gamma=2.0)
-        assert h_cc(loss, 0.3) == pytest.approx(0.2, abs=1e-10)
+        assert h_alpha(loss, HALF, 0.3) == pytest.approx(0.2, abs=1e-10)
 
     def test_uneven_squared(self):
         loss = uneven("squared", gamma=1.0)
-        assert h_cc(loss, 0.75) == pytest.approx(0.25, abs=1e-10)
+        assert h_alpha(loss, HALF, 0.75) == pytest.approx(0.25, abs=1e-10)
 
     def test_zero_at_half(self):
         loss = uneven("exponential", gamma=2.0)
-        assert h_cc(loss, 0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_matches_h_alpha_at_half(self):
-        loss = uneven("squared", gamma=2.0)
-        cost = CostParam(0.5)
-        for eta in (0.1, 0.4, 0.8):
-            assert h_cc(loss, eta) == h_alpha(loss, cost, eta)
+        assert h_alpha(loss, HALF, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestCostRegret:
@@ -434,7 +430,7 @@ class TestThetaAlpha:
 #: take the gamma = 2 sigmoid off its alpha and untagged copies.
 CHOOSER_BRANCHES = {
     "both closed": (uneven("hinge", gamma=2.0), 0.5, True, True),
-    "C^- searched": (uneven("sigmoid", gamma=2.0), 0.3, True, False),
+    "C^- searched": (uneven("sigmoid", gamma=2.0, alpha_weight=0.3), 0.3, True, False),
     "C* searched": (untagged(uneven("squared", gamma=2.0, beta=0.7)), 1.4 / 2.4, False, True),
     "both searched": (untagged(uneven("sigmoid", gamma=3.0)), 0.3, False, False),
 }
@@ -669,7 +665,7 @@ class TestStructuralInvariants:
                     eta = float(eta)
                     theta, w = theta_alpha(cost, eta)
                     assert h_alpha(weighted, cost, eta) == pytest.approx(
-                        w * h_cc(base, theta), abs=1e-10
+                        w * h_alpha(base, HALF, theta), abs=1e-10
                     )
 
     @pytest.mark.parametrize("family", ["hinge", "squared", "exponential", "sigmoid"])
@@ -678,4 +674,4 @@ class TestStructuralInvariants:
         loss = uneven(family, gamma=1.0, beta=1.0)
         for eta in np.linspace(0.0, 0.5, 11):
             eta = float(eta)
-            assert h_cc(loss, eta) == pytest.approx(h_cc(loss, 1.0 - eta), abs=1e-9)
+            assert h_alpha(loss, HALF, eta) == pytest.approx(h_alpha(loss, HALF, 1.0 - eta), abs=1e-9)

@@ -33,10 +33,8 @@ from costcal import (
     envelope_invert,
     fuzz_bound,
     h_alpha,
-    jump_at_bmin,
     make_uneven_loss,
     nu_curve,
-    psi_costinsensitive,
     regret_bound,
     uniform_calibration_fn,
 )
@@ -73,12 +71,10 @@ REALS = [
     ("calibration_fn.eps", "eps", lambda v: calibration_fn(LOSS, COST, v, 0.1), 0.05),
     ("calibration_fn.eta", "eta", lambda v: calibration_fn(LOSS, COST, 0.05, v), 0.1),
     ("uniform_calibration_fn.eps", "eps", lambda v: uniform_calibration_fn(LOSS, COST, v, 11), 0.1),
-    ("psi_costinsensitive.eps", "eps", lambda v: psi_costinsensitive(LOSS, v, 11), 0.2),
     ("regret_bound.surrogate_regret", "surrogate_regret", lambda v: regret_bound(LOSS, COST, v, 11), 0.1),
     ("check_calibrated_numeric.tolerance", "tolerance", lambda v: check_calibrated_numeric(LOSS, COST, 11, v), 1e-9),
     ("envelope_eval.eps", "eps", lambda v: envelope_eval(ENV, v), 0.2),
     ("envelope_invert.y", "y", lambda v: envelope_invert(ENV, v), 0.1),
-    ("jump_at_bmin.tol", "tol", lambda v: jump_at_bmin(NU, v), 1e-9),
     ("nu_curve.extra_knots", "extra_knots", lambda v: nu_curve(LOSS, COST, 11, (v,)), 0.15),
     ("cli --gamma", "gamma", lambda v: cli._build_loss(loss_flags(gamma=v))[0].family, 2.0),
     ("PartialLoss.deriv_at_zero", "deriv_at_zero", lambda v: PartialLoss(np.exp, is_convex=True, deriv_at_zero=v), -1.0),
@@ -99,7 +95,6 @@ INTEGERS = [
     ("nu_curve.grid_size", "grid_size", lambda v: nu_curve(LOSS, COST, v), 11),
     ("check_calibrated_numeric.grid_size", "grid_size", lambda v: check_calibrated_numeric(LOSS, COST, v), 11),
     ("uniform_calibration_fn.grid_size", "grid_size", lambda v: uniform_calibration_fn(LOSS, COST, 0.1, v), 11),
-    ("psi_costinsensitive.grid_size", "grid_size", lambda v: psi_costinsensitive(LOSS, 0.2, v), 11),
     ("regret_bound.grid_size", "grid_size", lambda v: regret_bound(LOSS, COST, 0.1, v), 11),
     ("fuzz_bound.grid_size", "grid_size", lambda v: fuzz_bound(1, "hinge", 1, v), 11),
     ("fuzz_bound.seed", "seed", lambda v: fuzz_bound(v, "hinge", 1, 11), 1),
@@ -176,13 +171,6 @@ def test_a_numpy_scalar_or_0d_array_gives_the_float_result(call, value, kind):
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("tol", [-1.0, -math.inf, math.nan, np.array([1e-9, 1e-9])])
-    def test_jump_at_bmin_tol(self, tol):
-        # Unchecked, tol -1 reads a jump where left equals right, NaN reads
-        # none ever, and an array comes back as an array.
-        with pytest.raises(DomainError, match=r"^tol must (be a number|lie in \[0, inf\))"):
-            jump_at_bmin(NU, tol)
-
     @pytest.mark.parametrize("eta", [np.array(["0.3"]), np.array([None, 0.2]), np.array([0.2 + 0j])])
     def test_a_posterior_array_of_no_real_numbers(self, eta):
         for call in (lambda e: h_alpha(LOSS, COST, e), lambda e: brute_force_min(LOSS, e)):
