@@ -3,10 +3,9 @@
 An uneven margin loss scales and rescales the negative-class margin:
 L(y, t) = 1{y=1} phi(t) + 1{y=-1} beta * phi(-gamma * t), optionally with
 an outer (1 - a, a) weighting of the two partials.  ``UnevenMarginSpec``
-is the one closed-form route: its minimizer t*, optimal conditional risk
-C* and constrained optimum C^- serve every convex member, at every beta
-and gamma, and the sigmoid at beta = 1/2 and gamma = 2 (C^- unweighted,
-at every alpha).  ``closed_forms`` and ``sigmoid_c_minus`` are views of it.
+is the one closed-form route, which ``closed_forms`` and ``sigmoid_c_minus``
+view: its minimizer t*, optimal risk C* and constrained optimum C^- serve
+every convex member and the gamma = 2 sigmoid at beta = 1/2.
 """
 
 from __future__ import annotations
@@ -80,36 +79,37 @@ class UnevenMarginSpec:
     @cached_property
     def _form(self) -> tuple:
         """What the closed forms read of the spec, as Python floats, once:
-        (beta, gamma, k, near, slopes).  k = beta * gamma, and ``near`` is
-        whether ``_c_star``'s forms in k keep inside the float range.
-        ``slopes`` is (w1, w2, d1, d2, g1, g2) for ``c_minus``: the outer
-        weights, the partials' derivatives at 0 (their ``deriv_at_zero``,
-        bit for bit), and the sign test's divisor and factor: eta * w1 / g1
-        is compared with (1 - eta) * w2 * g2, divided through by gamma < 1
-        so that no side underflows alone."""
-        beta, gamma = float(self.beta), float(self.gamma)
-        k = beta * gamma  # near, (1 - eta) * k is normal at every eta < 1, k * gamma too
+        (w1, w2, gamma, k, near, slopes): the outer weights, k = beta' gamma
+        with beta' = w2 / w1 (beta where w1 = 1), whether ``_c_star``'s forms
+        in k keep inside the float range, and ``slopes``, (w1, w2, d1, d2,
+        g1, g2) for ``c_minus``: the outer weights, the partials' derivatives
+        at 0 (their ``deriv_at_zero``, bit for bit), and the sign test's
+        divisor and factor: eta * w1 / g1 is compared with (1 - eta) * w2 *
+        g2, divided through by gamma < 1 so that no side underflows alone."""
+        (w_pos, w_neg), gamma = self._weights, float(self.gamma)
+        k = w_neg / w_pos * gamma  # near, (1 - eta) * k is normal at every eta < 1, k * gamma too
         near = 2.0 * sys.float_info.min / sys.float_info.epsilon <= k
         near = near and k * gamma >= sys.float_info.min and _squared_scale(gamma) * k < math.inf
-        (w_pos, w_neg), d0 = self._weights, _PHI[self.family][0]
+        d0 = _PHI[self.family][0]
         g_pos, g_neg = (1.0, gamma) if gamma >= 1.0 else (gamma, 1.0)
         slopes = w_pos, w_neg, w_pos * d0, -w_neg * gamma * d0, g_pos, g_neg
-        return beta, gamma, k, near, slopes
+        return w_pos, w_neg, gamma, k, near, slopes
 
     def c_star(self, eta):
-        """The closed optimal conditional risk C*(eta), or None when no
-        closed form serves this spec.  ``eta`` is a float or an ndarray;
-        an ndarray is evaluated in numpy.
-
-        Outer (1 - a, a) weighting reduces to the unweighted form through
-        the posterior reparametrization: C*_{L_a}(eta) = w(eta) * C*(theta(eta)).
-        """
+        """The closed optimal conditional risk C*(eta), or None where it is
+        searched, for a float or an ndarray (in numpy).  A weighted convex
+        member is w1 times the unweighted one with beta' = w2 / w1.  The
+        weighted sigmoid's beta' is no 1/2: its C* is w C*(theta) (``theta_alpha``),
+        or from theta = alpha on w2 (1 - eta), where w (1 - theta) / 2 cancels."""
         if self._c_star_searched:
             return None
-        if self.alpha_weight is None:
+        if self.family != "sigmoid" or self.alpha_weight is None:
             return _c_star(self.family, self._form, eta)
         theta, w = theta_alpha(CostParam(self.alpha_weight), eta)
-        return w * _c_star(self.family, self._form, theta)
+        c_star, at_inf = w * _c_star("sigmoid", None, theta), (1.0 - eta) * self._weights[1]
+        if isinstance(eta, ndarray):
+            return np.where(theta >= ALPHA_SIGMOID_GAMMA2, at_inf, c_star)
+        return at_inf if theta >= ALPHA_SIGMOID_GAMMA2 else c_star
 
     def c_minus(self, cost: CostParam, eta):
         """The closed constrained optimum C^-(eta) off alpha, or None where
@@ -120,10 +120,9 @@ class UnevenMarginSpec:
         0.  Where the derivative test calls the member calibrated, every
         posterior off alpha takes the risk at 0."""
         if self.family == "sigmoid":
-            if self.alpha_weight is not None or self._c_star_searched:
-                return None
-            return _sigmoid_c_minus(cost.alpha, eta)
-        w_pos, w_neg, d1, d2, g_pos, g_neg = self._form[4]
+            searched = self._c_star_searched or self.alpha_weight is not None
+            return None if searched else _sigmoid_c_minus(cost.alpha, eta)
+        w_pos, w_neg, d1, d2, g_pos, g_neg = self._form[-1]
         at0 = eta * w_pos + (1.0 - eta) * w_neg  # phi(0) = 1
         alpha = cost.alpha
         if _derivative_verdict(d1, d2, alpha)[3]:
@@ -490,18 +489,18 @@ def _squared_scale(gamma: float) -> float:
 
 
 def _c_star(family: str, form: tuple, eta):
-    """The unweighted closed C*(eta), for a float or an ndarray: the gamma = 2
-    sigmoid's, or a convex family's from ``UnevenMarginSpec._form``, (beta,
-    gamma, k, near, _) (Bartlett, Jordan and McAuliffe 2006).
+    """The closed C*(eta), for a float or an ndarray: the unweighted gamma =
+    2 sigmoid's, or a convex family's from ``UnevenMarginSpec._form``, (w1,
+    w2, gamma, k, near, _) (Bartlett, Jordan and McAuliffe 2006).
 
-    Where ``near``, in m = (1 - eta) k: the hinge's least kink risk, and
-    the risk at t* = (eta - m) / (eta + m gamma) (squared) or log(eta / m) /
-    (1 + gamma) (exponential).  So k = 1.0 gives what beta = 1/gamma gave,
-    bit for bit.  Elsewhere, the far forms, in numpy, of terms finite or
-    +inf: the least of the hinge's kink risks a = eta (1 + gamma) / gamma
-    and b = (1 - eta) beta (1 + gamma), a b / (a + b) of the squared loss's
-    (capped), and (1 + gamma) gamma^-q |eta|^q (1 - eta)^p beta^p with
-    p = 1 / (1 + gamma) and q = 1 - p.
+    Where ``near``, w1 times the unweighted forms in m = (1 - eta) k: the
+    hinge's least kink risk, and the risk at t* = (eta - m) / (eta + m
+    gamma) (squared) or log(eta / m) / (1 + gamma) (exponential); k = 1.0
+    gives what beta = 1/gamma gave, bit for bit.  Elsewhere, numpy's far
+    forms in the masses, of terms finite or +inf: the hinge's least kink
+    risk of a = w1 eta (1 + gamma) / gamma and b = w2 (1 - eta) (1 +
+    gamma), the squared loss's a b / (a + b) (capped), and (1 + gamma)
+    gamma^-q (w1 |eta|)^q (w2 (1 - eta))^p, p = 1 / (1 + gamma), q = 1 - p.
     """
     if family == "sigmoid":  # gamma = 2; below _SIGMOID_TINY, C* rounds to eta
         if not isinstance(eta, ndarray):
@@ -513,12 +512,12 @@ def _c_star(family: str, form: tuple, eta):
         inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
         out[inner] = _sigmoid_local_min(eta[inner])
         return out
-    beta, gamma, k, near, _ = form
+    w_pos, w_neg, gamma, k, near, _ = form
     rows = isinstance(eta, ndarray)
     if not near:
         e, r = np.asarray(eta, dtype=float), gamma / (1.0 + gamma)
         with np.errstate(over="ignore", invalid="ignore"):
-            a, b = e / r, (1.0 - e) * beta * (1.0 + gamma)
+            a, b = w_pos * e / r, (1.0 - e) * w_neg * (1.0 + gamma)
             if family == "hinge":
                 c_star = np.minimum(a, b)
             elif family == "squared":
@@ -528,19 +527,19 @@ def _c_star(family: str, form: tuple, eta):
             else:
                 p, q = 1.0 / (1.0 + gamma), gamma / (1.0 + gamma)
                 # |eta|: numpy takes a power 1/2 as a square root, which keeps -0.0.
-                c_star = (1.0 + gamma) * gamma**-q * np.abs(e) ** q * (1.0 - e) ** p * beta**p
+                c_star = (1.0 + gamma) * gamma**-q * w_pos**q * np.abs(e) ** q * (1.0 - e) ** p * w_neg**p
         return c_star if rows else float(c_star)
     if not rows:
         eta = float(eta)  # a numpy scalar would bring numpy's overflow rules
     m = 1.0 - eta
     m *= k  # in place on an array: the one temporary 1 - eta had
     if family == "hinge":
-        return (1.0 + gamma) / gamma * (np.minimum(eta, m) if rows else min(eta, m))
+        return w_pos * ((1.0 + gamma) / gamma * (np.minimum(eta, m) if rows else min(eta, m)))
     if family == "squared":
-        return _squared_scale(gamma) * eta * m / (eta + m * gamma)
+        return w_pos * (_squared_scale(gamma) * eta * m / (eta + m * gamma))
     # The exponential takes the far form where its ratio eta / m fell below
     # the normal range, and so lost digits (or all of them) its powers need.
-    far = (family, (beta, gamma, k, False, None))
+    far = (family, (w_pos, w_neg, gamma, k, False, None))
     p, q = 1.0 / (1.0 + gamma), gamma / (1.0 + gamma)
     if not rows:  # the exponential's minimizer is infinite at eta 0 and 1, where C* is 0
         if not 0.0 < eta < 1.0:
@@ -548,13 +547,13 @@ def _c_star(family: str, form: tuple, eta):
         ratio = eta / m
         if ratio < sys.float_info.min:
             return _c_star(*far, eta)
-        return eta * ratio**-p + m / gamma * ratio**q
+        return w_pos * (eta * ratio**-p + m / gamma * ratio**q)
     out = np.zeros(eta.shape)
     inner = (eta > 0.0) & (eta < 1.0)
     e, m = eta[inner], m[inner]
     ratio = e / m
     with np.errstate(over="ignore", divide="ignore"):  # where ratio is lost
-        c_star = e * ratio**-p + m / gamma * ratio**q
+        c_star = w_pos * (e * ratio**-p + m / gamma * ratio**q)
     lost = ratio < sys.float_info.min
     if lost.any():
         c_star[lost] = _c_star(*far, e[lost])
@@ -572,8 +571,7 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
-    eta = float(eta)
-    c_star = spec.c_star(eta)
+    c_star, eta = spec.c_star(float(eta)), float(eta)
     h = 0.0 if eta == 0.5 else max(spec.c_minus(CostParam(0.5), eta) - c_star, 0.0)
     return ClosedForms(t_star, c_star, h)
 

@@ -698,7 +698,7 @@ class TestSpecRouting:
     @pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=repr)
     def test_t_star_attains_c_star(self, spec):
         loss = make_uneven_loss(spec)
-        for eta in ROUTING_ETAS + [1e-12, 0.35]:
+        for eta in ROUTING_ETAS + [1e-12, 0.35, 1.0 - 1e-12]:
             risk = conditional_risk(loss, eta, spec.t_star(eta))
             assert risk == pytest.approx(spec.c_star(eta), rel=1e-12, abs=1e-300), eta
         assert UNSUPPORTED_SPECS[-1].t_star(0.3) is None
@@ -786,8 +786,6 @@ class TestConvexClosedForms:
     @pytest.mark.parametrize("weight", [None, 0.3])
     def test_against_mpmath(self, family, weight):
         # Within 1e-15 relative, and absolute below the least normal float.
-        # A weighted member's C* is w * C*(theta), whose 1 - theta cancels,
-        # so it is held to 1e-15 / (1 - theta).
         floor = sys.float_info.min
         for beta, gamma in REFERENCE_PARAMS:
             spec = UnevenMarginSpec(family, beta, gamma, weight)
@@ -802,11 +800,25 @@ class TestConvexClosedForms:
                 for i, eta in enumerate(REFERENCE_ETAS):
                     refs = reference_optima(family, w_pos, w_neg, gamma, eta, alpha)
                     floats = optimal_conditional_risk(loss, eta), constrained_optimal_risk(loss, cost, eta)
-                    spread = 1.0 if weight is None else 1.0 + w_pos * eta / max(weight * (1.0 - eta), 1e-300)
                     for value, row, ref in zip(floats, rows, refs):
                         for v in (value, row[i]):
-                            assert abs(v - ref) <= 1e-15 * spread * max(ref, floor), (spec, alpha, eta, v)
+                            assert abs(v - ref) <= 1e-15 * max(ref, floor), (spec, alpha, eta, v)
             assert calls == []
+
+    @pytest.mark.parametrize("family", ["hinge", "squared", "exponential"])
+    @pytest.mark.parametrize("beta,gamma,weight", [(0.5, 2.0, 0.3), (1e3, 1e-3, 0.9), (1e306, 1.0, 0.999)])
+    def test_weighted_c_star_near_the_ends(self, family, beta, gamma, weight):
+        # A weighted member is w1 times the unweighted one with beta' = w2 /
+        # w1, so no 1 - theta cancels near eta = 1 (it read 3.7e-5 off at
+        # weight 0.3), and where beta' = 9.99e308 overflows the far forms
+        # take the masses.
+        spec = UnevenMarginSpec(family, beta, gamma, weight)
+        etas = [1.0 - 1e-12, 1.0 - 1e-9, 1e-12, 0.5]
+        rows = no_warnings(spec.c_star, np.array(etas))
+        for eta, row in zip(etas, rows.tolist()):
+            ref = reference_optima(family, 1.0 - weight, weight * beta, gamma, eta, 0.5)[0]
+            for value in (no_warnings(spec.c_star, eta), row):
+                assert abs(value - ref) <= 1e-15 * ref, (eta, value)
 
     @settings(max_examples=100, deadline=None)
     @given(
