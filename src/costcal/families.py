@@ -577,19 +577,23 @@ def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
 
 
 def _sigmoid_c_minus(alpha: float, eta):
-    """The gamma = 2 sigmoid's C^-(eta) (beta = 1/2), in numpy for a float
-    too.  Below alpha the scores t >= 0 have their least risk at an end:
-    (1 + eta)/4 at 0 for eta <= 1/3, else (1 - eta)/2 at +inf.  From alpha
-    on, t <= 0 has it at the local minimizer for eta < 1/2 (below
-    ``_SIGMOID_TINY`` eta, as in C*), else at 0."""
-    e = np.asarray(eta, dtype=float)
-    out = np.where((e < alpha) & (1.0 / 3.0 < e), (1.0 - e) / 2.0, (1.0 + e) / 4.0)
-    local = (e >= alpha) & (e < 0.5)
-    out[local] = e[local]
-    local &= e >= _SIGMOID_TINY
+    """The gamma = 2 sigmoid's C^-(eta) (beta = 1/2), for a float or an
+    ndarray, a float with an array's bits.  Below alpha the scores t >= 0
+    have their least risk at an end: (1 + eta)/4 at 0 for eta <= 1/3, else
+    (1 - eta)/2 at +inf.  From alpha on, t <= 0 has it at the local minimizer
+    for eta < 1/2 (below ``_SIGMOID_TINY`` eta, as in C*), else at 0."""
+    if not isinstance(eta, ndarray):
+        e = float(eta)
+        if alpha <= e < 0.5:
+            return float(_sigmoid_local_min(np.array([e]))[0]) if e >= _SIGMOID_TINY else e
+        return (1.0 - e) / 2.0 if 1.0 / 3.0 < e < alpha else (1.0 + e) / 4.0
+    out = np.where((eta < alpha) & (1.0 / 3.0 < eta), (1.0 - eta) / 2.0, (1.0 + eta) / 4.0)
+    local = (eta >= alpha) & (eta < 0.5)
+    out[local] = eta[local]
+    local &= eta >= _SIGMOID_TINY
     if local.any():
-        out[local] = _sigmoid_local_min(e[local])
-    return out if isinstance(eta, ndarray) else float(out)
+        out[local] = _sigmoid_local_min(eta[local])
+    return out
 
 
 def sigmoid_c_minus(cost: CostParam, eta):
