@@ -136,30 +136,31 @@ class UnevenMarginSpec:
         return self.c_star(eta) if ((pos <= neg) if e > alpha else (pos >= neg)) else at0
 
     def t_star(self, eta: float) -> float | None:
-        """The minimizer t*(eta) at the float posterior ``eta``, infinite
-        where a limit attains C*, or None where C* is searched.  A convex
-        member's has the sign of a - c, a = w1 eta and c = w2 (1 - eta) gamma;
-        the squared loss's (a - c) / (a + c gamma) is divided through by the
-        larger, so nothing overflows."""
+        """The minimizer t*(eta) at a float posterior, infinite where a limit
+        attains C*; None for a weighted spec or where C* is searched."""
+        return None if (optimum := self._optimum(eta)) is None else optimum[0]
+
+    def _optimum(self, eta: float) -> tuple[float, float] | None:
+        """(t*, C*) at a float posterior, or None as for ``t_star``; the
+        sigmoid's from one solve.  A convex t* has the sign of a - c, a =
+        eta and c = (1 - eta) beta gamma; the squared loss's (a - c) / (a +
+        c gamma) is divided through by the larger, so nothing overflows."""
         _check_real("eta", eta, 0.0, 1.0)
-        if self._c_star_searched:
+        if self._c_star_searched or self.alpha_weight is not None:
             return None
-        eta = float(eta)
-        if self.family == "sigmoid":  # the weighted member's through theta, as its C*
-            if self.alpha_weight is not None:
-                eta = theta_alpha(CostParam(self.alpha_weight), eta).theta
-            return math.inf if eta >= ALPHA_SIGMOID_GAMMA2 else -math.inf if eta == 0.0 else sigmoid_t_minus(eta)
-        (w_pos, w_neg), gamma = self._weights, float(self.gamma)
-        a, c = w_pos * eta, (1.0 - eta) * w_neg * gamma
+        if self.family == "sigmoid":
+            return _sigmoid_optimum(float(eta))
+        eta, (_, beta), gamma = float(eta), self._weights, float(self.gamma)
+        a, c, c_star = eta, (1.0 - eta) * beta * gamma, _c_star(self.family, self._form, eta)
         r = min(a, c) / max(a, c, 5e-324)
         if self.family == "hinge":
-            return -1.0 / gamma if a <= c else 1.0
+            return (-1.0 / gamma if a <= c else 1.0), c_star
         if self.family == "squared":
-            return (1.0 - r) / (1.0 + r * gamma) if a > c else (r - 1.0) / (r + gamma)
+            return ((1.0 - r) / (1.0 + r * gamma) if a > c else (r - 1.0) / (r + gamma)), c_star
         if not 0.0 < eta < 1.0:  # the exponential's minimizer is infinite at eta = 0 and 1
-            return math.inf if eta else -math.inf
-        t = math.log(eta) + math.log(w_pos) - math.log1p(-eta) - math.log(w_neg) - math.log(gamma)
-        return t / (1.0 + gamma)
+            return (math.inf if eta else -math.inf), c_star
+        t = math.log(eta) - math.log1p(-eta) - math.log(beta) - math.log(gamma)
+        return t / (1.0 + gamma), c_star
 
 
 class ClosedForms(NamedTuple):
@@ -454,10 +455,12 @@ def _scaled_partial(partial: PartialLoss, c: float) -> PartialLoss:
 _SIGMOID_TINY = 1e-150
 
 
-def _sigmoid_local_min(eta):
+def _sigmoid_local_min(eta, t=None):
     """The gamma = 2 sigmoid risk (beta = 1/2) at its negative local
-    minimizer, for a float or an ndarray of posteriors in (0, 1/2)."""
-    t = sigmoid_t_minus(eta)
+    minimizer ``t``, solved here unless given, for a float or an ndarray
+    of posteriors in (0, 1/2)."""
+    if t is None:
+        t = sigmoid_t_minus(eta)
     return eta * _LOGISTIC(t) + 0.5 * (1.0 - eta) * _LOGISTIC(-2.0 * t)
 
 
@@ -504,10 +507,7 @@ def _c_star(family: str, form: tuple, eta):
     """
     if family == "sigmoid":  # gamma = 2; below _SIGMOID_TINY, C* rounds to eta
         if not isinstance(eta, ndarray):
-            eta = float(eta)
-            if eta >= ALPHA_SIGMOID_GAMMA2:
-                return (1.0 - eta) / 2.0
-            return eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta)
+            return _sigmoid_optimum(float(eta))[1]
         out = np.where(eta >= ALPHA_SIGMOID_GAMMA2, (1.0 - eta) / 2.0, eta)
         inner = (eta >= _SIGMOID_TINY) & (eta < ALPHA_SIGMOID_GAMMA2)
         out[inner] = _sigmoid_local_min(eta[inner])
@@ -561,31 +561,50 @@ def _c_star(family: str, form: tuple, eta):
     return out
 
 
+def _sigmoid_optimum(eta: float) -> tuple[float, float]:
+    """(t*, C*(eta)) of the gamma = 2 sigmoid at a float posterior.  Below
+    alpha the minimizer is the negative local one, solved once for both;
+    below _SIGMOID_TINY, C* is eta, to which the local minimum rounds."""
+    if eta >= ALPHA_SIGMOID_GAMMA2:
+        return math.inf, (1.0 - eta) / 2.0
+    if eta == 0.0:
+        return -math.inf, eta
+    t = sigmoid_t_minus(eta)
+    return t, eta if eta < _SIGMOID_TINY else _sigmoid_local_min(eta, t)
+
+
+_HALF = CostParam(0.5)
+
+
 def closed_forms(spec: UnevenMarginSpec, eta: float) -> ClosedForms:
     """An unweighted spec's ``t_star``, ``c_star`` and gap at alpha = 1/2
     (its ``c_minus`` less ``c_star``, 0 at 1/2, so ``h_alpha``'s) at one
     posterior; ``UnsupportedFamilyError`` where a closed form is missing."""
-    t_star = spec.t_star(eta)
-    if t_star is None or spec.alpha_weight is not None:
+    optimum = spec._optimum(eta)
+    if optimum is None:
         raise UnsupportedFamilyError(
             f"no closed forms for {spec.family} with beta={spec.beta}, "
             f"gamma={spec.gamma}, alpha_weight={spec.alpha_weight}"
         )
-    c_star, eta = spec.c_star(float(eta)), float(eta)
-    h = 0.0 if eta == 0.5 else max(spec.c_minus(CostParam(0.5), eta) - c_star, 0.0)
+    (t_star, c_star), eta = optimum, float(eta)
+    h = 0.0 if eta == 0.5 else max(spec.c_minus(_HALF, eta) - c_star, 0.0)
     return ClosedForms(t_star, c_star, h)
 
 
 def _sigmoid_c_minus(alpha: float, eta):
     """The gamma = 2 sigmoid's C^-(eta) (beta = 1/2), for a float or an
-    ndarray, a float with an array's bits.  Below alpha the scores t >= 0
-    have their least risk at an end: (1 + eta)/4 at 0 for eta <= 1/3, else
-    (1 - eta)/2 at +inf.  From alpha on, t <= 0 has it at the local minimizer
-    for eta < 1/2 (below ``_SIGMOID_TINY`` eta, as in C*), else at 0."""
+    ndarray.  Below alpha the scores t >= 0 have their least risk at an end:
+    (1 + eta)/4 at 0 for eta <= 1/3, else (1 - eta)/2 at +inf.  From alpha
+    on, t <= 0 has it at the local minimizer for eta < 1/2, else at 0.
+    Below ``ALPHA_SIGMOID_GAMMA2`` that minimizer is t*, and C^- has C*'s
+    bits, float or array; above it a float takes the array's bits, as
+    ``sigmoid_c_minus`` returns them at its alpha."""
     if not isinstance(eta, ndarray):
         e = float(eta)
         if alpha <= e < 0.5:
-            return float(_sigmoid_local_min(np.array([e]))[0]) if e >= _SIGMOID_TINY else e
+            if e < ALPHA_SIGMOID_GAMMA2:
+                return _sigmoid_optimum(e)[1]
+            return float(_sigmoid_local_min(np.array([e]))[0])
         return (1.0 - e) / 2.0 if 1.0 / 3.0 < e < alpha else (1.0 + e) / 4.0
     out = np.where((eta < alpha) & (1.0 / 3.0 < eta), (1.0 - eta) / 2.0, (1.0 + eta) / 4.0)
     local = (eta >= alpha) & (eta < 0.5)

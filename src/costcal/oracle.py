@@ -593,6 +593,29 @@ def _closed(loss: Loss, cost: CostParam | None, eta):
     return eta * loss.pos.value_at_zero + (1.0 - eta) * loss.neg.value_at_zero
 
 
+def _searched(loss: Loss, eta: np.ndarray, rows, *kinds) -> list:
+    """One ``_search_rows`` call on ``eta[rows]``, a column of values per
+    kind: sign(alpha - eta) codes for a cost, 0 for None."""
+    e = eta[rows]
+    codes = (np.zeros(e.shape) if k is None else np.sign(k.alpha - e) for k in kinds)
+    return [result.value for result in _search_rows(loss, e, *codes)]
+
+
+def _gaps(loss: Loss, cost: CostParam, eta: np.ndarray, c_minus, c_star) -> np.ndarray:
+    """``h_alpha`` on the array ``eta`` from its closed C^- and C*, each None
+    where one row search, of no row at alpha, serves it: 0 at alpha."""
+    at = eta == cost.alpha
+    if c_minus is not None and c_star is not None:  # np.where: a 0-d eta's gap is a numpy scalar
+        return np.where(at, 0.0, _gap(c_minus, c_star, eta))
+    off = ~at
+    found = _searched(loss, eta, off, *(k for k, v in ((cost, c_minus), (None, c_star)) if v is None))
+    c_minus = found.pop(0) if c_minus is None else c_minus[off]
+    c_star = found.pop(0) if c_star is None else c_star[off]
+    h = np.zeros(eta.shape)
+    h[off] = _gap(c_minus, c_star, eta[off])
+    return h
+
+
 def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
     """The one place that chooses closed form or search.
 
@@ -616,31 +639,13 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
             value = _search_float(loss, eta, code).value
         return _gap(value, _optima(loss, None, eta), eta) if gap else value
 
-    def search(rows, *kinds):
-        """One ``_search_rows`` call on ``eta[rows]``, a column of values per
-        kind: sign(alpha - eta) codes for a cost, 0 for None."""
-        e = eta[rows]
-        codes = (np.zeros(e.shape) if k is None else np.sign(k.alpha - e) for k in kinds)
-        return [result.value for result in _search_rows(loss, e, *codes)]
-
     if cost is None:
         c_star = _closed(loss, None, eta)
-        return search(..., None)[0] if c_star is None else c_star
-    at = eta == cost.alpha
+        return _searched(loss, eta, ..., None)[0] if c_star is None else c_star
     c_minus = _closed(loss, cost, eta)
     if gap:
-        c_star = _closed(loss, None, eta)
-        if c_minus is None or c_star is None:
-            # No row is searched at alpha: the gap is 0 there whatever the optima.
-            off = ~at
-            found = search(off, *(k for k, v in ((cost, c_minus), (None, c_star)) if v is None))
-            c_minus = found.pop(0) if c_minus is None else c_minus[off]
-            c_star = found.pop(0) if c_star is None else c_star[off]
-            h = np.zeros(eta.shape)
-            h[off] = _gap(c_minus, c_star, eta[off])
-            return h
-        # np.where, not an assignment: a 0-d eta's gap is a numpy scalar.
-        return np.where(at, 0.0, _gap(c_minus, c_star, eta))
+        return _gaps(loss, cost, eta, c_minus, _closed(loss, None, eta))
+    at = eta == cost.alpha
     # C^- off alpha and C* at alpha: one search serves the rows of either
     # that no closed form serves, its code 0 at alpha.
     c_star = _closed(loss, None, eta) if at.any() else 0.0
@@ -648,7 +653,7 @@ def _optima(loss: Loss, cost: CostParam | None, eta, gap: bool = False):
     if c_minus is None or c_star is None:
         rows = (~at if c_minus is None else False) | (at if c_star is None else False)
         if rows.any():
-            value[rows] = search(rows, cost)[0]
+            value[rows] = _searched(loss, eta, rows, cost)[0]
     return value
 
 
@@ -740,9 +745,10 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     gap at or under ``tolerance`` is exact, and so is the first least gap.
 
     Where C* is closed (``_closed``; the gap is then cheaper than a floor),
-    every gap is taken against it, with C^- closed too or from one row
-    search (the weighted gamma = 2 sigmoid).  Where the search has no
-    ceiling on C* (``_c_star_ceiling``), one call searches every gap.
+    every gap is taken against it by ``_gaps``, as ``h_alpha`` takes it,
+    with C^- closed too or from one row search (the weighted gamma = 2
+    sigmoid).  Where the search has no ceiling on C* (``_c_star_ceiling``),
+    one call searches every gap.
     Otherwise each posterior gets a floor on its gap: the gap's
     arithmetic with a floor on C^- in its place and the ceiling in the
     place of C*.  IEEE subtraction and the clamp are monotone, so each
@@ -780,9 +786,7 @@ def _verdict_gaps(loss: Loss, cost: CostParam, etas: np.ndarray, tolerance: floa
     """
     c_minus, c_star = _closed(loss, cost, etas), _closed(loss, None, etas)
     if c_star is not None:
-        if c_minus is None:
-            c_minus = _search_rows(loss, etas, np.sign(cost.alpha - etas))[0].value
-        return _gap(c_minus, c_star, etas)
+        return _gaps(loss, cost, etas, c_minus, c_star)
     ceiling = _c_star_ceiling(loss, etas)
     if ceiling is None:
         return h_alpha(loss, cost, etas)

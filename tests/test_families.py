@@ -340,17 +340,16 @@ class TestSigmoidTMinus:
 
         monkeypatch.setattr(costcal.families, "sigmoid_t_minus", spy)
         loss = uneven("sigmoid", gamma=2.0)
-        # closed_forms is a view of t_star and c_star: one solve for each.
-        for request, solves in (
-            (SIGMOID_GAMMA2.c_star, 1),
-            (lambda eta: optimal_conditional_risk(loss, eta), 1),
-            (SIGMOID_GAMMA2.t_star, 1),
-            (lambda eta: closed_forms(SIGMOID_GAMMA2, eta), 2),
+        for request in (
+            SIGMOID_GAMMA2.c_star,
+            lambda eta: optimal_conditional_risk(loss, eta),
+            SIGMOID_GAMMA2.t_star,
+            lambda eta: closed_forms(SIGMOID_GAMMA2, eta),
         ):
             for eta in (1e-9, 0.05, 0.2, 0.3):
                 del calls[:]
                 request(eta)
-                assert calls == [eta] * solves
+                assert calls == [eta]
 
     @pytest.mark.parametrize("eta", [3e-9, 1e-8, 1e-300, 1e-320])
     def test_stationary_at_tiny_posteriors(self, eta):
@@ -697,6 +696,9 @@ class TestSpecRouting:
 
     @pytest.mark.parametrize("spec", SUPPORTED_SPECS, ids=repr)
     def test_t_star_attains_c_star(self, spec):
+        if spec.alpha_weight is not None:
+            assert spec.t_star(0.3) is None
+            return
         loss = make_uneven_loss(spec)
         for eta in ROUTING_ETAS + [1e-12, 0.35, 1.0 - 1e-12]:
             risk = conditional_risk(loss, eta, spec.t_star(eta))
@@ -718,6 +720,16 @@ class TestSigmoidCMinusAtEveryAlpha:
             ref = brute_force_min(untagged(loss), eta, "none" if eta == alpha else side).value
             for value in (row, constrained_optimal_risk(loss, cost, eta)):
                 assert abs(value - ref) <= 1e-9 * ref, (eta, value, ref)
+
+    def test_float_gap_is_zero_where_the_minimizer_is_admissible(self):
+        # From alpha to ALPHA_SIGMOID_GAMMA2 the local minimizer is t*, so
+        # C^- and C* are one value, float and array alike.
+        loss, cost = make_uneven_loss(SIGMOID_GAMMA2), CostParam(0.3)
+        etas = np.linspace(0.3, ALPHA_SIGMOID_GAMMA2, 41, endpoint=False)
+        assert not h_alpha(loss, cost, etas).any()
+        for eta in etas.tolist():
+            assert h_alpha(loss, cost, eta) == 0.0, eta
+            assert constrained_optimal_risk(loss, cost, eta) == optimal_conditional_risk(loss, eta), eta
 
     def test_keeps_its_bits_at_its_own_alpha(self):
         # sigmoid_c_minus's form: (1 - eta)/2 on (1/3, 1/2), else (1 + eta)/4,
